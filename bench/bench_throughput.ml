@@ -8,13 +8,15 @@
      dune exec bench/bench_throughput.exe -- --scale 0.05  # CI smoke test
      dune build @bench-quick                               # same, via alias
 
-   Speedup accounting: `wall_speedup` is end-to-end wall clock of the
-   domains run; `speedup` is sequential wall over the parallel run's
-   critical path (max per-shard wall, each shard timed running alone) —
-   i.e. the wall clock the engine achieves when every domain has a
-   dedicated core.  On a host with >= N cores the two agree; on smaller
-   hosts (e.g. 1-core CI) `wall_speedup` degenerates to ~1x by physics
-   while `speedup` still measures engine scaling. *)
+   Speedup accounting: `wall_speedup` is sequential walker wall over the
+   end-to-end wall clock of the parallel run (the streaming engine, one
+   worker domain per shard — so it also carries the engine's memo
+   amortisation); `speedup` is sequential wall over the critical path of
+   the sharded walker replay (max per-shard wall, each shard timed
+   running alone) — i.e. the wall clock the walker achieves when every
+   domain has a dedicated core.  On hosts with fewer cores than domains
+   (e.g. 1-core CI) `wall_speedup` is bounded by time-slicing while
+   `speedup` still measures scaling. *)
 
 module Catalog = Gf_pipelines.Catalog
 module Pipebench = Gf_workload.Pipebench
@@ -65,14 +67,14 @@ let run_sequential cfg pipeline trace =
 
 type par_run = {
   domains : int;
-  domains_wall : float; (* real `Domains run, spawn to join *)
+  domains_wall : float; (* engine run, one worker domain per shard *)
   critical_path : float; (* max per-shard wall, shards timed alone *)
   speedup : float; (* sequential wall / critical path *)
-  wall_speedup : float; (* sequential wall / domains wall *)
+  wall_speedup : float; (* sequential wall / engine wall *)
   merged_pps : float; (* packets / critical path *)
   imbalance : float; (* measured per-shard slowpath-load imbalance *)
   hit_rate : float;
-  matches_sequential_mode : bool; (* `Domains merged == `Sequential merged *)
+  matches_sequential_mode : bool; (* engine merged == sharded walker merged *)
 }
 
 let counters (m : Metrics.t) =
@@ -86,9 +88,9 @@ let counters (m : Metrics.t) =
 
 let run_parallel cfg pipeline trace ~domains ~seq_wall =
   (* Pass 1: shards timed one at a time — undistorted per-shard walls. *)
-  let seq_shards = Parallel.replay ~mode:`Sequential ~domains ~cfg pipeline trace in
-  (* Pass 2: the real thing, one domain per shard. *)
-  let par = Parallel.replay ~mode:`Domains ~domains ~cfg pipeline trace in
+  let seq_shards = Parallel.replay ~domains ~cfg pipeline trace in
+  (* Pass 2: the real thing, one worker domain per shard. *)
+  let par = Engine.replay ~domains ~cfg pipeline (Trace.stream_of_trace trace) in
   let m = par.Parallel.merged in
   {
     domains;
@@ -475,11 +477,8 @@ let () =
       List.iteri
         (fun di domains ->
           (* The determinism reference shares the engine's flow sharding:
-             Sequential mode at the same domain count. *)
-          let seq_ref =
-            Parallel.replay ~mode:`Sequential ~domains ~cfg stream_pipeline
-              strace
-          in
+             sequential sharded replay at the same domain count. *)
+          let seq_ref = Parallel.replay ~domains ~cfg stream_pipeline strace in
           let r, e_wall =
             timed_best (fun () ->
                 Engine.replay ~batch_size:stream_batch ~domains
@@ -759,11 +758,10 @@ let () =
       List.iter
         (fun (variant, cfg) ->
           let m, modeled_pps, wall_pps = offload_run cfg off_pipeline off_trace in
-          let seq_ref =
-            Parallel.replay ~mode:`Sequential ~domains:2 ~cfg off_pipeline off_trace
-          in
+          let seq_ref = Parallel.replay ~domains:2 ~cfg off_pipeline off_trace in
           let par =
-            Parallel.replay ~mode:`Domains ~domains:2 ~cfg off_pipeline off_trace
+            Engine.replay ~domains:2 ~cfg off_pipeline
+              (Trace.stream_of_trace off_trace)
           in
           let matches = counters par.Parallel.merged = counters seq_ref.Parallel.merged in
           say

@@ -70,6 +70,24 @@ dune exec --no-build -- gigaflow-sim telemetry-check "$TDIR/batched.jsonl"
 if grep -qi 'nan' "$TDIR/batched.out" "$TDIR/batched4.out"; then
   echo "NaN leaked into batched engine output" >&2; exit 1
 fi
+# The same agreement under heavy-hitter admission: the drifting-skew
+# gf_sw_hh run defers every cold slowpath and promotes the flows that get
+# hot, so the deferral and promotion paths run through both the walker
+# (memo off) and the engine's memoised walk.
+ADM="-p PSC --flows 20000 --combos 8192 --seed 77 --trace drift --hierarchy gf_sw_hh"
+dune exec --no-build -- gigaflow-sim run $ADM > "$TDIR/adm_walker.out"
+dune exec --no-build -- gigaflow-sim run $ADM --engine batched --domains 1 \
+  > "$TDIR/adm_batched.out"
+for metric in 'packets' 'SmartNIC hit rate' 'slowpath executions' 'installs' 'mean latency'; do
+  w=$(grep -F "| $metric " "$TDIR/adm_walker.out")
+  b=$(grep -F "| $metric " "$TDIR/adm_batched.out")
+  test -n "$w" && test "$w" = "$b" || {
+    echo "batched engine diverged from walker under admission on '$metric':" >&2
+    echo "  walker:  $w" >&2
+    echo "  batched: $b" >&2
+    exit 1
+  }
+done
 
 echo "== offload admission smoke"
 # Constrained hardware slots + elephant/mice trace: heavy-hitter admission

@@ -18,8 +18,9 @@
    Determinism: the demux hash and per-shard packet order are exactly
    [Parallel.shard]'s, each worker is deterministic, and shard metrics are
    merged in shard order — so for a given stream the merged metrics are
-   bit-identical to [Parallel.replay ~mode:`Sequential] over the
-   materialised trace, at any worker count (property-tested). *)
+   bit-identical to [Parallel.replay] (sequential sharded replay with the
+   per-packet walker) over the materialised trace, at any worker count
+   (property-tested). *)
 
 module Trace = Gf_workload.Trace
 module Pipeline = Gf_pipeline.Pipeline
@@ -207,7 +208,6 @@ let replay ?telemetry ?(batch_size = default_batch_size)
   in
   {
     Parallel.domains;
-    mode = `Streamed;
     shards;
     merged;
     telemetry = merged_telemetry;

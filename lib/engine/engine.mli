@@ -18,8 +18,9 @@
     (identical flow placement to {!Gf_sim.Parallel.shard}), per-shard
     packet order is the stream order, and shard metrics/telemetry merge in
     shard order — so the merged metrics are bit-identical to
-    [Parallel.replay ~mode:`Sequential] over the materialised trace, at
-    any worker count. *)
+    {!Gf_sim.Parallel.replay} (sequential sharded replay with the
+    per-packet walker) over the materialised trace, at any worker count.
+    This is the library's only parallel driver. *)
 
 val default_batch_size : int
 (** 256 packets. *)
@@ -42,6 +43,5 @@ val replay :
     domain — no spawns, no rings — which is the honest single-core
     configuration throughput benchmarks compare against the per-packet
     walker.  [telemetry] creates a private sink per worker and merges them
-    in shard order after the join.  The result's [mode] is [`Streamed];
-    [wall_seconds] spans pull-to-join, [critical_path_seconds] is the
+    in shard order after the join.  [wall_seconds] spans pull-to-join, [critical_path_seconds] is the
     slowest worker. *)

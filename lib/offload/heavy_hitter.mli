@@ -13,7 +13,7 @@
 
     Determinism: observations are pure state-machine transitions (no RNG,
     no wall clock), so per-shard sketches over disjoint RSS flow sets are
-    reproducible and {!merge} is deterministic — the `Domains==Sequential`
+    reproducible and {!merge} is deterministic — the engine==sequential
     bit-identity property survives admission decisions made from the
     sketch. *)
 

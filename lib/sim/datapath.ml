@@ -244,20 +244,26 @@ let with_policy policy cfg =
     levels = List.map (fun s -> Cache_level.spec_with_evict s policy) cfg.levels;
   }
 
-(* Level naming here must mirror [create]'s deduplication ("sw-mf",
-   "sw-mf#2", ...) so callers can target levels by the names metrics
-   report. *)
-let with_level_policy ~level policy cfg =
+(* The metrics name of each spec, walk order: the spec's default name,
+   deduplicated for hierarchies stacking the same level kind twice
+   ("sw-mf", "sw-mf#2", ...).  [create] names levels with it and the
+   [~level] knobs target levels by it. *)
+let spec_level_names specs =
   let seen = Hashtbl.create 8 in
+  List.map
+    (fun spec ->
+      let base = Cache_level.spec_name spec in
+      let n = 1 + Option.value ~default:0 (Hashtbl.find_opt seen base) in
+      Hashtbl.replace seen base n;
+      if n = 1 then base else Printf.sprintf "%s#%d" base n)
+    specs
+
+let with_level_policy ~level policy cfg =
   let levels =
-    List.map
-      (fun s ->
-        let base = Cache_level.spec_name s in
-        let n = 1 + Option.value ~default:0 (Hashtbl.find_opt seen base) in
-        Hashtbl.replace seen base n;
-        let name = if n = 1 then base else Printf.sprintf "%s#%d" base n in
+    List.map2
+      (fun name s ->
         if String.equal name level then Cache_level.spec_with_evict s policy else s)
-      cfg.levels
+      (spec_level_names cfg.levels) cfg.levels
   in
   { cfg with levels }
 
@@ -278,7 +284,7 @@ type outcome = Hw_hit | Sw_hit | Slowpath
    (hardware) level, every per-packet effect is a constant of the flow:
    the latency (hardware hit cost ignores work), both histogram bucket
    indices, the drop decision and the returned triple.  They are computed
-   once on the slowpath walk and replayed with plain mutations; only the
+   once on the memoised walk and replayed with plain mutations; only the
    backend's own validity check ([p_replay], see
    [Cache_level.prepare_replay]) runs per packet, returning the exact
    lookup work or [None] once the memoised entry is stale. *)
@@ -314,11 +320,11 @@ type t = {
          histogram bucket aggregation, series building and recorder
          sampling happens when the sampler flushes ([snapshot] /
          [maybe_sample] / ring-full), off the packet loop. *)
-  traversal_memo : (int, (Traversal.t, unit) result) Hashtbl.t;
-      (* flow id -> memoised [Executor.execute] result, used only by
-         [process_memo].  [Executor.execute] is observably pure over a
-         fixed pipeline, so the memo is valid for a whole run; a pipeline
-         update ([revalidate]) resets it. *)
+  traversal_memo : (int, (Traversal.t, Executor.error) result) Hashtbl.t;
+      (* flow id -> memoised [Executor.execute] result, used only by the
+         memoised walk ([process_memo]).  [Executor.execute] is observably
+         pure over a fixed pipeline, so the memo is valid for a whole run;
+         a pipeline update ([revalidate]) resets it. *)
   mutable replay_tbl : pmemo option array;
       (* flow id -> compiled level-0 replay, grown on demand.  Entries
          self-invalidate through [p_replay]; [revalidate] clears the lot. *)
@@ -363,20 +369,11 @@ type t = {
 }
 
 let create ?telemetry cfg pipeline =
-  (* Deduplicate metric names for hierarchies stacking the same level kind
-     twice (e.g. two wildcard caches): "sw-mf", "sw-mf#2", ... *)
-  let seen = Hashtbl.create 8 in
-  let unique_name spec =
-    let base = Cache_level.spec_name spec in
-    let n = 1 + Option.value ~default:0 (Hashtbl.find_opt seen base) in
-    Hashtbl.replace seen base n;
-    if n = 1 then base else Printf.sprintf "%s#%d" base n
-  in
   let levels =
-    cfg.levels
-    |> List.map (fun spec ->
-           Cache_level.build ~name:(unique_name spec)
-             ~default_max_idle:cfg.max_idle ~pipeline spec)
+    List.map2
+      (fun name spec ->
+        Cache_level.build ~name ~default_max_idle:cfg.max_idle ~pipeline spec)
+      (spec_level_names cfg.levels) cfg.levels
     |> Array.of_list
   in
   let metrics = Metrics.create () in
@@ -506,21 +503,8 @@ let set_admission t admission =
 
 let set_evict_policy t ~level policy =
   Cache_level.set_evict (find_level t level) policy;
-  (* Keep the spec list consistent for [config t] readers: the runtime
-     names deduplicate as "base", "base#2", ... in spec order. *)
-  let seen = Hashtbl.create 8 in
-  let levels =
-    List.map
-      (fun spec ->
-        let base = Cache_level.spec_name spec in
-        let n = 1 + Option.value ~default:0 (Hashtbl.find_opt seen base) in
-        Hashtbl.replace seen base n;
-        let name = if n = 1 then base else Printf.sprintf "%s#%d" base n in
-        if String.equal name level then Cache_level.spec_with_evict spec policy
-        else spec)
-      t.cfg.levels
-  in
-  t.cfg <- { t.cfg with levels }
+  (* Keep the spec list consistent for [config t] readers. *)
+  t.cfg <- with_level_policy ~level policy t.cfg
 
 let set_level_capacity t ~level capacity =
   Cache_level.set_capacity (find_level t level) capacity
@@ -739,9 +723,9 @@ let tracer_tick tr =
     tr.Tracer.active <- false
   end
 
-(* Per-miss tracer hook, shared by [process] and [process_memo_slow]: one
-   census increment always (so the per-cause totals reconcile with
-   [Metrics] misses exactly); a miss span when the packet is sampled. *)
+(* Per-miss tracer hook: one census increment always (so the per-cause
+   totals reconcile with [Metrics] misses exactly); a miss span when the
+   packet is sampled. *)
 let trace_miss t tr ~level:i ~now ~work ~cpw ~flow fid =
   let depth =
     if t.level_is_ltm.(i) then Cache_level.last_depth t.levels.(i) else 0
@@ -771,10 +755,74 @@ let trace_hit t tr ~level:i ~now ~work ~cpw fid =
 
 (* ------------------------------ slowpath ------------------------------ *)
 
-(* Full slowpath: execute the pipeline once and offer the traversal to every
-   level's install policy.  Returns (terminal option, service latency us).
-   Split so [process_memo] can feed a memoised execute result to the same
-   install path ([slowpath_installs]). *)
+(* The slowpath pipeline execute.  With [memo] (only ever set for a known
+   flow id) the result is memoised per flow: [Executor.execute] is
+   observably pure over a fixed pipeline, so repeat slowpaths and
+   promotions of a flow replay its traversal while every install offer
+   and all accounting stay live. *)
+let traversal t ~memo ~flow_id flow =
+  if memo then (
+    match Hashtbl.find_opt t.traversal_memo flow_id with
+    | Some r -> r
+    | None ->
+        let r = Executor.execute t.pipeline flow in
+        Hashtbl.replace t.traversal_memo flow_id r;
+        r)
+  else Executor.execute t.pipeline flow
+
+(* Offer a traversal to level [i] and count the report everywhere it is
+   counted: the level's [Metrics] (and the hardware aggregates), the
+   tracer's per-flow admission state and the passive census. *)
+let install_at t ~now ~flow_id ~version i traversal =
+  let m = t.metrics and lm = t.level_metrics.(i) in
+  let r = Cache_level.install_from_traversal t.levels.(i) ~now ~version traversal in
+  lm.Metrics.installs <- lm.Metrics.installs + r.Cache_level.fresh;
+  lm.Metrics.shared <- lm.Metrics.shared + r.Cache_level.shared;
+  lm.Metrics.rejected <- lm.Metrics.rejected + r.Cache_level.rejected;
+  lm.Metrics.pressure_evictions <-
+    lm.Metrics.pressure_evictions + r.Cache_level.pressure_evicted;
+  if t.level_is_hw.(i) then begin
+    m.Metrics.hw_installs <- m.Metrics.hw_installs + r.Cache_level.fresh;
+    m.Metrics.hw_shared <- m.Metrics.hw_shared + r.Cache_level.shared;
+    m.Metrics.hw_rejected <- m.Metrics.hw_rejected + r.Cache_level.rejected;
+    m.Metrics.hw_pressure_evictions <-
+      m.Metrics.hw_pressure_evictions + r.Cache_level.pressure_evicted
+  end;
+  (match t.tracer with
+  | Some _ ->
+      if r.Cache_level.rejected > 0 then fs_mark t ~level:i flow_id '\003'
+      else if r.Cache_level.fresh + r.Cache_level.shared > 0 then
+        fs_install t ~level:i ~now flow_id
+  | None -> ());
+  (match t.psv with
+  | Some p ->
+      let c = p.Passive.counters.(i) in
+      c.Passive.c_installs <- c.Passive.c_installs + r.Cache_level.fresh;
+      c.Passive.c_rejects <- c.Passive.c_rejects + r.Cache_level.rejected;
+      c.Passive.c_pressure_evicts <-
+        c.Passive.c_pressure_evicts + r.Cache_level.pressure_evicted;
+      if p.Passive.events_on then begin
+        let packet = m.Metrics.packets - 1 in
+        if r.Cache_level.fresh > 0 then
+          Passive.note p ~kind:Recorder.Install ~level:i ~packet ~time:now ~lat:0.0
+            ~count:r.Cache_level.fresh;
+        if r.Cache_level.rejected > 0 then
+          Passive.note p ~kind:Recorder.Reject ~level:i ~packet ~time:now ~lat:0.0
+            ~count:r.Cache_level.rejected;
+        if r.Cache_level.pressure_evicted > 0 then
+          Passive.note p ~kind:Recorder.Pressure_evict ~level:i ~packet ~time:now
+            ~lat:0.0 ~count:r.Cache_level.pressure_evicted
+      end
+  | None -> ());
+  r
+
+let hw_install_on_miss t i =
+  t.level_is_hw.(i)
+  && (Cache_level.descriptor t.levels.(i)).Cache_level.policy
+     = Cache_level.Install_on_miss
+
+(* Full slowpath: offer the executed traversal to every level's install
+   policy.  Returns (terminal option, service latency us). *)
 let slowpath_installs t ~now ~flow_id execute_result =
   let m = t.metrics in
   match execute_result with
@@ -794,77 +842,32 @@ let slowpath_installs t ~now ~flow_id execute_result =
             Heavy_hitter.hot hh ~threshold:t.hh_threshold traversal.Traversal.input
       in
       let installs = ref 0 and partition_work = ref 0 and rulegen_work = ref 0 in
-      Array.iteri
-        (fun i level ->
+      for i = 0 to Array.length t.levels - 1 do
+        if (not admit_hw) && hw_install_on_miss t i then begin
           let lm = t.level_metrics.(i) in
-          let deferred =
-            (not admit_hw)
-            && Cache_level.tier level = Cache_level.Hardware
-            && (Cache_level.descriptor level).Cache_level.policy
-               = Cache_level.Install_on_miss
-          in
-          if deferred then begin
-            lm.Metrics.deferred <- lm.Metrics.deferred + 1;
-            m.Metrics.hw_deferred <- m.Metrics.hw_deferred + 1;
-            (match t.tracer with
-            | Some _ -> fs_mark t ~level:i flow_id '\002'
-            | None -> ());
-            match t.psv with
-            | Some p ->
-                let c = p.Passive.counters.(i) in
-                c.Passive.c_defers <- c.Passive.c_defers + 1;
-                if p.Passive.events_on then
-                  Passive.note p ~kind:Recorder.Defer ~level:i
-                    ~packet:(m.Metrics.packets - 1) ~time:now ~lat:0.0 ~count:1
-            | None -> ()
-          end
-          else begin
-          let r = Cache_level.install_from_traversal level ~now ~version traversal in
-          lm.Metrics.installs <- lm.Metrics.installs + r.Cache_level.fresh;
-          lm.Metrics.shared <- lm.Metrics.shared + r.Cache_level.shared;
-          lm.Metrics.rejected <- lm.Metrics.rejected + r.Cache_level.rejected;
-          lm.Metrics.pressure_evictions <-
-            lm.Metrics.pressure_evictions + r.Cache_level.pressure_evicted;
-          partition_work := !partition_work + r.Cache_level.partition_work;
-          rulegen_work := !rulegen_work + r.Cache_level.rulegen_work;
+          lm.Metrics.deferred <- lm.Metrics.deferred + 1;
+          m.Metrics.hw_deferred <- m.Metrics.hw_deferred + 1;
           (match t.tracer with
-          | Some _ ->
-              if r.Cache_level.rejected > 0 then fs_mark t ~level:i flow_id '\003'
-              else if r.Cache_level.fresh + r.Cache_level.shared > 0 then
-                fs_install t ~level:i ~now flow_id
+          | Some _ -> fs_mark t ~level:i flow_id '\002'
           | None -> ());
-          (match t.psv with
+          match t.psv with
           | Some p ->
               let c = p.Passive.counters.(i) in
-              c.Passive.c_installs <- c.Passive.c_installs + r.Cache_level.fresh;
-              c.Passive.c_rejects <- c.Passive.c_rejects + r.Cache_level.rejected;
-              c.Passive.c_pressure_evicts <-
-                c.Passive.c_pressure_evicts + r.Cache_level.pressure_evicted;
-              if p.Passive.events_on then begin
-                let packet = m.Metrics.packets - 1 in
-                if r.Cache_level.fresh > 0 then
-                  Passive.note p ~kind:Recorder.Install ~level:i ~packet
-                    ~time:now ~lat:0.0 ~count:r.Cache_level.fresh;
-                if r.Cache_level.rejected > 0 then
-                  Passive.note p ~kind:Recorder.Reject ~level:i ~packet
-                    ~time:now ~lat:0.0 ~count:r.Cache_level.rejected;
-                if r.Cache_level.pressure_evicted > 0 then
-                  Passive.note p ~kind:Recorder.Pressure_evict ~level:i ~packet
-                    ~time:now ~lat:0.0 ~count:r.Cache_level.pressure_evicted
-              end
-          | None -> ());
-          if Cache_level.tier level = Cache_level.Hardware then begin
-            m.Metrics.hw_installs <- m.Metrics.hw_installs + r.Cache_level.fresh;
-            m.Metrics.hw_shared <- m.Metrics.hw_shared + r.Cache_level.shared;
-            m.Metrics.hw_rejected <- m.Metrics.hw_rejected + r.Cache_level.rejected;
-            m.Metrics.hw_pressure_evictions <-
-              m.Metrics.hw_pressure_evictions + r.Cache_level.pressure_evicted;
-            (* PCIe table writes: only NIC-resident levels pay per-install
-               latency. *)
-            installs := !installs + r.Cache_level.fresh
-          end
-          end)
-        t.levels;
+              c.Passive.c_defers <- c.Passive.c_defers + 1;
+              if p.Passive.events_on then
+                Passive.note p ~kind:Recorder.Defer ~level:i
+                  ~packet:(m.Metrics.packets - 1) ~time:now ~lat:0.0 ~count:1
+          | None -> ()
+        end
+        else begin
+          let r = install_at t ~now ~flow_id ~version i traversal in
+          partition_work := !partition_work + r.Cache_level.partition_work;
+          rulegen_work := !rulegen_work + r.Cache_level.rulegen_work;
+          (* PCIe table writes: only NIC-resident levels pay per-install
+             latency. *)
+          if t.level_is_hw.(i) then installs := !installs + r.Cache_level.fresh
+        end
+      done;
       (* Sampled packets attribute the slowpath table-by-table: one span
          per traversal step, costed at that step's share of the userspace
          lookup cycles (the per-step costs sum to the charged total). *)
@@ -900,107 +903,30 @@ let slowpath_installs t ~now ~flow_id execute_result =
       in
       (Some traversal.Traversal.terminal, lat)
 
-let slowpath t ~now ~flow_id flow =
-  slowpath_installs t ~now ~flow_id (Executor.execute t.pipeline flow)
-
-(* Memoising slowpath: the pipeline execute is observably pure over a fixed
-   pipeline, so repeat slowpaths of a flow (expired entries, churn) replay
-   the memoised traversal; the install offers, adaptive-profile updates and
-   all accounting stay live. *)
-let slowpath_memo t ~now ~flow_id flow =
-  match Hashtbl.find_opt t.traversal_memo flow_id with
-  | Some r -> slowpath_installs t ~now ~flow_id r
-  | None ->
-      let r = Executor.execute t.pipeline flow in
-      Hashtbl.replace t.traversal_memo flow_id
-        (match r with Ok tr -> Ok tr | Error _ -> Error ());
-      slowpath_installs t ~now ~flow_id r
-
 (* Asynchronous hardware promotion of a flow that got hot while living in
    the software tier: offer its slowpath traversal to the hardware-tier
    install-on-miss levels only.  Models the revalidator thread pushing a
    proven elephant down to the NIC off the packet path — install,
    partition and rule-generation accounting is real (the work happens),
-   but no packet latency is charged.  [Executor.execute] is pure, so the
-   walker (fresh execute) and the batched engine (memoised traversal)
-   account identically.  Returns [true] iff any cache mutated. *)
-let hh_offer_hw t ~now ~flow_id flow =
-  let execute_result =
-    if flow_id >= 0 then (
-      match Hashtbl.find_opt t.traversal_memo flow_id with
-      | Some r -> r
-      | None ->
-          let r =
-            match Executor.execute t.pipeline flow with
-            | Ok tr -> Ok tr
-            | Error _ -> Error ()
-          in
-          Hashtbl.replace t.traversal_memo flow_id r;
-          r)
-    else
-      match Executor.execute t.pipeline flow with
-      | Ok tr -> Ok tr
-      | Error _ -> Error ()
-  in
-  match execute_result with
-  | Error () -> false
+   but no packet latency is charged.  Returns [true] iff any cache
+   mutated. *)
+let hh_offer_hw t ~memo ~now ~flow_id flow =
+  match traversal t ~memo ~flow_id flow with
+  | Error _ -> false
   | Ok traversal ->
       let m = t.metrics in
       let version = Pipeline.version t.pipeline in
       let mutated = ref false in
       let partition_work = ref 0 and rulegen_work = ref 0 in
-      Array.iteri
-        (fun i level ->
-          let d = Cache_level.descriptor level in
-          if
-            d.Cache_level.tier = Cache_level.Hardware
-            && d.Cache_level.policy = Cache_level.Install_on_miss
-          then begin
-            let r = Cache_level.install_from_traversal level ~now ~version traversal in
-            let lm = t.level_metrics.(i) in
-            lm.Metrics.installs <- lm.Metrics.installs + r.Cache_level.fresh;
-            lm.Metrics.shared <- lm.Metrics.shared + r.Cache_level.shared;
-            lm.Metrics.rejected <- lm.Metrics.rejected + r.Cache_level.rejected;
-            lm.Metrics.pressure_evictions <-
-              lm.Metrics.pressure_evictions + r.Cache_level.pressure_evicted;
-            m.Metrics.hw_installs <- m.Metrics.hw_installs + r.Cache_level.fresh;
-            m.Metrics.hw_shared <- m.Metrics.hw_shared + r.Cache_level.shared;
-            m.Metrics.hw_rejected <- m.Metrics.hw_rejected + r.Cache_level.rejected;
-            m.Metrics.hw_pressure_evictions <-
-              m.Metrics.hw_pressure_evictions + r.Cache_level.pressure_evicted;
-            partition_work := !partition_work + r.Cache_level.partition_work;
-            rulegen_work := !rulegen_work + r.Cache_level.rulegen_work;
-            if r.Cache_level.fresh > 0 || r.Cache_level.pressure_evicted > 0 then
-              mutated := true;
-            (match t.tracer with
-            | Some _ ->
-                if r.Cache_level.rejected > 0 then
-                  fs_mark t ~level:i flow_id '\003'
-                else if r.Cache_level.fresh + r.Cache_level.shared > 0 then
-                  fs_install t ~level:i ~now flow_id
-            | None -> ());
-            match t.psv with
-            | Some p ->
-                let c = p.Passive.counters.(i) in
-                c.Passive.c_installs <- c.Passive.c_installs + r.Cache_level.fresh;
-                c.Passive.c_rejects <- c.Passive.c_rejects + r.Cache_level.rejected;
-                c.Passive.c_pressure_evicts <-
-                  c.Passive.c_pressure_evicts + r.Cache_level.pressure_evicted;
-                if p.Passive.events_on then begin
-                  let packet = m.Metrics.packets - 1 in
-                  if r.Cache_level.fresh > 0 then
-                    Passive.note p ~kind:Recorder.Install ~level:i ~packet
-                      ~time:now ~lat:0.0 ~count:r.Cache_level.fresh;
-                  if r.Cache_level.rejected > 0 then
-                    Passive.note p ~kind:Recorder.Reject ~level:i ~packet
-                      ~time:now ~lat:0.0 ~count:r.Cache_level.rejected;
-                  if r.Cache_level.pressure_evicted > 0 then
-                    Passive.note p ~kind:Recorder.Pressure_evict ~level:i ~packet
-                      ~time:now ~lat:0.0 ~count:r.Cache_level.pressure_evicted
-                end
-            | None -> ()
-          end)
-        t.levels;
+      for i = 0 to Array.length t.levels - 1 do
+        if hw_install_on_miss t i then begin
+          let r = install_at t ~now ~flow_id ~version i traversal in
+          partition_work := !partition_work + r.Cache_level.partition_work;
+          rulegen_work := !rulegen_work + r.Cache_level.rulegen_work;
+          if r.Cache_level.fresh > 0 || r.Cache_level.pressure_evicted > 0 then
+            mutated := true
+        end
+      done;
       m.Metrics.cycles_partition <-
         m.Metrics.cycles_partition
         + Latency.cycles_partition ~partition_work:!partition_work;
@@ -1008,151 +934,57 @@ let hh_offer_hw t ~now ~flow_id flow =
         m.Metrics.cycles_rulegen + Latency.cycles_rulegen ~rulegen_work:!rulegen_work;
       !mutated
 
-(* Promotion trigger, shared by [process] and [process_memo_slow]: a
-   software-tier hit of a flow the sketch now calls hot means an elephant
-   is stuck below the hardware line (its install was deferred while cold,
-   or it was demoted) — offer it hardware residence, at most once per flow
-   per sweep interval. *)
-let maybe_promote_hot t ~now ~flow_id flow tier =
+(* Promotion trigger: a software-tier hit of a flow the sketch now calls
+   hot means an elephant is stuck below the hardware line (its install
+   was deferred while cold, or it was demoted) — offer it hardware
+   residence, at most once per flow per sweep interval. *)
+let maybe_promote_hot t ~memo ~now ~flow_id flow tier =
   match t.hh with
   | Some hh
     when tier = Cache_level.Software
          && Heavy_hitter.hot hh ~threshold:t.hh_threshold flow
          && not (Flow.Tbl.mem t.hh_attempted flow) ->
       Flow.Tbl.replace t.hh_attempted flow ();
-      hh_offer_hw t ~now ~flow_id flow
+      hh_offer_hw t ~memo ~now ~flow_id flow
   | Some _ | None -> false
 
-let process ?(flow_id = -1) t ~now flow =
+(* Let the promote-on-hit levels shallower than a hit at level [i] (the
+   EMC) learn its decision for subsequent packets of this flow.  Returns
+   [true] iff any level learned. *)
+let promote_above t ~now ~flow_id flow h i =
   let m = t.metrics in
-  maybe_expire t ~now;
-  m.Metrics.packets <- m.Metrics.packets + 1;
-  (match t.tracer with
-  | Some tr -> tracer_tick tr
-  | None -> ());
-  (match t.hh with Some hh -> Heavy_hitter.observe hh flow | None -> ());
-  let n = Array.length t.levels in
-  (* Walk the hierarchy: first hit wins, misses fall through. *)
-  let rec walk i =
-    if i >= n then begin
-      m.Metrics.slowpaths <- m.Metrics.slowpaths + 1;
-      let terminal, service_us = slowpath t ~now ~flow_id flow in
-      (Slowpath, terminal, Latency.upcall_us +. Latency.sw_base_us +. service_us)
+  let promoted = ref false in
+  for j = 0 to i - 1 do
+    let lj = t.levels.(j) in
+    if (Cache_level.descriptor lj).Cache_level.policy = Cache_level.Promote_on_hit
+    then begin
+      promoted := true;
+      let pe = Cache_level.promote lj ~now flow h in
+      (match t.tracer with
+      | Some _ -> fs_install t ~level:j ~now flow_id
+      | None -> ());
+      if pe > 0 then begin
+        let lmj = t.level_metrics.(j) in
+        lmj.Metrics.pressure_evictions <- lmj.Metrics.pressure_evictions + pe;
+        if t.level_is_hw.(j) then
+          m.Metrics.hw_pressure_evictions <- m.Metrics.hw_pressure_evictions + pe
+      end;
+      match t.psv with
+      | Some p ->
+          let cj = p.Passive.counters.(j) in
+          cj.Passive.c_promotes <- cj.Passive.c_promotes + 1;
+          if pe > 0 then cj.Passive.c_pressure_evicts <- cj.Passive.c_pressure_evicts + pe;
+          if p.Passive.events_on then begin
+            Passive.note p ~kind:Recorder.Promote ~level:j
+              ~packet:(m.Metrics.packets - 1) ~time:now ~lat:0.0 ~count:1;
+            if pe > 0 then
+              Passive.note p ~kind:Recorder.Pressure_evict ~level:j
+                ~packet:(m.Metrics.packets - 1) ~time:now ~lat:0.0 ~count:pe
+          end
+      | None -> ()
     end
-    else begin
-      let level = t.levels.(i) in
-      let d = Cache_level.descriptor level in
-      let hit, work = Cache_level.lookup level ~now flow in
-      let lm = t.level_metrics.(i) in
-      lm.Metrics.work <- lm.Metrics.work + work;
-      m.Metrics.cycles_sw_search <-
-        m.Metrics.cycles_sw_search + (work * d.Cache_level.cycles_per_work);
-      match hit with
-      | None ->
-          lm.Metrics.misses <- lm.Metrics.misses + 1;
-          (match t.tracer with
-          | Some tr ->
-              trace_miss t tr ~level:i ~now ~work
-                ~cpw:d.Cache_level.cycles_per_work ~flow flow_id
-          | None -> ());
-          (match t.psv with
-          | Some p ->
-              let c = p.Passive.counters.(i) in
-              c.Passive.c_misses <- c.Passive.c_misses + 1;
-              if p.Passive.events_on then
-                Passive.note p ~kind:Recorder.Miss ~level:i
-                  ~packet:(m.Metrics.packets - 1) ~time:now ~lat:0.0 ~count:1
-          | None -> ());
-          walk (i + 1)
-      | Some h ->
-          lm.Metrics.hits <- lm.Metrics.hits + 1;
-          (match t.tracer with
-          | Some tr ->
-              trace_hit t tr ~level:i ~now ~work
-                ~cpw:d.Cache_level.cycles_per_work flow_id
-          | None -> ());
-          (* Let shallower promote-on-hit levels (the EMC) learn the
-             decision for subsequent packets of this flow. *)
-          for j = 0 to i - 1 do
-            let lj = t.levels.(j) in
-            if
-              (Cache_level.descriptor lj).Cache_level.policy
-              = Cache_level.Promote_on_hit
-            then begin
-              let pe = Cache_level.promote lj ~now flow h in
-              (match t.tracer with
-              | Some _ -> fs_install t ~level:j ~now flow_id
-              | None -> ());
-              if pe > 0 then begin
-                let lmj = t.level_metrics.(j) in
-                lmj.Metrics.pressure_evictions <-
-                  lmj.Metrics.pressure_evictions + pe;
-                if Cache_level.tier lj = Cache_level.Hardware then
-                  m.Metrics.hw_pressure_evictions <-
-                    m.Metrics.hw_pressure_evictions + pe
-              end;
-              match t.psv with
-              | Some p ->
-                  let cj = p.Passive.counters.(j) in
-                  cj.Passive.c_promotes <- cj.Passive.c_promotes + 1;
-                  if pe > 0 then
-                    cj.Passive.c_pressure_evicts <-
-                      cj.Passive.c_pressure_evicts + pe;
-                  if p.Passive.events_on then begin
-                    Passive.note p ~kind:Recorder.Promote ~level:j
-                      ~packet:(m.Metrics.packets - 1) ~time:now ~lat:0.0 ~count:1;
-                    if pe > 0 then
-                      Passive.note p ~kind:Recorder.Pressure_evict ~level:j
-                        ~packet:(m.Metrics.packets - 1) ~time:now ~lat:0.0
-                        ~count:pe
-                  end
-              | None -> ()
-            end
-          done;
-          ignore (maybe_promote_hot t ~now ~flow_id flow d.Cache_level.tier);
-          let outcome, lat =
-            match d.Cache_level.tier with
-            | Cache_level.Hardware ->
-                m.Metrics.hw_hits <- m.Metrics.hw_hits + 1;
-                (Hw_hit, d.Cache_level.hit_us ~work)
-            | Cache_level.Software ->
-                m.Metrics.sw_hits <- m.Metrics.sw_hits + 1;
-                ( Sw_hit,
-                  Latency.upcall_us +. Latency.sw_base_us
-                  +. d.Cache_level.hit_us ~work )
-          in
-          lm.Metrics.latency_us <- lm.Metrics.latency_us +. lat;
-          (match t.psv with
-          | Some p ->
-              Passive.lat_note p.Passive.lat_levels.(i) lm.Metrics.latency_hist
-                lat;
-              let c = p.Passive.counters.(i) in
-              c.Passive.c_hits <- c.Passive.c_hits + 1;
-              if p.Passive.events_on then
-                Passive.note p ~kind:Recorder.Hit ~level:i
-                  ~packet:(m.Metrics.packets - 1) ~time:now ~lat ~count:1
-          | None -> Histogram.record lm.Metrics.latency_hist lat);
-          (outcome, Some h.Cache_level.terminal, lat)
-    end
-  in
-  let outcome, terminal, latency = walk 0 in
-  (match terminal with
-  | Some Action.Drop -> m.Metrics.drops <- m.Metrics.drops + 1
-  | Some (Action.Output _ | Action.Controller) | None -> ());
-  Gf_util.Stats.Acc.add m.Metrics.latency latency;
-  (match t.psv with
-  | Some p -> Passive.lat_note p.Passive.lat_global m.Metrics.latency_hist latency
-  | None -> Histogram.record m.Metrics.latency_hist latency);
-  let hw_occ = ref 0 in
-  Array.iteri
-    (fun i level ->
-      let occ = Cache_level.occupancy level in
-      let lm = t.level_metrics.(i) in
-      if occ > lm.Metrics.occupancy_peak then lm.Metrics.occupancy_peak <- occ;
-      if Cache_level.tier level = Cache_level.Hardware then hw_occ := !hw_occ + occ)
-    t.levels;
-  if !hw_occ > m.Metrics.hw_entries_peak then m.Metrics.hw_entries_peak <- !hw_occ;
-  (outcome, terminal, latency)
+  done;
+  !promoted
 
 (* Grow [replay_tbl] (doubling) until [flow_id] indexes it. *)
 let ensure_replay_slot t flow_id =
@@ -1167,19 +999,39 @@ let ensure_replay_slot t flow_id =
     t.replay_tbl <- a
   end
 
-(* The slow half of [process_memo]: observably identical to [process] —
-   same counters, same latency accumulation, same telemetry events, same
-   occupancy peaks — but amortised for repeat flows.  Lookups go through
-   each level's per-flow memo ([Cache_level.lookup_memo]), repeat
-   slowpaths replay the memoised pipeline traversal ([slowpath_memo]),
-   and the per-packet occupancy-peak scan is skipped when no mutation
-   (expiry sweep, promotion, slowpath install) could have changed any
-   occupancy.  A hit at level 0 on a hardware tier additionally compiles
-   a [pmemo] so subsequent packets of the flow take the fast path in
-   [process_memo].  Kept as a sibling of [process] rather than a
-   parameterisation so the per-packet walker benchmarks stay an honest
-   baseline. *)
-let process_memo_slow t ~now ~flow_id flow =
+(* A hardware hit at the top level has constant per-packet effects:
+   compile them so this flow's next packets take [process_memo]'s fast
+   path. *)
+let compile_replay t ~flow_id ((_, terminal, latency) as result) =
+  let level = t.levels.(0) in
+  match Cache_level.prepare_replay level ~flow_id with
+  | Some p_replay ->
+      ensure_replay_slot t flow_id;
+      t.replay_tbl.(flow_id) <-
+        Some
+          {
+            p_replay;
+            p_lat = latency;
+            p_gidx = Histogram.index t.metrics.Metrics.latency_hist latency;
+            p_lidx = Histogram.index t.level_metrics.(0).Metrics.latency_hist latency;
+            p_cpw = (Cache_level.descriptor level).Cache_level.cycles_per_work;
+            p_is_drop = (terminal = Some Action.Drop);
+            p_depth = (if t.level_is_ltm.(0) then Cache_level.last_depth level else 1);
+            p_result = result;
+          }
+  | None -> ()
+
+(* The per-packet hierarchy walk: first hit wins, misses fall through, a
+   full miss runs the slowpath.  [memo] selects the amortised flavour the
+   batched engine runs — level lookups through per-flow memos
+   ([Cache_level.lookup_memo]), memoised slowpath traversals, and a
+   compiled [pmemo] for a level-0 hardware hit — with identical
+   observable effects.  Every per-flow memo is keyed by [flow_id], so it
+   engages only for a known flow ([flow_id >= 0]).  Either way the
+   occupancy-peak scan runs only when something mutated (expiry sweep,
+   promotion, slowpath install): a pure-hit packet cannot raise a peak. *)
+let walk t ~memo ~now ~flow_id flow =
+  let memo = memo && flow_id >= 0 in
   let m = t.metrics in
   let expired = now -. t.last_expire >= t.cfg.expire_every in
   maybe_expire t ~now;
@@ -1190,17 +1042,22 @@ let process_memo_slow t ~now ~flow_id flow =
   (match t.hh with Some hh -> Heavy_hitter.observe hh flow | None -> ());
   let n = Array.length t.levels in
   let mutated = ref expired in
-  let rec walk i =
+  let rec go i =
     if i >= n then begin
       m.Metrics.slowpaths <- m.Metrics.slowpaths + 1;
       mutated := true;
-      let terminal, service_us = slowpath_memo t ~now ~flow_id flow in
+      let terminal, service_us =
+        slowpath_installs t ~now ~flow_id (traversal t ~memo ~flow_id flow)
+      in
       (Slowpath, terminal, Latency.upcall_us +. Latency.sw_base_us +. service_us, -1)
     end
     else begin
       let level = t.levels.(i) in
       let d = Cache_level.descriptor level in
-      let hit, work = Cache_level.lookup_memo level ~now ~flow_id flow in
+      let hit, work =
+        if memo then Cache_level.lookup_memo level ~now ~flow_id flow
+        else Cache_level.lookup level ~now flow
+      in
       let lm = t.level_metrics.(i) in
       lm.Metrics.work <- lm.Metrics.work + work;
       m.Metrics.cycles_sw_search <-
@@ -1221,7 +1078,7 @@ let process_memo_slow t ~now ~flow_id flow =
                 Passive.note p ~kind:Recorder.Miss ~level:i
                   ~packet:(m.Metrics.packets - 1) ~time:now ~lat:0.0 ~count:1
           | None -> ());
-          walk (i + 1)
+          go (i + 1)
       | Some h ->
           lm.Metrics.hits <- lm.Metrics.hits + 1;
           (match t.tracer with
@@ -1229,44 +1086,8 @@ let process_memo_slow t ~now ~flow_id flow =
               trace_hit t tr ~level:i ~now ~work
                 ~cpw:d.Cache_level.cycles_per_work flow_id
           | None -> ());
-          for j = 0 to i - 1 do
-            let lj = t.levels.(j) in
-            if
-              (Cache_level.descriptor lj).Cache_level.policy
-              = Cache_level.Promote_on_hit
-            then begin
-              mutated := true;
-              let pe = Cache_level.promote lj ~now flow h in
-              (match t.tracer with
-              | Some _ -> fs_install t ~level:j ~now flow_id
-              | None -> ());
-              if pe > 0 then begin
-                let lmj = t.level_metrics.(j) in
-                lmj.Metrics.pressure_evictions <-
-                  lmj.Metrics.pressure_evictions + pe;
-                if Cache_level.tier lj = Cache_level.Hardware then
-                  m.Metrics.hw_pressure_evictions <-
-                    m.Metrics.hw_pressure_evictions + pe
-              end;
-              match t.psv with
-              | Some p ->
-                  let cj = p.Passive.counters.(j) in
-                  cj.Passive.c_promotes <- cj.Passive.c_promotes + 1;
-                  if pe > 0 then
-                    cj.Passive.c_pressure_evicts <-
-                      cj.Passive.c_pressure_evicts + pe;
-                  if p.Passive.events_on then begin
-                    Passive.note p ~kind:Recorder.Promote ~level:j
-                      ~packet:(m.Metrics.packets - 1) ~time:now ~lat:0.0 ~count:1;
-                    if pe > 0 then
-                      Passive.note p ~kind:Recorder.Pressure_evict ~level:j
-                        ~packet:(m.Metrics.packets - 1) ~time:now ~lat:0.0
-                        ~count:pe
-                  end
-              | None -> ()
-            end
-          done;
-          if maybe_promote_hot t ~now ~flow_id flow d.Cache_level.tier then
+          if promote_above t ~now ~flow_id flow h i then mutated := true;
+          if maybe_promote_hot t ~memo ~now ~flow_id flow d.Cache_level.tier then
             mutated := true;
           let outcome, lat =
             match d.Cache_level.tier with
@@ -1293,7 +1114,7 @@ let process_memo_slow t ~now ~flow_id flow =
           (outcome, Some h.Cache_level.terminal, lat, i)
     end
   in
-  let outcome, terminal, latency, hit_level = walk 0 in
+  let outcome, terminal, latency, hit_level = go 0 in
   (match terminal with
   | Some Action.Drop -> m.Metrics.drops <- m.Metrics.drops + 1
   | Some (Action.Output _ | Action.Controller) | None -> ());
@@ -1301,9 +1122,6 @@ let process_memo_slow t ~now ~flow_id flow =
   (match t.psv with
   | Some p -> Passive.lat_note p.Passive.lat_global m.Metrics.latency_hist latency
   | None -> Histogram.record m.Metrics.latency_hist latency);
-  (* Occupancies only move on expiry, promotion or slowpath installs: a
-     pure-hit packet cannot raise any peak, so the per-packet scan that
-     [process] pays is elided unless something mutated. *)
   if !mutated then begin
     let hw_occ = ref 0 in
     Array.iteri
@@ -1311,42 +1129,20 @@ let process_memo_slow t ~now ~flow_id flow =
         let occ = Cache_level.occupancy level in
         let lm = t.level_metrics.(i) in
         if occ > lm.Metrics.occupancy_peak then lm.Metrics.occupancy_peak <- occ;
-        if Cache_level.tier level = Cache_level.Hardware then hw_occ := !hw_occ + occ)
+        if t.level_is_hw.(i) then hw_occ := !hw_occ + occ)
       t.levels;
     if !hw_occ > m.Metrics.hw_entries_peak then m.Metrics.hw_entries_peak <- !hw_occ
   end;
-  (* A hardware hit at the top level has constant per-packet effects:
-     compile them so this flow's next packets take [process_memo]'s fast
-     path. *)
-  (if hit_level = 0 && flow_id >= 0 then
-     let level = t.levels.(0) in
-     let d = Cache_level.descriptor level in
-     if d.Cache_level.tier = Cache_level.Hardware then
-       match Cache_level.prepare_replay level ~flow_id with
-       | Some p_replay ->
-           ensure_replay_slot t flow_id;
-           let lm0 = t.level_metrics.(0) in
-           t.replay_tbl.(flow_id) <-
-             Some
-               {
-                 p_replay;
-                 p_lat = latency;
-                 p_gidx = Histogram.index m.Metrics.latency_hist latency;
-                 p_lidx = Histogram.index lm0.Metrics.latency_hist latency;
-                 p_cpw = d.Cache_level.cycles_per_work;
-                 p_is_drop = (terminal = Some Action.Drop);
-                 p_depth =
-                   (if t.level_is_ltm.(0) then Cache_level.last_depth level
-                    else 1);
-                 p_result = (outcome, terminal, latency);
-               }
-       | None -> ());
-  (outcome, terminal, latency)
+  let result = (outcome, terminal, latency) in
+  if memo && hit_level = 0 && t.level_is_hw.(0) then compile_replay t ~flow_id result;
+  result
+
+let process ?(flow_id = -1) t ~now flow = walk t ~memo:false ~now ~flow_id flow
 
 (* [process] amortised for the batched engine.  Repeat flows hitting the
    hardware top level replay a compiled constant effect ([pmemo]) — no
    first-class-module projections, no hash probes, no log2 per packet —
-   every other packet takes [process_memo_slow].  The fast path is only
+   every other packet takes the memoised [walk].  The fast path is only
    legal when no expiry sweep is due (a due sweep must run, and may evict
    anything), and it re-validates the memoised entry on every packet
    through [p_replay], so observable effects stay identical to
@@ -1412,10 +1208,10 @@ let process_memo t ~now ~flow_id flow =
                compilation and walk; a fresh one is compiled on the next
                top-level hit. *)
             t.replay_tbl.(flow_id) <- None;
-            process_memo_slow t ~now ~flow_id flow)
-    | None -> process_memo_slow t ~now ~flow_id flow
+            walk t ~memo:true ~now ~flow_id flow)
+    | None -> walk t ~memo:true ~now ~flow_id flow
   end
-  else process_memo_slow t ~now ~flow_id flow
+  else walk t ~memo:true ~now ~flow_id flow
 
 (* Drain every passive ring into its pull-side sink: raw latencies into
    their histograms, event candidates into the flight recorder.  Runs at

@@ -216,7 +216,7 @@ val levels : t -> Cache_level.t list
     Actuation points for an adaptive controller (see [Gf_control]).  All
     of them are deterministic state transitions on the datapath — no RNG,
     no wall clock — so a controller driven at a deterministic cadence
-    preserves the Domains==Sequential replay guarantees. *)
+    preserves the engine==sequential replay guarantees. *)
 
 val level_names : t -> string array
 (** Metric names of the instantiated levels, walk order (deduplicated:
@@ -262,12 +262,14 @@ val process :
   now:float ->
   Gf_flow.Flow.t ->
   outcome * Gf_pipeline.Action.terminal option * float
-(** Handle one packet: returns the path taken, the forwarding decision
-    ([None] if the slowpath failed, e.g. a pipeline loop) and the modelled
-    latency in microseconds.  Updates metrics, including the per-level
-    breakdown ({!Metrics.levels}).  [flow_id] (default [-1], unknown)
-    only feeds the traversal tracer's per-flow miss attribution — it
-    never affects the forwarding result. *)
+(** Handle one packet with the per-packet walker: returns the path taken,
+    the forwarding decision ([None] if the slowpath failed, e.g. a
+    pipeline loop) and the modelled latency in microseconds.  Updates
+    metrics, including the per-level breakdown ({!Metrics.levels}).
+    [flow_id] (default [-1], unknown) only feeds the traversal tracer's
+    per-flow miss attribution — it never affects the forwarding result.
+    This is the same hierarchy walk {!process_memo} runs, with the
+    per-flow memo off: no memo tables are filled. *)
 
 val process_memo :
   t ->
@@ -277,14 +279,17 @@ val process_memo :
   outcome * Gf_pipeline.Action.terminal option * float
 (** The batched engine's walker: observably identical to {!process} — same
     counters, same latency accumulation and histograms, same telemetry
-    events, same occupancy peaks — but amortised for repeat flows.  Level
-    lookups go through per-flow memos that replay the stored result (and
-    its touch side effects) while the level's entry set is unchanged;
-    repeat slowpaths replay the memoised pipeline traversal (install
-    offers and adaptive-profile updates stay live); and the per-packet
-    occupancy-peak scan is elided when no mutation could have moved an
-    occupancy.  Requires that a given [flow_id] is always presented with
-    the same flow value (true of every {!Gf_workload.Trace} generator). *)
+    events, same occupancy peaks — but amortised for repeat flows.  It is
+    the same hierarchy walk with the per-flow memo on: level lookups go
+    through per-flow memos that replay the stored result (and its touch
+    side effects) while the level's entry set is unchanged; repeat
+    slowpaths replay the memoised pipeline traversal (install offers and
+    adaptive-profile updates stay live); and a repeat hardware hit at the
+    top level replays a compiled constant effect.  Requires that a given
+    [flow_id] is always presented with the same flow value (true of every
+    {!Gf_workload.Trace} generator).  Every memo is keyed by [flow_id], so
+    a negative (unknown) [flow_id] disengages them all: the packet takes
+    exactly {!process}'s memo-off walk and fills no memo table. *)
 
 val revalidate : t -> int * int
 (** Sweep every level against the (possibly updated) pipeline; returns

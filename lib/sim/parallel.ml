@@ -1,21 +1,19 @@
-(* Real multicore trace replay (OCaml 5 domains).
+(* Sharded trace replay: the sequential reference for multicore runs.
 
    Mirrors OVS's PMD-thread deployment: RSS spreads flows over cores, each
    core runs its own datapath instance with private caches, and aggregate
    throughput is the sum of per-core throughputs.  Sharding uses the same
-   [Multicore.rss_hash] as the static load model, so the model and the real
-   engine agree on flow placement by construction and can cross-validate
+   [Multicore.rss_hash] as the static load model, so the model and the
+   replay agree on flow placement by construction and can cross-validate
    each other ([model_loads] vs [measured_loads]).
 
-   Each domain gets a [Pipeline.copy] replica (table lookups mutate scratch
-   buffers and lazily-built tuple indexes) and its own [Datapath.t]; the
-   only shared mutable state left is the mask hash-consing table, which is
-   mutex-guarded. *)
+   [replay] runs the shards one after another on the calling domain with
+   the per-packet walker ([Datapath.run]); the parallel driver is
+   [Gf_engine.Engine.replay], whose merged results equal this replay's at
+   the same shard count. *)
 
 module Trace = Gf_workload.Trace
 module Pipeline = Gf_pipeline.Pipeline
-
-type mode = [ `Domains | `Sequential | `Streamed ]
 
 type shard_run = {
   domain_id : int;
@@ -27,7 +25,6 @@ type shard_run = {
 
 type result = {
   domains : int;
-  mode : mode;
   shards : shard_run array;
   merged : Metrics.t;
   telemetry : Gf_telemetry.Telemetry.t option;
@@ -62,17 +59,10 @@ let shard ~domains (trace : Trace.t) =
       buckets
   end
 
-let replay ?(mode = `Domains) ?(domains = 1) ?telemetry ~cfg pipeline trace =
-  (match mode with
-  | `Streamed ->
-      (* The streaming engine lives above this library (gf_engine depends
-         on gf_sim); [`Streamed] results are built by [Engine.replay]. *)
-      invalid_arg "Parallel.replay: `Streamed mode is run by Gf_engine.Engine.replay"
-  | `Domains | `Sequential -> ());
+let replay ?(domains = 1) ?telemetry ~cfg pipeline trace =
   let shard_traces = shard ~domains trace in
-  (* Each shard gets a private telemetry sink (domains never share one —
-     recording is unsynchronised by design); shard sinks are merged after
-     the join, like metrics. *)
+  (* Each shard gets a private telemetry sink, merged after the replay
+     like metrics. *)
   let shard_telemetry =
     match telemetry with
     | None -> [||]
@@ -84,16 +74,11 @@ let replay ?(mode = `Domains) ?(domains = 1) ?telemetry ~cfg pipeline trace =
   let telemetry_of i =
     if Array.length shard_telemetry = 0 then None else Some shard_telemetry.(i)
   in
-  (* Replicate the pipeline in the parent, before any domain runs: replicas
-     read the source tables while nothing mutates them. *)
-  let datapaths =
-    Array.mapi
-      (fun i _ ->
-        Datapath.create ?telemetry:(telemetry_of i) cfg (Pipeline.copy pipeline))
-      shard_traces
-  in
   let run_one i =
     let tr = shard_traces.(i) in
+    let dp =
+      Datapath.create ?telemetry:(telemetry_of i) cfg (Pipeline.copy pipeline)
+    in
     let flow_cycles = Hashtbl.create 1024 in
     let t0 = Unix.gettimeofday () in
     let metrics =
@@ -101,7 +86,7 @@ let replay ?(mode = `Domains) ?(domains = 1) ?telemetry ~cfg pipeline trace =
         ~miss_sink:(fun ~flow_id ~cycles ->
           Hashtbl.replace flow_cycles flow_id
             (cycles + Option.value ~default:0 (Hashtbl.find_opt flow_cycles flow_id)))
-        datapaths.(i) tr
+        dp tr
     in
     {
       domain_id = i;
@@ -112,13 +97,7 @@ let replay ?(mode = `Domains) ?(domains = 1) ?telemetry ~cfg pipeline trace =
     }
   in
   let t0 = Unix.gettimeofday () in
-  let shards =
-    match mode with
-    | `Sequential | `Streamed -> Array.init domains run_one
-    | `Domains ->
-        Array.init domains (fun i -> Domain.spawn (fun () -> run_one i))
-        |> Array.map Domain.join
-  in
+  let shards = Array.init domains run_one in
   let wall_seconds = Unix.gettimeofday () -. t0 in
   let critical_path_seconds =
     Array.fold_left (fun acc (s : shard_run) -> Float.max acc s.wall_seconds) 0.0 shards
@@ -126,9 +105,7 @@ let replay ?(mode = `Domains) ?(domains = 1) ?telemetry ~cfg pipeline trace =
   let merged =
     Metrics.aggregate (List.map (fun s -> s.metrics) (Array.to_list shards))
   in
-  (* Merge shard telemetry in shard order: the merged stream is then
-     deterministic (per-shard replay is), so `Domains and `Sequential agree
-     on it exactly, like they do on metrics. *)
+  (* Merge shard telemetry in shard order, as the engine does. *)
   let merged_telemetry =
     match telemetry with
     | None -> None
@@ -141,7 +118,6 @@ let replay ?(mode = `Domains) ?(domains = 1) ?telemetry ~cfg pipeline trace =
   in
   {
     domains;
-    mode;
     shards;
     merged;
     telemetry = merged_telemetry;

@@ -1,30 +1,19 @@
-(** Real multicore trace replay on OCaml 5 domains.
+(** Sharded trace replay: the sequential reference for multicore runs.
 
     The static {!Multicore} model predicts per-core slowpath load; this
-    module actually {e runs} the datapath in parallel, mirroring OVS's PMD
-    deployment: flows are RSS-sharded over N domains (the same
-    {!Multicore.rss_hash}, so flow placement is identical to the model's),
-    each domain replays its shard against a private {!Datapath.t} (per-core
-    caches) over a {!Gf_pipeline.Pipeline.copy} replica, and the per-shard
-    {!Metrics.t} are merged into an aggregate.
+    module replays the datapath the way OVS's PMD deployment runs it:
+    flows are RSS-sharded over N cores (the same {!Multicore.rss_hash}, so
+    flow placement is identical to the model's), each shard replays
+    against a private {!Datapath.t} (per-core caches) over a
+    {!Gf_pipeline.Pipeline.copy} replica, and the per-shard {!Metrics.t}
+    are merged into an aggregate.
 
-    Because shards are disjoint by flow and every domain is deterministic,
-    [`Domains] and [`Sequential] modes produce {b identical} merged metrics
-    (property-tested) — domains only change wall-clock time, never
-    results. *)
-
-type mode =
-  [ `Domains  (** one [Domain.spawn] per shard — real parallelism *)
-  | `Sequential
-    (** same sharding, shards replayed one after another on the calling
-        domain — the validation twin of [`Domains], and the per-shard
-        timing source that is undistorted by time-slicing when the host
-        has fewer cores than shards *)
-  | `Streamed
-    (** the batched streaming engine (long-lived workers fed over SPSC
-        rings); results with this mode are produced by
-        [Gf_engine.Engine.replay] — {!replay} rejects it
-        ([invalid_arg]) because the engine lives above this library *) ]
+    {!replay} runs the shards one after another on the calling domain, so
+    each shard's wall time is undistorted by time-slicing on hosts with
+    fewer cores than shards.  The parallel driver is
+    [Gf_engine.Engine.replay]: it shards identically and its merged
+    results are bit-identical to {!replay}'s at the same shard count
+    (property-tested), which makes this module its test oracle. *)
 
 type shard_run = {
   domain_id : int;
@@ -37,18 +26,16 @@ type shard_run = {
 
 type result = {
   domains : int;
-  mode : mode;
   shards : shard_run array;
   merged : Metrics.t;  (** {!Metrics.aggregate} of all shards *)
   telemetry : Gf_telemetry.Telemetry.t option;
       (** Merged shard telemetry (registries sum, recorder streams
           concatenate in shard order, series interleave by packet index);
-          [None] unless [replay ~telemetry] was given.  Deterministic —
-          [`Domains] and [`Sequential] agree on it exactly. *)
-  wall_seconds : float;  (** whole replay, spawn to last join *)
+          [None] unless [replay ~telemetry] was given.  Deterministic. *)
+  wall_seconds : float;  (** whole replay, first shard to last *)
   critical_path_seconds : float;
-      (** max per-shard wall time — the wall clock of the parallel run when
-          every domain has a dedicated core *)
+      (** max per-shard wall time — the wall clock of a parallel run when
+          every shard has a dedicated core *)
 }
 
 val shard : domains:int -> Gf_workload.Trace.t -> Gf_workload.Trace.t array
@@ -58,19 +45,19 @@ val shard : domains:int -> Gf_workload.Trace.t -> Gf_workload.Trace.t array
     input trace itself. *)
 
 val replay :
-  ?mode:mode ->
   ?domains:int ->
   ?telemetry:Gf_telemetry.Telemetry.config ->
   cfg:Datapath.config ->
   Gf_pipeline.Pipeline.t ->
   Gf_workload.Trace.t ->
   result
-(** Replay the trace over [domains] datapaths ([mode] defaults to
-    [`Domains], [domains] to 1).  The input pipeline is only read (it is
-    replicated per domain with {!Gf_pipeline.Pipeline.copy}); caches are
-    created fresh per domain, like OVS PMD threads.  [telemetry] creates a
-    private sink per shard from the given config (never shared across
-    domains) and merges them into {!result.telemetry} after the join. *)
+(** Replay the trace sharded over [domains] datapaths (default 1), one
+    shard after another with the per-packet walker ({!Datapath.run}).  The
+    input pipeline is only read (it is replicated per shard with
+    {!Gf_pipeline.Pipeline.copy}); caches are created fresh per shard,
+    like OVS PMD threads.  [telemetry] creates a private sink per shard
+    from the given config and merges them into {!result.telemetry} in
+    shard order. *)
 
 val merged_flow_cycles : result -> (int, int) Hashtbl.t
 (** Union of per-shard slowpath censuses (disjoint by construction). *)

@@ -27,7 +27,7 @@
    is a pure function of its packet stream — identical whatever cadence
    the sampler ran at.  Shard merges (Metrics.merge / Telemetry.merge)
    happen after finalize, which flushes everything, so the established
-   Domains==Sequential bit-identity is untouched. *)
+   engine==sequential bit-identity is untouched. *)
 
 type counters = {
   c_level : string;

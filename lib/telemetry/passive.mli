@@ -12,7 +12,7 @@
     Determinism: flushes preserve emission order and each histogram /
     recorder is fed by exactly one ring, so a shard's final telemetry is a
     pure function of its packet stream — identical at any sampler cadence.
-    Finalize-time flushing precedes shard merges, so Domains==Sequential
+    Finalize-time flushing precedes shard merges, so engine==sequential
     bit-identity is preserved. *)
 
 type counters = {

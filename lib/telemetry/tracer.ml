@@ -11,7 +11,7 @@
    - the packet countdown ([on_packet]) decides deterministically whether
      the current packet is traced: packet k of the shard's stream is
      sampled iff k mod sample_every = 0, a pure function of the stream,
-     so Domains==Sequential and cadence invariance hold by construction;
+     so engine==sequential and cadence invariance hold by construction;
    - the miss-cause census ([miss]) charges every datapath miss — sampled
      or not — to exactly one {!Attribution.cause} with a single int-array
      increment, so per-cause counts reconcile against [Metrics] misses.

@@ -5,7 +5,7 @@
 
     Determinism: packet k of a shard's stream is traced iff
     [k mod sample_every = 0] — a pure function of the stream — and the
-    census is exact, so Domains==Sequential bit-identity and sampler
+    census is exact, so engine==sequential bit-identity and sampler
     cadence invariance hold by construction.  One tracer per shard; merge
     after finalize. *)
 

@@ -128,32 +128,59 @@ let steady_trace () =
   in
   (Pipebench.pipeline w, Trace.trace_of_stream stream)
 
+(* A rotating active-flow window against a small LTM under LRU: the
+   write-heavy shape, where installs, pressure evictions and memo
+   invalidation dominate. *)
+let churn_trace () =
+  let w =
+    Pipebench.make_churn ~profile:small_profile ~combos:512 ~unique_flows:1000
+      ~duration:20.0 ~epochs:10 ~active:256 ~turnover:0.25
+      ~packets_per_epoch:1024
+      ~info:(Option.get (Catalog.find "PSC"))
+      ~locality:Ruleset.High ~seed:77 ()
+  in
+  (Pipebench.pipeline w, w.Pipebench.trace)
+
+(* The engine runs the memoised walk, the sequential oracle the plain
+   walker: equal strong fingerprints pin both memo settings against each
+   other, on the read-mostly steady trace and the write-heavy churn trace. *)
 let test_engine_matches_sequential () =
-  let pipeline, strace = steady_trace () in
-  List.iter
-    (fun (name, cfg) ->
-      List.iter
-        (fun domains ->
-          let seq =
-            Parallel.replay ~mode:`Sequential ~domains ~cfg pipeline strace
-          in
-          let eng =
-            Engine.replay ~batch_size:256 ~domains ~cfg pipeline
-              (Trace.stream_of_trace strace)
-          in
-          Alcotest.(check string)
-            (Printf.sprintf "%s d=%d merged metrics" name domains)
-            (strong_fingerprint seq.Parallel.merged)
-            (strong_fingerprint eng.Parallel.merged))
-        [ 1; 2; 4 ])
+  let check trace_name (pipeline, strace) presets =
+    List.iter
+      (fun (name, cfg) ->
+        List.iter
+          (fun domains ->
+            let seq = Parallel.replay ~domains ~cfg pipeline strace in
+            let eng =
+              Engine.replay ~batch_size:256 ~domains ~cfg pipeline
+                (Trace.stream_of_trace strace)
+            in
+            Alcotest.(check string)
+              (Printf.sprintf "%s %s d=%d merged metrics" trace_name name domains)
+              (strong_fingerprint seq.Parallel.merged)
+              (strong_fingerprint eng.Parallel.merged))
+          [ 1; 2; 4 ])
+      presets
+  in
+  check "steady" (steady_trace ())
     [
       ("emc_mf_sw", Datapath.emc_mf_sw ());
       ("emc_gf_sw", Datapath.emc_gf_sw ());
+      ("gf_sw", Datapath.gf_sw ());
+      ("mf_sw", Datapath.mf_sw ());
+      ("gf_only", Datapath.gf_only ());
+      ("mf_only", Datapath.mf_only ());
       (* Capacity small enough that heavy-hitter admission actually defers,
          promotes and demotes during the run. *)
       ("mf_sw_hh", Datapath.mf_sw_hh ~mf_capacity:32 ());
       ( "gf_sw_hh",
         Datapath.gf_sw_hh ~gf:(Gf_core.Config.v ~tables:2 ~table_capacity:16 ()) () );
+    ];
+  check "churn" (churn_trace ())
+    [
+      ( "gf_sw lru",
+        Datapath.with_policy Gf_cache.Evict.Lru
+          (Datapath.gf_sw ~gf:(Gf_core.Config.v ~tables:4 ~table_capacity:32 ()) ()) );
     ]
 
 let test_engine_batch_size_invariant () =

@@ -362,10 +362,7 @@ let test_admission_walker_engine_agree () =
   let w = elephant_workload () in
   let cfg = Datapath.gf_sw_hh ~gf:(Gf_core.Config.v ~tables:2 ~table_capacity:8 ()) () in
   let pipeline = Pipebench.pipeline w in
-  let seq =
-    Gf_sim.Parallel.replay ~mode:`Sequential ~domains:1 ~cfg pipeline
-      w.Pipebench.trace
-  in
+  let seq = Gf_sim.Parallel.replay ~domains:1 ~cfg pipeline w.Pipebench.trace in
   let eng =
     Gf_engine.Engine.replay ~batch_size:256 ~domains:1 ~cfg pipeline
       (Trace.stream_of_trace w.Pipebench.trace)

@@ -252,6 +252,7 @@ let test_multicore_distribution () =
 
 module Parallel = Gf_sim.Parallel
 module Multicore = Gf_sim.Multicore
+module Engine = Gf_engine.Engine
 
 (* The merged counters that must be identical between replay modes.  Wall
    times and latency means differ (timing), but sample counts must not.
@@ -345,25 +346,27 @@ let test_parallel_shard_partition () =
 let test_parallel_single_domain_matches_datapath () =
   let w = small_workload () in
   let pipeline = Pipebench.pipeline w in
+  let trace = w.Pipebench.trace in
   List.iter
     (fun cfg ->
       let plain =
-        Datapath.run (Datapath.create cfg (Gf_pipeline.Pipeline.copy pipeline))
-          w.Pipebench.trace
+        Datapath.run (Datapath.create cfg (Gf_pipeline.Pipeline.copy pipeline)) trace
       in
       List.iter
-        (fun mode ->
-          let r = Parallel.replay ~mode ~domains:1 ~cfg pipeline w.Pipebench.trace in
+        (fun (r : Parallel.result) ->
           Alcotest.(check (list int)) "1-domain replay = plain run"
             (fingerprint plain)
             (fingerprint r.Parallel.merged))
-        [ `Domains; `Sequential ])
+        [
+          Parallel.replay ~domains:1 ~cfg pipeline trace;
+          Engine.replay ~domains:1 ~cfg pipeline (Trace.stream_of_trace trace);
+        ])
     [ Datapath.emc_mf_sw (); Datapath.emc_gf_sw () ]
 
 let test_parallel_model_cross_validation () =
   let w = small_workload () in
   let r =
-    Parallel.replay ~mode:`Sequential ~domains:4 ~cfg:(Datapath.emc_gf_sw ())
+    Parallel.replay ~domains:4 ~cfg:(Datapath.emc_gf_sw ())
       (Pipebench.pipeline w) w.Pipebench.trace
   in
   let measured = Parallel.measured_loads r in
@@ -374,33 +377,6 @@ let test_parallel_model_cross_validation () =
     measured.Multicore.loads;
   Alcotest.(check bool) "some slowpath load" true
     (Multicore.total_load measured > 0)
-
-(* The headline property: real domains change wall-clock, never results.
-   For every domain count, running the shards on N domains and running the
-   same shards back-to-back on one domain yield identical merged metrics. *)
-let prop_parallel_domains_equal_sequential =
-  QCheck2.Test.make ~name:"parallel replay: domains = sequential merged metrics"
-    ~count:3
-    QCheck2.Gen.(pair (0 -- 1000) bool)
-    (fun (seed, use_gigaflow) ->
-      let w = small_workload ~seed () in
-      let pipeline = Pipebench.pipeline w in
-      let cfg =
-        if use_gigaflow then Datapath.emc_gf_sw () else Datapath.emc_mf_sw ()
-      in
-      List.for_all
-        (fun domains ->
-          let par =
-            Parallel.replay ~mode:`Domains ~domains ~cfg pipeline w.Pipebench.trace
-          in
-          let seq =
-            Parallel.replay ~mode:`Sequential ~domains ~cfg pipeline
-              w.Pipebench.trace
-          in
-          fingerprint par.Parallel.merged = fingerprint seq.Parallel.merged
-          && par.Parallel.merged.Metrics.packets
-             = Trace.packet_count w.Pipebench.trace)
-        [ 1; 2; 4 ])
 
 (* ---------------------- cache-hierarchy walker ---------------------- *)
 
@@ -517,7 +493,10 @@ let test_per_level_max_idle () =
 
 (* Satellite: cache transparency.  Whatever the hierarchy — including none
    at all on the hardware side — the terminal decision for every packet
-   equals the bare slowpath's. *)
+   equals the bare slowpath's, through the walker and through the memoised
+   walk alike.  The memoised walk is driven with an unknown flow id (-1):
+   every per-flow memo is keyed by the id, so unknown flows must bypass
+   them rather than share one slot. *)
 let prop_hierarchy_transparent =
   QCheck2.Test.make ~name:"cache hierarchy is decision-transparent" ~count:2
     QCheck2.Gen.(0 -- 1000)
@@ -527,21 +506,55 @@ let prop_hierarchy_transparent =
       List.for_all
         (fun name ->
           let cfg = Option.get (Datapath.preset name) in
-          let dp = Datapath.create cfg (Gf_pipeline.Pipeline.copy reference) in
-          Array.for_all
-            (fun (pkt : Trace.packet) ->
-              let _, terminal, _ =
-                Datapath.process dp ~now:pkt.Trace.time pkt.Trace.flow
-              in
-              match (terminal, Executor.terminal_of reference pkt.Trace.flow) with
-              | Some t, Ok (t', _) -> Action.terminal_equal t t'
-              | _, _ -> false)
-            w.Pipebench.trace.Trace.packets)
+          List.for_all
+            (fun process ->
+              let dp = Datapath.create cfg (Gf_pipeline.Pipeline.copy reference) in
+              Array.for_all
+                (fun (pkt : Trace.packet) ->
+                  let _, terminal, _ = process dp ~now:pkt.Trace.time pkt.Trace.flow in
+                  match (terminal, Executor.terminal_of reference pkt.Trace.flow) with
+                  | Some t, Ok (t', _) -> Action.terminal_equal t t'
+                  | _, _ -> false)
+                w.Pipebench.trace.Trace.packets)
+            [
+              (fun dp ~now flow -> Datapath.process dp ~now flow);
+              (fun dp ~now flow -> Datapath.process_memo dp ~now ~flow_id:(-1) flow);
+            ])
         Datapath.preset_names)
 
-(* Domain replicas of a custom (non-preset) hierarchy must merge to
-   sequential-identical metrics, per-level counters included (they are part
-   of [fingerprint]). *)
+(* Hierarchies stacking one level kind twice name the copies "sw-mf",
+   "sw-mf#2"; the per-level knobs address exactly those names, and the
+   online knob leaves [config] equal to the offline combinator's result. *)
+let test_duplicate_level_names () =
+  let w = small_workload () in
+  let sw =
+    Cache_level.Sw_megaflow
+      { search = `Tss; capacity = 1000; max_idle = None; evict = None }
+  in
+  let base = Datapath.mf_sw () in
+  let cfg = { base with Datapath.levels = base.Datapath.levels @ [ sw ] } in
+  let dp = Datapath.create cfg (Pipebench.pipeline w) in
+  Alcotest.(check (array string)) "level names"
+    [| "nic-mf"; "sw-mf"; "sw-mf#2" |]
+    (Datapath.level_names dp);
+  let offline = Datapath.with_level_policy ~level:"sw-mf#2" Gf_cache.Evict.Lru cfg in
+  Alcotest.(check bool) "with_level_policy touches only the second sw-mf" true
+    (offline.Datapath.levels
+    = [
+        List.nth cfg.Datapath.levels 0;
+        List.nth cfg.Datapath.levels 1;
+        Cache_level.spec_with_evict sw Gf_cache.Evict.Lru;
+      ]);
+  Datapath.set_evict_policy dp ~level:"sw-mf#2" Gf_cache.Evict.Lru;
+  Alcotest.(check bool) "set_evict_policy config = with_level_policy" true
+    (Datapath.config dp = offline);
+  Alcotest.(check bool) "live policies" true
+    (Datapath.evict_policy dp ~level:"sw-mf#2" = Gf_cache.Evict.Lru
+    && Datapath.evict_policy dp ~level:"sw-mf" = Gf_cache.Evict.Reject)
+
+(* The engine's per-domain replicas of a custom (non-preset) hierarchy
+   must merge to sequential-identical metrics, per-level counters included
+   (they are part of [fingerprint]). *)
 let test_parallel_custom_hierarchy () =
   let w = small_workload () in
   let cfg =
@@ -563,11 +576,11 @@ let test_parallel_custom_hierarchy () =
     }
   in
   let pipeline = Pipebench.pipeline w in
-  let par = Parallel.replay ~mode:`Domains ~domains:4 ~cfg pipeline w.Pipebench.trace in
-  let seq =
-    Parallel.replay ~mode:`Sequential ~domains:4 ~cfg pipeline w.Pipebench.trace
+  let par =
+    Engine.replay ~domains:4 ~cfg pipeline (Trace.stream_of_trace w.Pipebench.trace)
   in
-  Alcotest.(check (list int)) "domains = sequential, per level"
+  let seq = Parallel.replay ~domains:4 ~cfg pipeline w.Pipebench.trace in
+  Alcotest.(check (list int)) "engine = sequential, per level"
     (fingerprint seq.Parallel.merged)
     (fingerprint par.Parallel.merged);
   Alcotest.(check (list string)) "replicas preserve level names"
@@ -602,8 +615,9 @@ let suite =
     ("hierarchy walker = pre-refactor datapath", `Quick, test_hierarchy_regression);
     ("per-level eviction accounting", `Quick, test_per_level_eviction_accounting);
     ("per-level idle budgets", `Quick, test_per_level_max_idle);
+    ("duplicate level names", `Quick, test_duplicate_level_names);
     ("parallel custom hierarchy", `Slow, test_parallel_custom_hierarchy);
     ("pcie model", `Quick, test_pcie_model);
   ]
 
-let props = [ prop_parallel_domains_equal_sequential; prop_hierarchy_transparent ]
+let props = [ prop_hierarchy_transparent ]

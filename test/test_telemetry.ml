@@ -533,22 +533,37 @@ let test_final_sample_matches_metrics () =
       Alcotest.(check bool) "prometheus packet count" true
         (contains ~needle:expected text)
 
+(* The engine (memoised walk, per-batch sampler) and sequential sharded
+   replay (walker, per-packet sampler) merge to the same telemetry: events
+   and registry agree, except the ring-flush diagnostic, which counts how
+   often the rings wrapped between pulls.  The time-series samples differ
+   by design — the sampling cadence is per batch on the engine. *)
 let test_parallel_telemetry_modes_agree () =
   let w = small_workload () in
   let cfg = Datapath.emc_gf_sw () in
-  let run mode =
-    Parallel.replay ~mode ~domains:4 ~telemetry:telemetry_config ~cfg
-      (Pipebench.pipeline w) w.Pipebench.trace
+  let pipeline = Pipebench.pipeline w in
+  let tel_of (r : Parallel.result) = Option.get r.Parallel.telemetry in
+  let ts =
+    tel_of
+      (Parallel.replay ~domains:4 ~telemetry:telemetry_config ~cfg pipeline
+         w.Pipebench.trace)
   in
-  let seq = run `Sequential and par = run `Domains in
-  let tel_of r = Option.get r.Parallel.telemetry in
-  let ts = tel_of seq and tp = tel_of par in
+  let te =
+    tel_of
+      (Gf_engine.Engine.replay ~domains:4 ~telemetry:telemetry_config ~cfg pipeline
+         (Gf_workload.Trace.stream_of_trace w.Pipebench.trace))
+  in
+  let scrub prom =
+    prom |> String.split_on_char '\n'
+    |> List.filter (fun line ->
+           not (contains ~needle:"gigaflow_passive_ring_flushes_total" line))
+    |> String.concat "\n"
+  in
   Alcotest.(check bool) "event streams identical" true
-    (Telemetry.events ts = Telemetry.events tp);
-  Alcotest.(check bool) "sample streams identical" true
-    (Telemetry.samples ts = Telemetry.samples tp);
+    (Telemetry.events ts = Telemetry.events te);
   Alcotest.(check string) "merged registries identical"
-    (Telemetry.prometheus ts) (Telemetry.prometheus tp)
+    (scrub (Telemetry.prometheus ts))
+    (scrub (Telemetry.prometheus te))
 
 let suite =
   [
