@@ -24,6 +24,14 @@ dune exec --no-build -- gigaflow-sim telemetry-check "$TDIR/telemetry.jsonl"
 test -s "$TDIR/telemetry.prom" || { echo "missing Prometheus snapshot" >&2; exit 1; }
 grep -q '^gigaflow_packets_total 10615$' "$TDIR/telemetry.prom" || {
   echo "Prometheus snapshot missing expected packet count" >&2; exit 1; }
+# The same run on the batched engine at one domain: every exported series
+# is derived from Metrics at finalize, so the snapshots match byte for byte.
+dune exec --no-build -- gigaflow-sim run -p PSC --flows 2000 --combos 512 --seed 77 \
+  --engine batched --domains 1 \
+  --telemetry-out "$TDIR/telemetry_batched.jsonl" --sample-every 2000 --trace-events 4 \
+  > /dev/null
+cmp "$TDIR/telemetry.prom" "$TDIR/telemetry_batched.prom" || {
+  echo "walker and batched engine Prometheus snapshots differ" >&2; exit 1; }
 
 echo "== capacity-stress smoke"
 # Tiny capacities + churn trace + LRU eviction: the run must stay healthy

@@ -32,7 +32,7 @@ let next_pow2 n =
   go 1
 
 let create ?(policy = Evict.Lru) ?(rng_seed = 0xCC00) ~capacity () =
-  assert (capacity > 0);
+  if capacity < 1 then invalid_arg "Cuckoo.create: capacity must be >= 1";
   (* size buckets so [capacity] live entries sit at <= 80% physical load *)
   let want_slots = (capacity * 5 / 4) + bucket_width in
   let nbuckets = next_pow2 ((want_slots + bucket_width - 1) / bucket_width) in

@@ -55,7 +55,7 @@ type t = {
 
 let create ?(search = `Tss) ?(policy = Evict.Reject) ?(rng_seed = 0x3F1A)
     ~capacity () =
-  assert (capacity > 0);
+  if capacity < 1 then invalid_arg "Megaflow.create: capacity must be >= 1";
   {
     capacity;
     policy;

@@ -13,7 +13,7 @@ type t = {
 }
 
 let create ?(policy = Evict.Lru) ?(rng_seed = 0xE3C) ~capacity () =
-  assert (capacity > 0);
+  if capacity < 1 then invalid_arg "Microflow.create: capacity must be >= 1";
   {
     capacity;
     policy;

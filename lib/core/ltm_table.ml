@@ -24,7 +24,7 @@ type t = {
 }
 
 let create ~capacity =
-  assert (capacity > 0);
+  if capacity < 1 then invalid_arg "Ltm_table.create: capacity must be >= 1";
   {
     capacity;
     by_tag = Hashtbl.create 16;

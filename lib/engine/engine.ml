@@ -55,10 +55,9 @@ let process_batch dp ~flow_cycles (b : Batch.t) =
           + Option.value ~default:0 (Hashtbl.find_opt flow_cycles fid))
     | Datapath.Hw_hit | Datapath.Sw_hit -> ()
   done;
-  (* Per-batch sampler tick: the pull side of the passive telemetry.
-     [maybe_sample] flushes the datapath's passive rings and pushes a
-     time-series sample when the batch crossed the cadence, so histogram
-     bucketing and recorder sampling run here, not in the packet loop. *)
+  (* Per-batch sampler tick: [maybe_sample] pushes a time-series sample
+     when the batch crossed the cadence, so the cadence check runs once
+     per batch, not once per packet. *)
   if b.Batch.len > 0 then
     Datapath.maybe_sample dp ~time:b.Batch.times.(b.Batch.len - 1)
 

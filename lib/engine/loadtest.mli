@@ -84,7 +84,7 @@ val run :
     partial window is reported with [w_truncated = true] and excluded
     from the gate; [pass] is [false] when no complete window was
     measured.  [telemetry] is passed through to the datapath (the
-    loadtest then exercises the passive pull path per packet).
+    loadtest then exercises the instrumented packet path).
 
     [controller] is the adaptive-control actuation hook: it is invoked
     once per window close with the live datapath and the just-measured

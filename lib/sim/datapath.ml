@@ -7,7 +7,6 @@ module Telemetry = Gf_telemetry.Telemetry
 module Recorder = Gf_telemetry.Recorder
 module Histogram = Gf_telemetry.Histogram
 module Series = Gf_telemetry.Series
-module Passive = Gf_telemetry.Passive
 module Tracer = Gf_telemetry.Tracer
 module Attribution = Gf_telemetry.Attribution
 module Heavy_hitter = Gf_offload.Heavy_hitter
@@ -313,13 +312,10 @@ type t = {
       (* [None] (the default) keeps the per-packet path free of telemetry
          work: every emission site pattern-matches and the [None] branch
          does nothing — no calls, no float boxing. *)
-  psv : Passive.t option;
-      (* [Some] iff [telemetry] is: the pull-model write targets.  Per-
-         packet emission sites bump the flat counter records and append
-         raw latencies / event candidates to the preallocated rings; all
-         histogram bucket aggregation, series building and recorder
-         sampling happens when the sampler flushes ([snapshot] /
-         [maybe_sample] / ring-full), off the packet loop. *)
+  recorder : Recorder.t option;
+      (* The telemetry's flight recorder, resolved once here: [Some] iff
+         telemetry is attached with event tracing on.  Every emission site
+         offers its event through [note]. *)
   traversal_memo : (int, (Traversal.t, Executor.error) result) Hashtbl.t;
       (* flow id -> memoised [Executor.execute] result, used only by the
          memoised walk ([process_memo]).  [Executor.execute] is observably
@@ -400,14 +396,6 @@ let create ?telemetry cfg pipeline =
     | Heavy_hitter.Heavy_hitter { k; threshold } ->
         (Some (Heavy_hitter.create ~k), threshold)
   in
-  let psv =
-    Option.map
-      (fun tel ->
-        Passive.create
-          ~level_names:(Array.map Cache_level.name levels)
-          ~recorder:(Telemetry.recorder tel) ())
-      telemetry
-  in
   let tracer =
     match telemetry with
     | Some tel when (Telemetry.config tel).Telemetry.trace_sample_every > 0 ->
@@ -432,7 +420,7 @@ let create ?telemetry cfg pipeline =
     metrics;
     last_expire = 0.0;
     telemetry;
-    psv;
+    recorder = Option.bind telemetry Telemetry.recorder;
     traversal_memo = Hashtbl.create 256;
     replay_tbl = Array.make 1024 None;
     hh;
@@ -531,6 +519,15 @@ let hw_occupancy t =
       else acc)
     0 t.levels
 
+(* Offer one event at level [i] to the flight recorder (a no-op match
+   when event tracing is off). *)
+let[@inline] note t kind ~level:i ~packet ~time ~lat ~count =
+  match t.recorder with
+  | Some r ->
+      Recorder.record r ~packet ~time ~level:(Cache_level.name t.levels.(i))
+        ~latency_us:lat ~count kind
+  | None -> ()
+
 (* Unified idle-expiry sweep: every level evicts on its own descriptor's
    idle budget; per-level eviction counts are recorded (nothing is
    [ignore]d) and hardware-tier evictions also feed the aggregate
@@ -545,15 +542,9 @@ let maybe_expire t ~now =
         lm.Metrics.evictions <- lm.Metrics.evictions + evicted;
         if Cache_level.tier level = Cache_level.Hardware then
           t.metrics.Metrics.hw_evictions <- t.metrics.Metrics.hw_evictions + evicted;
-        match t.psv with
-        | Some p when evicted > 0 ->
-            let c = p.Passive.counters.(i) in
-            c.Passive.c_evicts <- c.Passive.c_evicts + evicted;
-            if p.Passive.events_on then
-              Passive.note p ~kind:Recorder.Evict ~level:i
-                ~packet:t.metrics.Metrics.packets ~time:now ~lat:0.0
-                ~count:evicted
-        | Some _ | None -> ())
+        if evicted > 0 then
+          note t Recorder.Evict ~level:i ~packet:t.metrics.Metrics.packets ~time:now
+            ~lat:0.0 ~count:evicted)
       t.levels;
     (* Admission re-partition: decay the sketch (so yesterday's elephants
        must keep earning their slots), reopen the per-sweep promotion
@@ -578,15 +569,8 @@ let maybe_expire t ~now =
                   t.metrics.Metrics.hw_demotions + demoted;
                 t.metrics.Metrics.hw_evictions <-
                   t.metrics.Metrics.hw_evictions + demoted;
-                match t.psv with
-                | Some p ->
-                    let c = p.Passive.counters.(i) in
-                    c.Passive.c_demotes <- c.Passive.c_demotes + demoted;
-                    if p.Passive.events_on then
-                      Passive.note p ~kind:Recorder.Demote ~level:i
-                        ~packet:t.metrics.Metrics.packets ~time:now ~lat:0.0
-                        ~count:demoted
-                | None -> ()
+                note t Recorder.Demote ~level:i ~packet:t.metrics.Metrics.packets
+                  ~time:now ~lat:0.0 ~count:demoted
               end
             end)
           t.levels
@@ -606,18 +590,13 @@ let revalidate t =
       let evicted, work = Cache_level.revalidate level t.pipeline in
       let lm = t.level_metrics.(i) in
       lm.Metrics.evictions <- lm.Metrics.evictions + evicted;
+      lm.Metrics.revalidations <- lm.Metrics.revalidations + evicted;
       if Cache_level.tier level = Cache_level.Hardware then
         t.metrics.Metrics.hw_evictions <- t.metrics.Metrics.hw_evictions + evicted;
       total_evicted := !total_evicted + evicted;
       total_work := !total_work + work;
-      match t.psv with
-      | Some p ->
-          let c = p.Passive.counters.(i) in
-          c.Passive.c_revalidates <- c.Passive.c_revalidates + evicted;
-          if p.Passive.events_on then
-            Passive.note p ~kind:Recorder.Revalidate ~level:i
-              ~packet:t.metrics.Metrics.packets ~time:0.0 ~lat:0.0 ~count:evicted
-      | None -> ())
+      note t Recorder.Revalidate ~level:i ~packet:t.metrics.Metrics.packets ~time:0.0
+        ~lat:0.0 ~count:evicted)
     t.levels;
   (!total_evicted, !total_work)
 
@@ -770,9 +749,9 @@ let traversal t ~memo ~flow_id flow =
         r)
   else Executor.execute t.pipeline flow
 
-(* Offer a traversal to level [i] and count the report everywhere it is
-   counted: the level's [Metrics] (and the hardware aggregates), the
-   tracer's per-flow admission state and the passive census. *)
+(* Offer a traversal to level [i] and account the report: the level's
+   [Metrics] (and the hardware aggregates), the tracer's per-flow
+   admission state and the flight recorder. *)
 let install_at t ~now ~flow_id ~version i traversal =
   let m = t.metrics and lm = t.level_metrics.(i) in
   let r = Cache_level.install_from_traversal t.levels.(i) ~now ~version traversal in
@@ -794,26 +773,16 @@ let install_at t ~now ~flow_id ~version i traversal =
       else if r.Cache_level.fresh + r.Cache_level.shared > 0 then
         fs_install t ~level:i ~now flow_id
   | None -> ());
-  (match t.psv with
-  | Some p ->
-      let c = p.Passive.counters.(i) in
-      c.Passive.c_installs <- c.Passive.c_installs + r.Cache_level.fresh;
-      c.Passive.c_rejects <- c.Passive.c_rejects + r.Cache_level.rejected;
-      c.Passive.c_pressure_evicts <-
-        c.Passive.c_pressure_evicts + r.Cache_level.pressure_evicted;
-      if p.Passive.events_on then begin
-        let packet = m.Metrics.packets - 1 in
-        if r.Cache_level.fresh > 0 then
-          Passive.note p ~kind:Recorder.Install ~level:i ~packet ~time:now ~lat:0.0
-            ~count:r.Cache_level.fresh;
-        if r.Cache_level.rejected > 0 then
-          Passive.note p ~kind:Recorder.Reject ~level:i ~packet ~time:now ~lat:0.0
-            ~count:r.Cache_level.rejected;
-        if r.Cache_level.pressure_evicted > 0 then
-          Passive.note p ~kind:Recorder.Pressure_evict ~level:i ~packet ~time:now
-            ~lat:0.0 ~count:r.Cache_level.pressure_evicted
-      end
-  | None -> ());
+  let packet = m.Metrics.packets - 1 in
+  if r.Cache_level.fresh > 0 then
+    note t Recorder.Install ~level:i ~packet ~time:now ~lat:0.0
+      ~count:r.Cache_level.fresh;
+  if r.Cache_level.rejected > 0 then
+    note t Recorder.Reject ~level:i ~packet ~time:now ~lat:0.0
+      ~count:r.Cache_level.rejected;
+  if r.Cache_level.pressure_evicted > 0 then
+    note t Recorder.Pressure_evict ~level:i ~packet ~time:now ~lat:0.0
+      ~count:r.Cache_level.pressure_evicted;
   r
 
 let hw_install_on_miss t i =
@@ -850,14 +819,8 @@ let slowpath_installs t ~now ~flow_id execute_result =
           (match t.tracer with
           | Some _ -> fs_mark t ~level:i flow_id '\002'
           | None -> ());
-          match t.psv with
-          | Some p ->
-              let c = p.Passive.counters.(i) in
-              c.Passive.c_defers <- c.Passive.c_defers + 1;
-              if p.Passive.events_on then
-                Passive.note p ~kind:Recorder.Defer ~level:i
-                  ~packet:(m.Metrics.packets - 1) ~time:now ~lat:0.0 ~count:1
-          | None -> ()
+          note t Recorder.Defer ~level:i ~packet:(m.Metrics.packets - 1) ~time:now
+            ~lat:0.0 ~count:1
         end
         else begin
           let r = install_at t ~now ~flow_id ~version i traversal in
@@ -963,25 +926,16 @@ let promote_above t ~now ~flow_id flow h i =
       (match t.tracer with
       | Some _ -> fs_install t ~level:j ~now flow_id
       | None -> ());
+      let lmj = t.level_metrics.(j) in
+      lmj.Metrics.promotions <- lmj.Metrics.promotions + 1;
+      let packet = m.Metrics.packets - 1 in
+      note t Recorder.Promote ~level:j ~packet ~time:now ~lat:0.0 ~count:1;
       if pe > 0 then begin
-        let lmj = t.level_metrics.(j) in
         lmj.Metrics.pressure_evictions <- lmj.Metrics.pressure_evictions + pe;
         if t.level_is_hw.(j) then
-          m.Metrics.hw_pressure_evictions <- m.Metrics.hw_pressure_evictions + pe
-      end;
-      match t.psv with
-      | Some p ->
-          let cj = p.Passive.counters.(j) in
-          cj.Passive.c_promotes <- cj.Passive.c_promotes + 1;
-          if pe > 0 then cj.Passive.c_pressure_evicts <- cj.Passive.c_pressure_evicts + pe;
-          if p.Passive.events_on then begin
-            Passive.note p ~kind:Recorder.Promote ~level:j
-              ~packet:(m.Metrics.packets - 1) ~time:now ~lat:0.0 ~count:1;
-            if pe > 0 then
-              Passive.note p ~kind:Recorder.Pressure_evict ~level:j
-                ~packet:(m.Metrics.packets - 1) ~time:now ~lat:0.0 ~count:pe
-          end
-      | None -> ()
+          m.Metrics.hw_pressure_evictions <- m.Metrics.hw_pressure_evictions + pe;
+        note t Recorder.Pressure_evict ~level:j ~packet ~time:now ~lat:0.0 ~count:pe
+      end
     end
   done;
   !promoted
@@ -1070,14 +1024,8 @@ let walk t ~memo ~now ~flow_id flow =
               trace_miss t tr ~level:i ~now ~work
                 ~cpw:d.Cache_level.cycles_per_work ~flow flow_id
           | None -> ());
-          (match t.psv with
-          | Some p ->
-              let c = p.Passive.counters.(i) in
-              c.Passive.c_misses <- c.Passive.c_misses + 1;
-              if p.Passive.events_on then
-                Passive.note p ~kind:Recorder.Miss ~level:i
-                  ~packet:(m.Metrics.packets - 1) ~time:now ~lat:0.0 ~count:1
-          | None -> ());
+          note t Recorder.Miss ~level:i ~packet:(m.Metrics.packets - 1) ~time:now
+            ~lat:0.0 ~count:1;
           go (i + 1)
       | Some h ->
           lm.Metrics.hits <- lm.Metrics.hits + 1;
@@ -1101,16 +1049,9 @@ let walk t ~memo ~now ~flow_id flow =
                   +. d.Cache_level.hit_us ~work )
           in
           lm.Metrics.latency_us <- lm.Metrics.latency_us +. lat;
-          (match t.psv with
-          | Some p ->
-              Passive.lat_note p.Passive.lat_levels.(i) lm.Metrics.latency_hist
-                lat;
-              let c = p.Passive.counters.(i) in
-              c.Passive.c_hits <- c.Passive.c_hits + 1;
-              if p.Passive.events_on then
-                Passive.note p ~kind:Recorder.Hit ~level:i
-                  ~packet:(m.Metrics.packets - 1) ~time:now ~lat ~count:1
-          | None -> Histogram.record lm.Metrics.latency_hist lat);
+          Histogram.record lm.Metrics.latency_hist lat;
+          note t Recorder.Hit ~level:i ~packet:(m.Metrics.packets - 1) ~time:now ~lat
+            ~count:1;
           (outcome, Some h.Cache_level.terminal, lat, i)
     end
   in
@@ -1119,9 +1060,7 @@ let walk t ~memo ~now ~flow_id flow =
   | Some Action.Drop -> m.Metrics.drops <- m.Metrics.drops + 1
   | Some (Action.Output _ | Action.Controller) | None -> ());
   Gf_util.Stats.Acc.add m.Metrics.latency latency;
-  (match t.psv with
-  | Some p -> Passive.lat_note p.Passive.lat_global m.Metrics.latency_hist latency
-  | None -> Histogram.record m.Metrics.latency_hist latency);
+  Histogram.record m.Metrics.latency_hist latency;
   if !mutated then begin
     let hw_occ = ref 0 in
     Array.iteri
@@ -1182,26 +1121,12 @@ let process_memo t ~now ~flow_id flow =
             lm0.Metrics.hits <- lm0.Metrics.hits + 1;
             m.Metrics.hw_hits <- m.Metrics.hw_hits + 1;
             lm0.Metrics.latency_us <- lm0.Metrics.latency_us +. pm.p_lat;
-            (match t.psv with
-            | Some p ->
-                Passive.lat_note_at p.Passive.lat_levels.(0)
-                  lm0.Metrics.latency_hist ~idx:pm.p_lidx pm.p_lat;
-                let c = p.Passive.counters.(0) in
-                c.Passive.c_hits <- c.Passive.c_hits + 1;
-                if p.Passive.events_on then
-                  Passive.note p ~kind:Recorder.Hit ~level:0
-                    ~packet:(m.Metrics.packets - 1) ~time:now ~lat:pm.p_lat
-                    ~count:1
-            | None ->
-                Histogram.record_at lm0.Metrics.latency_hist pm.p_lidx pm.p_lat);
+            Histogram.record_at lm0.Metrics.latency_hist pm.p_lidx pm.p_lat;
+            note t Recorder.Hit ~level:0 ~packet:(m.Metrics.packets - 1) ~time:now
+              ~lat:pm.p_lat ~count:1;
             if pm.p_is_drop then m.Metrics.drops <- m.Metrics.drops + 1;
             Gf_util.Stats.Acc.add m.Metrics.latency pm.p_lat;
-            (match t.psv with
-            | Some p ->
-                Passive.lat_note_at p.Passive.lat_global m.Metrics.latency_hist
-                  ~idx:pm.p_gidx pm.p_lat
-            | None ->
-                Histogram.record_at m.Metrics.latency_hist pm.p_gidx pm.p_lat);
+            Histogram.record_at m.Metrics.latency_hist pm.p_gidx pm.p_lat;
             pm.p_result
         | None ->
             (* Entry left the level (evicted, replaced): drop the stale
@@ -1213,30 +1138,11 @@ let process_memo t ~now ~flow_id flow =
   end
   else walk t ~memo:true ~now ~flow_id flow
 
-(* Drain every passive ring into its pull-side sink: raw latencies into
-   their histograms, event candidates into the flight recorder.  Runs at
-   every sampler tick and at finalize; ring-full flushes inside the
-   emission helpers make it total.  Flush order (global, then levels in
-   walk order, then events) is fixed, and each ring feeds exactly one
-   sink, so the merged result is independent of how often this ran. *)
-let flush_passive t =
-  (match t.tracer with Some tr -> Tracer.flush tr | None -> ());
-  match t.psv with
-  | Some p ->
-      Passive.flush_lat p.Passive.lat_global t.metrics.Metrics.latency_hist;
-      Array.iteri
-        (fun i r ->
-          Passive.flush_lat r t.level_metrics.(i).Metrics.latency_hist)
-        p.Passive.lat_levels;
-      Passive.flush_events p
-  | None -> ()
-
 (* A time-series sample built straight from the live Metrics counters, so
-   the final sample of a run agrees with the run's Metrics exactly.
-   Flushes the passive rings first so the histogram-derived quantiles see
-   every latency recorded up to this packet. *)
+   the final sample of a run agrees with the run's Metrics exactly.  Pulls
+   the tracer's span ring into its aggregates on the way. *)
 let snapshot t ~time =
-  flush_passive t;
+  (match t.tracer with Some tr -> Tracer.flush tr | None -> ());
   let m = t.metrics in
   let h = m.Metrics.latency_hist in
   let q f = if Histogram.count h = 0 then 0.0 else f h in
@@ -1287,9 +1193,6 @@ let finalize t ~time =
   | Some tel ->
       Telemetry.push_sample tel (snapshot t ~time);
       Metrics.to_registry t.metrics (Telemetry.registry tel);
-      (match t.psv with
-      | Some p -> Passive.to_registry p (Telemetry.registry tel)
-      | None -> ());
       (match t.tracer with
       | Some tr ->
           Attribution.to_registry (Tracer.attribution tr) (Telemetry.registry tel)
@@ -1298,9 +1201,7 @@ let finalize t ~time =
   t.metrics
 
 (* The streaming engine's per-batch sampler hook: push a time-series
-   sample iff the batch crossed the sampling cadence.  [snapshot] flushes
-   the passive rings, so the sampler — not the packet loop — pays the
-   histogram bucketing and recorder sampling. *)
+   sample iff the batch crossed the sampling cadence. *)
 let maybe_sample t ~time =
   match t.telemetry with
   | Some tel when Telemetry.sample_due tel ~packets:t.metrics.Metrics.packets ->

@@ -186,15 +186,16 @@ val hw_capacity : config -> int
 type t
 
 val create : ?telemetry:Gf_telemetry.Telemetry.t -> config -> Gf_pipeline.Pipeline.t -> t
-(** [telemetry] (default [None]) attaches the observability sink, pull
-    style: the packet path only bumps flat per-level counter records and
-    appends raw latencies / event candidates to preallocated rings
-    ({!Gf_telemetry.Passive}); histogram bucketing, flight-recorder
-    sampling and time-series building run when the sampler pulls
-    ({!maybe_sample}, {!snapshot}, {!finalize} — or a ring filling up).
-    Any Gigaflow level registers its install-path counters in the
-    registry.  Without it every emission site is a no-op pattern match —
-    the hot path stays allocation-free. *)
+(** [telemetry] (default [None]) attaches the observability sink.  The
+    per-level counters and latency histograms live in {!Metrics} either
+    way; telemetry adds the flight recorder, which each emission site
+    offers its event to inline (sampling happens in
+    {!Gf_telemetry.Recorder.record}), the time series the sampler builds
+    from {!Metrics} ({!maybe_sample}, {!snapshot}, {!finalize}) and, when
+    [trace_sample_every > 0], the traversal tracer.  Any Gigaflow level
+    registers its install-path counters in the registry.  Without it
+    every emission site is a no-op pattern match — the hot path stays
+    allocation-free. *)
 
 val telemetry : t -> Gf_telemetry.Telemetry.t option
 
@@ -300,17 +301,16 @@ val revalidate : t -> int * int
 val snapshot : t -> time:float -> Gf_telemetry.Series.sample
 (** A time-series sample built from the live metrics (and current level
     occupancies), so a snapshot taken after {!run} agrees with the returned
-    {!Metrics.t} exactly.  Flushes the passive telemetry rings first, so
-    histogram-derived quantiles see every latency recorded so far. *)
+    {!Metrics.t} exactly; its quantiles come from the {!Metrics} latency
+    histograms, which every packet records into inline. *)
 
 val maybe_sample : t -> time:float -> unit
-(** The pull-model sampler tick: if a time-series sample is due at the
-    current packet count ({!Gf_telemetry.Telemetry.sample_due}), flush the
-    passive rings and push a {!snapshot} at [time].  The batched engine
-    calls this once per batch; cadence cannot change the final telemetry —
-    flushes preserve emission order and each ring feeds exactly one
-    histogram/recorder, so the result is a pure function of the packet
-    stream.  A no-op without telemetry. *)
+(** The sampler tick: if a time-series sample is due at the current
+    packet count ({!Gf_telemetry.Telemetry.sample_due}), push a
+    {!snapshot} at [time].  The batched engine calls this once per batch;
+    cadence cannot change the final telemetry — counters, histograms and
+    recorded events are all written inline by the packet path, so only
+    the series length depends on it.  A no-op without telemetry. *)
 
 val finalize : t -> time:float -> Metrics.t
 (** End-of-run epilogue (called by {!run}; the batched engine calls it

@@ -22,6 +22,10 @@ type level = {
   mutable demotions : int;
       (* entries evicted by the admission re-partition sweep (flow went
          cold); also included in [evictions] *)
+  mutable promotions : int;  (* promote-on-hit learns (EMC) at this level *)
+  mutable revalidations : int;
+      (* entries evicted by a revalidation sweep; also included in
+         [evictions] *)
   mutable work : int;
   mutable latency_us : float;
   mutable occupancy_peak : int;
@@ -41,6 +45,8 @@ let level_create name =
     pressure_evictions = 0;
     deferred = 0;
     demotions = 0;
+    promotions = 0;
+    revalidations = 0;
     work = 0;
     latency_us = 0.0;
     occupancy_peak = 0;
@@ -125,6 +131,8 @@ let merge_level ~into:(into : level) (src : level) =
   into.pressure_evictions <- into.pressure_evictions + src.pressure_evictions;
   into.deferred <- into.deferred + src.deferred;
   into.demotions <- into.demotions + src.demotions;
+  into.promotions <- into.promotions + src.promotions;
+  into.revalidations <- into.revalidations + src.revalidations;
   into.work <- into.work + src.work;
   into.latency_us <- into.latency_us +. src.latency_us;
   into.occupancy_peak <- into.occupancy_peak + src.occupancy_peak;
@@ -284,4 +292,25 @@ let to_registry t registry =
         (float_of_int l.occupancy_peak);
       R.set_histogram registry ~labels ~help:"Per-hit latency by level (us)"
         "gigaflow_level_hit_latency_us" l.latency_hist)
+    t.levels;
+  (* The same per-level events again, one series per (kind, level) in the
+     flight recorder's kind vocabulary.  Idle-expiry evictions are the
+     evictions neither the admission sweep nor a revalidation made. *)
+  List.iter
+    (fun l ->
+      let kind k v =
+        set "gigaflow_events_total" "Datapath events by kind and cache level"
+          ~labels:[ ("kind", k); ("level", l.level_name) ]
+          v
+      in
+      kind "hit" l.hits;
+      kind "miss" l.misses;
+      kind "install" l.installs;
+      kind "evict" (l.evictions - l.demotions - l.revalidations);
+      kind "promote" l.promotions;
+      kind "revalidate" l.revalidations;
+      kind "reject" l.rejected;
+      kind "pressure_evict" l.pressure_evictions;
+      kind "defer" l.deferred;
+      kind "demote" l.demotions)
     t.levels

@@ -10,7 +10,8 @@ type level = {
   mutable installs : int;  (** fresh entries written *)
   mutable shared : int;  (** installs satisfied by existing entries *)
   mutable rejected : int;  (** installs refused (full / infeasible) *)
-  mutable evictions : int;  (** idle-expiry + revalidation evictions *)
+  mutable evictions : int;
+      (** idle-expiry + admission-demotion + revalidation evictions *)
   mutable pressure_evictions : int;
       (** entries evicted to admit an install at capacity (replacement
           policy), counted separately from [evictions] *)
@@ -20,6 +21,12 @@ type level = {
   mutable demotions : int;
       (** entries evicted by the admission re-partition sweep (flow went
           cold); also included in [evictions] *)
+  mutable promotions : int;
+      (** promote-on-hit learns at this level (the EMC taking a deeper
+          level's hit) *)
+  mutable revalidations : int;
+      (** entries evicted by a revalidation sweep; also included in
+          [evictions] *)
   mutable work : int;  (** lookup work units spent at this level *)
   mutable latency_us : float;  (** total latency attributed to hits here *)
   mutable occupancy_peak : int;
@@ -113,5 +120,8 @@ val to_registry : t -> Gf_telemetry.Registry.t -> unit
 (** Export every counter into the registry under stable
     [gigaflow_*]/[gigaflow_level_*] Prometheus-style names (per-level
     series carry a [level] label; latency histograms are registered
-    in-place).  Values are {e set}, not accumulated, so re-exporting the
-    same metrics is idempotent. *)
+    in-place), followed by the per-level counters once more as
+    [gigaflow_events_total{kind,level}] in the flight recorder's kind
+    vocabulary ([evict] there is idle expiry only: [evictions - demotions
+    - revalidations]).  Values are {e set}, not accumulated, so
+    re-exporting the same metrics is idempotent. *)

@@ -90,29 +90,6 @@ let record_at t i x =
   if x < t.min_v then t.min_v <- x;
   if x > t.max_v then t.max_v <- x
 
-(* Bulk ingestion for the passive layer's raw-latency rings: [n] samples
-   with their bucket indices precomputed ([idxs.(k)] must equal
-   [index t vals.(k)]).  Bit-identical to calling [record] on each sample
-   in order — the sum accumulates left-to-right from the current [t.sum] —
-   but count/sum/min/max live in locals across the loop, so the per-sample
-   boxed-float field stores are paid once per flush, not once per
-   sample. *)
-let record_seq t ~idxs ~vals n =
-  let counts = t.counts in
-  let s = ref t.sum and mn = ref t.min_v and mx = ref t.max_v in
-  for k = 0 to n - 1 do
-    let x = vals.(k) in
-    let i = idxs.(k) in
-    counts.(i) <- counts.(i) + 1;
-    s := !s +. x;
-    if x < !mn then mn := x;
-    if x > !mx then mx := x
-  done;
-  t.count <- t.count + n;
-  t.sum <- !s;
-  t.min_v <- !mn;
-  t.max_v <- !mx
-
 (* Bounds of bucket [i]: the underflow bucket spans [0, lo), log bucket
    (e, s) spans lo*2^e*[1 + s/sub, 1 + (s+1)/sub), overflow spans
    [lo*2^octaves, inf). *)

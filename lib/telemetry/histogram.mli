@@ -30,14 +30,6 @@ val record_at : t -> int -> float -> unit
 (** [record_at t i x] is {!record}[ t x] with the bucket index [i]
     precomputed; [i] must equal [index t x]. *)
 
-val record_seq : t -> idxs:int array -> vals:float array -> int -> unit
-(** [record_seq t ~idxs ~vals n] records [vals.(0..n-1)] in order, each
-    with its precomputed bucket index ([idxs.(k)] must equal
-    [index t vals.(k)]).  Bit-identical to [n] {!record} calls — same
-    buckets, same left-to-right float sum — with the aggregate updates
-    hoisted out of the loop.  This is the passive telemetry layer's
-    flush path ({!Passive.flush_lat}). *)
-
 val count : t -> int
 val sum : t -> float
 

@@ -28,34 +28,6 @@ let kind_name = function
   | Defer -> "defer"
   | Demote -> "demote"
 
-(* Integer tags for [kind], the storage format of the passive layer's
-   struct-of-arrays candidate ring (int-array columns, no per-event
-   allocation on the emitting path). *)
-let kind_tag = function
-  | Hit -> 0
-  | Miss -> 1
-  | Install -> 2
-  | Evict -> 3
-  | Promote -> 4
-  | Revalidate -> 5
-  | Reject -> 6
-  | Pressure_evict -> 7
-  | Defer -> 8
-  | Demote -> 9
-
-let kind_of_tag = function
-  | 0 -> Hit
-  | 1 -> Miss
-  | 2 -> Install
-  | 3 -> Evict
-  | 4 -> Promote
-  | 5 -> Revalidate
-  | 6 -> Reject
-  | 7 -> Pressure_evict
-  | 8 -> Defer
-  | 9 -> Demote
-  | n -> invalid_arg (Printf.sprintf "Recorder.kind_of_tag: %d" n)
-
 type event = {
   seq : int;  (* candidate index within this recorder, 0-based *)
   packet : int;  (* virtual packet index when the event fired *)
@@ -97,29 +69,6 @@ let record t ~packet ~time ~level ~latency_us ~count kind =
   t.seen <- s + 1;
   if s mod t.sample_every = 0 then
     push t { seq = s; packet; time; level; kind; latency_us; count }
-
-(* Batch-consume a passive candidate ring: [n] candidates in their
-   original emission order, described column-wise ([kinds] holds
-   [kind_tag]s, [levels] indexes [level_names]).  Sampling runs against
-   the persistent candidate census [seen], exactly as if each candidate
-   had been offered to [record] at emission time — so the caller's drain
-   cadence cannot change which events are retained. *)
-let ingest t ~kinds ~levels ~level_names ~packets ~times ~lats ~counts n =
-  for i = 0 to n - 1 do
-    let s = t.seen in
-    t.seen <- s + 1;
-    if s mod t.sample_every = 0 then
-      push t
-        {
-          seq = s;
-          packet = packets.(i);
-          time = times.(i);
-          level = level_names.(levels.(i));
-          kind = kind_of_tag kinds.(i);
-          latency_us = lats.(i);
-          count = counts.(i);
-        }
-  done
 
 (* Oldest-to-newest retained events. *)
 let drain t =

@@ -21,13 +21,6 @@ type kind =
 val kind_name : kind -> string
 (** Lower-case wire name ("hit", "miss", ...). *)
 
-val kind_tag : kind -> int
-(** Dense integer tag, the storage format of the passive layer's
-    struct-of-arrays candidate ring ({!Passive}). *)
-
-val kind_of_tag : int -> kind
-(** Inverse of {!kind_tag}; raises [Invalid_argument] on unknown tags. *)
-
 type event = {
   seq : int;  (** candidate index within this recorder, 0-based *)
   packet : int;  (** virtual packet index when the event fired *)
@@ -52,24 +45,6 @@ val record :
   count:int ->
   kind ->
   unit
-
-val ingest :
-  t ->
-  kinds:int array ->
-  levels:int array ->
-  level_names:string array ->
-  packets:int array ->
-  times:float array ->
-  lats:float array ->
-  counts:int array ->
-  int ->
-  unit
-(** [ingest t ... n] offers [n] candidates (column-wise: [kinds] holds
-    {!kind_tag}s, [levels] indexes [level_names]) in their emission order,
-    applying the every-[sample_every]-th sampling against the persistent
-    candidate census — retained events are identical to having offered
-    each candidate to {!record} at emission time, whatever cadence the
-    caller drains its ring at.  This is {!Passive.flush_events}'s sink. *)
 
 val drain : t -> event list
 (** Retained events, oldest first.  Non-destructive. *)

@@ -16,8 +16,8 @@
      or not — to exactly one {!Attribution.cause} with a single int-array
      increment, so per-cause counts reconcile against [Metrics] misses.
 
-   Like the passive records, a tracer is owned by one shard and merged
-   after finalize, preserving the established bit-identity. *)
+   Like every other telemetry sink, a tracer is owned by one shard and
+   merged after finalize, preserving the established bit-identity. *)
 
 type cause = Attribution.cause =
   | Cold

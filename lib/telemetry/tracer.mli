@@ -32,7 +32,7 @@ type t = {
   mutable sp_len : int;
   attr : Attribution.t;
 }
-(** Exposed (Passive-style) so the datapath's packet paths can inline
+(** Exposed so the datapath's packet paths can inline
     the common-case countdown and [active] checks instead of paying a
     cross-module call per packet.  Treat every field except [until] and
     [active] as private. *)

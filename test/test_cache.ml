@@ -416,8 +416,27 @@ let test_megaflow_search_algos_agree () =
     | Some _, None | None, Some _ -> Alcotest.fail "tss/nm disagree on hit"
   done
 
+(* A zero capacity is rejected the way [set_capacity] rejects it, not by
+   an [assert] that [-noassert] would compile away. *)
+let zero_capacity name create () =
+  Alcotest.check_raises name
+    (Invalid_argument (name ^ ".create: capacity must be >= 1"))
+    create
+
 let suite =
   [
+    ("microflow zero capacity", `Quick,
+     zero_capacity "Microflow" (fun () ->
+         ignore (Microflow.create ~capacity:0 () : Microflow.t)));
+    ("megaflow zero capacity", `Quick,
+     zero_capacity "Megaflow" (fun () ->
+         ignore (Megaflow.create ~capacity:0 () : Megaflow.t)));
+    ("cuckoo zero capacity", `Quick,
+     zero_capacity "Cuckoo" (fun () ->
+         ignore (Gf_cache.Cuckoo.create ~capacity:0 () : Gf_cache.Cuckoo.t)));
+    ("ltm table zero capacity", `Quick,
+     zero_capacity "Ltm_table" (fun () ->
+         ignore (Gf_core.Ltm_table.create ~capacity:0 : Gf_core.Ltm_table.t)));
     ("microflow basic", `Quick, test_microflow_basic);
     ("microflow lru", `Quick, test_microflow_lru_eviction);
     ("microflow expire", `Quick, test_microflow_expire);

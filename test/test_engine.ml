@@ -214,7 +214,7 @@ let cadence_presets () =
    semantic knob: whatever [sample_every] (including 0 = series off), the
    merged metrics must be bit-identical to the uninstrumented run.  Runs
    on the admission presets, whose defer/promote/demote paths exercise
-   every passive emission site.  Plain fingerprints are memoised per
+   every emission site.  Plain fingerprints are memoised per
    (preset, domains) — the property draws only the cadence fresh. *)
 let prop_engine_sampler_cadence_transparent =
   let setup =
@@ -278,18 +278,6 @@ let test_engine_cadence_invariant_exports () =
                  (Trace.stream_of_trace strace))
                 .Parallel.telemetry
           in
-          (* The ring-flush diagnostic is the one legitimately
-             cadence-dependent series: a slower sampler pulls less often,
-             so the rings wrap more.  Everything else must be invariant. *)
-          let scrub prom =
-            prom |> String.split_on_char '\n'
-            |> List.filter (fun line ->
-                   not
-                     (String.length line >= 34
-                     && String.equal (String.sub line 0 34)
-                          "gigaflow_passive_ring_flushes_tota"))
-            |> String.concat "\n"
-          in
           let tel0 = run 1 in
           List.iter
             (fun every ->
@@ -300,8 +288,7 @@ let test_engine_cadence_invariant_exports () =
                 (Telemetry.events tel0 = Telemetry.events tel);
               Alcotest.(check string)
                 (Printf.sprintf "%s d=%d every=%d registry" name domains every)
-                (scrub (Telemetry.prometheus tel0))
-                (scrub (Telemetry.prometheus tel)))
+                (Telemetry.prometheus tel0) (Telemetry.prometheus tel))
             [ 700; 0 ])
         [ 1; 2 ])
     (cadence_presets ())
@@ -416,9 +403,9 @@ let test_miss_cause_census_reconciles () =
 
 (* A million-packet steady-state run with the full telemetry stack on:
    after the first measurement window (memo tables, ring and recorder
-   warm-up), the live heap must stay flat — the passive records are
-   preallocated and the packet path allocation-free, so any growth is a
-   leak. *)
+   warm-up), the live heap must stay flat — the flight recorder is a
+   fixed ring and every counter and histogram is preallocated, so any
+   growth is a leak. *)
 let test_soak_live_heap_flat () =
   let w =
     Pipebench.make ~profile:small_profile ~combos:512 ~unique_flows:1000

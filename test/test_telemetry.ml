@@ -5,7 +5,6 @@
 
 module Histogram = Gf_telemetry.Histogram
 module Recorder = Gf_telemetry.Recorder
-module Passive = Gf_telemetry.Passive
 module Series = Gf_telemetry.Series
 module Registry = Gf_telemetry.Registry
 module Export = Gf_telemetry.Export
@@ -228,120 +227,6 @@ let test_recorder_merge_concatenates () =
   Alcotest.(check (list int)) "a's stream then b's" [ 0; 1; 2; 100; 101; 102 ]
     packets
 
-(* ------------------------------ passive ------------------------------ *)
-
-(* The latency ring must be an exact deferral of inline recording: same
-   buckets, same left-to-right float sum (compared as bits), same exact
-   extremes — through any number of mid-stream auto-flushes. *)
-let test_passive_lat_ring_bit_identity () =
-  let rng = Gf_util.Rng.create 5 in
-  let samples = Array.init 1000 (fun _ -> 0.2 +. Gf_util.Rng.float rng 5000.0) in
-  let inline = Histogram.create () in
-  Array.iter (Histogram.record inline) samples;
-  let ringed = Histogram.create () in
-  let p =
-    Passive.create ~lat_capacity:16 ~event_capacity:4 ~level_names:[| "gf" |]
-      ~recorder:None ()
-  in
-  (* Alternate the computed-index and precomputed-index append paths. *)
-  Array.iteri
-    (fun i x ->
-      if i mod 2 = 0 then Passive.lat_note p.Passive.lat_global ringed x
-      else
-        Passive.lat_note_at p.Passive.lat_global ringed
-          ~idx:(Histogram.index ringed x) x)
-    samples;
-  Passive.flush_lat p.Passive.lat_global ringed;
-  Alcotest.(check int) "count" (Histogram.count inline) (Histogram.count ringed);
-  Alcotest.(check int64) "sum bits"
-    (Int64.bits_of_float (Histogram.sum inline))
-    (Int64.bits_of_float (Histogram.sum ringed));
-  Alcotest.(check int64) "min bits"
-    (Int64.bits_of_float (Histogram.min_value inline))
-    (Int64.bits_of_float (Histogram.min_value ringed));
-  Alcotest.(check int64) "max bits"
-    (Int64.bits_of_float (Histogram.max_value inline))
-    (Int64.bits_of_float (Histogram.max_value ringed));
-  Alcotest.(check bool) "buckets identical" true
-    (buckets_of inline = buckets_of ringed)
-
-let passive_kinds =
-  [|
-    Recorder.Hit; Recorder.Miss; Recorder.Install; Recorder.Evict;
-    Recorder.Promote; Recorder.Revalidate; Recorder.Reject;
-    Recorder.Pressure_evict; Recorder.Defer; Recorder.Demote;
-  |]
-
-(* Candidates funnelled through the event ring must leave the recorder in
-   the same state as offering each directly at emission time — whatever
-   the ring capacity (i.e. however many mid-stream flushes happened),
-   because ingest samples against the recorder's persistent census. *)
-let test_passive_event_flush_cadence () =
-  let levels = [| "gf"; "sw-mf" |] in
-  let n = 100 in
-  let candidate i =
-    ( passive_kinds.(i mod Array.length passive_kinds),
-      i mod 2,
-      i,
-      float_of_int i,
-      float_of_int (i mod 7),
-      1 + (i mod 3) )
-  in
-  let direct = Recorder.create ~capacity:32 ~sample_every:3 () in
-  for i = 0 to n - 1 do
-    let kind, level, packet, time, lat, count = candidate i in
-    Recorder.record direct ~packet ~time ~level:levels.(level) ~latency_us:lat
-      ~count kind
-  done;
-  let via_ring event_capacity =
-    let r = Recorder.create ~capacity:32 ~sample_every:3 () in
-    let p =
-      Passive.create ~event_capacity ~level_names:levels ~recorder:(Some r) ()
-    in
-    for i = 0 to n - 1 do
-      let kind, level, packet, time, lat, count = candidate i in
-      Passive.note p ~kind ~level ~packet ~time ~lat ~count
-    done;
-    Passive.flush_events p;
-    r
-  in
-  List.iter
-    (fun (name, r) ->
-      Alcotest.(check int) (name ^ " seen") (Recorder.seen direct)
-        (Recorder.seen r);
-      Alcotest.(check int) (name ^ " recorded") (Recorder.recorded direct)
-        (Recorder.recorded r);
-      Alcotest.(check bool) (name ^ " events identical") true
-        (Recorder.drain direct = Recorder.drain r))
-    [ ("tiny ring", via_ring 7); ("big ring", via_ring 512) ]
-
-let test_passive_census_and_registry () =
-  let p =
-    Passive.create ~level_names:[| "gf"; "sw-mf" |] ~recorder:None ()
-  in
-  let c0 = p.Passive.counters.(0) and c1 = p.Passive.counters.(1) in
-  c0.Passive.c_hits <- 41;
-  c0.Passive.c_promotes <- 2;
-  c1.Passive.c_evicts <- 3;
-  Alcotest.(check int) "total candidates" 46 (Passive.total_candidates p);
-  (* note is a no-op without a recorder: the event ring never grows. *)
-  Passive.note p ~kind:Recorder.Hit ~level:0 ~packet:0 ~time:0.0 ~lat:1.0
-    ~count:1;
-  Alcotest.(check int) "event ring untouched" 0 p.Passive.ev_len;
-  let reg = Registry.create () in
-  Passive.to_registry p reg;
-  Passive.to_registry p reg;
-  (* export is set-not-add: idempotent *)
-  let v kind level =
-    !(Registry.counter reg
-        ~labels:[ ("kind", kind); ("level", level) ]
-        "gigaflow_events_total")
-  in
-  Alcotest.(check int) "hits exported" 41 (v "hit" "gf");
-  Alcotest.(check int) "promotes exported" 2 (v "promote" "gf");
-  Alcotest.(check int) "evicts exported" 3 (v "evict" "sw-mf");
-  Alcotest.(check int) "absent kind zero" 0 (v "miss" "gf")
-
 (* ------------------------------ series ------------------------------ *)
 
 let sample_at packet =
@@ -487,6 +372,10 @@ let telemetry_config =
     trace_sample_every = 0;
   }
 
+(* Count and sum bits of a latency histogram: equal pairs mean the same
+   samples were recorded in the same order. *)
+let hist_bits h = (Histogram.count h, Int64.bits_of_float (Histogram.sum h))
+
 let test_datapath_telemetry_is_transparent () =
   let w = small_workload () in
   let cfg = Datapath.emc_gf_sw () in
@@ -496,7 +385,130 @@ let test_datapath_telemetry_is_transparent () =
   let dp_on = Datapath.create ~telemetry:tel cfg (Pipebench.pipeline w) in
   let m_on = Datapath.run dp_on w.Pipebench.trace in
   Alcotest.(check (list int)) "telemetry does not perturb the run"
-    (counters m_off) (counters m_on)
+    (counters m_off) (counters m_on);
+  let hists (m : Metrics.t) =
+    ("global", hist_bits m.Metrics.latency_hist)
+    :: List.map
+         (fun (l : Metrics.level) -> (l.Metrics.level_name, hist_bits l.Metrics.latency_hist))
+         (Metrics.levels m)
+  in
+  Alcotest.(check (list (pair string (pair int int64))))
+    "latency histograms bit-identical" (hists m_off) (hists m_on)
+
+(* With every candidate recorded (sampling 1-in-1, a ring larger than the
+   run), the exported [gigaflow_events_total] census must equal the
+   per-(kind, level) sum of [count] over the retained events — for all
+   ten kinds, [evict] (idle expiry only, derived from Metrics) included.
+   The hierarchy is built to fire every kind: an EMC under heavy-hitter
+   admission (promote, defer, demote), tiny NIC Megaflow and EMC
+   geometries (reject, pressure eviction), a short idle budget (evict) and a rule
+   update followed by a revalidation sweep (revalidate). *)
+let test_event_census_matches_stream () =
+  let w = small_workload () in
+  let cfg =
+    Datapath.emc_mf_sw ~mf_capacity:16 ~emc_capacity:8 ~max_idle:4.0
+      ~admission:
+        (Gf_offload.Heavy_hitter.Heavy_hitter
+           { k = Gf_offload.Heavy_hitter.default_k; threshold = 4 })
+      ()
+  in
+  let tel =
+    Telemetry.create
+      ~config:
+        {
+          Telemetry.sample_every = 0;
+          event_capacity = 1 lsl 17;
+          event_sample_every = 1;
+          trace_sample_every = 0;
+        }
+      ()
+  in
+  let pipeline = Pipebench.pipeline w in
+  let dp = Datapath.create ~telemetry:tel cfg pipeline in
+  let packets = w.Pipebench.trace.Gf_workload.Trace.packets in
+  let n = Array.length packets and half = Array.length packets / 2 in
+  let part off len =
+    { w.Pipebench.trace with Gf_workload.Trace.packets = Array.sub packets off len }
+  in
+  ignore (Datapath.run dp (part 0 half) : Metrics.t);
+  Gf_pipeline.Pipeline.add_rule pipeline ~table:0
+    (Gf_pipeline.Ofrule.v
+       ~id:(Gf_pipeline.Pipeline.fresh_rule_id pipeline)
+       ~priority:1_000_000 ~fmatch:Gf_flow.Fmatch.any
+       ~action:(Gf_pipeline.Action.drop ()));
+  ignore (Datapath.revalidate dp : int * int);
+  ignore (Datapath.run dp (part half (n - half)) : Metrics.t);
+  let r = Option.get (Telemetry.recorder tel) in
+  Alcotest.(check int) "every candidate retained" (Recorder.seen r)
+    (Recorder.retained r);
+  let kinds =
+    [
+      Recorder.Hit; Miss; Install; Evict; Promote; Revalidate; Reject;
+      Pressure_evict; Defer; Demote;
+    ]
+  in
+  let reg = Telemetry.registry tel in
+  let events = Telemetry.events tel in
+  List.iter
+    (fun kind ->
+      let name = Recorder.kind_name kind in
+      let fired = ref 0 in
+      Array.iter
+        (fun level ->
+          let from_stream =
+            List.fold_left
+              (fun acc (e : Recorder.event) ->
+                if e.Recorder.kind = kind && String.equal e.Recorder.level level then
+                  acc + e.Recorder.count
+                else acc)
+              0 events
+          in
+          let exported =
+            !(Registry.counter reg
+                ~labels:[ ("kind", name); ("level", level) ]
+                "gigaflow_events_total")
+          in
+          Alcotest.(check int)
+            (Printf.sprintf "%s at %s: census = event stream" name level)
+            from_stream exported;
+          fired := !fired + exported)
+        (Datapath.level_names dp);
+      Alcotest.(check bool) (name ^ " fired") true (!fired > 0))
+    kinds
+
+(* The check.sh telemetry-smoke run (PSC, 2000 flows, 512 combos, seed
+   77, a sample every 2000 packets, every 4th event) with a 64-event
+   recorder: its Prometheus snapshot and JSONL stream must match the
+   pinned copies under golden/ byte for byte. *)
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let test_golden_exports () =
+  let w =
+    Pipebench.make ~combos:512 ~unique_flows:2000
+      ~info:(Option.get (Catalog.find "PSC"))
+      ~locality:Ruleset.High ~seed:77 ()
+  in
+  let tel =
+    Telemetry.create
+      ~config:
+        {
+          Telemetry.sample_every = 2000;
+          event_capacity = 64;
+          event_sample_every = 4;
+          trace_sample_every = 0;
+        }
+      ()
+  in
+  let dp = Datapath.create ~telemetry:tel (Datapath.emc_gf_sw ()) (Pipebench.pipeline w) in
+  ignore (Datapath.run dp w.Pipebench.trace : Metrics.t);
+  let jsonl = Filename.temp_file "gf_golden" ".jsonl" in
+  Out_channel.with_open_bin jsonl (fun oc -> Telemetry.write_jsonl oc tel);
+  let got = read_file jsonl in
+  Sys.remove jsonl;
+  Alcotest.(check string) "JSONL stream" (read_file "golden/telemetry.jsonl") got;
+  Alcotest.(check string) "Prometheus snapshot"
+    (read_file "golden/telemetry.prom")
+    (Telemetry.prometheus tel)
 
 let test_final_sample_matches_metrics () =
   let w = small_workload () in
@@ -535,9 +547,8 @@ let test_final_sample_matches_metrics () =
 
 (* The engine (memoised walk, per-batch sampler) and sequential sharded
    replay (walker, per-packet sampler) merge to the same telemetry: events
-   and registry agree, except the ring-flush diagnostic, which counts how
-   often the rings wrapped between pulls.  The time-series samples differ
-   by design — the sampling cadence is per batch on the engine. *)
+   and registry agree byte for byte.  The time-series samples differ by
+   design — the sampling cadence is per batch on the engine. *)
 let test_parallel_telemetry_modes_agree () =
   let w = small_workload () in
   let cfg = Datapath.emc_gf_sw () in
@@ -553,17 +564,10 @@ let test_parallel_telemetry_modes_agree () =
       (Gf_engine.Engine.replay ~domains:4 ~telemetry:telemetry_config ~cfg pipeline
          (Gf_workload.Trace.stream_of_trace w.Pipebench.trace))
   in
-  let scrub prom =
-    prom |> String.split_on_char '\n'
-    |> List.filter (fun line ->
-           not (contains ~needle:"gigaflow_passive_ring_flushes_total" line))
-    |> String.concat "\n"
-  in
   Alcotest.(check bool) "event streams identical" true
     (Telemetry.events ts = Telemetry.events te);
-  Alcotest.(check string) "merged registries identical"
-    (scrub (Telemetry.prometheus ts))
-    (scrub (Telemetry.prometheus te))
+  Alcotest.(check string) "merged registries identical" (Telemetry.prometheus ts)
+    (Telemetry.prometheus te)
 
 let suite =
   [
@@ -574,9 +578,6 @@ let suite =
      test_histogram_merge_quantiles_vs_sorted_oracle);
     ("histogram merge = concat", `Quick, test_histogram_merge_is_concat);
     ("histogram layout mismatch", `Quick, test_histogram_layout_mismatch);
-    ("passive lat ring = inline records", `Quick, test_passive_lat_ring_bit_identity);
-    ("passive event flush cadence", `Quick, test_passive_event_flush_cadence);
-    ("passive census + registry export", `Quick, test_passive_census_and_registry);
     ("recorder ring keeps newest", `Quick, test_recorder_ring_keeps_newest);
     ("recorder sampling rate", `Quick, test_recorder_sampling_rate);
     ("recorder merge concatenates", `Quick, test_recorder_merge_concatenates);
@@ -586,6 +587,8 @@ let suite =
     ("jsonl stream parses", `Quick, test_jsonl_stream_parses);
     ("telemetry transparent", `Slow, test_datapath_telemetry_is_transparent);
     ("final sample = metrics", `Quick, test_final_sample_matches_metrics);
+    ("event census = event stream", `Quick, test_event_census_matches_stream);
+    ("golden prometheus + jsonl", `Quick, test_golden_exports);
     ("parallel modes agree", `Slow, test_parallel_telemetry_modes_agree);
   ]
 
