@@ -8,6 +8,13 @@ module Partitioner = Gf_core.Partitioner
 module Rulegen = Gf_core.Rulegen
 module Gigaflow = Gf_core.Gigaflow
 module Megaflow = Gf_cache.Megaflow
+module Field = Gf_flow.Field
+module Flow = Gf_flow.Flow
+module Mask = Gf_flow.Mask
+module Fmatch = Gf_flow.Fmatch
+module Action = Gf_pipeline.Action
+module Ltm_rule = Gf_core.Ltm_rule
+module Ltm_table = Gf_core.Ltm_table
 open Bechamel
 open Toolkit
 
@@ -44,6 +51,32 @@ let benchmarks () =
            match Executor.execute pipeline flow with Ok tr -> Some tr | Error _ -> None)
     |> Array.of_list
   in
+  (* Hash-spread canaries: prefix-masked keys differ only in high bits, so
+     a hash whose low bits ignore them turns these finds into chain walks,
+     which shows as an ns/op jump. *)
+  let masked_flows =
+    let mask = Mask.prefix Field.Ip_dst 24 in
+    Array.map (Mask.apply mask) flows
+  in
+  let masked_tbl = Flow.Tbl.create 1024 in
+  Array.iter (fun f -> Flow.Tbl.replace masked_tbl f ()) masked_flows;
+  let ltm_rule i =
+    {
+      Ltm_rule.tag_in = 0;
+      fmatch =
+        Fmatch.with_prefix Fmatch.any Field.Ip_dst ~value:((10 lsl 24) lor (i lsl 8)) ~len:24;
+      priority = 1;
+      commit = [];
+      next = Ltm_rule.Done Action.Drop;
+      origin = { Ltm_rule.parent_flow = Flow.zero; length = 1; version = 0 };
+    }
+  in
+  let ltm_table = Ltm_table.create ~capacity:2048 in
+  for i = 0 to 2047 do
+    ignore (Ltm_table.insert ltm_table ~now:0.0 (ltm_rule i))
+  done;
+  (* Structurally equal, physically distinct probes, as an install plans. *)
+  let ltm_probes = Array.init 2048 ltm_rule in
   let idx = ref 0 in
   let next arr =
     idx := (!idx + 1) land 0xFFFF;
@@ -56,6 +89,10 @@ let benchmarks () =
       (Staged.stage (fun () -> ignore (Megaflow.lookup mf ~now:1.0 (next flows))));
     Test.make ~name:"gigaflow: LTM cache walk"
       (Staged.stage (fun () -> ignore (Gigaflow.lookup gf ~now:1.0 ~pipeline (next flows))));
+    Test.make ~name:"flow tbl: find_opt, ip_dst/24-masked keys"
+      (Staged.stage (fun () -> ignore (Flow.Tbl.find_opt masked_tbl (next masked_flows))));
+    Test.make ~name:"ltm table: find_identical, 2k rules one table"
+      (Staged.stage (fun () -> ignore (Ltm_table.find_identical ltm_table (next ltm_probes))));
     Test.make ~name:"partitioner: disjoint DP"
       (Staged.stage (fun () ->
            ignore

@@ -53,6 +53,12 @@ type t = {
       (* hit replays stay exact under entry-set churn (ranked TSS walk) *)
 }
 
+(* Indexes start small and grow with occupancy, not with the admission
+   bound: a million-entry bound would otherwise allocate two 2^20-bucket
+   arrays that the GC marks and every idle sweep folds, however few
+   entries are resident. *)
+let index_size capacity = min capacity 256
+
 let create ?(search = `Tss) ?(policy = Evict.Reject) ?(rng_seed = 0x3F1A)
     ~capacity () =
   if capacity < 1 then invalid_arg "Megaflow.create: capacity must be >= 1";
@@ -61,8 +67,8 @@ let create ?(search = `Tss) ?(policy = Evict.Reject) ?(rng_seed = 0x3F1A)
     policy;
     rng = Gf_util.Rng.create rng_seed;
     searcher = Searcher.create search;
-    by_fmatch = Fmatch.Tbl.create capacity;
-    by_key = Hashtbl.create capacity;
+    by_fmatch = Fmatch.Tbl.create (index_size capacity);
+    by_key = Hashtbl.create (index_size capacity);
     stats = Cache_stats.create ();
     next_key = 0;
     memo_tbl = Hashtbl.create 256;

@@ -44,12 +44,17 @@ let lookup t ~now flow =
       Cache_stats.record_lookup t.stats ~hit:false;
       None
 
+(* Ties on [last_used] break towards the smaller flow, not the table's
+   iteration order, so the victim does not depend on [Flow.hash]. *)
 let evict_lru t =
   let victim = ref None in
   Flow.Tbl.iter
     (fun flow entry ->
       match !victim with
-      | Some (_, e) when e.last_used <= entry.last_used -> ()
+      | Some (f, e)
+        when e.last_used < entry.last_used
+             || (e.last_used = entry.last_used && Flow.compare f flow < 0) ->
+          ()
       | _ -> victim := Some (flow, entry))
     t.table;
   match !victim with

@@ -11,6 +11,9 @@ type 'a tuple = {
   mask : Mask.t;
   buckets : 'a Entry.t list Flow.Tbl.t; (* best-first lists *)
   mutable max_priority : int;
+  mutable max_stale : bool;
+      (* [max_priority] may exceed the true max after a removal; [ensure]
+         recomputes it before any reader sees it *)
   mutable count : int;
   mutable rank_prev : 'a tuple option;
   mutable rank_next : 'a tuple option;
@@ -84,6 +87,7 @@ let insert t entry =
             mask;
             buckets = Flow.Tbl.create 32;
             max_priority = min_int;
+            max_stale = false;
             count = 0;
             rank_prev = None;
             rank_next = None;
@@ -106,7 +110,8 @@ let recompute_max tuple =
     (fun _ entries ->
       List.iter (fun (e : 'a Entry.t) -> if e.priority > !m then m := e.priority) entries)
     tuple.buckets;
-  tuple.max_priority <- !m
+  tuple.max_priority <- !m;
+  tuple.max_stale <- false
 
 let remove t key =
   match Hashtbl.find_opt t.by_key key with
@@ -129,7 +134,11 @@ let remove t key =
             Mask.Tbl.remove t.tuples mask;
             rank_unlink t tuple
           end
-          else if entry.Entry.priority >= tuple.max_priority then recompute_max tuple);
+          else if entry.Entry.priority >= tuple.max_priority then
+            (* Recomputing here folds every bucket of the tuple, on every
+               removal when entries share one priority (all of Megaflow's
+               do); defer it to the next [ensure], which [dirty] forces. *)
+            tuple.max_stale <- true);
       t.dirty <- true;
       true
 
@@ -138,7 +147,11 @@ let size t = Hashtbl.length t.by_key
 let ensure t =
   if t.dirty then begin
     t.ordered <-
-      Mask.Tbl.fold (fun _ tu acc -> tu :: acc) t.tuples []
+      Mask.Tbl.fold
+        (fun _ tu acc ->
+          if tu.max_stale then recompute_max tu;
+          tu :: acc)
+        t.tuples []
       |> List.sort (fun a b -> compare b.max_priority a.max_priority);
     t.dirty <- false
   end

@@ -18,7 +18,7 @@ type t = {
   capacity : int;
   by_tag : (int, stored Tss.t) Hashtbl.t;
       (* exact match on the tag = one classifier per tag value *)
-  by_signature : (Ltm_rule.signature, stored) Hashtbl.t;
+  by_signature : stored Ltm_rule.Signature_tbl.t;
   by_key : (int, stored) Hashtbl.t;
   mutable next_key : int;
 }
@@ -28,7 +28,7 @@ let create ~capacity =
   {
     capacity;
     by_tag = Hashtbl.create 16;
-    by_signature = Hashtbl.create 64;
+    by_signature = Ltm_rule.Signature_tbl.create 64;
     by_key = Hashtbl.create 64;
     next_key = 0;
   }
@@ -44,7 +44,8 @@ let lookup t ~tag flow =
       let result, work = Tss.lookup classifier flow in
       ((match result with Some e -> Some e.Entry.payload | None -> None), max 1 work)
 
-let find_identical t rule = Hashtbl.find_opt t.by_signature (Ltm_rule.signature rule)
+let find_identical t rule =
+  Ltm_rule.Signature_tbl.find_opt t.by_signature (Ltm_rule.signature rule)
 
 let insert t ~now rule =
   if is_full t then invalid_arg "Ltm_table.insert: table full";
@@ -61,7 +62,7 @@ let insert t ~now rule =
   in
   Tss.insert classifier
     (Entry.v ~key ~fmatch:rule.Ltm_rule.fmatch ~priority:rule.Ltm_rule.priority stored);
-  Hashtbl.replace t.by_signature (Ltm_rule.signature rule) stored;
+  Ltm_rule.Signature_tbl.replace t.by_signature (Ltm_rule.signature rule) stored;
   Hashtbl.replace t.by_key key stored;
   stored
 
@@ -70,7 +71,7 @@ let remove t stored =
   | None -> ()
   | Some s ->
       Hashtbl.remove t.by_key s.key;
-      Hashtbl.remove t.by_signature (Ltm_rule.signature s.rule);
+      Ltm_rule.Signature_tbl.remove t.by_signature (Ltm_rule.signature s.rule);
       (match Hashtbl.find_opt t.by_tag s.rule.Ltm_rule.tag_in with
       | Some classifier -> ignore (Tss.remove classifier s.key)
       | None -> ())

@@ -28,23 +28,25 @@ let update t bindings =
 
 (* Monomorphic slot-by-slot comparison: both arrays have length
    [Field.count] by invariant, and avoiding polymorphic [compare] keeps the
-   per-packet cache probes allocation- and call-free. *)
-let equal a b =
-  a == b
-  ||
-  let rec go i =
-    i >= Field.count
-    || (Int.equal (Array.unsafe_get a i) (Array.unsafe_get b i) && go (i + 1))
-  in
-  go 0
+   per-packet cache probes allocation- and call-free.  A top-level loop,
+   not a local [let rec]: without flambda a local closure over [a] and [b]
+   is allocated on every call, and every key in a bucket chain pays it. *)
+let rec equal_from a b i =
+  i >= Field.count
+  || (Int.equal (Array.unsafe_get a i) (Array.unsafe_get b i) && equal_from a b (i + 1))
+
+let equal a b = a == b || equal_from a b 0
 
 let compare = Stdlib.compare
 
-(* FNV-1a over the slots; cheap and good enough for hashtable keys.
-   Accumulator-passing loop: no ref cell, no closure, one final masking.
+(* FNV-1a over the slots, then an avalanche.  FNV's multiply only carries
+   upwards, so bit k of the raw accumulator depends on bits 0..k of the
+   slots alone; [Hashtbl] buckets by the low bits and a prefix mask zeroes
+   the low bits of IP fields, so without [mix] masked keys pile into a
+   handful of buckets.  Accumulator-passing loop: no ref cell, no closure.
    [unsafe_get] is fine — length = Field.count by invariant. *)
 let rec hash_loop t i h =
-  if i >= Field.count then h land max_int
+  if i >= Field.count then Gf_util.Bitops.mix h
   else hash_loop t (i + 1) ((h lxor Array.unsafe_get t i) * 0x100000001b3)
 
 let hash t = hash_loop t 0 0x3bf29ce484222325

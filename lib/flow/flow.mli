@@ -23,8 +23,14 @@ val update : t -> (Field.t * int) list -> t
     cache-hit commit path.  [update t \[\]] is [t] itself, allocation-free. *)
 
 val equal : t -> t -> bool
+(** Slot-wise; allocation-free. *)
+
 val compare : t -> t -> int
+
 val hash : t -> int
+(** FNV-1a over the slots with a final avalanche ({!Gf_util.Bitops.mix}):
+    keys that differ only in high bits, such as prefix-masked addresses,
+    still spread over the low bits a hash table buckets by. *)
 
 val to_array : t -> int array
 (** Copy of the underlying 10-slot vector (index = [Field.index]). *)

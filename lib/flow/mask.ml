@@ -30,21 +30,19 @@ let union a b = Array.init Field.count (fun i -> a.(i) lor b.(i))
 let inter a b = Array.init Field.count (fun i -> a.(i) land b.(i))
 
 (* Physical equality first: interned masks (see [intern]) make the common
-   same-tuple comparison a single pointer check. *)
-let equal a b =
-  a == b
-  ||
-  let rec go i =
-    i >= Field.count
-    || (Int.equal (Array.unsafe_get a i) (Array.unsafe_get b i) && go (i + 1))
-  in
-  go 0
+   same-tuple comparison a single pointer check.  The slot loop is
+   top-level for the same reason as [Flow.equal]'s. *)
+let rec equal_from a b i =
+  i >= Field.count
+  || (Int.equal (Array.unsafe_get a i) (Array.unsafe_get b i) && equal_from a b (i + 1))
+
+let equal a b = a == b || equal_from a b 0
 
 let compare = Stdlib.compare
 
-(* Same accumulator-passing FNV-1a as [Flow.hash]. *)
+(* Same mixed FNV-1a as [Flow.hash]. *)
 let rec hash_loop t i h =
-  if i >= Field.count then h land max_int
+  if i >= Field.count then Gf_util.Bitops.mix h
   else hash_loop t (i + 1) ((h lxor Array.unsafe_get t i) * 0x100000001b3)
 
 let hash t = hash_loop t 0 0x3bf29ce484222325

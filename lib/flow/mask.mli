@@ -34,10 +34,13 @@ val inter : t -> t -> t
 (** Bitwise AND per field. *)
 
 val equal : t -> t -> bool
-(** Structural, with a physical-equality fast path (see {!intern}). *)
+(** Structural, with a physical-equality fast path (see {!intern});
+    allocation-free. *)
 
 val compare : t -> t -> int
+
 val hash : t -> int
+(** Mixed FNV-1a, as {!Flow.hash}. *)
 
 module Tbl : Hashtbl.S with type key = t
 (** Hash table keyed by masks using {!hash}/{!equal} (monomorphic). *)

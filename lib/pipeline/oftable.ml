@@ -98,9 +98,14 @@ let rebuild t =
       Flow.Tbl.replace tuple.entries key (List.sort rule_order (r :: existing)))
     t.rules;
   Mask.Tbl.iter (fun _ tuple -> build_field_keys tuple) by_mask;
+  (* Ties on [max_priority] break on the mask, not on [Mask.Tbl]'s
+     iteration order: [lookup]'s exclusion fold runs in this order and
+     feeds the consulted wildcard, which must not depend on any hash. *)
   t.tuples <-
     Mask.Tbl.fold (fun _ tu acc -> tu :: acc) by_mask []
-    |> List.sort (fun a b -> compare b.max_priority a.max_priority);
+    |> List.sort (fun a b ->
+           let c = compare b.max_priority a.max_priority in
+           if c <> 0 then c else Mask.compare a.mask b.mask);
   t.dirty <- false
 
 let ensure t = if t.dirty then rebuild t

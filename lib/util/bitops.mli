@@ -13,3 +13,8 @@ val popcount : int -> int
 
 val is_subset : sub:int -> super:int -> bool
 (** [is_subset ~sub ~super] iff every bit of [sub] is set in [super]. *)
+
+val mix : int -> int
+(** Avalanche finaliser for hash accumulators: every output bit depends on
+    every input bit, so hash tables bucketing by the low bits spread keys
+    that differ only in high bits.  The result is non-negative. *)

@@ -174,6 +174,41 @@ let mk_rule ?(tag_in = 0) ?(priority = 1) ?(commit = []) ~next fm =
     origin = { Ltm_rule.parent_flow = Flow.zero; length = priority; version = 0 };
   }
 
+(* Rules differing only in an ip_dst/24 pattern must spread over the
+   signature index: a hash that stops early files them all in one chain,
+   and every dedup probe walks it. *)
+let test_ltm_signature_hash_spreads () =
+  let tbl = Ltm_rule.Signature_tbl.create 64 in
+  for i = 0 to 2047 do
+    let fm =
+      Fmatch.with_prefix Fmatch.any Field.Ip_dst ~value:((10 lsl 24) lor (i lsl 8)) ~len:24
+    in
+    let rule = mk_rule ~next:(Ltm_rule.Done Action.Drop) fm in
+    Ltm_rule.Signature_tbl.replace tbl (Ltm_rule.signature rule) i
+  done;
+  let stats = Ltm_rule.Signature_tbl.stats tbl in
+  Alcotest.(check int) "2048 signatures" 2048 (Ltm_rule.Signature_tbl.length tbl);
+  Alcotest.(check bool)
+    (Printf.sprintf "longest chain %d" stats.Hashtbl.max_bucket_length)
+    true
+    (stats.Hashtbl.max_bucket_length <= 8);
+  (* Every field but [origin] takes part in the identity. *)
+  let base =
+    mk_rule ~next:(Ltm_rule.Done Action.Drop)
+      (Fmatch.with_prefix Fmatch.any Field.Ip_dst ~value:(10 lsl 24) ~len:24)
+  in
+  let mem r = Ltm_rule.Signature_tbl.mem tbl (Ltm_rule.signature r) in
+  Alcotest.(check bool) "origin ignored" true
+    (mem { base with origin = { base.Ltm_rule.origin with Ltm_rule.version = 9 } });
+  List.iter
+    (fun (what, r) -> Alcotest.(check bool) what false (mem r))
+    [
+      ("tag", { base with Ltm_rule.tag_in = 1 });
+      ("priority", { base with Ltm_rule.priority = 2 });
+      ("commit", { base with Ltm_rule.commit = [ (Field.Vlan, 1) ] });
+      ("next", { base with Ltm_rule.next = Ltm_rule.Next_tag 3 });
+    ]
+
 let test_ltm_table_tag_gating () =
   let t = Ltm_table.create ~capacity:8 in
   let fm = Fmatch.of_fields [ (Field.Vlan, 1) ] in
@@ -885,6 +920,7 @@ let suite =
     ("ltm table tag gating", `Quick, test_ltm_table_tag_gating);
     ("ltm longest traversal match", `Quick, test_ltm_table_longest_traversal_match);
     ("ltm table dedup", `Quick, test_ltm_table_dedup);
+    ("ltm signature hash spreads", `Quick, test_ltm_signature_hash_spreads);
     ("ltm table capacity", `Quick, test_ltm_table_capacity);
     ("ltm walk with tag skip (fig 5c)", `Quick, test_ltm_cache_fig5c_walk);
     ("ltm dangling tag misses", `Quick, test_ltm_cache_incomplete_walk_misses);

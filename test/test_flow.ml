@@ -250,6 +250,67 @@ let test_mask_tbl_basic () =
     (Mask.Tbl.length tbl);
   Alcotest.(check (option int)) "replaced" (Some 3) (Mask.Tbl.find_opt tbl a)
 
+(* ---------------- hash spread, allocation-free equality ---------------- *)
+
+(* Prefix-masked keys differ only in their high bits, while [Hashtbl]
+   buckets by the low bits of the hash: an unmixed FNV puts every /16 key
+   in one chain. *)
+let masked_ip_dst_keys ~len ~n ~buckets =
+  let rng = Gf_util.Rng.create 42 in
+  let mask = Mask.prefix Field.Ip_dst len in
+  let tbl = Flow.Tbl.create buckets in
+  while Flow.Tbl.length tbl < n do
+    let flow =
+      Flow.make
+        [
+          (Field.Ip_dst, Gf_util.Rng.int rng (1 lsl 32));
+          (Field.Tp_dst, Gf_util.Rng.int rng 65536);
+        ]
+    in
+    Flow.Tbl.replace tbl (Mask.apply mask flow) ()
+  done;
+  tbl
+
+let test_flow_hash_spreads_prefixes () =
+  List.iter
+    (fun (len, n, buckets) ->
+      let stats = Flow.Tbl.stats (masked_ip_dst_keys ~len ~n ~buckets) in
+      Alcotest.(check bool)
+        (Printf.sprintf "/%d: %d keys, longest chain %d" len n
+           stats.Hashtbl.max_bucket_length)
+        true
+        (stats.Hashtbl.max_bucket_length <= 8))
+    [ (16, 169, 256); (24, 576, 1024) ]
+
+let test_mask_hash_spreads_prefixes () =
+  let tbl = Mask.Tbl.create 16 in
+  for len = 0 to 32 do
+    Mask.Tbl.replace tbl (Mask.prefix Field.Ip_dst len) len
+  done;
+  let stats = Mask.Tbl.stats tbl in
+  Alcotest.(check int) "33 masks" 33 (Mask.Tbl.length tbl);
+  Alcotest.(check bool)
+    (Printf.sprintf "longest chain %d" stats.Hashtbl.max_bucket_length)
+    true
+    (stats.Hashtbl.max_bucket_length <= 8)
+
+(* Every probe of a bucket chain compares keys, so equality must not
+   allocate.  Only the two [Gc.minor_words] reads may box. *)
+let test_equal_allocation_free () =
+  let f = Flow.make [ (Field.Ip_dst, 0x0A000001); (Field.Tp_dst, 80) ] in
+  let g = rebuild_flow f in
+  let m = Mask.prefix Field.Ip_dst 24 in
+  let n = rebuild_mask m in
+  Alcotest.(check bool) "flows equal, distinct" true (Flow.equal f g && f != g);
+  Alcotest.(check bool) "masks equal, distinct" true (Mask.equal m n && m != n);
+  let before = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    ignore (Sys.opaque_identity (Flow.equal f g));
+    ignore (Sys.opaque_identity (Mask.equal m n))
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool) (Printf.sprintf "%.0f minor words" words) true (words <= 4.)
+
 let test_headers_ipv4 () =
   Alcotest.(check int) "parse" 0x0A000001 (Headers.ipv4 "10.0.0.1");
   Alcotest.(check string) "print" "10.0.0.1" (Headers.ipv4_to_string 0x0A000001);
@@ -288,6 +349,9 @@ let suite =
     ("fmatch prefix", `Quick, test_fmatch_prefix);
     ("flow update empty no copy", `Quick, test_flow_update_empty_no_copy);
     ("mask tbl basics", `Quick, test_mask_tbl_basic);
+    ("flow hash spreads prefixes", `Quick, test_flow_hash_spreads_prefixes);
+    ("mask hash spreads prefixes", `Quick, test_mask_hash_spreads_prefixes);
+    ("equal allocation-free", `Quick, test_equal_allocation_free);
     ("headers ipv4", `Quick, test_headers_ipv4);
     ("headers mac", `Quick, test_headers_mac);
     ("headers tcp", `Quick, test_headers_tcp);

@@ -410,6 +410,35 @@ let prop_unwildcard_nested_prefixes =
       done;
       !ok)
 
+(* Tuples tying on max priority are probed in an order fixed by their
+   masks, so a lookup's outcome, consulted wildcard and probe count do not
+   depend on the order rules were added (nor on any hash iteration order). *)
+let prop_lookup_insertion_order_invariant =
+  QCheck2.Test.make ~name:"oftable lookup independent of insertion order" ~count:200
+    QCheck2.Gen.(int_range 0 100_000)
+    (fun seed ->
+      let rng = Gf_util.Rng.create seed in
+      let rules =
+        Array.init 100 (fun id ->
+            (* Two priority levels: most tuples tie on max priority. *)
+            let r = pool_rule rng ~id ~action:(Action.output id) in
+            Ofrule.v ~id ~priority:(Gf_util.Rng.int rng 2) ~fmatch:r.Ofrule.fmatch
+              ~action:r.Ofrule.action)
+      in
+      let a = mk_table (Array.to_list rules) in
+      Gf_util.Rng.shuffle rng rules;
+      let b = mk_table (Array.to_list rules) in
+      List.for_all
+        (fun flow ->
+          let ra = Oftable.lookup a flow and rb = Oftable.lookup b flow in
+          (match (ra.Oftable.outcome, rb.Oftable.outcome) with
+          | `Hit x, `Hit y -> x.Ofrule.id = y.Ofrule.id
+          | `Miss, `Miss -> true
+          | `Hit _, `Miss | `Miss, `Hit _ -> false)
+          && Mask.equal ra.Oftable.consulted rb.Oftable.consulted
+          && ra.Oftable.probes = rb.Oftable.probes)
+        (List.init 50 (fun _ -> pool_flow rng)))
+
 let suite =
   [
     ("action apply_sets", `Quick, test_action_apply_sets);
@@ -432,4 +461,9 @@ let suite =
     ("builder miss chain", `Quick, test_builder_instantiate_miss_chain);
   ]
 
-let props = [ prop_unwildcard_sound; prop_unwildcard_nested_prefixes ]
+let props =
+  [
+    prop_unwildcard_sound;
+    prop_unwildcard_nested_prefixes;
+    prop_lookup_insertion_order_invariant;
+  ]
