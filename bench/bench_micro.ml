@@ -15,6 +15,10 @@ module Fmatch = Gf_flow.Fmatch
 module Action = Gf_pipeline.Action
 module Ltm_rule = Gf_core.Ltm_rule
 module Ltm_table = Gf_core.Ltm_table
+module Tss = Gf_classifier.Tss
+module Entry = Gf_classifier.Entry
+module Oftable = Gf_pipeline.Oftable
+module Pipeline = Gf_pipeline.Pipeline
 open Bechamel
 open Toolkit
 
@@ -77,6 +81,41 @@ let benchmarks () =
   done;
   (* Structurally equal, physically distinct probes, as an install plans. *)
   let ltm_probes = Array.init 2048 ltm_rule in
+  (* A mid-run caida_high LTM table: 12 tuples, each mask constraining 1-5
+     fields, ~2k entries over 4 priorities, probed with unmasked flows. *)
+  let tss_masks =
+    let p f len = Mask.prefix f len and x fs = Mask.exact_fields fs in
+    List.map
+      (List.fold_left Mask.union Mask.empty)
+      [
+        [ x [ Field.In_port ] ];
+        [ p Field.Ip_dst 24 ];
+        [ p Field.Ip_dst 16; x [ Field.Tp_dst ] ];
+        [ p Field.Ip_src 24; p Field.Ip_dst 24 ];
+        [ x [ Field.Eth_type; Field.Ip_proto; Field.Tp_dst ] ];
+        [ x [ Field.In_port; Field.Ip_dst ] ];
+        [ p Field.Ip_src 16; x [ Field.Tp_src ] ];
+        [ x [ Field.Vlan ]; p Field.Ip_dst 24 ];
+        [ x [ Field.Eth_dst; Field.Vlan ] ];
+        [ x [ Field.Ip_src; Field.Ip_dst; Field.Tp_dst ] ];
+        [ x [ Field.In_port; Field.Eth_src; Field.Eth_type; Field.Ip_proto ] ];
+        [ p Field.Ip_dst 8; x [ Field.Tp_src; Field.Tp_dst; Field.Ip_proto; Field.In_port ] ];
+      ]
+    |> Array.of_list
+  in
+  let tss = Tss.create () in
+  for i = 0 to 2047 do
+    let mask = tss_masks.(i mod Array.length tss_masks) in
+    let pattern = flows.(i * 3 mod Array.length flows) in
+    Tss.insert tss
+      (Entry.v ~key:i ~fmatch:(Fmatch.v ~pattern ~mask) ~priority:(1 + (i mod 4)) ())
+  done;
+  let oftables = Array.of_list (Pipeline.tables pipeline) in
+  let table_idx = ref 0 in
+  let next_table () =
+    table_idx := (!table_idx + 1) mod Array.length oftables;
+    oftables.(!table_idx)
+  in
   let idx = ref 0 in
   let next arr =
     idx := (!idx + 1) land 0xFFFF;
@@ -89,6 +128,10 @@ let benchmarks () =
       (Staged.stage (fun () -> ignore (Megaflow.lookup mf ~now:1.0 (next flows))));
     Test.make ~name:"gigaflow: LTM cache walk"
       (Staged.stage (fun () -> ignore (Gigaflow.lookup gf ~now:1.0 ~pipeline (next flows))));
+    Test.make ~name:"tss: lookup, 12 tuples ~2k entries"
+      (Staged.stage (fun () -> ignore (Tss.lookup tss (next flows))));
+    Test.make ~name:"oftable: lookup (PSC)"
+      (Staged.stage (fun () -> ignore (Oftable.lookup (next_table ()) (next flows))));
     Test.make ~name:"flow tbl: find_opt, ip_dst/24-masked keys"
       (Staged.stage (fun () -> ignore (Flow.Tbl.find_opt masked_tbl (next masked_flows))));
     Test.make ~name:"ltm table: find_identical, 2k rules one table"

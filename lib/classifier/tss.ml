@@ -1,6 +1,7 @@
 module Flow = Gf_flow.Flow
 module Mask = Gf_flow.Mask
 module Fmatch = Gf_flow.Fmatch
+module Masked_tbl = Gf_flow.Masked_tbl
 
 (* Tuples are threaded onto an intrusive doubly-linked list ([rank_prev] /
    [rank_next]) holding the hit-frequency order used by [lookup_first]:
@@ -9,7 +10,7 @@ module Fmatch = Gf_flow.Fmatch
    ([List.filter]). *)
 type 'a tuple = {
   mask : Mask.t;
-  buckets : 'a Entry.t list Flow.Tbl.t; (* best-first lists *)
+  buckets : 'a Entry.t list Masked_tbl.t; (* best-first lists *)
   mutable max_priority : int;
   mutable max_stale : bool;
       (* [max_priority] may exceed the true max after a removal; [ensure]
@@ -26,7 +27,6 @@ type 'a t = {
   mutable rank_head : 'a tuple option; (* hit-frequency order (first-match mode) *)
   mutable rank_tail : 'a tuple option;
   mutable dirty : bool;
-  scratch : Flow.Scratch.t; (* transient masked-key buffer for lookups *)
 }
 
 let algorithm = "tss"
@@ -39,7 +39,6 @@ let create () =
     rank_head = None;
     rank_tail = None;
     dirty = false;
-    scratch = Flow.Scratch.create ();
   }
 
 let rank_append t tu =
@@ -85,7 +84,7 @@ let insert t entry =
         let tu =
           {
             mask;
-            buckets = Flow.Tbl.create 32;
+            buckets = Masked_tbl.create mask 32;
             max_priority = min_int;
             max_stale = false;
             count = 0;
@@ -98,19 +97,18 @@ let insert t entry =
         tu
   in
   let key = Fmatch.pattern entry.Entry.fmatch in
-  let existing = Option.value ~default:[] (Flow.Tbl.find_opt tuple.buckets key) in
-  Flow.Tbl.replace tuple.buckets key (List.sort entry_order (entry :: existing));
+  let existing = Option.value ~default:[] (Masked_tbl.find_opt tuple.buckets key) in
+  Masked_tbl.replace tuple.buckets key (List.sort entry_order (entry :: existing));
   tuple.count <- tuple.count + 1;
   if entry.Entry.priority > tuple.max_priority then tuple.max_priority <- entry.Entry.priority;
   t.dirty <- true
 
 let recompute_max tuple =
-  let m = ref min_int in
-  Flow.Tbl.iter
-    (fun _ entries ->
-      List.iter (fun (e : 'a Entry.t) -> if e.priority > !m then m := e.priority) entries)
-    tuple.buckets;
-  tuple.max_priority <- !m;
+  tuple.max_priority <-
+    Masked_tbl.fold
+      (fun _ entries m ->
+        List.fold_left (fun m (e : 'a Entry.t) -> max m e.priority) m entries)
+      tuple.buckets min_int;
   tuple.max_stale <- false
 
 let remove t key =
@@ -123,12 +121,12 @@ let remove t key =
       | None -> ()
       | Some tuple ->
           let bucket_key = Fmatch.pattern entry.Entry.fmatch in
-          (match Flow.Tbl.find_opt tuple.buckets bucket_key with
+          (match Masked_tbl.find_opt tuple.buckets bucket_key with
           | None -> ()
           | Some entries ->
               let remaining = List.filter (fun (e : 'a Entry.t) -> e.key <> key) entries in
-              if remaining = [] then Flow.Tbl.remove tuple.buckets bucket_key
-              else Flow.Tbl.replace tuple.buckets bucket_key remaining);
+              if remaining = [] then Masked_tbl.remove tuple.buckets bucket_key
+              else Masked_tbl.replace tuple.buckets bucket_key remaining);
           tuple.count <- tuple.count - 1;
           if tuple.count <= 0 then begin
             Mask.Tbl.remove t.tuples mask;
@@ -156,51 +154,49 @@ let ensure t =
     t.dirty <- false
   end
 
+(* Top-level probe loops: a local [let rec] closing over [flow] would be
+   allocated on every lookup. *)
+let rec lookup_from flow tuples best probes =
+  match tuples with
+  | [] -> (best, probes)
+  | tuple :: rest -> (
+      match best with
+      | Some (b : 'a Entry.t) when b.priority > tuple.max_priority -> (best, probes)
+      | _ ->
+          let candidate =
+            match Masked_tbl.find_opt tuple.buckets flow with
+            | Some (e :: _) -> Some e
+            | Some [] | None -> None
+          in
+          let best =
+            match (best, candidate) with
+            | None, c -> c
+            | b, None -> b
+            | Some b, Some c -> if Entry.better c b then candidate else best
+          in
+          lookup_from flow rest best (probes + 1))
+
 let lookup t flow =
   ensure t;
-  let rec go tuples best probes =
-    match tuples with
-    | [] -> (best, probes)
-    | tuple :: rest -> (
-        match best with
-        | Some (b : 'a Entry.t) when b.priority > tuple.max_priority -> (best, probes)
-        | _ ->
-            let probes = probes + 1 in
-            let key = Mask.apply_scratch tuple.mask flow t.scratch in
-            let candidate =
-              match Flow.Tbl.find_opt tuple.buckets key with
-              | Some (e :: _) -> Some e
-              | Some [] | None -> None
-            in
-            let best =
-              match (best, candidate) with
-              | None, c -> c
-              | b, None -> b
-              | Some b, Some c -> if Entry.better c b then Some c else Some b
-            in
-            go rest best probes)
-  in
-  go t.ordered None 0
+  lookup_from flow t.ordered None 0
 
 (* First-match walk over hit-frequency-ranked tuples: sound when entries are
    pairwise disjoint (at most one can match), which Megaflow guarantees by
    construction.  A hit promotes its tuple to the front (O(1) on the
    intrusive list), so hot tuples are probed first — the ranked-subtable
    optimisation of OVS's dpcls. *)
-let lookup_first t flow =
-  let rec go node probes =
-    match node with
-    | None -> (None, probes)
-    | Some tuple -> (
-        let probes = probes + 1 in
-        let key = Mask.apply_scratch tuple.mask flow t.scratch in
-        match Flow.Tbl.find_opt tuple.buckets key with
-        | Some (e :: _) ->
-            rank_promote t tuple;
-            (Some e, probes)
-        | Some [] | None -> go tuple.rank_next probes)
-  in
-  go t.rank_head 0
+let rec first_from t flow node probes =
+  match node with
+  | None -> (None, probes)
+  | Some tuple -> (
+      let probes = probes + 1 in
+      match Masked_tbl.find_opt tuple.buckets flow with
+      | Some (e :: _) ->
+          rank_promote t tuple;
+          (Some e, probes)
+      | Some [] | None -> first_from t flow tuple.rank_next probes)
+
+let lookup_first t flow = first_from t flow t.rank_head 0
 
 (* Replay support for memoised first-match lookups: recompute the probe
    count a live [lookup_first] would pay {e right now} to reach [entry]'s

@@ -1,7 +1,8 @@
 (** Tuple Space Search (Srinivasan, Suri & Varghese, SIGCOMM'99).
 
-    Entries are grouped by mask into tuples; each tuple is a hash table from
-    the pre-masked pattern to its best entry.  Lookup probes tuples in
+    Entries are grouped by mask into tuples; each tuple is a
+    {!Gf_flow.Masked_tbl} from the masked pattern to its entries, probed
+    with the unmasked flow.  Lookup probes tuples in
     decreasing max-priority order and stops as soon as the current winner
     strictly out-prioritises every remaining tuple.  Work units = tuples
     probed (the O(M) cost the paper and NuevoMatch target). *)

@@ -67,40 +67,39 @@ let table_occupancies t = Array.map Ltm_table.occupancy t.tables
 let available_tables t =
   Array.fold_left (fun acc table -> if Ltm_table.is_full table then acc else acc + 1) 0 t.tables
 
-let apply_commit commit flow =
-  List.fold_left (fun f (field, v) -> Flow.set f field v) flow commit
+(* The LTM walk from table [i] on: the hit (if the chain completes), the
+   work so far and the matched entries, most recent first.  A top-level
+   loop, so a lookup allocates no closure. *)
+let rec walk tables ~now i tag flow work matched =
+  if i >= Array.length tables then (None, work, matched)
+  else begin
+    let stored, w = Ltm_table.lookup tables.(i) ~tag flow in
+    let work = work + w in
+    match stored with
+    | None -> walk tables ~now (i + 1) tag flow work matched
+    | Some s -> (
+        s.Ltm_table.last_used <- now;
+        let matched = s :: matched in
+        let rule = s.Ltm_table.rule in
+        let flow = Flow.update flow rule.Ltm_rule.commit in
+        match rule.Ltm_rule.next with
+        | Ltm_rule.Done terminal ->
+            let tables_matched = List.length matched in
+            (Some { terminal; out_flow = flow; tables_matched }, work, matched)
+        | Ltm_rule.Next_tag tag -> walk tables ~now (i + 1) tag flow work matched)
+  end
 
 let lookup_core t ~now ~entry_tag flow =
-  let k = Array.length t.tables in
-  let matched_entries = ref [] in
-  let rec walk i tag flow matched work =
-    if i >= k then (None, work)
-    else begin
-      let stored, w = Ltm_table.lookup t.tables.(i) ~tag flow in
-      let work = work + w in
-      match stored with
-      | None -> walk (i + 1) tag flow matched work
-      | Some s -> (
-          s.Ltm_table.last_used <- now;
-          matched_entries := s :: !matched_entries;
-          let rule = s.Ltm_table.rule in
-          let flow = apply_commit rule.Ltm_rule.commit flow in
-          match rule.Ltm_rule.next with
-          | Ltm_rule.Done terminal ->
-              (Some { terminal; out_flow = flow; tables_matched = matched + 1 }, work)
-          | Ltm_rule.Next_tag tag -> walk (i + 1) tag flow (matched + 1) work)
-    end
-  in
-  let result, work = walk 0 entry_tag flow 0 0 in
+  let result, work, matched_entries = walk t.tables ~now 0 entry_tag flow 0 [] in
   (* Completion recency: only full traversals refresh [last_hit], so a dead
      chain prefix that every miss still touches goes cold in the eyes of
      the replacement policies (it keeps its [last_used] touches for idle
      expiry, preserving legacy expiry behaviour). *)
   if Option.is_some result then
-    List.iter (fun s -> s.Ltm_table.last_hit <- now) !matched_entries;
+    List.iter (fun s -> s.Ltm_table.last_hit <- now) matched_entries;
   Cache_stats.record_lookup t.stats ~hit:(Option.is_some result);
-  t.last_depth <- List.length !matched_entries;
-  (result, work, !matched_entries)
+  t.last_depth <- List.length matched_entries;
+  (result, work, matched_entries)
 
 let lookup t ~now ~entry_tag flow =
   let result, work, _ = lookup_core t ~now ~entry_tag flow in

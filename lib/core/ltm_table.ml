@@ -14,9 +14,19 @@ type stored = {
   mutable shares : int;
 }
 
+(* Tags are small ints: the identity hash spreads them, and a functor
+   table compares them inline where polymorphic [Hashtbl] calls C
+   [caml_hash] on every per-packet find. *)
+module Tag_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash t = t land max_int
+end)
+
 type t = {
   capacity : int;
-  by_tag : (int, stored Tss.t) Hashtbl.t;
+  by_tag : stored Tss.t Tag_tbl.t;
       (* exact match on the tag = one classifier per tag value *)
   by_signature : stored Ltm_rule.Signature_tbl.t;
   by_key : (int, stored) Hashtbl.t;
@@ -27,7 +37,7 @@ let create ~capacity =
   if capacity < 1 then invalid_arg "Ltm_table.create: capacity must be >= 1";
   {
     capacity;
-    by_tag = Hashtbl.create 16;
+    by_tag = Tag_tbl.create 16;
     by_signature = Ltm_rule.Signature_tbl.create 64;
     by_key = Hashtbl.create 64;
     next_key = 0;
@@ -38,7 +48,7 @@ let occupancy t = Hashtbl.length t.by_key
 let is_full t = occupancy t >= t.capacity
 
 let lookup t ~tag flow =
-  match Hashtbl.find_opt t.by_tag tag with
+  match Tag_tbl.find_opt t.by_tag tag with
   | None -> (None, 1)
   | Some classifier ->
       let result, work = Tss.lookup classifier flow in
@@ -53,11 +63,11 @@ let insert t ~now rule =
   t.next_key <- key + 1;
   let stored = { rule; key; last_used = now; last_hit = now; shares = 1 } in
   let classifier =
-    match Hashtbl.find_opt t.by_tag rule.Ltm_rule.tag_in with
+    match Tag_tbl.find_opt t.by_tag rule.Ltm_rule.tag_in with
     | Some c -> c
     | None ->
         let c = Tss.create () in
-        Hashtbl.add t.by_tag rule.Ltm_rule.tag_in c;
+        Tag_tbl.add t.by_tag rule.Ltm_rule.tag_in c;
         c
   in
   Tss.insert classifier
@@ -72,7 +82,7 @@ let remove t stored =
   | Some s ->
       Hashtbl.remove t.by_key s.key;
       Ltm_rule.Signature_tbl.remove t.by_signature (Ltm_rule.signature s.rule);
-      (match Hashtbl.find_opt t.by_tag s.rule.Ltm_rule.tag_in with
+      (match Tag_tbl.find_opt t.by_tag s.rule.Ltm_rule.tag_in with
       | Some classifier -> ignore (Tss.remove classifier s.key)
       | None -> ())
 

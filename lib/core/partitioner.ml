@@ -42,22 +42,76 @@ let coherent fieldsets ~first ~last =
       done;
       List.for_all (Hashtbl.mem visited) idxs
 
+(* Union-find root with path compression, over field indices. *)
+let rec find parent i =
+  let p = parent.(i) in
+  if p = i then i
+  else begin
+    let r = find parent p in
+    parent.(i) <- r;
+    r
+  end
+
 (* Per-(first, last) segment score and tie-break penalty, precomputed.
    Score: length when the segment is coherent, 0 otherwise.  Penalty: the
    wildcard bits an incoherent segment's cache entry would carry — used to
-   pick the least constraining merge when K forces boundary crossings. *)
+   pick the least constraining merge when K forces boundary crossings.
+
+   Each row [first] is filled as [last] grows, reading each step's
+   wildcard slots once per cell:
+   - coherence is a union-find over fields.  A step joins all the fields it
+     consults, so two steps are connected through shared fields exactly when
+     their fields share a root, and the segment is [coherent] iff the fields
+     consulted so far form at most one group;
+   - the penalty is [Traversal.wildcard_of_steps]'s running union under the
+     same overwrite rule, with its [Mask.bits] kept up to date slot by slot. *)
 let tables_of traversal =
-  let n = Traversal.length traversal in
-  let fieldsets = step_fieldsets traversal in
+  let steps = traversal.Traversal.steps in
+  let n = Array.length steps in
+  let writes =
+    Array.map
+      (fun s ->
+        List.fold_left
+          (fun b (f, _) -> b lor (1 lsl Field.index f))
+          0 s.Traversal.action.Gf_pipeline.Action.set_fields)
+      steps
+  in
   let score = Array.make_matrix n n 0 in
   let penalty = Array.make_matrix n n 0 in
+  let parent = Array.make Field.count 0 in
+  let union = Array.make Field.count 0 in
   for first = 0 to n - 1 do
+    for i = 0 to Field.count - 1 do
+      parent.(i) <- i;
+      union.(i) <- 0
+    done;
+    let seen = ref 0 and groups = ref 0 and overwritten = ref 0 and bits = ref 0 in
     for last = first to n - 1 do
-      if coherent fieldsets ~first ~last then
-        score.(first).(last) <- last - first + 1
-      else
-        penalty.(first).(last) <-
-          Mask.bits (Traversal.segment_wildcard traversal ~first ~last)
+      let w = steps.(last).Traversal.wildcard in
+      let root = ref (-1) in
+      for i = 0 to Field.count - 1 do
+        let v = Mask.slot w i in
+        if v <> 0 then begin
+          if !seen land (1 lsl i) = 0 then begin
+            seen := !seen lor (1 lsl i);
+            incr groups
+          end;
+          let r = find parent i in
+          if !root < 0 then root := r
+          else if r <> !root then begin
+            parent.(r) <- !root;
+            decr groups
+          end;
+          let u = union.(i) in
+          if !overwritten land (1 lsl i) = 0 && v lor u <> u then begin
+            bits := !bits + Gf_util.Bitops.popcount (v land lnot u);
+            union.(i) <- v lor u
+          end
+        end
+      done;
+      overwritten := !overwritten lor writes.(last);
+      if !groups <= 1 then score.(first).(last) <- last - first + 1
+      else penalty.(first).(last) <- !bits
     done
   done;
   (score, penalty)
@@ -137,7 +191,7 @@ let one_to_one ~n ~max_segments =
 let partition ?rng scheme ~max_segments traversal =
   if max_segments < 1 then invalid_arg "Partitioner.partition: max_segments < 1";
   let n = Traversal.length traversal in
-  assert (n > 0);
+  if n = 0 then invalid_arg "Partitioner.partition: empty traversal";
   if n = 1 then [ { first = 0; last = 0 } ]
   else
     match scheme with

@@ -32,14 +32,14 @@ type segment = { first : int; last : int }
 val segment_length : segment -> int
 
 val step_fieldsets : Gf_pipeline.Traversal.t -> Gf_flow.Field.Set.t array
-(** The consulted-field set of each lookup — the input to coherence
-    scoring. *)
+(** The consulted-field set of each lookup — the input to {!coherent}. *)
 
 val coherent : Gf_flow.Field.Set.t array -> first:int -> last:int -> bool
 (** True when the segment's steps form a connected overlap graph (an edge
     joins two steps sharing a consulted field): the segment does not cross a
     disjoint-field boundary. Empty-field steps (pure default hops) connect
-    to anything — they constrain no header bits. *)
+    to anything — they constrain no header bits.  The reference definition:
+    the partition tables compute the same predicate incrementally. *)
 
 val evaluate : Gf_pipeline.Traversal.t -> segment list -> int * int
 (** [(score, penalty)]: score = sum over segments of (length if coherent
@@ -52,7 +52,8 @@ val partition :
   Gf_pipeline.Traversal.t ->
   segment list
 (** Cut the traversal into 1..max_segments contiguous segments covering all
-    steps.  [max_segments] must be >= 1.  [rng] is required for [Random].
+    steps.  Raises [Invalid_argument] on an empty traversal, when
+    [max_segments] < 1, or for [Random] without [rng].
     For [Disjoint] the result maximises score, then minimises penalty, then
     segment count.  O(N^2 K) dynamic program (N <= 256). *)
 

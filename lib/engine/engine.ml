@@ -160,7 +160,7 @@ let replay ?telemetry ?(batch_size = default_batch_size)
     if Array.length shard_telemetry = 0 then None else Some shard_telemetry.(i)
   in
   (* Replicate the pipeline in the parent, before any domain runs (table
-     lookups mutate scratch buffers and lazily-built indexes). *)
+     lookups mutate lazily-built indexes). *)
   let datapaths =
     Array.init domains (fun i ->
         Datapath.create ?telemetry:(telemetry_of i) cfg (Pipeline.copy pipeline))

@@ -51,6 +51,8 @@ let rec hash_loop t i h =
 
 let hash t = hash_loop t 0 0x3bf29ce484222325
 
+let slot t i = t.(i)
+
 let to_array t = Array.copy t
 
 let of_array a =
@@ -81,15 +83,3 @@ let pp fmt t =
   if !first then Format.pp_print_string fmt "<zero>"
 
 let to_string t = Format.asprintf "%a" pp t
-
-module Scratch = struct
-  type nonrec t = int array
-
-  let create () = Array.make Field.count 0
-
-  let fill_masked s ~mask flow =
-    for i = 0 to Field.count - 1 do
-      s.(i) <- mask.(i) land flow.(i)
-    done;
-    s
-end

@@ -32,6 +32,10 @@ val hash : t -> int
     keys that differ only in high bits, such as prefix-masked addresses,
     still spread over the low bits a hash table buckets by. *)
 
+val slot : t -> int -> int
+(** [slot t i] is [get t (Field.of_index i)] without the field lookup — the
+    accessor of index-compiled probes such as {!Masked_tbl}. *)
+
 val to_array : t -> int array
 (** Copy of the underlying 10-slot vector (index = [Field.index]). *)
 
@@ -52,20 +56,3 @@ val pp : Format.formatter -> t -> unit
 (** Prints only non-zero fields, e.g. [eth_dst=0x2 ip_dst=0xa000001]. *)
 
 val to_string : t -> string
-
-(** Reusable flow buffer for allocation-free hot paths (classifier probes).
-
-    A scratch's {!Scratch.view} aliases mutable storage: it is only valid
-    until the next fill and must never be stored (e.g. never inserted as a
-    hash-table key) — only used for transient structural lookups. *)
-module Scratch : sig
-  type flow := t
-  type t
-
-  val create : unit -> t
-
-  val fill_masked : t -> mask:int array -> flow -> flow
-  (** [fill_masked s ~mask f] stores the per-field AND of [mask] and [f]
-      into [s] and returns the aliased view. [mask] must have length
-      {!Field.count} (see [Mask.apply_scratch] for the checked wrapper). *)
-end

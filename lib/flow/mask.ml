@@ -20,6 +20,7 @@ let exact_fields fields =
 let prefix f len = make [ (f, Gf_util.Bitops.prefix_mask ~width:(Field.width f) len) ]
 
 let get t f = t.(Field.index f)
+let slot t i = t.(i)
 
 let set t f v =
   let a = Array.copy t in
@@ -93,8 +94,6 @@ let subsumes ~loose ~tight =
   go 0
 
 let apply t flow = Flow.land_array flow t
-
-let apply_scratch t flow scratch = Flow.Scratch.fill_masked scratch ~mask:t flow
 
 let matches t ~pattern flow =
   let rec go i =

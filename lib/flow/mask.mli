@@ -26,6 +26,10 @@ val prefix : Field.t -> int -> t
 val get : t -> Field.t -> int
 val set : t -> Field.t -> int -> t
 
+val slot : t -> int -> int
+(** [slot t i] is [get t (Field.of_index i)] without the field lookup, as
+    {!Flow.slot}. *)
+
 val union : t -> t -> t
 (** Bitwise OR per field — combining the wildcards of the tables in a
     sub-traversal. *)
@@ -71,10 +75,6 @@ val subsumes : loose:t -> tight:t -> bool
 val apply : t -> Flow.t -> Flow.t
 (** [apply m f] keeps only the significant bits of [f] (the paper's
     match-predicate construction: predicate = flow AND wildcard). *)
-
-val apply_scratch : t -> Flow.t -> Flow.Scratch.t -> Flow.t
-(** Allocation-free {!apply} into a reusable buffer; the result aliases the
-    scratch (see {!Flow.Scratch}) and is only for transient lookups. *)
 
 val matches : t -> pattern:Flow.t -> Flow.t -> bool
 (** [matches m ~pattern f] iff [f] agrees with [pattern] on every significant

@@ -2,6 +2,7 @@ module Field = Gf_flow.Field
 module Flow = Gf_flow.Flow
 module Mask = Gf_flow.Mask
 module Fmatch = Gf_flow.Fmatch
+module Masked_tbl = Gf_flow.Masked_tbl
 
 (* One tuple of the search: all rules sharing a mask.  [field_keys] holds,
    per masked field, the sorted distinct key values present — the index the
@@ -9,7 +10,7 @@ module Fmatch = Gf_flow.Fmatch
 type tuple = {
   mask : Mask.t;
   mutable max_priority : int;
-  entries : Ofrule.t list Flow.Tbl.t;
+  entries : Ofrule.t list Masked_tbl.t;
   mutable field_keys : (int * int array) list; (* (field index, sorted keys) *)
 }
 
@@ -21,7 +22,6 @@ type t = {
   rules : (int, Ofrule.t) Hashtbl.t;
   mutable tuples : tuple list; (* sorted by max_priority desc *)
   mutable dirty : bool;
-  scratch : Flow.Scratch.t; (* transient masked-key buffer for lookups *)
 }
 
 type lookup_result = {
@@ -41,7 +41,6 @@ let create ~id ~name ~match_fields ~miss =
     rules = Hashtbl.create 64;
     tuples = [];
     dirty = false;
-    scratch = Flow.Scratch.create ();
   }
 
 let id t = t.id
@@ -59,7 +58,7 @@ let rules t =
   Hashtbl.fold (fun _ r acc -> r :: acc) t.rules [] |> List.sort rule_order
 
 let build_field_keys tuple =
-  let keys = Flow.Tbl.fold (fun key _ acc -> key :: acc) tuple.entries [] in
+  let keys = Masked_tbl.fold (fun key _ acc -> key :: acc) tuple.entries [] in
   tuple.field_keys <-
     List.filter_map
       (fun f ->
@@ -85,7 +84,7 @@ let rebuild t =
               {
                 mask;
                 max_priority = min_int;
-                entries = Flow.Tbl.create 32;
+                entries = Masked_tbl.create mask 32;
                 field_keys = [];
               }
             in
@@ -94,8 +93,8 @@ let rebuild t =
       in
       if r.priority > tuple.max_priority then tuple.max_priority <- r.priority;
       let key = Fmatch.pattern r.fmatch in
-      let existing = Option.value ~default:[] (Flow.Tbl.find_opt tuple.entries key) in
-      Flow.Tbl.replace tuple.entries key (List.sort rule_order (r :: existing)))
+      let existing = Option.value ~default:[] (Masked_tbl.find_opt tuple.entries key) in
+      Masked_tbl.replace tuple.entries key (List.sort rule_order (r :: existing)))
     t.rules;
   Mask.Tbl.iter (fun _ tuple -> build_field_keys tuple) by_mask;
   (* Ties on [max_priority] break on the mask, not on [Mask.Tbl]'s
@@ -111,9 +110,9 @@ let rebuild t =
 let ensure t = if t.dirty then rebuild t
 
 (* Independent replica for a parallel-replay domain: shares the (immutable)
-   rules but owns its search state — tuple tables, lazy-rebuild flag and the
-   scratch probe buffer are all mutated during lookups, so replicas must not
-   share them across domains. *)
+   rules but owns its search state — the tuple tables and lazy-rebuild flag
+   are mutated during lookups, so replicas must not share them across
+   domains. *)
 let copy t =
   {
     id = t.id;
@@ -123,7 +122,6 @@ let copy t =
     rules = Hashtbl.copy t.rules;
     tuples = [];
     dirty = true;
-    scratch = Flow.Scratch.create ();
   }
 
 let add_rule t (r : Ofrule.t) =
@@ -285,9 +283,8 @@ let lookup t flow =
             (best, probed, probes)
         | _ ->
             let probes = probes + 1 in
-            let key = Mask.apply_scratch tuple.mask flow t.scratch in
             let candidate =
-              match Flow.Tbl.find_opt tuple.entries key with
+              match Masked_tbl.find_opt tuple.entries flow with
               | Some (r :: _) -> Some r
               | Some [] | None -> None
             in
@@ -295,7 +292,7 @@ let lookup t flow =
               match (best, candidate) with
               | None, c -> c
               | b, None -> b
-              | Some b, Some c -> if rule_order c b < 0 then Some c else Some b
+              | Some b, Some c -> if rule_order c b < 0 then candidate else best
             in
             go rest best (tuple :: probed) probes)
   in

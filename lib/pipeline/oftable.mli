@@ -54,7 +54,7 @@ val find_rule : t -> int -> Ofrule.t option
 
 val copy : t -> t
 (** Independent replica sharing the (immutable) rules but owning its search
-    state (tuple tables, scratch buffers) — safe to use from another domain
+    state (tuple tables, lazy rebuild) — safe to use from another domain
     while the original keeps serving lookups.  See {!Pipeline.copy}. *)
 
 val lookup : t -> Gf_flow.Flow.t -> lookup_result

@@ -23,8 +23,8 @@ let name t = t.name
 let entry t = t.entry
 let version t = t.version
 
-(* Per-domain replica for parallel replay: table lookups mutate scratch
-   buffers and lazily-rebuilt tuple indexes, so domains must not share
+(* Per-domain replica for parallel replay: table lookups mutate
+   lazily-rebuilt tuple indexes, so domains must not share
    [Oftable.t]s.  Rule records themselves are immutable and stay shared.
    Preserves [version] (cache entries installed from the replica carry the
    same revalidation version) and [next_rule_id]. *)

@@ -16,7 +16,7 @@ val version : t -> int
 
 val copy : t -> t
 (** Independent replica for a parallel-replay domain: same tables, rules and
-    version, but private lookup state (tuple indexes, scratch buffers) so
+    version, but private lookup state (lazily rebuilt tuple indexes) so
     concurrent replays never race.  Rule mutations on either side are not
     seen by the other. *)
 

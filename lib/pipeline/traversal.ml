@@ -34,7 +34,8 @@ let step_fields s = Mask.fields s.wildcard
    atomically (set-field replaces the whole field), so per-field tracking is
    exact. *)
 let wildcard_of_steps steps ~first ~last =
-  assert (first >= 0 && last < Array.length steps && first <= last);
+  if not (first >= 0 && last < Array.length steps && first <= last) then
+    invalid_arg "Traversal.wildcard_of_steps: segment out of range";
   let overwritten = ref Field.Set.empty in
   let acc = ref Mask.empty in
   for k = first to last do
@@ -58,7 +59,8 @@ let megaflow_wildcard t = segment_wildcard t ~first:0 ~last:(Array.length t.step
    set a field to the value the parent flow already carried, and the rewrite
    must still be replayed for other packets matching the cached entry. *)
 let commit_of_steps steps ~first ~last =
-  assert (first >= 0 && last < Array.length steps && first <= last);
+  if not (first >= 0 && last < Array.length steps && first <= last) then
+    invalid_arg "Traversal.commit_of_steps: segment out of range";
   let written = Array.make Field.count None in
   for k = first to last do
     List.iter

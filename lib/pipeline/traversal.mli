@@ -53,10 +53,12 @@ val segment_wildcard : t -> first:int -> last:int -> Gf_flow.Mask.t
 
 val wildcard_of_steps : step array -> first:int -> last:int -> Gf_flow.Mask.t
 (** {!segment_wildcard} on a bare step array (used by revalidation, which
-    re-traces only a prefix and has no complete traversal). *)
+    re-traces only a prefix and has no complete traversal).  Raises
+    [Invalid_argument] unless [0 <= first <= last < Array.length steps]. *)
 
 val commit_of_steps : step array -> first:int -> last:int -> (Gf_flow.Field.t * int) list
-(** {!segment_commit} on a bare step array. *)
+(** {!segment_commit} on a bare step array; the same range check as
+    {!wildcard_of_steps}. *)
 
 val segment_commit : t -> first:int -> last:int -> (Gf_flow.Field.t * int) list
 (** The paper's "commit" (section 4.2.3): the header rewrites a cache entry

@@ -6,9 +6,18 @@ let prefix_mask ~width len =
   assert (len >= 0 && len <= width);
   mask_of_width width land lnot (mask_of_width (width - len))
 
-let popcount n =
-  let rec go n acc = if n = 0 then acc else go (n lsr 1) (acc + (n land 1)) in
-  go n 0
+(* Set bits of each byte value; [popcount] reads its argument a byte at a
+   time (at most 8 steps for a 63-bit int, 6 for a MAC). *)
+let byte_bits =
+  String.init 256 (fun i ->
+      let rec go n acc = if n = 0 then acc else go (n lsr 1) (acc + (n land 1)) in
+      Char.chr (go i 0))
+
+let rec popcount_from n acc =
+  if n = 0 then acc
+  else popcount_from (n lsr 8) (acc + Char.code (String.unsafe_get byte_bits (n land 0xff)))
+
+let popcount n = popcount_from n 0
 
 let is_subset ~sub ~super = sub land super = sub
 

@@ -9,7 +9,7 @@ val prefix_mask : width:int -> int -> int
     [prefix_mask ~width:32 24 = 0xFFFFFF00]. *)
 
 val popcount : int -> int
-(** Number of set bits. *)
+(** Number of set bits, over all 63 bits of a negative argument too. *)
 
 val is_subset : sub:int -> super:int -> bool
 (** [is_subset ~sub ~super] iff every bit of [sub] is set in [super]. *)

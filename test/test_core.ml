@@ -103,6 +103,71 @@ let prop_partition_optimal =
           let bscore, bpenalty, bsegs = Partitioner.brute_force_best tr ~max_segments:k in
           score = bscore && penalty = bpenalty && List.length segments = bsegs)
 
+(* A synthetic traversal of [n] steps over a few fields, so coherence,
+   incoherence and overwrites all occur: each step consults 0-3 fields
+   under full or prefix masks and its action overwrites 0-2 fields. *)
+let random_steps_traversal rng n =
+  let pool = [| Field.In_port; Field.Vlan; Field.Ip_src; Field.Ip_dst; Field.Tp_dst |] in
+  let step table_id =
+    let fields = List.init (Gf_util.Rng.int rng 4) (fun _ -> Gf_util.Rng.pick rng pool) in
+    let wildcard =
+      Mask.make
+        (List.map
+           (fun f ->
+             let width = Field.width f in
+             (f, Gf_util.Bitops.prefix_mask ~width (1 + Gf_util.Rng.int rng width)))
+           fields)
+    in
+    let set_fields =
+      List.init (Gf_util.Rng.int rng 3) (fun _ -> (Gf_util.Rng.pick rng pool, 1))
+    in
+    {
+      Traversal.table_id;
+      outcome = `Table_miss;
+      action = Action.goto ~set_fields (table_id + 1);
+      wildcard;
+      flow_in = Flow.zero;
+      flow_out = Flow.zero;
+      probes = 1;
+    }
+  in
+  {
+    Traversal.input = Flow.zero;
+    steps = Array.init n step;
+    terminal = Action.Drop;
+    output = Flow.zero;
+  }
+
+(* Property: the incremental partition tables agree with the definition on
+   every single segment — length if [coherent], else 0, plus the wildcard
+   bits of an incoherent segment.  [prop_partition_optimal] cannot see a
+   table bug: the DP and [brute_force_best] read the same tables. *)
+let prop_partition_tables_definition =
+  QCheck2.Test.make ~name:"partition tables = definition" ~count:200
+    QCheck2.Gen.(pair (int_range 0 100_000) (int_range 1 12))
+    (fun (seed, n) ->
+      let tr = random_steps_traversal (Gf_util.Rng.create seed) n in
+      let fieldsets = Partitioner.step_fieldsets tr in
+      List.for_all
+        (fun first ->
+          List.for_all
+            (fun last ->
+              let expected =
+                if Partitioner.coherent fieldsets ~first ~last then (last - first + 1, 0)
+                else (0, Mask.bits (Traversal.segment_wildcard tr ~first ~last))
+              in
+              Partitioner.evaluate tr [ { Partitioner.first; last } ] = expected)
+            (List.init (n - first) (fun k -> first + k)))
+        (List.init n Fun.id))
+
+let test_partition_rejects_empty () =
+  let tr = random_steps_traversal (Gf_util.Rng.create 5) 3 in
+  Alcotest.check_raises "empty traversal"
+    (Invalid_argument "Partitioner.partition: empty traversal") (fun () ->
+      ignore
+        (Partitioner.partition Partitioner.Disjoint ~max_segments:2
+           { tr with Traversal.steps = [||] }))
+
 let test_one_to_one_shape () =
   let rng = Gf_util.Rng.create 31 in
   let p = random_pipeline rng ~tables:5 ~rules_per_table:8 in
@@ -915,6 +980,7 @@ let suite =
   [
     ("coherence", `Quick, test_coherent);
     ("one-to-one shape", `Quick, test_one_to_one_shape);
+    ("partition rejects empty", `Quick, test_partition_rejects_empty);
     ("rulegen structure", `Quick, test_rulegen_structure);
     ("rulegen rejects bad partitions", `Quick, test_rulegen_rejects_bad_partition);
     ("ltm table tag gating", `Quick, test_ltm_table_tag_gating);
@@ -949,6 +1015,7 @@ let props =
   [
     prop_partition_valid;
     prop_partition_optimal;
+    prop_partition_tables_definition;
     prop_gigaflow_consistent_dp;
     prop_gigaflow_consistent_rnd;
     prop_gigaflow_consistent_1to1;

@@ -5,6 +5,7 @@ module Field = Gf_flow.Field
 module Flow = Gf_flow.Flow
 module Mask = Gf_flow.Mask
 module Fmatch = Gf_flow.Fmatch
+module Masked_tbl = Gf_flow.Masked_tbl
 module Headers = Gf_flow.Headers
 
 let test_field_roundtrip () =
@@ -101,12 +102,37 @@ let prop_mask_subsumes_weaker =
       (not (Mask.matches m ~pattern:pat flow))
       || Mask.matches loose ~pattern:pat flow)
 
-let prop_apply_scratch_agrees =
-  QCheck2.Test.make ~name:"apply_scratch = apply" ~count:300
-    QCheck2.Gen.(pair gen_mask gen_flow)
-    (fun (m, flow) ->
-      let scratch = Flow.Scratch.create () in
-      Flow.equal (Mask.apply m flow) (Mask.apply_scratch m flow scratch))
+(* Property: the masked-key table, probed with unmasked flows, answers
+   exactly as a [Flow.Tbl] probed with the masked flow, through random
+   inserts and removes (removes also by unmasked flow), starting from one
+   bucket so the table resizes on the way. *)
+let prop_masked_tbl_agrees =
+  QCheck2.Test.make ~name:"masked tbl probe = Flow.Tbl" ~count:300
+    QCheck2.Gen.(pair gen_mask (0 -- 1_000_000))
+    (fun (m, seed) ->
+      let rng = Gf_util.Rng.create seed in
+      let tbl = Masked_tbl.create m 1 in
+      let reference = Flow.Tbl.create 16 in
+      for i = 1 to 200 do
+        let flow = pool_flow rng in
+        if Gf_util.Rng.int rng 4 = 0 then begin
+          Masked_tbl.remove tbl flow;
+          Flow.Tbl.remove reference (Mask.apply m flow)
+        end
+        else begin
+          Masked_tbl.replace tbl (Mask.apply m flow) i;
+          Flow.Tbl.replace reference (Mask.apply m flow) i
+        end
+      done;
+      Masked_tbl.length tbl = Flow.Tbl.length reference
+      && List.for_all
+           (fun _ ->
+             let flow = pool_flow rng in
+             Masked_tbl.find_opt tbl flow = Flow.Tbl.find_opt reference (Mask.apply m flow))
+           (List.init 200 Fun.id)
+      && Masked_tbl.fold
+           (fun key v ok -> ok && Flow.Tbl.find_opt reference key = Some v)
+           tbl true)
 
 let test_fmatch_canonical () =
   let pattern = Flow.make [ (Field.Ip_dst, 0x0A0000FF) ] in
@@ -282,6 +308,29 @@ let test_flow_hash_spreads_prefixes () =
         (stats.Hashtbl.max_bucket_length <= 8))
     [ (16, 169, 256); (24, 576, 1024) ]
 
+(* The tuple table hashes only its mask's slots: the same /16 and /24 keys
+   must spread as well there. *)
+let test_masked_tbl_spreads_prefixes () =
+  List.iter
+    (fun (len, n, buckets) ->
+      let mask = Mask.prefix Field.Ip_dst len in
+      let tbl = Masked_tbl.create mask buckets in
+      Flow.Tbl.iter
+        (fun key () -> Masked_tbl.replace tbl key ())
+        (masked_ip_dst_keys ~len ~n ~buckets);
+      Alcotest.(check int) (Printf.sprintf "/%d: keys" len) n (Masked_tbl.length tbl);
+      Alcotest.(check bool)
+        (Printf.sprintf "/%d: %d keys, longest chain %d" len n (Masked_tbl.max_chain tbl))
+        true
+        (Masked_tbl.max_chain tbl <= 8))
+    [ (16, 169, 256); (24, 576, 1024) ]
+
+let test_masked_tbl_rejects_unmasked_key () =
+  let tbl = Masked_tbl.create (Mask.prefix Field.Ip_dst 24) 4 in
+  Alcotest.check_raises "unmasked key"
+    (Invalid_argument "Masked_tbl.replace: key is not a masked pattern") (fun () ->
+      Masked_tbl.replace tbl (Flow.make [ (Field.Ip_dst, 0x0A000001) ]) ())
+
 let test_mask_hash_spreads_prefixes () =
   let tbl = Mask.Tbl.create 16 in
   for len = 0 to 32 do
@@ -351,6 +400,8 @@ let suite =
     ("mask tbl basics", `Quick, test_mask_tbl_basic);
     ("flow hash spreads prefixes", `Quick, test_flow_hash_spreads_prefixes);
     ("mask hash spreads prefixes", `Quick, test_mask_hash_spreads_prefixes);
+    ("masked tbl spreads prefixes", `Quick, test_masked_tbl_spreads_prefixes);
+    ("masked tbl rejects unmasked key", `Quick, test_masked_tbl_rejects_unmasked_key);
     ("equal allocation-free", `Quick, test_equal_allocation_free);
     ("headers ipv4", `Quick, test_headers_ipv4);
     ("headers mac", `Quick, test_headers_mac);
@@ -362,7 +413,7 @@ let props =
     prop_mask_lattice;
     prop_mask_matches_semantics;
     prop_mask_subsumes_weaker;
-    prop_apply_scratch_agrees;
+    prop_masked_tbl_agrees;
     prop_fmatch_overlap_symmetric;
     prop_fmatch_overlap_witness;
     prop_fmatch_specific;

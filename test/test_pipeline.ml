@@ -281,6 +281,28 @@ let test_traversal_rebasing () =
       Alcotest.(check bool) "commit contains rewrite" true
         (List.mem (Field.Tp_dst, 8080) commit)
 
+(* The segment range checks are [invalid_arg], not [assert]: they must hold
+   in a [-noassert] build too. *)
+let test_traversal_segment_range_checked () =
+  let rng = Gf_util.Rng.create 41 in
+  let p = random_pipeline rng ~tables:3 ~rules_per_table:4 in
+  match Executor.execute p (pool_flow rng) with
+  | Error _ -> Alcotest.fail "no traversal"
+  | Ok tr ->
+      let steps = tr.Traversal.steps in
+      let n = Array.length steps in
+      List.iter
+        (fun (first, last) ->
+          Alcotest.check_raises
+            (Printf.sprintf "wildcard_of_steps %d..%d" first last)
+            (Invalid_argument "Traversal.wildcard_of_steps: segment out of range")
+            (fun () -> ignore (Traversal.wildcard_of_steps steps ~first ~last));
+          Alcotest.check_raises
+            (Printf.sprintf "commit_of_steps %d..%d" first last)
+            (Invalid_argument "Traversal.commit_of_steps: segment out of range")
+            (fun () -> ignore (Traversal.commit_of_steps steps ~first ~last)))
+        [ (-1, 0); (0, n); (1, 0) ]
+
 let test_traversal_commit_composition () =
   (* Last writer wins; rewrites to the incumbent value are preserved. *)
   let mk_chain =
@@ -457,6 +479,7 @@ let suite =
     ("executor prefix trace", `Quick, test_executor_trace_prefix);
     ("traversal wildcard re-basing", `Quick, test_traversal_rebasing);
     ("traversal commit composition", `Quick, test_traversal_commit_composition);
+    ("traversal segment range checked", `Quick, test_traversal_segment_range_checked);
     ("builder validation", `Quick, test_builder_validation);
     ("builder miss chain", `Quick, test_builder_instantiate_miss_chain);
   ]

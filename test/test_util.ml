@@ -298,6 +298,10 @@ let test_bitops () =
   Alcotest.(check int) "prefix full" 0xFFFFFFFF (Bitops.prefix_mask ~width:32 32);
   Alcotest.(check int) "prefix none" 0 (Bitops.prefix_mask ~width:32 0);
   Alcotest.(check int) "popcount" 3 (Bitops.popcount 0b10101);
+  Alcotest.(check int) "popcount 0" 0 (Bitops.popcount 0);
+  Alcotest.(check int) "popcount mac" 48 (Bitops.popcount 0xFFFFFFFFFFFF);
+  Alcotest.(check int) "popcount max_int" 62 (Bitops.popcount max_int);
+  Alcotest.(check int) "popcount -1" 63 (Bitops.popcount (-1));
   Alcotest.(check bool) "subset yes" true (Bitops.is_subset ~sub:0b101 ~super:0b111);
   Alcotest.(check bool) "subset no" false (Bitops.is_subset ~sub:0b1000 ~super:0b111)
 
