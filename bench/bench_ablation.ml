@@ -7,7 +7,6 @@
 
 open Common
 module Ruleset = Gf_workload.Ruleset
-module Oftable = Gf_pipeline.Oftable
 
 let unwildcarding () =
   say "";
@@ -18,13 +17,13 @@ let unwildcarding () =
   in
   List.iter
     (fun (name, mode) ->
-      Oftable.unwildcard_mode := mode;
       say "  [ablation] unwildcarding=%s ..." name;
       (* A fresh workload per mode: traversal wildcards depend on it. *)
       let w =
         Gf_workload.Pipebench.make ~combos:(combos ()) ~unique_flows:(unique_flows ())
           ~info:(info "PSC") ~locality:Ruleset.High ~seed:(!seed lxor 0xAB1) ()
       in
+      Pipeline.set_unwildcard (Gf_workload.Pipebench.pipeline w) mode;
       let r = run_datapath (Datapath.without_software (gf_config ())) w in
       Tablefmt.add_row t
         [
@@ -34,7 +33,6 @@ let unwildcarding () =
           Tablefmt.fmt_float ~dp:2 r.max_sharing;
         ])
     [ ("minimal", `Minimal); ("full union", `Full) ];
-  Oftable.unwildcard_mode := `Minimal;
   Tablefmt.print t;
   note "Full-union wildcards make entries nearly flow-specific: sharing";
   note "collapses and the LTM tables thrash — minimal unwildcarding is";

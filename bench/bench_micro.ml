@@ -110,16 +110,56 @@ let benchmarks () =
     Tss.insert tss
       (Entry.v ~key:i ~fmatch:(Fmatch.v ~pattern ~mask) ~priority:(1 + (i mod 4)) ())
   done;
+  let idx = ref 0 in
+  let next arr =
+    idx := (!idx + 1) land 0xFFFF;
+    arr.(!idx mod Array.length arr)
+  in
+  (* Insert, look up, remove: an LTM table's write-then-read pattern under
+     churn, where each lookup sees the tuple order the writes left.
+     Priority 5 lifts its tuple's max, so some inserts re-place a tuple. *)
+  let tss_write = ref 0 in
+  let tss_first_lookup_after_insert () =
+    let i = !tss_write in
+    tss_write := i + 1;
+    let key = 1_000_000 + i in
+    Tss.insert tss
+      (Entry.v ~key
+         ~fmatch:(Fmatch.v ~pattern:flows.(i mod Array.length flows)
+                    ~mask:tss_masks.(i mod Array.length tss_masks))
+         ~priority:(1 + (i mod 5)) ());
+    ignore (Tss.lookup tss (next flows));
+    ignore (Tss.remove tss key)
+  in
+  (* A full 4x128 LTM under LRU: nearly every install of a fresh
+     partitioned traversal first evicts a tag-chain-safe victim. *)
+  let ltm_rule_lists =
+    Array.to_list flows |> List.filteri (fun i _ -> i < 4096)
+    |> List.filter_map (fun flow ->
+           match Executor.execute pipeline flow with
+           | Ok tr ->
+               let segs = Partitioner.partition Partitioner.Disjoint ~max_segments:4 tr in
+               Some (Rulegen.rules_of_partition ~version:0 tr segs)
+           | Error _ -> None)
+    |> Array.of_list
+  in
+  let ltm_full =
+    Ltm_cache.create
+      (Gf_core.Config.v ~tables:4 ~table_capacity:128 ~policy:Gf_cache.Evict.Lru ())
+  in
+  let ltm_clock = ref 0.0 in
+  let ltm_pressure_install () =
+    ltm_clock := !ltm_clock +. 1.0;
+    ignore (Ltm_cache.install ltm_full ~now:!ltm_clock (next ltm_rule_lists))
+  in
+  for _ = 1 to 2048 do
+    ltm_pressure_install ()
+  done;
   let oftables = Array.of_list (Pipeline.tables pipeline) in
   let table_idx = ref 0 in
   let next_table () =
     table_idx := (!table_idx + 1) mod Array.length oftables;
     oftables.(!table_idx)
-  in
-  let idx = ref 0 in
-  let next arr =
-    idx := (!idx + 1) land 0xFFFF;
-    arr.(!idx mod Array.length arr)
   in
   [
     Test.make ~name:"slowpath: pipeline execute (PSC)"
@@ -130,6 +170,8 @@ let benchmarks () =
       (Staged.stage (fun () -> ignore (Gigaflow.lookup gf ~now:1.0 ~pipeline (next flows))));
     Test.make ~name:"tss: lookup, 12 tuples ~2k entries"
       (Staged.stage (fun () -> ignore (Tss.lookup tss (next flows))));
+    Test.make ~name:"tss: first lookup after insert" (Staged.stage tss_first_lookup_after_insert);
+    Test.make ~name:"ltm: pressure install, 4x128 full, LRU" (Staged.stage ltm_pressure_install);
     Test.make ~name:"oftable: lookup (PSC)"
       (Staged.stage (fun () -> ignore (Oftable.lookup (next_table ()) (next flows))));
     Test.make ~name:"flow tbl: find_opt, ip_dst/24-masked keys"

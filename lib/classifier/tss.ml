@@ -3,19 +3,25 @@ module Mask = Gf_flow.Mask
 module Fmatch = Gf_flow.Fmatch
 module Masked_tbl = Gf_flow.Masked_tbl
 
-(* Tuples are threaded onto an intrusive doubly-linked list ([rank_prev] /
-   [rank_next]) holding the hit-frequency order used by [lookup_first]:
-   append, removal and promote-to-front are all O(1), where the previous
-   list representation paid O(#tuples) per insert ([@ [tu]]) and per remove
-   ([List.filter]). *)
+(* Tuples are threaded onto two intrusive doubly-linked lists:
+
+   - the priority order ([order_prev] / [order_next]), max_priority
+     descending, walked by [lookup].  A tuple is placed when created and
+     re-placed when its max_priority changes, so no lookup ever sorts.
+     Ties sit in any order: the scan stops only at a tuple whose
+     max_priority is strictly below the best match so far, so tied tuples
+     are probed all or none, and [Entry.better] is a total order — the
+     winner and the probe count do not depend on the order among ties.
+   - the hit-frequency order ([rank_prev] / [rank_next]) used by
+     [lookup_first]: append, removal and promote-to-front are all O(1). *)
 type 'a tuple = {
   mask : Mask.t;
   buckets : 'a Entry.t list Masked_tbl.t; (* best-first lists *)
   mutable max_priority : int;
-  mutable max_stale : bool;
-      (* [max_priority] may exceed the true max after a removal; [ensure]
-         recomputes it before any reader sees it *)
+  mutable max_count : int; (* entries at [max_priority] *)
   mutable count : int;
+  mutable order_prev : 'a tuple option;
+  mutable order_next : 'a tuple option;
   mutable rank_prev : 'a tuple option;
   mutable rank_next : 'a tuple option;
 }
@@ -23,10 +29,9 @@ type 'a tuple = {
 type 'a t = {
   by_key : (int, 'a Entry.t) Hashtbl.t;
   tuples : 'a tuple Mask.Tbl.t;
-  mutable ordered : 'a tuple list; (* max_priority desc; valid when not dirty *)
+  mutable order_head : 'a tuple option; (* max_priority desc *)
   mutable rank_head : 'a tuple option; (* hit-frequency order (first-match mode) *)
   mutable rank_tail : 'a tuple option;
-  mutable dirty : bool;
 }
 
 let algorithm = "tss"
@@ -35,11 +40,34 @@ let create () =
   {
     by_key = Hashtbl.create 64;
     tuples = Mask.Tbl.create 16;
-    ordered = [];
+    order_head = None;
     rank_head = None;
     rank_tail = None;
-    dirty = false;
   }
+
+(* Link [tu] in before the first tuple at or below its max_priority. *)
+let rec order_place_from t tu prev next =
+  match next with
+  | Some n when n.max_priority > tu.max_priority -> order_place_from t tu next n.order_next
+  | _ ->
+      tu.order_prev <- prev;
+      tu.order_next <- next;
+      (match next with Some n -> n.order_prev <- Some tu | None -> ());
+      (match prev with Some p -> p.order_next <- Some tu | None -> t.order_head <- Some tu)
+
+let order_place t tu = order_place_from t tu None t.order_head
+
+let order_unlink t tu =
+  (match tu.order_prev with
+  | Some p -> p.order_next <- tu.order_next
+  | None -> t.order_head <- tu.order_next);
+  (match tu.order_next with Some n -> n.order_prev <- tu.order_prev | None -> ());
+  tu.order_prev <- None;
+  tu.order_next <- None
+
+let order_replace t tu =
+  order_unlink t tu;
+  order_place t tu
 
 let rank_append t tu =
   tu.rank_prev <- t.rank_tail;
@@ -76,40 +104,65 @@ let entry_order (a : 'a Entry.t) (b : 'a Entry.t) =
 let insert t entry =
   if Hashtbl.mem t.by_key entry.Entry.key then invalid_arg "Tss.insert: duplicate key";
   Hashtbl.add t.by_key entry.Entry.key entry;
-  let mask = Mask.intern (Fmatch.mask entry.Entry.fmatch) in
+  let priority = entry.Entry.priority in
+  let mask = Fmatch.mask entry.Entry.fmatch in
   let tuple =
     match Mask.Tbl.find_opt t.tuples mask with
-    | Some tu -> tu
+    | Some tu ->
+        if priority > tu.max_priority then begin
+          tu.max_priority <- priority;
+          tu.max_count <- 1;
+          order_replace t tu
+        end
+        else if priority = tu.max_priority then tu.max_count <- tu.max_count + 1;
+        tu
     | None ->
+        let mask = Mask.intern mask in
         let tu =
           {
             mask;
             buckets = Masked_tbl.create mask 32;
-            max_priority = min_int;
-            max_stale = false;
+            max_priority = priority;
+            max_count = 1;
             count = 0;
+            order_prev = None;
+            order_next = None;
             rank_prev = None;
             rank_next = None;
           }
         in
         Mask.Tbl.add t.tuples mask tu;
+        order_place t tu;
         rank_append t tu;
         tu
   in
   let key = Fmatch.pattern entry.Entry.fmatch in
   let existing = Option.value ~default:[] (Masked_tbl.find_opt tuple.buckets key) in
   Masked_tbl.replace tuple.buckets key (List.sort entry_order (entry :: existing));
-  tuple.count <- tuple.count + 1;
-  if entry.Entry.priority > tuple.max_priority then tuple.max_priority <- entry.Entry.priority;
-  t.dirty <- true
+  tuple.count <- tuple.count + 1
+
+(* Only when the last entry at the max leaves a non-empty tuple: never for
+   tuples whose entries share one priority (all of Megaflow's).  Buckets
+   are best-first, so each contributes its leading run of equal
+   priorities. *)
+let rec count_at p n = function
+  | (e : 'a Entry.t) :: rest when e.priority = p -> count_at p (n + 1) rest
+  | _ -> n
 
 let recompute_max tuple =
-  tuple.max_priority <-
+  let max, n =
     Masked_tbl.fold
-      (fun _ entries m ->
-        List.fold_left (fun m (e : 'a Entry.t) -> max m e.priority) m entries)
-      tuple.buckets min_int;
-  tuple.max_stale <- false
+      (fun _ entries ((m, n) as acc) ->
+        match entries with
+        | [] -> acc
+        | (e : 'a Entry.t) :: _ ->
+            if e.priority > m then (e.priority, count_at e.priority 0 entries)
+            else if e.priority = m then (m, count_at m n entries)
+            else acc)
+      tuple.buckets (min_int, 0)
+  in
+  tuple.max_priority <- max;
+  tuple.max_count <- n
 
 let remove t key =
   match Hashtbl.find_opt t.by_key key with
@@ -130,36 +183,26 @@ let remove t key =
           tuple.count <- tuple.count - 1;
           if tuple.count <= 0 then begin
             Mask.Tbl.remove t.tuples mask;
+            order_unlink t tuple;
             rank_unlink t tuple
           end
-          else if entry.Entry.priority >= tuple.max_priority then
-            (* Recomputing here folds every bucket of the tuple, on every
-               removal when entries share one priority (all of Megaflow's
-               do); defer it to the next [ensure], which [dirty] forces. *)
-            tuple.max_stale <- true);
-      t.dirty <- true;
+          else if entry.Entry.priority = tuple.max_priority then begin
+            tuple.max_count <- tuple.max_count - 1;
+            if tuple.max_count = 0 then begin
+              recompute_max tuple;
+              order_replace t tuple
+            end
+          end);
       true
 
 let size t = Hashtbl.length t.by_key
 
-let ensure t =
-  if t.dirty then begin
-    t.ordered <-
-      Mask.Tbl.fold
-        (fun _ tu acc ->
-          if tu.max_stale then recompute_max tu;
-          tu :: acc)
-        t.tuples []
-      |> List.sort (fun a b -> compare b.max_priority a.max_priority);
-    t.dirty <- false
-  end
-
-(* Top-level probe loops: a local [let rec] closing over [flow] would be
+(* Top-level probe loop: a local [let rec] closing over [flow] would be
    allocated on every lookup. *)
-let rec lookup_from flow tuples best probes =
-  match tuples with
-  | [] -> (best, probes)
-  | tuple :: rest -> (
+let rec lookup_from flow node best probes =
+  match node with
+  | None -> (best, probes)
+  | Some tuple -> (
       match best with
       | Some (b : 'a Entry.t) when b.priority > tuple.max_priority -> (best, probes)
       | _ ->
@@ -174,11 +217,9 @@ let rec lookup_from flow tuples best probes =
             | b, None -> b
             | Some b, Some c -> if Entry.better c b then candidate else best
           in
-          lookup_from flow rest best (probes + 1))
+          lookup_from flow tuple.order_next best (probes + 1))
 
-let lookup t flow =
-  ensure t;
-  lookup_from flow t.ordered None 0
+let lookup t flow = lookup_from flow t.order_head None 0
 
 (* First-match walk over hit-frequency-ranked tuples: sound when entries are
    pairwise disjoint (at most one can match), which Megaflow guarantees by
@@ -248,9 +289,8 @@ let entries t = Hashtbl.fold (fun _ e acc -> e :: acc) t.by_key []
 let clear t =
   Hashtbl.reset t.by_key;
   Mask.Tbl.reset t.tuples;
-  t.ordered <- [];
+  t.order_head <- None;
   t.rank_head <- None;
-  t.rank_tail <- None;
-  t.dirty <- false
+  t.rank_tail <- None
 
 let tuple_count t = Mask.Tbl.length t.tuples

@@ -201,67 +201,95 @@ let plan_ex t rules =
     go 0 0 rules
   end
 
-(* Tag-chain-safe victims in the full tables of positions [lo..hi].  A
-   victim is safe when removing it cannot strand a dependent
-   continuation: either its chain terminates here ([Done]), or no entry
-   in a later table consumes the tag it produces.  (Evicting a
-   {e successor} is always correctness-safe — the walk dead-ends and the
-   packet falls back to the slowpath — but it would leave the
-   predecessor's continuation unreachable garbage, so we never create
-   that shape.) *)
-let safe_victims t ~lo ~hi =
-  let k = Array.length t.tables in
-  let last_consumer = Hashtbl.create 16 in
-  for p = 0 to k - 1 do
-    Ltm_table.iter t.tables.(p) (fun s ->
-        Hashtbl.replace last_consumer s.Ltm_table.rule.Ltm_rule.tag_in p)
-  done;
-  let safe p (s : Ltm_table.stored) =
-    match s.Ltm_table.rule.Ltm_rule.next with
-    | Ltm_rule.Done _ -> true
-    | Ltm_rule.Next_tag tag -> (
-        match Hashtbl.find_opt last_consumer tag with
-        | None -> true
-        | Some q -> q <= p (* the walk only moves forward; consumers at or
-                              before [p] can never follow this entry *))
-  in
-  let acc = ref [] in
-  for p = lo to hi do
-    if Ltm_table.is_full t.tables.(p) then
-      Ltm_table.iter t.tables.(p) (fun s -> if safe p s then acc := (p, s) :: !acc)
-  done;
-  !acc
+(* Tag-chain safety.  A victim at position [p] is safe when removing it
+   cannot strand a dependent continuation: either its chain terminates
+   here ([Done]), or no table after [p] consumes the tag it produces (the
+   walk only moves forward, so consumers at or before [p] can never follow
+   it).  (Evicting a {e successor} is always correctness-safe — the walk
+   dead-ends and the packet falls back to the slowpath — but it would leave
+   the predecessor's continuation unreachable garbage, so we never create
+   that shape.)  Each table answers "do you consume this tag" with one
+   hash probe, so a check is O(k) and scans no entries. *)
+let rec consumed_after tables p tag =
+  p + 1 < Array.length tables
+  && (Ltm_table.consumes tables.(p + 1) tag || consumed_after tables (p + 1) tag)
 
-let pick_victim t candidates =
-  let policy = t.config.Config.policy in
-  match (policy, candidates) with
-  | Evict.Reject, _ | _, [] -> None
-  | Evict.Random, _ ->
-      let n = List.length candidates in
-      Some (List.nth candidates (Gf_util.Rng.int t.rng n))
-  | (Evict.Lru | Evict.Priority_aware), _ ->
-      let better (p, (s : Ltm_table.stored)) (p', (s' : Ltm_table.stored)) =
-        let lru () =
-          (* Rank by completion recency, not raw touch recency: dead chain
-             prefixes are touched by every miss but never complete, and
-             must look cold here. *)
-          s.Ltm_table.last_hit < s'.Ltm_table.last_hit
-          || (s.Ltm_table.last_hit = s'.Ltm_table.last_hit
-             && (p, s.Ltm_table.key) < (p', s'.Ltm_table.key))
-        in
-        match policy with
-        | Evict.Priority_aware ->
-            (* Priority encodes sub-traversal length: shed the shortest
-               (least coverage) first, then least recently used. *)
-            let pr = s.Ltm_table.rule.Ltm_rule.priority
-            and pr' = s'.Ltm_table.rule.Ltm_rule.priority in
-            pr < pr' || (pr = pr' && lru ())
-        | _ -> lru ()
-      in
-      List.fold_left
-        (fun best c ->
-          match best with Some b when not (better c b) -> best | _ -> Some c)
-        None candidates
+(* The verdict depends only on the consumed-tag sets of the tables after
+   [p].  Their change counters only grow, so their sum — [stamp] — is
+   unchanged exactly while none of those sets changed, and an entry's
+   cached verdict at the same stamp still holds.  Under churn the sets
+   rarely change while the cold end of the recency order is full of
+   unsafe chain prefixes that every pass meets again. *)
+let rec later_changes tables p =
+  if p + 1 >= Array.length tables then 0
+  else Ltm_table.consumed_changes tables.(p + 1) + later_changes tables (p + 1)
+
+let safe tables ~stamp p (s : Ltm_table.stored) =
+  if s.Ltm_table.safe_stamp <> stamp then begin
+    s.Ltm_table.safe <-
+      (match s.Ltm_table.rule.Ltm_rule.next with
+      | Ltm_rule.Done _ -> true
+      | Ltm_rule.Next_tag tag -> not (consumed_after tables p tag));
+    s.Ltm_table.safe_stamp <- stamp
+  end;
+  s.Ltm_table.safe
+
+(* Victim rank, coldest first: (priority when [by_priority],) completion
+   recency, then position and key — a total order, so the coldest safe
+   entry is the same whatever order the entries are visited in.  Ranking by
+   [last_hit] rather than raw touch recency makes dead chain prefixes,
+   touched by every miss but never completed, look cold.  Priority encodes
+   sub-traversal length: [Priority_aware] sheds the shortest first. *)
+let colder ~by_priority p (s : Ltm_table.stored) p' (s' : Ltm_table.stored) =
+  let pr = s.Ltm_table.rule.Ltm_rule.priority
+  and pr' = s'.Ltm_table.rule.Ltm_rule.priority in
+  if by_priority && pr <> pr' then pr < pr'
+  else
+    let h = s.Ltm_table.last_hit and h' = s'.Ltm_table.last_hit in
+    h < h' || (h = h' && (p < p' || (p = p' && s.Ltm_table.key < s'.Ltm_table.key)))
+
+(* The pressure victim among the safe entries of the full tables at
+   positions [lo..hi].  [Lru] / [Priority_aware] take the coldest in one
+   pass over each table's dense entry array, testing safety only for
+   entries colder than the running best.  [Random] draws uniformly from
+   the safe entries listed in table order, each table's entries in reverse
+   iteration order: that list order is what the seeded draw indexes, so it
+   stays as it always was. *)
+let pick_victim t ~lo ~hi =
+  match t.config.Config.policy with
+  | Evict.Reject -> None
+  | Evict.Random -> (
+      let candidates = ref [] in
+      for p = lo to hi do
+        if Ltm_table.is_full t.tables.(p) then begin
+          let stamp = later_changes t.tables p in
+          Ltm_table.iter t.tables.(p) (fun s ->
+              if safe t.tables ~stamp p s then candidates := (p, s) :: !candidates)
+        end
+      done;
+      match !candidates with
+      | [] -> None
+      | l -> Some (List.nth l (Gf_util.Rng.int t.rng (List.length l))))
+  | (Evict.Lru | Evict.Priority_aware) as policy ->
+      let by_priority = policy = Evict.Priority_aware in
+      let best_p = ref (-1) and best = ref None in
+      for p = lo to hi do
+        let table = t.tables.(p) in
+        if Ltm_table.is_full table then begin
+          let stamp = later_changes t.tables p in
+          for i = 0 to Ltm_table.occupancy table - 1 do
+            let s = Ltm_table.entry table i in
+            match !best with
+            | Some b when not (colder ~by_priority p s !best_p b) -> ()
+            | _ ->
+                if safe t.tables ~stamp p s then begin
+                  best_p := p;
+                  best := Some s
+                end
+          done
+        end
+      done;
+      Option.map (fun s -> (!best_p, s)) !best
 
 let install t ~now rules =
   let k = Array.length t.tables in
@@ -273,7 +301,7 @@ let install t ~now rules =
     | `Stuck (lo, hi) -> (
         if budget = 0 then None
         else
-          match pick_victim t (safe_victims t ~lo ~hi) with
+          match pick_victim t ~lo ~hi with
           | Some (p, s) ->
               Ltm_table.remove t.tables.(p) s;
               t.stats.Cache_stats.pressure_evictions <-

@@ -91,6 +91,15 @@ val install : t -> now:float -> Ltm_rule.t list -> install_result
     in a later table (their chain terminates, or nothing downstream
     consumes the tag they produce). *)
 
+val pick_victim : t -> lo:int -> hi:int -> (int * Ltm_table.stored) option
+(** The pressure victim {!install} evicts when the first unplaceable
+    segment's feasible positions [lo..hi] are all full: a tag-chain-safe
+    entry of a full table there, chosen by [Config.policy] — the coldest
+    by (completion recency, position, key) for [Lru], by (priority, then
+    the same) for [Priority_aware], a seeded uniform draw for [Random]
+    (consuming one draw whenever a safe entry exists), none for [Reject].
+    Returns the victim's table position with it; removes nothing. *)
+
 val stranded : t -> entry_tags:int list -> int
 (** Number of entries unreachable by any walk starting from one of
     [entry_tags] — stranded continuations whose predecessor chain is

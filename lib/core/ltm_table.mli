@@ -21,6 +21,12 @@ type stored = {
       (** How many distinct installations resolved to this entry (1 at
           creation; +1 per deduplicated reuse) — the sharing statistic of
           the paper's Fig. 11. *)
+  mutable slot : int;  (** The table's own bookkeeping: the index {!entry} reads. *)
+  mutable safe_stamp : int;
+  mutable safe : bool;
+      (** Cached tag-chain safety verdict of the replacement pass
+          ({!Ltm_cache.pick_victim}), valid while the stamp it was computed
+          at holds; [safe_stamp = -1] until first computed. *)
 }
 
 type t
@@ -34,6 +40,15 @@ val lookup : t -> tag:int -> Gf_flow.Flow.t -> stored option * int
 (** Longest-traversal match among entries with the given tag; ties go to the
     oldest entry (lowest key).  Returns the classifier work units. *)
 
+val consumes : t -> int -> bool
+(** [consumes t tag] iff some entry of [t] matches on [tag] (its [tag_in]).
+    One hash probe, no scan over entries. *)
+
+val consumed_changes : t -> int
+(** Bumped whenever the set of tags the table consumes changes (a tag's
+    first entry arrives or its last one leaves): a verdict derived from
+    that set holds while the count is unchanged. *)
+
 val find_identical : t -> Ltm_rule.t -> stored option
 (** Entry with the same behavioural signature, if present. *)
 
@@ -41,6 +56,11 @@ val insert : t -> now:float -> Ltm_rule.t -> stored
 (** Raises [Invalid_argument] when full — callers plan placement first. *)
 
 val remove : t -> stored -> unit
+
+val entry : t -> int -> stored
+(** [entry t i] for [0 <= i < occupancy t]: the entries in an unspecified
+    order that any insert or remove may change.  An array read, for scans
+    that visit every entry. *)
 
 val iter : t -> (stored -> unit) -> unit
 val fold : t -> init:'a -> f:('a -> stored -> 'a) -> 'a

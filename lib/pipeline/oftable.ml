@@ -3,16 +3,30 @@ module Flow = Gf_flow.Flow
 module Mask = Gf_flow.Mask
 module Fmatch = Gf_flow.Fmatch
 module Masked_tbl = Gf_flow.Masked_tbl
+module Bitops = Gf_util.Bitops
 
-(* One tuple of the search: all rules sharing a mask.  [field_keys] holds,
-   per masked field, the sorted distinct key values present — the index the
-   minimal-unwildcarding overlap checks binary-search (see [lookup]). *)
+(* One masked field of a tuple, compiled at [rebuild] for the
+   minimal-unwildcarding overlap checks (see [exclude_tuple]). *)
+type field_keys = {
+  field : Field.t;
+  fmask : int; (* the tuple's mask on [field] *)
+  plen : int; (* leading all-ones prefix length of [fmask] *)
+  prefix_shaped : bool; (* [fmask] is exactly that prefix *)
+  keys : int array;
+      (* sorted distinct [field] values of the tuple's keys; empty unless
+         [prefix_shaped] *)
+}
+
+(* One tuple of the search: all rules sharing a mask.  [fields] holds its
+   masked fields in [refinement_order]. *)
 type tuple = {
   mask : Mask.t;
   mutable max_priority : int;
   entries : Ofrule.t list Masked_tbl.t;
-  mutable field_keys : (int * int array) list; (* (field index, sorted keys) *)
+  mutable fields : field_keys array;
 }
+
+type unwildcard = [ `Minimal | `Full ]
 
 type t = {
   id : int;
@@ -22,6 +36,7 @@ type t = {
   rules : (int, Ofrule.t) Hashtbl.t;
   mutable tuples : tuple list; (* sorted by max_priority desc *)
   mutable dirty : bool;
+  mutable unwildcard : unwildcard;
 }
 
 type lookup_result = {
@@ -29,8 +44,6 @@ type lookup_result = {
   consulted : Mask.t;
   probes : int;
 }
-
-let unwildcard_mode : [ `Minimal | `Full ] ref = ref `Minimal
 
 let create ~id ~name ~match_fields ~miss =
   {
@@ -41,6 +54,7 @@ let create ~id ~name ~match_fields ~miss =
     rules = Hashtbl.create 64;
     tuples = [];
     dirty = false;
+    unwildcard = `Minimal;
   }
 
 let id t = t.id
@@ -48,6 +62,7 @@ let name t = t.name
 let match_fields t = t.match_fields
 let miss_action t = t.miss
 let size t = Hashtbl.length t.rules
+let set_unwildcard t mode = t.unwildcard <- mode
 
 (* Best-first rule order: higher priority first, then lower id. *)
 let rule_order (a : Ofrule.t) (b : Ofrule.t) =
@@ -57,35 +72,161 @@ let rule_order (a : Ofrule.t) (b : Ofrule.t) =
 let rules t =
   Hashtbl.fold (fun _ r acc -> r :: acc) t.rules [] |> List.sort rule_order
 
-let build_field_keys tuple =
-  let keys = Masked_tbl.fold (fun key _ acc -> key :: acc) tuple.entries [] in
-  tuple.field_keys <-
-    List.filter_map
-      (fun f ->
-        if Mask.get tuple.mask f = 0 then None
-        else begin
-          let values =
-            List.sort_uniq compare (List.map (fun k -> Flow.get k f) keys)
-          in
-          Some (Field.index f, Array.of_list values)
-        end)
-      (Array.to_list Field.all)
+(* ------------------------------------------------------------------ *)
+(* Minimal dependency unwildcarding (paper section 4.2.3).
+
+   A cached entry derived from this lookup is the region of flows agreeing
+   with [flow] on the consulted mask W.  Correctness requires that no flow
+   in the region can match a rule that would beat the winner.  Instead of
+   unioning every probed tuple mask into W (sound but so fat that every
+   cache entry becomes flow-specific), we exclude each dangerous tuple with
+   as few bits as possible:
+
+   - if some field of the tuple provably has no key inside the region's
+     value interval, the tuple is already excluded — zero bits;
+   - otherwise we extend the region's prefix on one field, one bit at a
+     time (the paper's 192.168.21.27 -> 255.255.240.0 example), until the
+     interval is key-free;
+   - if no single field resolves the overlap, fall back to unioning the
+     tuple's whole mask (always sound).
+
+   The interval reasoning is only valid for contiguous-from-the-top
+   (prefix-shaped) field masks; anything else is handled conservatively.
+   [rebuild] compiles each tuple's masked fields once ([compile_fields]),
+   so a lookup's exclusion pass allocates only the wildcard it extends. *)
+
+(* Longest all-ones prefix of [m] within [width] bits. *)
+let leading_prefix_len ~width m =
+  let rec go i =
+    if i >= width then width
+    else if m land (1 lsl (width - 1 - i)) = 0 then i
+    else go (i + 1)
+  in
+  go 0
+
+(* Fields in the order we prefer to spend exclusion bits on: IP prefixes
+   first (where nesting actually occurs), then ports, then L2. *)
+let refinement_order =
+  [
+    Field.Ip_dst;
+    Field.Ip_src;
+    Field.Tp_dst;
+    Field.Tp_src;
+    Field.Eth_dst;
+    Field.Eth_src;
+    Field.Vlan;
+    Field.In_port;
+    Field.Eth_type;
+    Field.Ip_proto;
+  ]
+
+(* Sorted distinct values of [field] over [keys]. *)
+let sorted_values keys field =
+  let values = Array.map (fun k -> Flow.get k field) keys in
+  Array.stable_sort Int.compare values;
+  let n = Array.length values in
+  let distinct = ref 0 in
+  for i = 0 to n - 1 do
+    if i = 0 || values.(i) <> values.(i - 1) then begin
+      values.(!distinct) <- values.(i);
+      incr distinct
+    end
+  done;
+  Array.sub values 0 !distinct
+
+let compile_fields tuple =
+  let keys = Array.of_list (Masked_tbl.fold (fun key _ acc -> key :: acc) tuple.entries []) in
+  tuple.fields <-
+    Array.of_list
+      (List.filter_map
+         (fun field ->
+           let fmask = Mask.get tuple.mask field in
+           if fmask = 0 then None
+           else begin
+             let width = Field.width field in
+             let plen = leading_prefix_len ~width fmask in
+             let prefix_shaped = fmask = Bitops.prefix_mask ~width plen in
+             (* Only prefix-shaped fields are ever searched. *)
+             let keys = if prefix_shaped then sorted_values keys field else [||] in
+             Some { field; fmask; plen; prefix_shaped; keys }
+           end)
+         refinement_order)
+
+(* Does the tuple hold a key whose [fk]-field value range meets [lo, hi]?
+   Keys are masked patterns; a key [k] of prefix length p covers
+   [k, k | suffix], so the smallest key whose range can reach [lo] is
+   [lo land fmask].  Only meaningful when [fk.prefix_shaped]. *)
+let has_key_in fk ~lo ~hi =
+  let keys = fk.keys in
+  let klo = lo land fk.fmask in
+  (* Binary search: first key >= klo. *)
+  let n = Array.length keys in
+  let l = ref 0 and r = ref n in
+  while !l < !r do
+    let mid = (!l + !r) / 2 in
+    if keys.(mid) >= klo then r := mid else l := mid + 1
+  done;
+  !l < n && keys.(!l) <= hi
+
+(* Does the region that pins the leading [plen] bits of [flow]'s field (the
+   rest free) meet a key? *)
+let region_has_key fk ~flow plen =
+  let pmask = Bitops.prefix_mask ~width:(Field.width fk.field) plen in
+  let lo = Flow.get flow fk.field land pmask in
+  has_key_in fk ~lo ~hi:(lo lor (Field.full_mask fk.field land lnot pmask))
+
+(* The region's pinned prefix on [fk]'s field under wildcard [w]. *)
+let region_plen w fk = leading_prefix_len ~width:(Field.width fk.field) (Mask.get w fk.field)
+
+(* Already excluded?  Some prefix-shaped field's region interval holds no
+   key (non-prefix-shaped fields are conservatively taken to overlap). *)
+let rec excluded ~flow w fields i =
+  i < Array.length fields
+  && ((fields.(i).prefix_shaped
+      && not (region_has_key fields.(i) ~flow (region_plen w fields.(i))))
+     || excluded ~flow w fields (i + 1))
+
+(* The shortest pinned prefix from [plen] up to the tuple's own prefix
+   length whose region is key-free, or -1. *)
+let rec extend fk ~flow plen =
+  if plen > fk.plen then -1
+  else if region_has_key fk ~flow plen then extend fk ~flow (plen + 1)
+  else plen
+
+(* Resolve on the first field whose prefix can be extended past the
+   current (overlapping) constraint to exclude the tuple. *)
+let rec first_resolving ~flow w tu i =
+  if i >= Array.length tu.fields then Mask.union w tu.mask (* fat but always sound *)
+  else begin
+    let fk = tu.fields.(i) in
+    let plen = if fk.prefix_shaped then extend fk ~flow (region_plen w fk + 1) else -1 in
+    if plen < 0 then first_resolving ~flow w tu (i + 1)
+    else
+      Mask.set w fk.field
+        (Mask.get w fk.field lor Bitops.prefix_mask ~width:(Field.width fk.field) plen)
+  end
+
+(* Exclude tuple [tu] from the region (flow, w); returns the augmented
+   wildcard. *)
+let exclude_tuple ~flow w tu =
+  if excluded ~flow w tu.fields 0 then w else first_resolving ~flow w tu 0
 
 let rebuild t =
   let by_mask : tuple Mask.Tbl.t = Mask.Tbl.create 16 in
   Hashtbl.iter
     (fun _ (r : Ofrule.t) ->
-      let mask = Mask.intern (Fmatch.mask r.fmatch) in
+      let mask = Fmatch.mask r.fmatch in
       let tuple =
         match Mask.Tbl.find_opt by_mask mask with
         | Some tu -> tu
         | None ->
+            let mask = Mask.intern mask in
             let tu =
               {
                 mask;
                 max_priority = min_int;
                 entries = Masked_tbl.create mask 32;
-                field_keys = [];
+                fields = [||];
               }
             in
             Mask.Tbl.add by_mask mask tu;
@@ -96,7 +237,7 @@ let rebuild t =
       let existing = Option.value ~default:[] (Masked_tbl.find_opt tuple.entries key) in
       Masked_tbl.replace tuple.entries key (List.sort rule_order (r :: existing)))
     t.rules;
-  Mask.Tbl.iter (fun _ tuple -> build_field_keys tuple) by_mask;
+  Mask.Tbl.iter (fun _ tuple -> compile_fields tuple) by_mask;
   (* Ties on [max_priority] break on the mask, not on [Mask.Tbl]'s
      iteration order: [lookup]'s exclusion fold runs in this order and
      feeds the consulted wildcard, which must not depend on any hash. *)
@@ -122,6 +263,7 @@ let copy t =
     rules = Hashtbl.copy t.rules;
     tuples = [];
     dirty = true;
+    unwildcard = t.unwildcard;
   }
 
 let add_rule t (r : Ofrule.t) =
@@ -139,136 +281,6 @@ let remove_rule t rule_id =
   else false
 
 let find_rule t rule_id = Hashtbl.find_opt t.rules rule_id
-
-(* ------------------------------------------------------------------ *)
-(* Minimal dependency unwildcarding (paper section 4.2.3).
-
-   A cached entry derived from this lookup is the region of flows agreeing
-   with [flow] on the consulted mask W.  Correctness requires that no flow
-   in the region can match a rule that would beat the winner.  Instead of
-   unioning every probed tuple mask into W (sound but so fat that every
-   cache entry becomes flow-specific), we exclude each dangerous tuple with
-   as few bits as possible:
-
-   - if some field of the tuple provably has no key inside the region's
-     value interval, the tuple is already excluded — zero bits;
-   - otherwise we extend the region's prefix on one field, one bit at a
-     time (the paper's 192.168.21.27 -> 255.255.240.0 example), until the
-     interval is key-free;
-   - if no single field resolves the overlap, fall back to unioning the
-     tuple's whole mask (always sound).                                  *)
-
-(* Longest all-ones prefix of [m] within [width] bits. *)
-let leading_prefix_len ~width m =
-  let rec go i =
-    if i >= width then width
-    else if m land (1 lsl (width - 1 - i)) = 0 then i
-    else go (i + 1)
-  in
-  go 0
-
-(* Is [m] exactly a prefix mask?  The interval reasoning below is only
-   valid for contiguous-from-the-top masks; anything else is handled
-   conservatively. *)
-let prefix_shaped ~width m =
-  m = Gf_util.Bitops.prefix_mask ~width (leading_prefix_len ~width m)
-
-(* Does tuple [tu] contain a key whose [fi]-field value-range intersects
-   [lo, hi] (raw value interval)?  Keys are masked patterns; a key [k] with
-   prefix mask of length p covers [k, k | suffix].  Only called when the
-   tuple's field mask is prefix-shaped. *)
-let field_has_key_in tu fi ~fmask ~lo ~hi =
-  match List.assoc_opt fi tu.field_keys with
-  | None | Some [||] -> false
-  | Some keys ->
-      (* Aligned keys: the smallest key whose covered range can reach [lo]
-         is [lo land fmask]. *)
-      let klo = lo land fmask in
-      (* Binary search: first key >= klo. *)
-      let n = Array.length keys in
-      let l = ref 0 and r = ref n in
-      while !l < !r do
-        let mid = (!l + !r) / 2 in
-        if keys.(mid) >= klo then r := mid else l := mid + 1
-      done;
-      !l < n && keys.(!l) <= hi
-
-(* The region's value interval for field [f] under wildcard [w]: bits in the
-   leading prefix of [w] are pinned to [flow]'s, the rest are free. *)
-let region_interval ~flow ~w f =
-  let width = Field.width f in
-  let plen = leading_prefix_len ~width (Mask.get w f) in
-  let pmask = Gf_util.Bitops.prefix_mask ~width plen in
-  let base = Flow.get flow f land pmask in
-  (base, base lor (Field.full_mask f land lnot pmask), plen)
-
-(* Fields in the order we prefer to spend exclusion bits on: IP prefixes
-   first (where nesting actually occurs), then ports, then L2. *)
-let refinement_order =
-  [
-    Field.Ip_dst;
-    Field.Ip_src;
-    Field.Tp_dst;
-    Field.Tp_src;
-    Field.Eth_dst;
-    Field.Eth_src;
-    Field.Vlan;
-    Field.In_port;
-    Field.Eth_type;
-    Field.Ip_proto;
-  ]
-
-(* Exclude tuple [tu] from the region (flow, w); returns the augmented
-   wildcard. *)
-let exclude_tuple ~flow w tu =
-  let fields =
-    List.filter (fun f -> Mask.get tu.mask f <> 0) refinement_order
-  in
-  (* Already excluded?  (Non-prefix-shaped tuple fields are conservatively
-     treated as overlapping.) *)
-  let overlaps f =
-    let width = Field.width f in
-    let fmask = Mask.get tu.mask f in
-    (not (prefix_shaped ~width fmask))
-    ||
-    let lo, hi, _ = region_interval ~flow ~w f in
-    field_has_key_in tu (Field.index f) ~fmask ~lo ~hi
-  in
-  if List.exists (fun f -> not (overlaps f)) fields then w
-  else begin
-    (* Try to resolve on a single field by extending the region prefix. *)
-    let try_field f =
-      let width = Field.width f in
-      let fmask = Mask.get tu.mask f in
-      if not (prefix_shaped ~width fmask) then None
-      else begin
-      let tuple_plen = leading_prefix_len ~width fmask in
-      let _, _, plen0 = region_interval ~flow ~w f in
-      let rec extend plen =
-        if plen > tuple_plen then None
-        else begin
-          let pmask = Gf_util.Bitops.prefix_mask ~width plen in
-          let base = Flow.get flow f land pmask in
-          let hi = base lor (Field.full_mask f land lnot pmask) in
-          if field_has_key_in tu (Field.index f) ~fmask ~lo:base ~hi then
-            extend (plen + 1)
-          else Some plen
-        end
-      in
-      (* Start one past the current constraint — the current one overlaps. *)
-      match extend (plen0 + 1) with
-      | Some plen ->
-          Some (Mask.set w f (Mask.get w f lor Gf_util.Bitops.prefix_mask ~width plen))
-      | None -> None
-      end
-    in
-    let rec first_resolving = function
-      | [] -> Mask.union w tu.mask (* fat but always sound *)
-      | f :: rest -> (
-          match try_field f with Some w' -> w' | None -> first_resolving rest)
-    in
-    first_resolving fields
-  end
 
 let lookup t flow =
   ensure t;
@@ -300,7 +312,7 @@ let lookup t flow =
   (* Pass 2: build the consulted wildcard — the winner's own mask plus
      minimal exclusion bits for every probed tuple that could beat it. *)
   let consulted =
-    match (!unwildcard_mode, best) with
+    match (t.unwildcard, best) with
     | `Full, _ ->
         (* Ablation: naive union of every probed tuple mask. *)
         List.fold_left (fun w tu -> Mask.union w tu.mask) Mask.empty probed

@@ -16,14 +16,6 @@
 
 type t
 
-val unwildcard_mode : [ `Minimal | `Full ] ref
-(** Ablation knob (global, default [`Minimal]).  [`Minimal] is the paper's
-    section 4.2.3 discipline: the winner's mask plus just enough exclusion
-    bits per dangerous tuple.  [`Full] is the naive OVS-style union of every
-    probed tuple mask — sound, but it makes cache entries nearly
-    flow-specific and destroys sub-traversal sharing (quantified by the
-    ablation benchmark). *)
-
 type lookup_result = {
   outcome : [ `Hit of Ofrule.t | `Miss ];
   consulted : Gf_flow.Mask.t;
@@ -52,10 +44,24 @@ val remove_rule : t -> int -> bool
 
 val find_rule : t -> int -> Ofrule.t option
 
+type unwildcard = [ `Minimal | `Full ]
+(** How {!lookup} builds the consulted wildcard.  [`Minimal] (the default
+    of every new table) is the paper's section 4.2.3 discipline: the
+    winner's mask plus just enough exclusion bits per dangerous tuple.
+    [`Full] is the naive OVS-style union of every probed tuple mask —
+    sound, but it makes cache entries nearly flow-specific and destroys
+    sub-traversal sharing (quantified by the ablation benchmark). *)
+
+val set_unwildcard : t -> unwildcard -> unit
+(** A per-table setting: tables (and pipelines, see
+    {!Pipeline.set_unwildcard}) with different modes can serve lookups
+    side by side, from different domains too. *)
+
 val copy : t -> t
 (** Independent replica sharing the (immutable) rules but owning its search
     state (tuple tables, lazy rebuild) — safe to use from another domain
-    while the original keeps serving lookups.  See {!Pipeline.copy}. *)
+    while the original keeps serving lookups.  Keeps the unwildcard mode.
+    See {!Pipeline.copy}. *)
 
 val lookup : t -> Gf_flow.Flow.t -> lookup_result
 (** Highest-priority matching rule; ties broken toward the lowest rule id

@@ -33,6 +33,8 @@ let copy t =
   Hashtbl.iter (fun id table -> Hashtbl.add tables id (Oftable.copy table)) t.tables;
   { t with tables }
 
+let set_unwildcard t mode = Hashtbl.iter (fun _ table -> Oftable.set_unwildcard table mode) t.tables
+
 let table t id =
   match Hashtbl.find_opt t.tables id with
   | Some table -> table

@@ -16,9 +16,12 @@ val version : t -> int
 
 val copy : t -> t
 (** Independent replica for a parallel-replay domain: same tables, rules and
-    version, but private lookup state (lazily rebuilt tuple indexes) so
-    concurrent replays never race.  Rule mutations on either side are not
+    version and unwildcard mode, but private lookup state (lazily rebuilt
+    tuple indexes) so concurrent replays never race.  Rule mutations on either side are not
     seen by the other. *)
+
+val set_unwildcard : t -> Oftable.unwildcard -> unit
+(** Set every table's {!Oftable.unwildcard} mode; {!copy} keeps it. *)
 
 val table : t -> int -> Oftable.t
 (** Raises [Not_found] for an unknown table id. *)

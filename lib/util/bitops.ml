@@ -1,9 +1,9 @@
 let mask_of_width w =
-  assert (w >= 0 && w <= 62);
-  if w = 0 then 0 else (1 lsl w) - 1
+  if w < 0 || w > 62 then invalid_arg "Bitops.mask_of_width: width outside 0..62";
+  (1 lsl w) - 1
 
 let prefix_mask ~width len =
-  assert (len >= 0 && len <= width);
+  if len < 0 || len > width then invalid_arg "Bitops.prefix_mask: length outside 0..width";
   mask_of_width width land lnot (mask_of_width (width - len))
 
 (* Set bits of each byte value; [popcount] reads its argument a byte at a

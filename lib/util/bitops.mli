@@ -1,12 +1,14 @@
 (** Bit-level helpers shared by the flow/mask algebra and the generators. *)
 
 val mask_of_width : int -> int
-(** [mask_of_width w] is a value with the low [w] bits set. [0 <= w <= 62]. *)
+(** [mask_of_width w] is a value with the low [w] bits set.  Raises
+    [Invalid_argument] unless [0 <= w <= 62]. *)
 
 val prefix_mask : width:int -> int -> int
 (** [prefix_mask ~width len] is the mask matching the top [len] bits of a
     [width]-bit field (CIDR-style), e.g.
-    [prefix_mask ~width:32 24 = 0xFFFFFF00]. *)
+    [prefix_mask ~width:32 24 = 0xFFFFFF00].  Raises [Invalid_argument]
+    unless [0 <= len <= width] (and [width <= 62]). *)
 
 val popcount : int -> int
 (** Number of set bits, over all 63 bits of a negative argument too. *)

@@ -91,6 +91,116 @@ let prop_tss_removal =
   removal_prop "tss after removals = linear" Tss.create Tss.insert Tss.remove
     (fun t flow -> fst (Tss.lookup t flow))
 
+(* Reference for [Tss.lookup]: tuples regrouped from the live entries and
+   fully re-sorted by max priority on every call, scanned with the same
+   stop rule. *)
+let ref_tss_lookup (entries : int Entry.t list) flow =
+  let tuples = Mask.Tbl.create 8 in
+  List.iter
+    (fun (e : int Entry.t) ->
+      let mask = Fmatch.mask e.fmatch in
+      Mask.Tbl.replace tuples mask (e :: Option.value ~default:[] (Mask.Tbl.find_opt tuples mask)))
+    entries;
+  let sorted =
+    Mask.Tbl.fold
+      (fun _ es acc -> (List.fold_left (fun m (e : int Entry.t) -> max m e.priority) min_int es, es) :: acc)
+      tuples []
+    |> List.sort (fun (a, _) (b, _) -> compare b a)
+  in
+  let better_opt best c =
+    match (best, c) with
+    | None, c -> c
+    | b, None -> b
+    | Some b, Some c -> if Entry.better c b then Some c else Some b
+  in
+  let rec scan best probes = function
+    | [] -> (best, probes)
+    | (max_priority, es) :: rest -> (
+        match best with
+        | Some (b : int Entry.t) when b.priority > max_priority -> (best, probes)
+        | _ ->
+            let c =
+              List.fold_left
+                (fun acc e -> if Entry.matches e flow then better_opt acc (Some e) else acc)
+                None es
+            in
+            scan (better_opt best c) (probes + 1) rest)
+  in
+  scan None 0 sorted
+
+(* Random insert/remove sequences over a few shared masks: priority ties,
+   removal of a tuple's max-priority entry, and deletion of a tuple's last
+   entry.  The incrementally kept tuple order must give
+   the same winner and probe count as a full re-sort. *)
+let prop_tss_order_incremental =
+  QCheck2.Test.make ~name:"tss incremental order = full re-sort" ~count:60
+    QCheck2.Gen.(int_range 0 100_000)
+    (fun seed ->
+      let rng = Gf_util.Rng.create seed in
+      let masks =
+        Array.init (2 + Gf_util.Rng.int rng 5) (fun id ->
+            Fmatch.mask (pool_rule rng ~id ~action:(Gf_pipeline.Action.drop ())).Gf_pipeline.Ofrule.fmatch)
+      in
+      let t = Tss.create () in
+      let live = Hashtbl.create 64 in
+      let next_key = ref 0 in
+      let remove key =
+        ignore (Tss.remove t key);
+        Hashtbl.remove live key
+      in
+      let live_entries () = Hashtbl.fold (fun _ e acc -> e :: acc) live [] in
+      let same_tuple (e : int Entry.t) =
+        List.filter
+          (fun (x : int Entry.t) -> Mask.equal (Fmatch.mask x.fmatch) (Fmatch.mask e.fmatch))
+          (live_entries ())
+      in
+      let ok = ref true in
+      for step = 1 to 200 do
+        (match live_entries () with
+        | _ :: _ as es when Gf_util.Rng.int rng 100 >= 65 -> (
+            let e = List.nth es (Gf_util.Rng.int rng (List.length es)) in
+            match Gf_util.Rng.int rng 3 with
+            | 0 -> remove e.Entry.key
+            | 1 ->
+                (* the tuple's best entry: its max priority *)
+                let best =
+                  List.fold_left
+                    (fun b x -> if Entry.better x b then x else b)
+                    e (same_tuple e)
+                in
+                remove best.Entry.key
+            | _ -> List.iter (fun (x : int Entry.t) -> remove x.key) (same_tuple e))
+        | _ ->
+            let key = !next_key in
+            incr next_key;
+            (* Tuple i's priorities are i or i + 1: neighbours tie, and a
+               tuple's max drops when its (i + 1)-entries go. *)
+            let i = Gf_util.Rng.int rng (Array.length masks) in
+            let e =
+              Entry.v ~key
+                ~fmatch:(Fmatch.v ~pattern:(pool_flow rng) ~mask:masks.(i))
+                ~priority:(i + Gf_util.Rng.int rng 2) key
+            in
+            Tss.insert t e;
+            Hashtbl.replace live key e);
+        if step mod 5 = 0 then begin
+          let es = live_entries () in
+          for _ = 1 to 20 do
+            let flow =
+              match es with
+              | _ :: _ when Gf_util.Rng.bool rng ->
+                  let e = List.nth es (Gf_util.Rng.int rng (List.length es)) in
+                  agreeing_flow rng (Fmatch.mask e.Entry.fmatch) (Fmatch.pattern e.Entry.fmatch)
+              | _ -> pool_flow rng
+            in
+            let got, got_probes = Tss.lookup t flow in
+            let want, want_probes = ref_tss_lookup es flow in
+            if winner_key got <> winner_key want || got_probes <> want_probes then ok := false
+          done
+        end
+      done;
+      !ok)
+
 let prop_nm_removal =
   removal_prop "nuevomatch after removals = linear"
     (fun () ->
@@ -204,6 +314,7 @@ let suite =
 let props =
   [
     prop_tss_agrees_linear;
+    prop_tss_order_incremental;
     prop_nm_agrees_linear;
     prop_nm_untrained_agrees;
     prop_tss_removal;

@@ -590,11 +590,112 @@ let prop_ltm_no_stranding_under_churn =
       done;
       !ok)
 
+(* Reference for [Ltm_cache.pick_victim]: the selection as it stood before
+   the single pass — a last-consumer table over every entry, the list of
+   safe candidates in the full tables of [lo..hi], then a uniform draw
+   ([Random]) or a fold with tuple compares ([Lru] / [Priority_aware]). *)
+let ref_pick_victim ~policy ~rng cache ~lo ~hi =
+  let cap = (Ltm_cache.config cache).Config.table_capacity in
+  let occ = Ltm_cache.table_occupancies cache in
+  let last_consumer = Hashtbl.create 16 in
+  Ltm_cache.iter_rules cache (fun ~table s ->
+      Hashtbl.replace last_consumer s.Ltm_table.rule.Ltm_rule.tag_in table);
+  let safe p (s : Ltm_table.stored) =
+    match s.Ltm_table.rule.Ltm_rule.next with
+    | Ltm_rule.Done _ -> true
+    | Ltm_rule.Next_tag tag -> (
+        match Hashtbl.find_opt last_consumer tag with None -> true | Some q -> q <= p)
+  in
+  let acc = ref [] in
+  Ltm_cache.iter_rules cache (fun ~table:p s ->
+      if p >= lo && p <= hi && occ.(p) >= cap && safe p s then acc := (p, s) :: !acc);
+  let candidates = !acc in
+  match (policy, candidates) with
+  | Gf_cache.Evict.Reject, _ | _, [] -> None
+  | Gf_cache.Evict.Random, _ ->
+      Some (List.nth candidates (Gf_util.Rng.int rng (List.length candidates)))
+  | (Gf_cache.Evict.Lru | Gf_cache.Evict.Priority_aware), _ ->
+      let better (p, (s : Ltm_table.stored)) (p', (s' : Ltm_table.stored)) =
+        let lru () =
+          s.Ltm_table.last_hit < s'.Ltm_table.last_hit
+          || (s.Ltm_table.last_hit = s'.Ltm_table.last_hit
+             && (p, s.Ltm_table.key) < (p', s'.Ltm_table.key))
+        in
+        match policy with
+        | Gf_cache.Evict.Priority_aware ->
+            let pr = s.Ltm_table.rule.Ltm_rule.priority
+            and pr' = s'.Ltm_table.rule.Ltm_rule.priority in
+            pr < pr' || (pr = pr' && lru ())
+        | _ -> lru ()
+      in
+      List.fold_left
+        (fun best c -> match best with Some b when not (better c b) -> best | _ -> Some c)
+        None candidates
+
+(* Random LTM states — k in {2, 3, 4}, capacities 1..5, chains of
+   [Next_tag]s over a small tag pool, priority and recency ties — probed
+   over every feasible range [lo..hi] under all four policies.  The states
+   are built under [Reject] and [Lru] installs only, so the cache's
+   [Random] draws come from [pick_victim] alone and stay in step with the
+   reference's identically seeded generator. *)
+let prop_ltm_victim_matches_reference =
+  QCheck2.Test.make ~name:"ltm victim = list-based reference" ~count:60
+    QCheck2.Gen.(int_range 0 100_000)
+    (fun seed ->
+      let rng = Gf_util.Rng.create seed in
+      let k = 2 + Gf_util.Rng.int rng 3 and cap = 1 + Gf_util.Rng.int rng 5 in
+      let cache =
+        Ltm_cache.create ~rng_seed:seed (Config.v ~tables:k ~table_capacity:cap ())
+      in
+      let ref_rng = Gf_util.Rng.create seed in
+      let tag () = Gf_util.Rng.int rng 4 in
+      let fm () = Fmatch.of_fields [ (Field.Vlan, Gf_util.Rng.int rng 6) ] in
+      let chain () =
+        let m = 1 + Gf_util.Rng.int rng k in
+        let rec go i tag_in =
+          let priority = 1 + Gf_util.Rng.int rng 3 in
+          if i = m - 1 then [ mk_rule ~tag_in ~priority ~next:(Ltm_rule.Done Action.Drop) (fm ()) ]
+          else
+            let next = tag () in
+            mk_rule ~tag_in ~priority ~next:(Ltm_rule.Next_tag next) (fm ()) :: go (i + 1) next
+        in
+        go 0 (tag ())
+      in
+      let ok = ref true and picked = ref 0 in
+      for round = 1 to 40 do
+        (* Whole-second clock, several installs per tick: recency ties. *)
+        let now = float_of_int (round / 3) in
+        Ltm_cache.set_policy cache
+          (if Gf_util.Rng.bool rng then Gf_cache.Evict.Reject else Gf_cache.Evict.Lru);
+        ignore (Ltm_cache.install cache ~now (chain ()));
+        for _ = 1 to 3 do
+          ignore
+            (Ltm_cache.lookup cache ~now ~entry_tag:(tag ())
+               (Flow.make [ (Field.Vlan, Gf_util.Rng.int rng 6) ]))
+        done;
+        List.iter
+          (fun policy ->
+            Ltm_cache.set_policy cache policy;
+            for lo = 0 to k - 1 do
+              for hi = lo to k - 1 do
+                let got = Ltm_cache.pick_victim cache ~lo ~hi in
+                let want = ref_pick_victim ~policy ~rng:ref_rng cache ~lo ~hi in
+                match (got, want) with
+                | None, None -> ()
+                | Some (p, s), Some (p', s') when p = p' && s == s' -> incr picked
+                | _ -> ok := false
+              done
+            done)
+          Gf_cache.Evict.all
+      done;
+      !ok && !picked > 0)
+
 (* --------------- End-to-end consistency (the big one) --------------- *)
 
-let gigaflow_consistency ~scheme seed =
+let gigaflow_consistency ?(unwildcard = `Minimal) ~scheme seed =
   let rng = Gf_util.Rng.create seed in
   let p = random_pipeline rng ~tables:5 ~rules_per_table:10 in
+  Pipeline.set_unwildcard p unwildcard;
   let gf =
     Gigaflow.create ~rng_seed:seed
       (Config.v ~tables:4 ~table_capacity:512 ~scheme ())
@@ -943,28 +1044,50 @@ let test_adaptive_consistency () =
 (* ----------------------- Unwildcarding ablation --------------------- *)
 
 let test_full_unwildcarding_still_sound () =
-  Gf_pipeline.Oftable.unwildcard_mode := `Full;
-  Fun.protect
-    ~finally:(fun () -> Gf_pipeline.Oftable.unwildcard_mode := `Minimal)
-    (fun () ->
-      Alcotest.(check bool) "gigaflow consistent under full unwildcarding" true
-        (gigaflow_consistency ~scheme:Partitioner.Disjoint 4242))
+  Alcotest.(check bool) "gigaflow consistent under full unwildcarding" true
+    (gigaflow_consistency ~unwildcard:`Full ~scheme:Partitioner.Disjoint 4242)
+
+let megaflow_bits p flow =
+  match Executor.execute p flow with
+  | Ok tr -> Mask.bits (Traversal.megaflow_wildcard tr)
+  | Error _ -> 0
 
 let test_full_unwildcarding_fatter () =
   let rng = Gf_util.Rng.create 94 in
   let p = random_pipeline rng ~tables:3 ~rules_per_table:12 in
   let flow = pool_flow rng in
-  let bits mode =
-    Gf_pipeline.Oftable.unwildcard_mode := mode;
-    Fun.protect
-      ~finally:(fun () -> Gf_pipeline.Oftable.unwildcard_mode := `Minimal)
-      (fun () ->
-        match Executor.execute p flow with
-        | Ok tr -> Mask.bits (Traversal.megaflow_wildcard tr)
-        | Error _ -> 0)
-  in
+  let full = Pipeline.copy p in
+  Pipeline.set_unwildcard full `Full;
   Alcotest.(check bool) "full union consults at least as many bits" true
-    (bits `Full >= bits `Minimal)
+    (megaflow_bits full flow >= megaflow_bits p flow)
+
+(* The mode is a per-table setting, not a process-wide one: a minimal and a
+   full pipeline, each on its own domain, return the wildcards each gives
+   alone, and copies keep their original's mode. *)
+let test_unwildcard_per_pipeline () =
+  let rng = Gf_util.Rng.create 95 in
+  let minimal = random_pipeline rng ~tables:4 ~rules_per_table:12 in
+  let flows = Array.init 400 (fun _ -> pool_flow rng) in
+  let full = Pipeline.copy minimal in
+  Pipeline.set_unwildcard full `Full;
+  let wildcards p =
+    Array.map
+      (fun flow ->
+        match Executor.execute p flow with
+        | Ok tr -> Some (Traversal.megaflow_wildcard tr)
+        | Error _ -> None)
+      flows
+  in
+  let alone_minimal = wildcards (Pipeline.copy minimal) in
+  let alone_full = wildcards (Pipeline.copy full) in
+  Alcotest.(check bool) "modes differ on these flows" true (alone_minimal <> alone_full);
+  let on_domain p = Domain.spawn (fun () -> wildcards p) in
+  let dm = on_domain minimal and df = on_domain full in
+  let side_minimal = Domain.join dm and side_full = Domain.join df in
+  Alcotest.(check bool) "minimal pipeline unaffected by the full one" true
+    (side_minimal = alone_minimal);
+  Alcotest.(check bool) "full pipeline unaffected by the minimal one" true
+    (side_full = alone_full)
 
 (* ------------------------------ Config ------------------------------ *)
 
@@ -1008,6 +1131,7 @@ let suite =
     ("adaptive hits stay consistent", `Quick, test_adaptive_consistency);
     ("full unwildcarding still sound", `Quick, test_full_unwildcarding_still_sound);
     ("full unwildcarding is fatter", `Quick, test_full_unwildcarding_fatter);
+    ("unwildcard mode per pipeline", `Quick, test_unwildcard_per_pipeline);
     ("config", `Quick, test_config);
   ]
 
@@ -1022,4 +1146,5 @@ let props =
     prop_gigaflow_consistent_perturbed;
     prop_coverage_matches_brute_force;
     prop_ltm_no_stranding_under_churn;
+    prop_ltm_victim_matches_reference;
   ]

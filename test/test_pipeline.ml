@@ -144,6 +144,228 @@ let prop_unwildcard_sound =
       done;
       !ok)
 
+(* Reference for the compiled unwildcarding pass: [Oftable.lookup] as it
+   stood with list-based exclusion (a [List.assoc_opt] per field-key
+   lookup, a [List.filter] over the refinement order), rebuilt here from
+   the table's public rule list. *)
+module Ref_unwildcard = struct
+  type tuple = {
+    mask : Mask.t;
+    max_priority : int;
+    rules : Ofrule.t list; (* best-first *)
+    field_keys : (int * int array) list;
+  }
+
+  let better (a : Ofrule.t) (b : Ofrule.t) =
+    a.priority > b.priority || (a.priority = b.priority && a.id < b.id)
+
+  let tuples table =
+    let by_mask = Mask.Tbl.create 16 in
+    List.iter
+      (fun (r : Ofrule.t) ->
+        let mask = Fmatch.mask r.fmatch in
+        let rs = Option.value ~default:[] (Mask.Tbl.find_opt by_mask mask) in
+        Mask.Tbl.replace by_mask mask (r :: rs))
+      (List.rev (Oftable.rules table));
+    Mask.Tbl.fold
+      (fun mask rules acc ->
+        let field_keys =
+          List.filter_map
+            (fun f ->
+              if Mask.get mask f = 0 then None
+              else
+                Some
+                  ( Field.index f,
+                    Array.of_list
+                      (List.sort_uniq compare
+                         (List.map (fun (r : Ofrule.t) -> Flow.get (Fmatch.pattern r.fmatch) f) rules))
+                  ))
+            (Array.to_list Field.all)
+        in
+        let max_priority = List.fold_left (fun m (r : Ofrule.t) -> max m r.priority) min_int rules in
+        { mask; max_priority; rules; field_keys } :: acc)
+      by_mask []
+    |> List.sort (fun a b ->
+           let c = compare b.max_priority a.max_priority in
+           if c <> 0 then c else Mask.compare a.mask b.mask)
+
+  let leading_prefix_len ~width m =
+    let rec go i =
+      if i >= width then width else if m land (1 lsl (width - 1 - i)) = 0 then i else go (i + 1)
+    in
+    go 0
+
+  let prefix_shaped ~width m = m = Gf_util.Bitops.prefix_mask ~width (leading_prefix_len ~width m)
+
+  let field_has_key_in tu fi ~fmask ~lo ~hi =
+    match List.assoc_opt fi tu.field_keys with
+    | None | Some [||] -> false
+    | Some keys ->
+        let klo = lo land fmask in
+        let n = Array.length keys in
+        let l = ref 0 and r = ref n in
+        while !l < !r do
+          let mid = (!l + !r) / 2 in
+          if keys.(mid) >= klo then r := mid else l := mid + 1
+        done;
+        !l < n && keys.(!l) <= hi
+
+  let region_interval ~flow ~w f =
+    let width = Field.width f in
+    let plen = leading_prefix_len ~width (Mask.get w f) in
+    let pmask = Gf_util.Bitops.prefix_mask ~width plen in
+    let base = Flow.get flow f land pmask in
+    (base, base lor (Field.full_mask f land lnot pmask), plen)
+
+  let refinement_order =
+    Field.[ Ip_dst; Ip_src; Tp_dst; Tp_src; Eth_dst; Eth_src; Vlan; In_port; Eth_type; Ip_proto ]
+
+  let exclude_tuple ~flow w tu =
+    let fields = List.filter (fun f -> Mask.get tu.mask f <> 0) refinement_order in
+    let overlaps f =
+      let width = Field.width f in
+      let fmask = Mask.get tu.mask f in
+      (not (prefix_shaped ~width fmask))
+      ||
+      let lo, hi, _ = region_interval ~flow ~w f in
+      field_has_key_in tu (Field.index f) ~fmask ~lo ~hi
+    in
+    if List.exists (fun f -> not (overlaps f)) fields then w
+    else begin
+      let try_field f =
+        let width = Field.width f in
+        let fmask = Mask.get tu.mask f in
+        if not (prefix_shaped ~width fmask) then None
+        else begin
+          let tuple_plen = leading_prefix_len ~width fmask in
+          let _, _, plen0 = region_interval ~flow ~w f in
+          let rec extend plen =
+            if plen > tuple_plen then None
+            else begin
+              let pmask = Gf_util.Bitops.prefix_mask ~width plen in
+              let base = Flow.get flow f land pmask in
+              let hi = base lor (Field.full_mask f land lnot pmask) in
+              if field_has_key_in tu (Field.index f) ~fmask ~lo:base ~hi then extend (plen + 1)
+              else Some plen
+            end
+          in
+          match extend (plen0 + 1) with
+          | Some plen ->
+              Some (Mask.set w f (Mask.get w f lor Gf_util.Bitops.prefix_mask ~width plen))
+          | None -> None
+        end
+      in
+      let rec first_resolving = function
+        | [] -> Mask.union w tu.mask
+        | f :: rest -> ( match try_field f with Some w' -> w' | None -> first_resolving rest)
+      in
+      first_resolving fields
+    end
+
+  (* (winner id, consulted, probes) *)
+  let lookup ~mode tuples flow =
+    let rec go tuples best probed probes =
+      match tuples with
+      | [] -> (best, probed, probes)
+      | tu :: rest -> (
+          match best with
+          | Some (r : Ofrule.t) when r.priority > tu.max_priority -> (best, probed, probes)
+          | _ ->
+              let candidate =
+                List.find_opt (fun (r : Ofrule.t) -> Fmatch.matches r.fmatch flow) tu.rules
+              in
+              let best =
+                match (best, candidate) with
+                | None, c -> c
+                | b, None -> b
+                | Some b, Some c -> if better c b then candidate else best
+              in
+              go rest best (tu :: probed) (probes + 1))
+    in
+    let best, probed, probes = go tuples None [] 0 in
+    let consulted =
+      match (mode, best) with
+      | `Full, _ -> List.fold_left (fun w tu -> Mask.union w tu.mask) Mask.empty probed
+      | `Minimal, Some r ->
+          let win_mask = Fmatch.mask r.fmatch in
+          List.fold_left
+            (fun w tu ->
+              if Mask.equal tu.mask win_mask then w
+              else if tu.max_priority >= r.priority then exclude_tuple ~flow w tu
+              else w)
+            win_mask probed
+      | `Minimal, None -> List.fold_left (fun w tu -> exclude_tuple ~flow w tu) Mask.empty probed
+    in
+    (Option.map (fun (r : Ofrule.t) -> r.id) best, consulted, probes)
+end
+
+(* Flows near the table's keys: sampled traffic, the same with low bits of
+   the address and port fields flipped, and pool flows. *)
+let unwildcard_flows rng sampled =
+  let flip flow =
+    List.fold_left
+      (fun flow f ->
+        let bits = 1 + Gf_util.Rng.int rng (min 16 (Field.width f)) in
+        Flow.set flow f (Flow.get flow f lxor Gf_util.Rng.int rng (1 lsl bits)))
+      flow
+      Field.[ Ip_dst; Ip_src; Tp_dst; Tp_src ]
+  in
+  Array.concat [ sampled; Array.map flip sampled; Array.init 100 (fun _ -> pool_flow rng) ]
+
+let check_against_reference name table flows =
+  List.iter
+    (fun mode ->
+      Oftable.set_unwildcard table mode;
+      let tuples = Ref_unwildcard.tuples table in
+      Array.iter
+        (fun flow ->
+          let r = Oftable.lookup table flow in
+          let id, consulted, probes = Ref_unwildcard.lookup ~mode tuples flow in
+          let got_id = match r.Oftable.outcome with `Hit x -> Some x.Ofrule.id | `Miss -> None in
+          if
+            got_id <> id || r.Oftable.probes <> probes
+            || not (Mask.equal r.Oftable.consulted consulted)
+          then
+            Alcotest.failf "%s (%s): %s consulted %s, reference %s" name
+              (match mode with `Minimal -> "minimal" | `Full -> "full")
+              (Flow.to_string flow) (Mask.to_string r.Oftable.consulted) (Mask.to_string consulted))
+        flows)
+    [ `Minimal; `Full ];
+  Oftable.set_unwildcard table `Minimal
+
+let test_unwildcard_matches_reference () =
+  let profile =
+    { Gf_workload.Classbench.acl_profile with endpoints = 128; subnets = 16; services = 32 }
+  in
+  List.iter
+    (fun code ->
+      let info = Option.get (Gf_pipelines.Catalog.find code) in
+      let rs = Gf_workload.Ruleset.build ~profile ~combos:256 ~info ~seed:7 () in
+      let sampled = Gf_workload.Ruleset.sample_flows rs ~seed:8 ~locality:Gf_workload.Ruleset.High ~n:150 in
+      let flows = unwildcard_flows (Gf_util.Rng.create 9) sampled in
+      List.iter
+        (fun table -> check_against_reference (code ^ "/" ^ Oftable.name table) table flows)
+        (Pipeline.tables (Gf_workload.Ruleset.pipeline rs)))
+    [ "PSC"; "OLS"; "OTL" ];
+  (* Pool tables with some non-prefix-shaped field masks, which the pass
+     must treat as overlapping. *)
+  let rng = Gf_util.Rng.create 10 in
+  for _ = 1 to 20 do
+    let rules =
+      List.init 40 (fun id ->
+          let r = pool_rule rng ~id ~action:(Action.output id) in
+          if id mod 5 <> 0 then r
+          else
+            let f = Gf_util.Rng.pick rng [| Field.Ip_dst; Field.Tp_dst; Field.Vlan |] in
+            let mask = Mask.set (Fmatch.mask r.Ofrule.fmatch) f (0x0F0F land Field.full_mask f) in
+            Ofrule.v ~id ~priority:r.Ofrule.priority
+              ~fmatch:(Fmatch.v ~pattern:(Fmatch.pattern r.Ofrule.fmatch) ~mask)
+              ~action:r.Ofrule.action)
+    in
+    let flows = unwildcard_flows rng (Array.init 50 (fun _ -> pool_flow rng)) in
+    check_against_reference "pool" (mk_table rules) flows
+  done
+
 (* The wildcard should also be reasonably tight: matching a lone rule in an
    otherwise empty table must consult exactly that rule's mask. *)
 let test_unwildcard_tight_single_rule () =
@@ -472,6 +694,7 @@ let suite =
     ("minimal unwildcarding (paper 4.2.3 example)", `Quick, test_minimal_unwildcarding_paper_example);
     ("unwildcard tight for single rule", `Quick, test_unwildcard_tight_single_rule);
     ("unwildcard cheap for distant tuples", `Quick, test_unwildcard_disjoint_tuple_free);
+    ("unwildcard = list-based reference", `Quick, test_unwildcard_matches_reference);
     ("pipeline structure", `Quick, test_pipeline_structure);
     ("pipeline version bumps", `Quick, test_pipeline_version_bumps);
     ("executor traces chains", `Quick, test_executor_terminates_and_traces);

@@ -305,6 +305,18 @@ let test_bitops () =
   Alcotest.(check bool) "subset yes" true (Bitops.is_subset ~sub:0b101 ~super:0b111);
   Alcotest.(check bool) "subset no" false (Bitops.is_subset ~sub:0b1000 ~super:0b111)
 
+let test_bitops_range_checked () =
+  Alcotest.(check int) "mask 62" max_int (Bitops.mask_of_width 62);
+  let raises name f =
+    Alcotest.(check bool) name true
+      (match f () with _ -> false | exception Invalid_argument _ -> true)
+  in
+  raises "mask width -1" (fun () -> Bitops.mask_of_width (-1));
+  raises "mask width 63" (fun () -> Bitops.mask_of_width 63);
+  raises "prefix length -1" (fun () -> Bitops.prefix_mask ~width:32 (-1));
+  raises "prefix longer than width" (fun () -> Bitops.prefix_mask ~width:32 33);
+  raises "prefix of a 63-bit field" (fun () -> Bitops.prefix_mask ~width:63 8)
+
 let test_json_roundtrip () =
   let v =
     Json.Obj
@@ -383,6 +395,7 @@ let suite =
     ("tablefmt arity check", `Quick, test_tablefmt_bad_row);
     ("tablefmt numbers", `Quick, test_fmt_numbers);
     ("bitops", `Quick, test_bitops);
+    ("bitops range checked", `Quick, test_bitops_range_checked);
     ("json roundtrip", `Quick, test_json_roundtrip);
     ("json non-finite -> null", `Quick, test_json_nonfinite_is_null);
     ("json parse errors", `Quick, test_json_parse_errors);
