@@ -643,11 +643,8 @@ let profile_cmd =
    stream must carry a meta line and at least one time-series sample, and
    samples/events must expose the documented fields.  Loadtest JSONL
    streams (loadtest_meta/loadtest_window/loadtest_summary lines) are
-   validated under their own schema.  [--bench] additionally walks a
-   benchmark JSON document and rejects any *overhead_pct key below the
-   noise floor (a negative "overhead" beyond jitter means the baseline
-   timing is broken).  Exits non-zero on the first violation — check.sh
-   uses this as the telemetry smoke gate. *)
+   validated under their own schema.  Exits non-zero on the first
+   violation — check.sh uses this as the telemetry smoke gate. *)
 let telemetry_check_cmd =
   let module J = Gf_util.Json in
   let fail line_no msg =
@@ -662,55 +659,6 @@ let telemetry_check_cmd =
     | Some (J.Bool _), `Bool -> ()
     | Some _, _ -> fail line_no (Printf.sprintf "field %S has the wrong type" field)
     | None, _ -> fail line_no (Printf.sprintf "missing field %S" field)
-  in
-  let check_bench ~floor file =
-    let bfail msg =
-      Printf.eprintf "telemetry-check: %s: %s\n" file msg;
-      exit 1
-    in
-    let ic = open_in file in
-    let n = in_channel_length ic in
-    let text = really_input_string ic n in
-    close_in ic;
-    match J.of_string text with
-    | Error e -> bfail ("not valid JSON: " ^ e)
-    | Ok json ->
-        let contains_overhead name =
-          let needle = "overhead_pct" in
-          let nl = String.length needle and l = String.length name in
-          let rec has i =
-            i + nl <= l && (String.sub name i nl = needle || has (i + 1))
-          in
-          has 0
-        in
-        let checked = ref 0 in
-        let rec walk path j =
-          match j with
-          | J.Obj fields ->
-              List.iter
-                (fun (name, v) ->
-                  let p = if path = "" then name else path ^ "." ^ name in
-                  (if contains_overhead name then
-                     match J.to_float_opt v with
-                     | Some x ->
-                         incr checked;
-                         if x < floor then
-                           bfail
-                             (Printf.sprintf "%s = %.2f is below the %.2f noise floor"
-                                p x floor)
-                     | None -> bfail (Printf.sprintf "%s is not numeric" p));
-                  walk p v)
-                fields
-          | J.List items ->
-              List.iteri
-                (fun i v -> walk (Printf.sprintf "%s[%d]" path i) v)
-                items
-          | J.Null | J.Bool _ | J.Int _ | J.Float _ | J.Str _ -> ()
-        in
-        walk "" json;
-        Printf.printf "%s: OK (%d overhead figure%s >= %.2f%%)\n" file !checked
-          (if !checked = 1 then "" else "s")
-          floor
   in
   (* chrome://tracing JSON: a traceEvents array of complete events, each
      with the fields the trace viewers require. *)
@@ -751,7 +699,7 @@ let telemetry_check_cmd =
               events;
             Printf.printf "%s: OK (%d trace events)\n" file (List.length events))
   in
-  let check file bench floor chrome =
+  let check file chrome =
     (match file with
     | None -> ()
     | Some file ->
@@ -930,13 +878,10 @@ let telemetry_check_cmd =
           Printf.printf "%s: OK (%d meta, %d samples, %d events)\n" file !metas
             !samples !events
         end);
-    (match bench with
-    | Some bench -> check_bench ~floor bench
-    | None -> ());
     (match chrome with Some chrome -> check_chrome chrome | None -> ());
-    if file = None && bench = None && chrome = None then begin
+    if file = None && chrome = None then begin
       Printf.eprintf
-        "telemetry-check: nothing to check (pass FILE, --bench and/or --chrome)\n";
+        "telemetry-check: nothing to check (pass FILE and/or --chrome)\n";
       exit 2
     end
   in
@@ -945,24 +890,6 @@ let telemetry_check_cmd =
       value
       & pos 0 (some string) None
       & info [] ~docv:"FILE" ~doc:"Telemetry JSONL file to validate.")
-  in
-  let bench_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "bench" ] ~docv:"JSON"
-          ~doc:
-            "Also validate a benchmark JSON document: every key containing \
-             $(i,overhead_pct) must be numeric and at or above the noise \
-             floor ($(b,--overhead-floor)).")
-  in
-  let floor_arg =
-    Arg.(
-      value & opt float (-3.0)
-      & info [ "overhead-floor" ] ~docv:"PCT"
-          ~doc:
-            "Lowest acceptable overhead figure in $(b,--bench) mode; \
-             anything below it means the baseline timing is noise-broken.")
   in
   let chrome_arg =
     Arg.(
@@ -977,7 +904,7 @@ let telemetry_check_cmd =
   Cmd.v
     (Cmd.info "telemetry-check"
        ~doc:"Validate a telemetry JSONL file (parseability + required series).")
-    Term.(const check $ file_arg $ bench_arg $ floor_arg $ chrome_arg)
+    Term.(const check $ file_arg $ chrome_arg)
 
 (* Fixed-rate SLO load test (packetblaster-style): sustained offered load
    through a single-server queue in front of the datapath, p50/p99/p99.9
@@ -1015,11 +942,22 @@ let loadtest_cmd =
             "Tail-drop threshold: a packet whose queueing delay would exceed \
              $(docv) microseconds is dropped before reaching the datapath.")
   in
+  let zipf_conv =
+    let parse s =
+      match float_of_string_opt s with
+      | Some z when z >= 0.0 -> Ok z
+      | Some _ | None ->
+          Error (`Msg (Printf.sprintf "invalid Zipf exponent %S (a number >= 0)" s))
+    in
+    Arg.conv (parse, Format.pp_print_float)
+  in
   let zipf_arg =
     Arg.(
-      value & opt float 1.1
+      value & opt zipf_conv 1.1
       & info [ "zipf" ] ~docv:"S"
-          ~doc:"Zipf skew of the steady-state traffic over the flow population.")
+          ~doc:
+            "Zipf skew of the steady-state traffic over the flow population \
+             ($(docv) >= 0).")
   in
   let slo_p50_arg =
     Arg.(

@@ -5,11 +5,11 @@ type t = { cores : int; loads : int array }
 let rss_hash flow_id = flow_id * 0x9E3779B1 land max_int
 
 let of_loads loads =
-  assert (Array.length loads > 0);
+  if Array.length loads = 0 then invalid_arg "Multicore.of_loads: no cores";
   { cores = Array.length loads; loads = Array.copy loads }
 
 let distribute ~cores flow_cycles =
-  assert (cores > 0);
+  if cores <= 0 then invalid_arg "Multicore.distribute: cores must be > 0";
   let loads = Array.make cores 0 in
   Hashtbl.iter
     (fun flow_id cycles ->

@@ -18,12 +18,13 @@ val rss_hash : int -> int
 
 val distribute : cores:int -> (int, int) Hashtbl.t -> t
 (** RSS-hash each flow id onto one of [cores] cores and sum its cycles
-    there. Deterministic. *)
+    there. Deterministic.  Raises [Invalid_argument] if [cores <= 0]. *)
 
 val of_loads : int array -> t
 (** Wrap measured per-core loads (e.g. per-domain slowpath cycles observed
     by {!Parallel.replay}) so they can be compared against the static model
-    with the same [imbalance]/[speedup] operators. *)
+    with the same [imbalance]/[speedup] operators.  Raises
+    [Invalid_argument] on an empty array. *)
 
 val max_load : t -> int
 (** The bottleneck core's cycles. *)

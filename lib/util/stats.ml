@@ -119,7 +119,8 @@ module Histogram = struct
   type t = { lo : float; hi : float; counts : int array; mutable total : int }
 
   let create ~lo ~hi ~bins =
-    assert (bins > 0 && hi > lo);
+    if bins <= 0 then invalid_arg "Stats.Histogram.create: bins must be > 0";
+    if not (hi > lo) then invalid_arg "Stats.Histogram.create: hi must be > lo";
     { lo; hi; counts = Array.make bins 0; total = 0 }
 
   let add t x =
@@ -135,7 +136,8 @@ module Histogram = struct
 
   let bin_bounds t i =
     let bins = Array.length t.counts in
-    assert (i >= 0 && i < bins);
+    if i < 0 || i >= bins then
+      invalid_arg "Stats.Histogram.bin_bounds: bin outside 0..bins-1";
     let w = (t.hi -. t.lo) /. float_of_int bins in
     (t.lo +. (w *. float_of_int i), t.lo +. (w *. float_of_int (i + 1)))
 end

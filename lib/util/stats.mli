@@ -57,10 +57,14 @@ module Histogram : sig
   type t
 
   val create : lo:float -> hi:float -> bins:int -> t
+  (** Raises [Invalid_argument] unless [bins > 0] and [hi > lo]. *)
+
   val add : t -> float -> unit
   (** Out-of-range samples are clamped into the first/last bin. *)
 
   val counts : t -> int array
   val total : t -> int
   val bin_bounds : t -> int -> float * float
+  (** [bin_bounds t i] is bin [i]'s [(lo, hi)]; raises [Invalid_argument]
+      unless [0 <= i < bins]. *)
 end

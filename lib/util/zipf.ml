@@ -7,8 +7,8 @@ type t = {
 }
 
 let create ~n ~s =
-  assert (n > 0);
-  assert (s >= 0.0);
+  if n <= 0 then invalid_arg "Zipf.create: n must be > 0";
+  if not (s >= 0.0) then invalid_arg "Zipf.create: s must be >= 0";
   let cdf = Array.make n 0.0 in
   let acc = ref 0.0 in
   for r = 0 to n - 1 do
@@ -71,5 +71,5 @@ let sample t rng =
   if u -. float_of_int i < t.prob.(i) then i else t.alias.(i)
 
 let pmf t r =
-  assert (r >= 0 && r < t.n);
+  if r < 0 || r >= t.n then invalid_arg "Zipf.pmf: rank outside 0..n-1";
   if r = 0 then t.cdf.(0) else t.cdf.(r) -. t.cdf.(r - 1)

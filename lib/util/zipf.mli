@@ -8,7 +8,8 @@ type t
 
 val create : n:int -> s:float -> t
 (** [create ~n ~s] precomputes the CDF for [n] ranks and exponent [s].
-    Requires [n > 0] and [s >= 0] ([s = 0] degenerates to uniform). *)
+    Requires [n > 0] and [s >= 0] ([s = 0] degenerates to uniform);
+    raises [Invalid_argument] otherwise. *)
 
 val n : t -> int
 val exponent : t -> float
@@ -17,4 +18,5 @@ val sample : t -> Rng.t -> int
 (** Draw a rank in [\[0, n)]; rank 0 is the most popular. *)
 
 val pmf : t -> int -> float
-(** [pmf t r] is the probability of rank [r]. *)
+(** [pmf t r] is the probability of rank [r]; raises [Invalid_argument]
+    unless [0 <= r < n t]. *)

@@ -149,5 +149,11 @@ let flow_testable = Alcotest.testable Flow.pp Flow.equal
 let mask_testable = Alcotest.testable Mask.pp Mask.equal
 let fmatch_testable = Alcotest.testable Fmatch.pp Fmatch.equal
 
+(* Argument checks are [invalid_arg], not [assert]: they must survive
+   [-noassert] builds. *)
+let raises_invalid name f =
+  Alcotest.(check bool) name true
+    (match f () with _ -> false | exception Invalid_argument _ -> true)
+
 let qsuite name tests =
   (name, List.map (QCheck_alcotest.to_alcotest ~long:false) tests)

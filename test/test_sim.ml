@@ -248,6 +248,15 @@ let test_multicore_distribution () =
     (s > 3.0 && s <= 4.2);
   Alcotest.(check bool) "balanced" true (Gf_sim.Multicore.imbalance four < 1.2)
 
+let test_multicore_of_loads_rejects_empty () =
+  Helpers.raises_invalid "no cores" (fun () -> Gf_sim.Multicore.of_loads [||])
+
+let test_multicore_distribute_rejects_no_cores () =
+  let census = Hashtbl.create 1 in
+  Hashtbl.replace census 0 100;
+  Helpers.raises_invalid "0 cores" (fun () -> Gf_sim.Multicore.distribute ~cores:0 census);
+  Helpers.raises_invalid "-1 cores" (fun () -> Gf_sim.Multicore.distribute ~cores:(-1) census)
+
 (* ------------------------- parallel replay ------------------------- *)
 
 module Parallel = Gf_sim.Parallel
@@ -608,6 +617,8 @@ let suite =
     ("latency model", `Quick, test_latency_model);
     ("resources model", `Quick, test_resources_model);
     ("multicore distribution", `Quick, test_multicore_distribution);
+    ("multicore of_loads rejects empty", `Quick, test_multicore_of_loads_rejects_empty);
+    ("multicore distribute rejects 0 cores", `Quick, test_multicore_distribute_rejects_no_cores);
     ("metrics merge", `Quick, test_metrics_merge);
     ("parallel shard partition", `Quick, test_parallel_shard_partition);
     ("parallel 1-domain = plain datapath", `Slow, test_parallel_single_domain_matches_datapath);

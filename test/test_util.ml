@@ -7,6 +7,8 @@ module Tablefmt = Gf_util.Tablefmt
 module Bitops = Gf_util.Bitops
 module Json = Gf_util.Json
 
+let raises_invalid = Helpers.raises_invalid
+
 let test_rng_deterministic () =
   let a = Rng.create 42 and b = Rng.create 42 in
   for _ = 1 to 100 do
@@ -190,6 +192,19 @@ let test_zipf_uniform_when_s0 () =
     if Float.abs (Zipf.pmf z r -. 0.25) > 1e-9 then Alcotest.fail "not uniform"
   done
 
+let test_zipf_rejects_empty () =
+  raises_invalid "n = 0" (fun () -> Zipf.create ~n:0 ~s:1.0);
+  raises_invalid "n < 0" (fun () -> Zipf.create ~n:(-3) ~s:1.0)
+
+let test_zipf_rejects_negative_s () =
+  raises_invalid "s < 0" (fun () -> Zipf.create ~n:10 ~s:(-0.5));
+  raises_invalid "s nan" (fun () -> Zipf.create ~n:10 ~s:Float.nan)
+
+let test_zipf_pmf_range_checked () =
+  let z = Zipf.create ~n:4 ~s:1.0 in
+  raises_invalid "rank -1" (fun () -> Zipf.pmf z (-1));
+  raises_invalid "rank n" (fun () -> Zipf.pmf z 4)
+
 let test_acc_basic () =
   let acc = Stats.Acc.create () in
   List.iter (Stats.Acc.add acc) [ 1.0; 2.0; 3.0; 4.0 ];
@@ -263,6 +278,16 @@ let test_histogram () =
   Alcotest.(check (float 1e-9)) "bin lo" 2.0 lo;
   Alcotest.(check (float 1e-9)) "bin hi" 4.0 hi
 
+let test_histogram_rejects_bad_shape () =
+  raises_invalid "bins 0" (fun () -> Stats.Histogram.create ~lo:0.0 ~hi:1.0 ~bins:0);
+  raises_invalid "hi = lo" (fun () -> Stats.Histogram.create ~lo:1.0 ~hi:1.0 ~bins:4);
+  raises_invalid "hi < lo" (fun () -> Stats.Histogram.create ~lo:2.0 ~hi:1.0 ~bins:4)
+
+let test_histogram_bin_bounds_range_checked () =
+  let h = Stats.Histogram.create ~lo:0.0 ~hi:10.0 ~bins:5 in
+  raises_invalid "bin -1" (fun () -> Stats.Histogram.bin_bounds h (-1));
+  raises_invalid "bin 5" (fun () -> Stats.Histogram.bin_bounds h 5)
+
 let contains haystack needle =
   let n = String.length haystack and m = String.length needle in
   let rec at i = i + m <= n && (String.sub haystack i m = needle || at (i + 1)) in
@@ -307,15 +332,11 @@ let test_bitops () =
 
 let test_bitops_range_checked () =
   Alcotest.(check int) "mask 62" max_int (Bitops.mask_of_width 62);
-  let raises name f =
-    Alcotest.(check bool) name true
-      (match f () with _ -> false | exception Invalid_argument _ -> true)
-  in
-  raises "mask width -1" (fun () -> Bitops.mask_of_width (-1));
-  raises "mask width 63" (fun () -> Bitops.mask_of_width 63);
-  raises "prefix length -1" (fun () -> Bitops.prefix_mask ~width:32 (-1));
-  raises "prefix longer than width" (fun () -> Bitops.prefix_mask ~width:32 33);
-  raises "prefix of a 63-bit field" (fun () -> Bitops.prefix_mask ~width:63 8)
+  raises_invalid "mask width -1" (fun () -> Bitops.mask_of_width (-1));
+  raises_invalid "mask width 63" (fun () -> Bitops.mask_of_width 63);
+  raises_invalid "prefix length -1" (fun () -> Bitops.prefix_mask ~width:32 (-1));
+  raises_invalid "prefix longer than width" (fun () -> Bitops.prefix_mask ~width:32 33);
+  raises_invalid "prefix of a 63-bit field" (fun () -> Bitops.prefix_mask ~width:63 8)
 
 let test_json_roundtrip () =
   let v =
@@ -383,6 +404,9 @@ let suite =
     ("zipf pmf monotone", `Quick, test_zipf_monotone);
     ("zipf sampling matches pmf", `Quick, test_zipf_sampling_matches_pmf);
     ("zipf s=0 uniform", `Quick, test_zipf_uniform_when_s0);
+    ("zipf rejects n <= 0", `Quick, test_zipf_rejects_empty);
+    ("zipf rejects s < 0", `Quick, test_zipf_rejects_negative_s);
+    ("zipf pmf range checked", `Quick, test_zipf_pmf_range_checked);
     ("stats acc", `Quick, test_acc_basic);
     ("stats acc empty", `Quick, test_acc_empty_nan);
     ("stats percentile", `Quick, test_percentile);
@@ -391,6 +415,8 @@ let suite =
     ("stats percentile ignores nan", `Quick, test_percentile_ignores_nan);
     ("stats batch mean/stddev edges", `Quick, test_batch_mean_stddev_edges);
     ("stats histogram", `Quick, test_histogram);
+    ("stats histogram rejects bad shape", `Quick, test_histogram_rejects_bad_shape);
+    ("stats histogram bin_bounds range checked", `Quick, test_histogram_bin_bounds_range_checked);
     ("tablefmt renders", `Quick, test_tablefmt_renders);
     ("tablefmt arity check", `Quick, test_tablefmt_bad_row);
     ("tablefmt numbers", `Quick, test_fmt_numbers);
