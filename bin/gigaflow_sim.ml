@@ -445,9 +445,10 @@ let run_cmd =
 (* Sub-traversal tracing profiler: replay a workload with the traversal
    tracer on, then render the pulled spans as a folded-stack flamegraph,
    a chrome://tracing timeline, profile JSONL and a Prometheus snapshot,
-   plus a per-(level, cause) miss-attribution table on stdout.  The
-   census is exact (every miss is charged to exactly one cause), so the
-   command exits non-zero if it fails to reconcile with the metrics. *)
+   plus a per-(level, cause) miss-attribution table on stdout read from
+   the run's Metrics.  Every miss is charged to exactly one cause, so the
+   command exits non-zero if the cause counts fail to reconcile with the
+   miss counters. *)
 let profile_cmd =
   let module Telemetry = Gf_telemetry.Telemetry in
   let module Tracer = Gf_telemetry.Tracer in
@@ -475,9 +476,9 @@ let profile_cmd =
       & info [ "sample" ] ~docv:"1/N"
           ~doc:
             "Trace every $(i,N)-th packet (accepts $(b,1/N) or plain \
-             $(b,N); default 1/256).  The miss-cause census is always \
-             exact regardless of the cadence — sampling only thins the \
-             span streams behind the flamegraph and timeline.")
+             $(b,N); default 1/256).  The miss-cause counts come from the \
+             run's metrics and are exact at any cadence — sampling only \
+             thins the span streams behind the flamegraph and timeline.")
   in
   let out_arg =
     Arg.(
@@ -577,6 +578,7 @@ let profile_cmd =
         (fun acc lm -> acc + lm.Metrics.misses)
         0 (Metrics.levels metrics)
     in
+    let causes = Metrics.miss_causes metrics in
     let write path contents =
       let oc = open_out path in
       output_string oc contents;
@@ -598,7 +600,7 @@ let profile_cmd =
       ]
     in
     let oc = open_out (out ^ ".jsonl") in
-    Attribution.write_jsonl ~meta ~total_misses oc attr;
+    Attribution.write_jsonl ~meta ~causes ~total_misses oc attr;
     close_out oc;
     write (out ^ ".prom") (Telemetry.prometheus tel);
     Printf.printf "Sampled %s of %s packets (%s spans)\n"
@@ -606,12 +608,12 @@ let profile_cmd =
       (Tablefmt.fmt_int metrics.Metrics.packets)
       (Tablefmt.fmt_int (Attribution.spans attr));
     let t = Tablefmt.create [ "Level"; "Miss cause"; "Misses" ] in
-    List.iter
-      (fun (level, cause, n) ->
-        Tablefmt.add_row t [ level; cause; Tablefmt.fmt_int n ])
-      (Attribution.top_causes ~n:12 attr);
+    List.stable_sort (fun (_, _, a) (_, _, b) -> compare b a) causes
+    |> List.filteri (fun i _ -> i < 12)
+    |> List.iter (fun (level, cause, n) ->
+           Tablefmt.add_row t [ level; cause; Tablefmt.fmt_int n ]);
     Tablefmt.print t;
-    let census = Attribution.census_total attr in
+    let census = List.fold_left (fun acc (_, _, n) -> acc + n) 0 causes in
     let reconciled = census = total_misses in
     Printf.printf "Miss census: %s of %s metrics misses attributed (%s)\n"
       (Tablefmt.fmt_int census)
@@ -1068,24 +1070,6 @@ let loadtest_cmd =
             exit 2
         | Ok spec -> Some (Gf_control.Controller.create ~spec ())
     in
-    (* The controller steers off the exact miss-cause census, which lives
-       on the traversal tracer: attach a telemetry handle whose tracer
-       samples (expensive) spans essentially never but keeps the
-       (always-on, exact) census. *)
-    let telemetry =
-      Option.map
-        (fun _ ->
-          Gf_telemetry.Telemetry.create
-            ~config:
-              {
-                Gf_telemetry.Telemetry.default_config with
-                sample_every = 0;
-                event_sample_every = 0;
-                trace_sample_every = 1 lsl 30;
-              }
-            ())
-        controller
-    in
     let slo =
       {
         Loadtest.slo_p50_us = slo_p50;
@@ -1101,7 +1085,6 @@ let loadtest_cmd =
       window;
     let r =
       Loadtest.run ~queue_budget_us:queue_budget ~warmup ~window ~windows
-        ?telemetry
         ?controller:
           (Option.map
              (fun c dp wr -> Gf_control.Controller.on_window c dp wr)

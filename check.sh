@@ -187,8 +187,8 @@ echo "== profile smoke"
 # miss-cause census must reconcile exactly with the Metrics miss
 # counters (the profile command exits non-zero on a mismatch;
 # telemetry-check re-verifies the JSONL reconciliation independently).
-dune exec --no-build -- gigaflow-sim profile -p PSC --flows 20000 --combos 8192 --seed 77 \
-  --trace drift --hierarchy gf_sw_hh --sample 1/64 --out "$TDIR/profile" \
+PROF="-p PSC --flows 20000 --combos 8192 --seed 77 --trace drift --hierarchy gf_sw_hh --sample 1/64"
+dune exec --no-build -- gigaflow-sim profile $PROF --out "$TDIR/profile" \
   > "$TDIR/profile.out"
 test -s "$TDIR/profile.folded" || {
   echo "profile produced empty folded stacks" >&2; exit 1; }
@@ -196,6 +196,18 @@ grep -q '(reconciled)' "$TDIR/profile.out" || {
   echo "profile census did not reconcile" >&2; exit 1; }
 dune exec --no-build -- gigaflow-sim telemetry-check \
   --chrome "$TDIR/profile.trace.json" "$TDIR/profile.jsonl"
+# The census across engines: the batched engine at one domain must charge
+# every miss to the same cause as the walker.  At two domains the caches
+# shard per core, so the counts legitimately differ, but they must still
+# reconcile with that run's misses.
+census() { grep -E '"type":"profile_(cause|summary)"' "$1"; }
+dune exec --no-build -- gigaflow-sim profile $PROF --engine batched --domains 1 \
+  --out "$TDIR/profile_b1" > /dev/null
+test "$(census "$TDIR/profile.jsonl")" = "$(census "$TDIR/profile_b1.jsonl")" || {
+  echo "walker and batched engine miss-cause census differ" >&2; exit 1; }
+dune exec --no-build -- gigaflow-sim profile $PROF --engine batched --domains 2 \
+  --out "$TDIR/profile_b2" > /dev/null
+dune exec --no-build -- gigaflow-sim telemetry-check "$TDIR/profile_b2.jsonl"
 
 echo "== benchmark overhead floor"
 # A fresh traced benchmark run alternates traced and untraced replays of

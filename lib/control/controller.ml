@@ -3,8 +3,6 @@ module Metrics = Gf_sim.Metrics
 module Cache_level = Gf_sim.Cache_level
 module Evict = Gf_cache.Evict
 module Heavy_hitter = Gf_offload.Heavy_hitter
-module Telemetry = Gf_telemetry.Telemetry
-module Tracer = Gf_telemetry.Tracer
 module Loadtest = Gf_engine.Loadtest
 module Json = Gf_util.Json
 
@@ -83,9 +81,8 @@ type action = {
   act_reason : string;
 }
 
-(* Miss-cause deltas for one window: the census (exact, per level) summed
-   across levels when a tracer is attached, else the coarser [Metrics]
-   admission/pressure counters. *)
+(* Miss-cause deltas for one window: the [Metrics] per-level miss causes
+   summed across levels. *)
 type causes = { cold : int; deferred : int; pressure : int; stall : int }
 
 let zero_causes = { cold = 0; deferred = 0; pressure = 0; stall = 0 }
@@ -117,33 +114,19 @@ let action_json a =
 
 (* ----------------------------- observe ------------------------------- *)
 
+(* Expired and revalidated misses are in no bucket: those entries died of
+   old age or a rule change, not of the knobs this controller owns. *)
 let cumulative_causes dp =
-  match Option.map Telemetry.tracer (Datapath.telemetry dp) with
-  | Some (Some tr) ->
-      let n = Array.length (Datapath.level_names dp) in
-      let sum cause =
-        let acc = ref 0 in
-        for i = 0 to n - 1 do
-          acc := !acc + Tracer.census_get tr ~level:i cause
-        done;
-        !acc
-      in
-      {
-        cold = sum Tracer.Cold;
-        deferred = sum Tracer.Deferred_admission;
-        (* Expired / revalidated entries died of old age or a rule change,
-           not of the knobs this controller owns: lump them with cold. *)
-        pressure = sum Tracer.Pressure_evicted;
-        stall = sum Tracer.Tag_chain_stall;
-      }
-  | _ ->
-      let m = Datapath.metrics dp in
-      {
-        cold = 0;
-        deferred = m.Metrics.hw_deferred;
-        pressure = m.Metrics.hw_pressure_evictions + m.Metrics.hw_rejected;
-        stall = 0;
-      }
+  let levels = Metrics.levels (Datapath.metrics dp) in
+  let sum cause =
+    List.fold_left (fun acc l -> acc + Metrics.cause_misses l cause) 0 levels
+  in
+  {
+    cold = sum Metrics.Cold;
+    deferred = sum Metrics.Deferred_admission;
+    pressure = sum Metrics.Pressure_evicted;
+    stall = sum Metrics.Tag_chain_stall;
+  }
 
 let dominant c =
   (* Deterministic priority on ties: pressure (most actionable) beats

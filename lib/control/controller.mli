@@ -2,9 +2,8 @@
 
     The controller closes the loop the loadtest harness (PR 7) left open:
     it consumes one observation per measurement window — the window's SLO
-    verdict from {!Gf_engine.Loadtest}, plus the miss-cause census the
-    traversal tracer keeps (PR 8) and the [Metrics] admission/pressure
-    counters — and emits {e bounded} actuations on the datapath's online
+    verdict from {!Gf_engine.Loadtest}, plus the per-level miss-cause
+    counts in {!Gf_sim.Metrics} — and emits {e bounded} actuations on the datapath's online
     knobs: {!Gf_sim.Datapath.set_admission} (retarget the heavy-hitter
     K / threshold without losing the learned hot set),
     {!Gf_sim.Datapath.set_evict_policy} per level, and software-level
@@ -16,8 +15,7 @@
       quantiles and drop rate; the census deltas since the previous
       window attribute the misses ({e cold} vs {e deferred_admission} vs
       {e pressure_evicted} vs {e tag_chain_stall}), which is what picks
-      the remedy.  Without a tracer the controller falls back to the
-      coarser [Metrics] deltas.
+      the remedy.
     - {b Decide.}  Pure rules over the observation: a violated hardware
       hit-rate floor is answered according to the dominant miss cause
       (deferred → lower the admission threshold, then grow K;

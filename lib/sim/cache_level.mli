@@ -135,7 +135,7 @@ module type LEVEL = sig
   (** Tag-chain steps matched by this level's most recent lookup: the
       sub-traversal reuse depth for the LTM (non-zero on a miss means the
       chain matched a prefix then dead-ended — a stall); unchained levels
-      report 0.  Observability hook for the traversal tracer. *)
+      report 0.  Read to resolve miss causes and for tracer spans. *)
 end
 
 type t = (module LEVEL)

@@ -337,19 +337,18 @@ type t = {
   tracer : Tracer.t option;
       (* [Some] iff telemetry is attached with [trace_sample_every > 0]:
          the traversal tracer.  Sampled packets append probe / slowpath
-         spans to its ring; every miss — sampled or not — is charged to a
-         cause via the flow-state arrays below, so the census reconciles
-         with [Metrics] misses exactly.  [None] keeps the packet path
-         free of tracer work (one pattern match per site). *)
+         spans to its ring.  [None] keeps the packet path free of tracer
+         work (one pattern match per site). *)
   level_is_ltm : bool array;  (* walk order: level is the Gigaflow LTM *)
   level_is_hw : bool array;
   level_max_idle : float array;  (* descriptor idle budgets, for Expired *)
   mutable reval_gen : int;
       (* bumped by [revalidate]; flow-state install generations older
          than it resolve misses to [Revalidation] *)
-  (* Per-level, per-flow admission history (tracer only; empty otherwise):
-     what happened to this flow at this level last, when it was last
-     seen there, and under which revalidation generation it installed.
+  (* Per-level, per-flow admission history, read to resolve each miss's
+     [Metrics.cause]: what happened to this flow at this level last,
+     when it was last seen there, and under which revalidation
+     generation it installed.
      Flat arrays indexed by flow id with doubling growth (they saturate
      at the trace's flow count, keeping the soak test's heap flat). *)
   mutable fs_cap : int;
@@ -410,7 +409,7 @@ let create ?telemetry cfg pipeline =
     | Some _ | None -> None
   in
   let n_levels = Array.length levels in
-  let fs_cap = if tracer = None then 0 else 1024 in
+  let fs_cap = 1024 in
   let fs_seen = Array.init n_levels (fun _ -> Array.make fs_cap neg_infinity) in
   {
     cfg;
@@ -600,7 +599,7 @@ let revalidate t =
     t.levels;
   (!total_evicted, !total_work)
 
-(* ---------------------------- tracer hooks ---------------------------- *)
+(* --------------------------- miss attribution -------------------------- *)
 
 (* Grow the per-flow admission-history arrays (doubling) until [fid]
    indexes them. *)
@@ -633,7 +632,7 @@ let ensure_flow_slot t fid =
     t.fs_cap <- cap
   end
 
-(* Record an admission outcome for [fid] at level [i] (tracer only). *)
+(* Record an admission outcome for [fid] at level [i]. *)
 let fs_mark t ~level:i fid st =
   if fid >= 0 then begin
     ensure_flow_slot t fid;
@@ -671,24 +670,24 @@ let span_cycles ~cpw ~work = work * (if cpw > 0 then cpw else Latency.probe_cycl
    stopped calling it hot (hardware under heavy-hitter admission), else to
    capacity pressure. *)
 let miss_cause t ~level:i ~now ~depth ~flow fid =
-  if depth > 0 then Attribution.Tag_chain_stall
-  else if fid < 0 || fid >= t.fs_cap then Attribution.Cold
+  if depth > 0 then Metrics.Tag_chain_stall
+  else if fid < 0 || fid >= t.fs_cap then Metrics.Cold
   else
     match Bytes.unsafe_get t.fs_state.(i) fid with
-    | '\000' -> Attribution.Cold
-    | '\002' -> Attribution.Deferred_admission
-    | '\003' -> Attribution.Pressure_evicted
+    | '\000' -> Metrics.Cold
+    | '\002' -> Metrics.Deferred_admission
+    | '\003' -> Metrics.Pressure_evicted
     | _ -> (
-        if t.fs_gen.(i).(fid) < t.reval_gen then Attribution.Revalidation
+        if t.fs_gen.(i).(fid) < t.reval_gen then Metrics.Revalidation
         else if now -. t.fs_seen.(i).(fid) > t.level_max_idle.(i) then
-          Attribution.Expired
+          Metrics.Expired
         else
           match t.hh with
           | Some hh
             when t.level_is_hw.(i)
                  && not (Heavy_hitter.hot hh ~threshold:t.hh_threshold flow) ->
-              Attribution.Deferred_admission
-          | Some _ | None -> Attribution.Pressure_evicted)
+              Metrics.Deferred_admission
+          | Some _ | None -> Metrics.Pressure_evicted)
 
 (* Inlined per-packet tracer countdown: the non-sampled case (N-1 of N
    packets) is a compare plus two stores with no cross-module call; the
@@ -702,35 +701,13 @@ let tracer_tick tr =
     tr.Tracer.active <- false
   end
 
-(* Per-miss tracer hook: one census increment always (so the per-cause
-   totals reconcile with [Metrics] misses exactly); a miss span when the
-   packet is sampled. *)
-let trace_miss t tr ~level:i ~now ~work ~cpw ~flow fid =
-  let depth =
-    if t.level_is_ltm.(i) then Cache_level.last_depth t.levels.(i) else 0
-  in
-  Tracer.miss tr ~level:i (miss_cause t ~level:i ~now ~depth ~flow fid);
-  if tr.Tracer.active then
-    Tracer.span tr
-      ~packet:(t.metrics.Metrics.packets - 1)
-      ~time:now ~level:i ~table:(-1) ~depth
-      ~cycles:(span_cycles ~cpw ~work)
-      ~outcome:Attribution.outcome_miss
-
-(* Per-hit tracer hook: refresh the flow's idle clock at the hit level and
-   emit a probe span when sampled. *)
-let trace_hit t tr ~level:i ~now ~work ~cpw fid =
-  fs_touch t ~level:i ~now fid;
-  if tr.Tracer.active then begin
-    let depth =
-      if t.level_is_ltm.(i) then Cache_level.last_depth t.levels.(i) else 1
-    in
-    Tracer.span tr
-      ~packet:(t.metrics.Metrics.packets - 1)
-      ~time:now ~level:i ~table:(-1) ~depth
-      ~cycles:(span_cycles ~cpw ~work)
-      ~outcome:Attribution.outcome_hit
-  end
+(* Probe span for a sampled packet's miss or hit at level [i]. *)
+let trace_probe t tr ~level:i ~now ~work ~cpw ~depth outcome =
+  Tracer.span tr
+    ~packet:(t.metrics.Metrics.packets - 1)
+    ~time:now ~level:i ~table:(-1) ~depth
+    ~cycles:(span_cycles ~cpw ~work)
+    ~outcome
 
 (* ------------------------------ slowpath ------------------------------ *)
 
@@ -750,8 +727,8 @@ let traversal t ~memo ~flow_id flow =
   else Executor.execute t.pipeline flow
 
 (* Offer a traversal to level [i] and account the report: the level's
-   [Metrics] (and the hardware aggregates), the tracer's per-flow
-   admission state and the flight recorder. *)
+   [Metrics] (and the hardware aggregates), the per-flow admission
+   history and the flight recorder. *)
 let install_at t ~now ~flow_id ~version i traversal =
   let m = t.metrics and lm = t.level_metrics.(i) in
   let r = Cache_level.install_from_traversal t.levels.(i) ~now ~version traversal in
@@ -767,12 +744,9 @@ let install_at t ~now ~flow_id ~version i traversal =
     m.Metrics.hw_pressure_evictions <-
       m.Metrics.hw_pressure_evictions + r.Cache_level.pressure_evicted
   end;
-  (match t.tracer with
-  | Some _ ->
-      if r.Cache_level.rejected > 0 then fs_mark t ~level:i flow_id '\003'
-      else if r.Cache_level.fresh + r.Cache_level.shared > 0 then
-        fs_install t ~level:i ~now flow_id
-  | None -> ());
+  if r.Cache_level.rejected > 0 then fs_mark t ~level:i flow_id '\003'
+  else if r.Cache_level.fresh + r.Cache_level.shared > 0 then
+    fs_install t ~level:i ~now flow_id;
   let packet = m.Metrics.packets - 1 in
   if r.Cache_level.fresh > 0 then
     note t Recorder.Install ~level:i ~packet ~time:now ~lat:0.0
@@ -816,9 +790,7 @@ let slowpath_installs t ~now ~flow_id execute_result =
           let lm = t.level_metrics.(i) in
           lm.Metrics.deferred <- lm.Metrics.deferred + 1;
           m.Metrics.hw_deferred <- m.Metrics.hw_deferred + 1;
-          (match t.tracer with
-          | Some _ -> fs_mark t ~level:i flow_id '\002'
-          | None -> ());
+          fs_mark t ~level:i flow_id '\002';
           note t Recorder.Defer ~level:i ~packet:(m.Metrics.packets - 1) ~time:now
             ~lat:0.0 ~count:1
         end
@@ -923,9 +895,7 @@ let promote_above t ~now ~flow_id flow h i =
     then begin
       promoted := true;
       let pe = Cache_level.promote lj ~now flow h in
-      (match t.tracer with
-      | Some _ -> fs_install t ~level:j ~now flow_id
-      | None -> ());
+      fs_install t ~level:j ~now flow_id;
       let lmj = t.level_metrics.(j) in
       lmj.Metrics.promotions <- lmj.Metrics.promotions + 1;
       let packet = m.Metrics.packets - 1 in
@@ -1018,22 +988,31 @@ let walk t ~memo ~now ~flow_id flow =
         m.Metrics.cycles_sw_search + (work * d.Cache_level.cycles_per_work);
       match hit with
       | None ->
-          lm.Metrics.misses <- lm.Metrics.misses + 1;
+          let depth =
+            if t.level_is_ltm.(i) then Cache_level.last_depth level else 0
+          in
+          Metrics.record_miss lm (miss_cause t ~level:i ~now ~depth ~flow flow_id);
           (match t.tracer with
-          | Some tr ->
-              trace_miss t tr ~level:i ~now ~work
-                ~cpw:d.Cache_level.cycles_per_work ~flow flow_id
-          | None -> ());
+          | Some tr when tr.Tracer.active ->
+              trace_probe t tr ~level:i ~now ~work
+                ~cpw:d.Cache_level.cycles_per_work ~depth
+                Attribution.outcome_miss
+          | Some _ | None -> ());
           note t Recorder.Miss ~level:i ~packet:(m.Metrics.packets - 1) ~time:now
             ~lat:0.0 ~count:1;
           go (i + 1)
       | Some h ->
           lm.Metrics.hits <- lm.Metrics.hits + 1;
+          fs_touch t ~level:i ~now flow_id;
           (match t.tracer with
-          | Some tr ->
-              trace_hit t tr ~level:i ~now ~work
-                ~cpw:d.Cache_level.cycles_per_work flow_id
-          | None -> ());
+          | Some tr when tr.Tracer.active ->
+              let depth =
+                if t.level_is_ltm.(i) then Cache_level.last_depth level else 1
+              in
+              trace_probe t tr ~level:i ~now ~work
+                ~cpw:d.Cache_level.cycles_per_work ~depth
+                Attribution.outcome_hit
+          | Some _ | None -> ());
           if promote_above t ~now ~flow_id flow h i then mutated := true;
           if maybe_promote_hot t ~memo ~now ~flow_id flow d.Cache_level.tier then
             mutated := true;
@@ -1102,17 +1081,13 @@ let process_memo t ~now ~flow_id flow =
             | Some tr ->
                 tracer_tick tr;
                 if tr.Tracer.active then
-                  Tracer.span tr
-                    ~packet:(m.Metrics.packets - 1)
-                    ~time:now ~level:0 ~table:(-1) ~depth:pm.p_depth
-                    ~cycles:(span_cycles ~cpw:pm.p_cpw ~work)
-                    ~outcome:Attribution.outcome_hit;
-                (* Inlined [fs_touch ~level:0] — [flow_id >= 0] is
-                   checked at entry, so one bounds test suffices. *)
-                if flow_id < t.fs_cap then
-                  Array.unsafe_set t.fs_seen0 flow_id now
-                else fs_touch t ~level:0 ~now flow_id
+                  trace_probe t tr ~level:0 ~now ~work ~cpw:pm.p_cpw
+                    ~depth:pm.p_depth Attribution.outcome_hit
             | None -> ());
+            (* Inlined [fs_touch ~level:0] — [flow_id >= 0] is checked at
+               entry, so one bounds test suffices. *)
+            if flow_id < t.fs_cap then Array.unsafe_set t.fs_seen0 flow_id now
+            else fs_touch t ~level:0 ~now flow_id;
             (match t.hh with Some hh -> Heavy_hitter.observe hh flow | None -> ());
             let lm0 = t.level_metrics.(0) in
             lm0.Metrics.work <- lm0.Metrics.work + work;

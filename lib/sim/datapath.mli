@@ -267,8 +267,9 @@ val process :
     the forwarding decision ([None] if the slowpath failed, e.g. a
     pipeline loop) and the modelled latency in microseconds.  Updates
     metrics, including the per-level breakdown ({!Metrics.levels}).
-    [flow_id] (default [-1], unknown) only feeds the traversal tracer's
-    per-flow miss attribution — it never affects the forwarding result.
+    [flow_id] (default [-1], unknown) only feeds the per-flow miss-cause
+    attribution ({!Metrics.record_miss}; an unknown flow's misses are
+    [Cold]) — it never affects the forwarding result.
     This is the same hierarchy walk {!process_memo} runs, with the
     per-flow memo off: no memo tables are filled. *)
 

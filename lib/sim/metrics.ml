@@ -1,5 +1,35 @@
 module Histogram = Gf_telemetry.Histogram
 
+(* Why a level missed.  The datapath resolves the cause at the point it
+   counts the miss ([record_miss]), so every miss maps to exactly one
+   cause and the per-cause counts sum to [misses] by construction. *)
+type cause =
+  | Cold
+  | Deferred_admission
+  | Pressure_evicted
+  | Expired
+  | Revalidation
+  | Tag_chain_stall
+
+let all_causes =
+  [ Cold; Deferred_admission; Pressure_evicted; Expired; Revalidation; Tag_chain_stall ]
+
+let cause_index = function
+  | Cold -> 0
+  | Deferred_admission -> 1
+  | Pressure_evicted -> 2
+  | Expired -> 3
+  | Revalidation -> 4
+  | Tag_chain_stall -> 5
+
+let cause_name = function
+  | Cold -> "cold"
+  | Deferred_admission -> "deferred_admission"
+  | Pressure_evicted -> "pressure_evicted"
+  | Expired -> "expired"
+  | Revalidation -> "revalidation"
+  | Tag_chain_stall -> "tag_chain_stall"
+
 (* Per-level counters, keyed by the cache level's name.  Levels are
    registered by the datapath at creation time (in walk order) and merged
    across shards by name.  The latency histogram is always on: recording is
@@ -11,6 +41,7 @@ type level = {
   level_name : string;
   mutable hits : int;
   mutable misses : int;
+  miss_causes : int array;  (* [cause_index] -> misses; sums to [misses] *)
   mutable installs : int;
   mutable shared : int;
   mutable rejected : int;
@@ -38,6 +69,7 @@ let level_create name =
     level_name = name;
     hits = 0;
     misses = 0;
+    miss_causes = Array.make (List.length all_causes) 0;
     installs = 0;
     shared = 0;
     rejected = 0;
@@ -116,6 +148,24 @@ let level t name =
       t.levels <- t.levels @ [ l ];
       l
 
+let record_miss (l : level) cause =
+  l.misses <- l.misses + 1;
+  let i = cause_index cause in
+  l.miss_causes.(i) <- l.miss_causes.(i) + 1
+
+let cause_misses (l : level) cause = l.miss_causes.(cause_index cause)
+
+(* Non-zero (level, cause, count) rows, walk order then cause order. *)
+let miss_causes t =
+  List.concat_map
+    (fun l ->
+      List.filter_map
+        (fun c ->
+          let v = cause_misses l c in
+          if v > 0 then Some (l.level_name, cause_name c, v) else None)
+        all_causes)
+    t.levels
+
 let level_hit_rate (l : level) =
   let consulted = l.hits + l.misses in
   if consulted = 0 then 0.0 else float_of_int l.hits /. float_of_int consulted
@@ -124,6 +174,7 @@ let merge_level ~into:(into : level) (src : level) =
   Histogram.merge ~into:into.latency_hist src.latency_hist;
   into.hits <- into.hits + src.hits;
   into.misses <- into.misses + src.misses;
+  Array.iteri (fun i v -> into.miss_causes.(i) <- into.miss_causes.(i) + v) src.miss_causes;
   into.installs <- into.installs + src.installs;
   into.shared <- into.shared + src.shared;
   into.rejected <- into.rejected + src.rejected;
@@ -313,4 +364,10 @@ let to_registry t registry =
       kind "pressure_evict" l.pressure_evictions;
       kind "defer" l.deferred;
       kind "demote" l.demotions)
-    t.levels
+    t.levels;
+  List.iter
+    (fun (level, cause, v) ->
+      set "gigaflow_profile_miss_cause_total" "Datapath misses by resolved cause"
+        ~labels:[ ("level", level); ("cause", cause) ]
+        v)
+    (miss_causes t)

@@ -1,5 +1,15 @@
 (** Per-run measurement record produced by {!Datapath.run}. *)
 
+(** Why a level missed, resolved where the miss is counted so every miss
+    maps to exactly one cause. *)
+type cause =
+  | Cold  (** flow never installed at this level (or unknown flow id) *)
+  | Deferred_admission  (** heavy-hitter admission kept/demoted it cold *)
+  | Pressure_evicted  (** install rejected or entry pressure-evicted *)
+  | Expired  (** flow idle past the level's max-idle window *)
+  | Revalidation  (** rule-update revalidation dropped the entry *)
+  | Tag_chain_stall  (** LTM matched a chain prefix that dead-ended *)
+
 (** Per-cache-level counters, keyed by the level's name and kept in walk
     order.  [hits + misses] is how often the level was consulted (deeper
     levels only see packets every shallower level missed). *)
@@ -7,6 +17,9 @@ type level = {
   level_name : string;
   mutable hits : int;
   mutable misses : int;  (** consulted but missed *)
+  miss_causes : int array;
+      (** misses by cause, in {!cause} declaration order; sums to
+          [misses].  Bump both through {!record_miss}. *)
   mutable installs : int;  (** fresh entries written *)
   mutable shared : int;  (** installs satisfied by existing entries *)
   mutable rejected : int;  (** installs refused (full / infeasible) *)
@@ -78,6 +91,15 @@ val level : t -> string -> level
 val find_level : t -> string -> level option
 val levels : t -> level list
 
+val record_miss : level -> cause -> unit
+(** Count one miss at the level and charge it to [cause]. *)
+
+val cause_misses : level -> cause -> int
+
+val miss_causes : t -> (string * string * int) list
+(** Non-zero [(level, cause name, count)] rows, walk order then {!cause}
+    declaration order.  Their counts sum to the levels' misses. *)
+
 val level_hit_rate : level -> float
 (** hits / (hits + misses): the hit rate among packets that reached this
     level ([0.0] if never consulted). *)
@@ -123,5 +145,6 @@ val to_registry : t -> Gf_telemetry.Registry.t -> unit
     in-place), followed by the per-level counters once more as
     [gigaflow_events_total{kind,level}] in the flight recorder's kind
     vocabulary ([evict] there is idle expiry only: [evictions - demotions
-    - revalidations]).  Values are {e set}, not accumulated, so
+    - revalidations]), then the non-zero miss causes as
+    [gigaflow_profile_miss_cause_total{level,cause}].  Values are {e set}, not accumulated, so
     re-exporting the same metrics is idempotent. *)

@@ -1,8 +1,7 @@
 (* Attribution: the pull side of the traversal tracer.  [Tracer] fills a
    span ring on the packet path; this module aggregates the pulled spans
-   into per-level probe-cost breakdowns, per-pipeline-table cycle totals,
-   sub-traversal reuse-depth histograms and a miss-cause census, and
-   renders them as folded-stack text (flamegraphs), chrome://tracing JSON,
+   into per-level probe-cost breakdowns, per-pipeline-table cycle totals
+   and sub-traversal reuse-depth histograms, and renders them as folded-stack text (flamegraphs), chrome://tracing JSON,
    Prometheus series and profile JSONL.
 
    Everything here runs off the packet loop (at flush / finalize / export
@@ -11,44 +10,6 @@
    shard's packet stream, which the tracer's ring guarantees. *)
 
 module Json = Gf_util.Json
-
-(* ------------------------------ causes ------------------------------- *)
-
-type cause =
-  | Cold
-  | Deferred_admission
-  | Pressure_evicted
-  | Expired
-  | Revalidation
-  | Tag_chain_stall
-
-let n_causes = 6
-
-let cause_index = function
-  | Cold -> 0
-  | Deferred_admission -> 1
-  | Pressure_evicted -> 2
-  | Expired -> 3
-  | Revalidation -> 4
-  | Tag_chain_stall -> 5
-
-let cause_name = function
-  | Cold -> "cold"
-  | Deferred_admission -> "deferred_admission"
-  | Pressure_evicted -> "pressure_evicted"
-  | Expired -> "expired"
-  | Revalidation -> "revalidation"
-  | Tag_chain_stall -> "tag_chain_stall"
-
-let all_causes =
-  [
-    Cold;
-    Deferred_admission;
-    Pressure_evicted;
-    Expired;
-    Revalidation;
-    Tag_chain_stall;
-  ]
 
 (* ------------------------------ outcomes ----------------------------- *)
 
@@ -76,7 +37,6 @@ type t = {
   mutable depth_hist : int array;  (* reuse depth -> hit spans; grows *)
   mutable table_cycles : int array;  (* pipeline table id -> cycles; grows *)
   mutable table_visits : int array;
-  census : int array;  (* (level * n_causes + cause) -> misses *)
   (* The first [retain] sampled spans are kept verbatim for the chrome
      trace; keeping a prefix (rather than newest-wins) makes the retained
      set independent of flush cadence. *)
@@ -105,7 +65,6 @@ let create ?(retain = default_retain) ~level_names () =
     depth_hist = Array.make 8 0;
     table_cycles = Array.make 16 0;
     table_visits = Array.make 16 0;
-    census = Array.make (max 1 (n * n_causes)) 0;
     retain;
     r_packet = [||];
     r_time = [||];
@@ -185,33 +144,6 @@ let ingest_span t ~packet ~time ~level ~table ~depth ~cycles ~outcome =
 
 let note_sampled_packet t = t.sampled_packets <- t.sampled_packets + 1
 
-(* ------------------------------- census ------------------------------ *)
-
-let miss_cause t ~level cause =
-  let i = (level * n_causes) + cause_index cause in
-  t.census.(i) <- t.census.(i) + 1
-
-let census_get t ~level cause = t.census.((level * n_causes) + cause_index cause)
-let census_total t = Array.fold_left ( + ) 0 t.census
-
-(* Per-(level, cause) counts sorted by count descending, then by level and
-   cause index for a deterministic tie order. *)
-let top_causes ?n t =
-  let rows = ref [] in
-  for l = 0 to t.n_levels - 1 do
-    List.iter
-      (fun c ->
-        let v = census_get t ~level:l c in
-        if v > 0 then rows := (t.level_names.(l), cause_name c, v) :: !rows)
-      all_causes
-  done;
-  let sorted =
-    List.sort (fun (_, _, a) (_, _, b) -> compare b a) (List.rev !rows)
-  in
-  match n with
-  | None -> sorted
-  | Some n -> List.filteri (fun i _ -> i < n) sorted
-
 (* ------------------------------- merge ------------------------------- *)
 
 let merge ~into src =
@@ -225,7 +157,6 @@ let merge ~into src =
   Array.iteri
     (fun i v -> into.level_spans.(i) <- into.level_spans.(i) + v)
     src.level_spans;
-  Array.iteri (fun i v -> into.census.(i) <- into.census.(i) + v) src.census;
   into.depth_hist <- grown into.depth_hist (Array.length src.depth_hist - 1);
   Array.iteri
     (fun i v -> into.depth_hist.(i) <- into.depth_hist.(i) + v)
@@ -330,16 +261,7 @@ let to_registry t registry =
           ~help:"Modeled cycles attributed to sampled cache-level probes"
           "gigaflow_profile_cycles_total"
           t.level_cycles.((l * 2) + o)
-    done;
-    List.iter
-      (fun c ->
-        let v = census_get t ~level:l c in
-        if v > 0 then
-          set
-            ~labels:[ ("level", t.level_names.(l)); ("cause", cause_name c) ]
-            ~help:"Datapath misses by resolved cause"
-            "gigaflow_profile_miss_cause_total" v)
-      all_causes
+    done
   done;
   Array.iteri
     (fun id v ->
@@ -359,10 +281,10 @@ let to_registry t registry =
     t.depth_hist
 
 (* Profile JSONL: a meta line, per-(level,outcome) probe aggregates,
-   per-table slowpath aggregates, the reuse-depth histogram, the full
-   miss-cause census and a summary line reconciling the census against
-   the [Metrics] miss total the caller observed. *)
-let write_jsonl ?(meta = []) ~total_misses oc t =
+   per-table slowpath aggregates, the reuse-depth histogram, the caller's
+   miss-cause rows and a summary line reconciling their sum against the
+   miss total the caller observed. *)
+let write_jsonl ?(meta = []) ~causes ~total_misses oc t =
   let line j = Export.write_line oc (Json.Obj j) in
   line
     ((("type", Json.Str "profile_meta") :: meta)
@@ -407,21 +329,17 @@ let write_jsonl ?(meta = []) ~total_misses oc t =
             ("spans", Json.Int v);
           ])
     t.depth_hist;
-  for l = 0 to t.n_levels - 1 do
-    List.iter
-      (fun c ->
-        let v = census_get t ~level:l c in
-        if v > 0 then
-          line
-            [
-              ("type", Json.Str "profile_cause");
-              ("level", Json.Str t.level_names.(l));
-              ("cause", Json.Str (cause_name c));
-              ("count", Json.Int v);
-            ])
-      all_causes
-  done;
-  let total = census_total t in
+  List.iter
+    (fun (level, cause, v) ->
+      line
+        [
+          ("type", Json.Str "profile_cause");
+          ("level", Json.Str level);
+          ("cause", Json.Str cause);
+          ("count", Json.Int v);
+        ])
+    causes;
+  let total = List.fold_left (fun acc (_, _, v) -> acc + v) 0 causes in
   line
     [
       ("type", Json.Str "profile_summary");

@@ -1,23 +1,8 @@
 (** Attribution: aggregates spans pulled from the traversal {!Tracer} into
-    per-level probe-cost breakdowns, per-pipeline-table cycle totals,
-    sub-traversal reuse-depth histograms and a miss-cause census, exported
-    as folded-stack text, chrome://tracing JSON, Prometheus series and
-    profile JSONL.  Runs entirely off the packet loop. *)
-
-(** Why a datapath miss happened, resolved at the point the miss is
-    charged so every [Metrics] miss maps to exactly one cause. *)
-type cause =
-  | Cold  (** flow never installed at this level (or unknown flow id) *)
-  | Deferred_admission  (** heavy-hitter admission kept/demoted it cold *)
-  | Pressure_evicted  (** install rejected or entry pressure-evicted *)
-  | Expired  (** flow idle past the level's max-idle window *)
-  | Revalidation  (** rule-update revalidation dropped the entry *)
-  | Tag_chain_stall  (** LTM matched a chain prefix that dead-ended *)
-
-val n_causes : int
-val cause_index : cause -> int
-val cause_name : cause -> string
-val all_causes : cause list
+    per-level probe-cost breakdowns, per-pipeline-table cycle totals and
+    sub-traversal reuse-depth histograms, exported as folded-stack text,
+    chrome://tracing JSON, Prometheus series and profile JSONL.  Runs
+    entirely off the packet loop. *)
 
 (** Span outcome codes shared with {!Tracer}. *)
 
@@ -54,20 +39,8 @@ val ingest_span :
 
 val note_sampled_packet : t -> unit
 
-val miss_cause : t -> level:int -> cause -> unit
-(** Charge one miss at [level] to [cause].  Allocation-free (one int-array
-    increment) — called on the packet path for {e every} miss, sampled or
-    not, so the census reconciles with [Metrics]. *)
-
-val census_get : t -> level:int -> cause -> int
-val census_total : t -> int
-
-val top_causes : ?n:int -> t -> (string * string * int) list
-(** [(level, cause, count)] rows sorted by count descending (deterministic
-    tie order), optionally truncated to the top [n]. *)
-
 val merge : into:t -> t -> unit
-(** Sum aggregates and census; retained spans concatenate in merge order,
+(** Sum aggregates; retained spans concatenate in merge order,
     capped at [into]'s retain bound.  [src] is unchanged. *)
 
 val folded : t -> string
@@ -84,11 +57,13 @@ val to_registry : t -> Registry.t -> unit
 
 val write_jsonl :
   ?meta:(string * Gf_util.Json.t) list ->
+  causes:(string * string * int) list ->
   total_misses:int ->
   out_channel ->
   t ->
   unit
 (** Emit profile JSONL: [profile_meta], per-(level,outcome)
-    [profile_level] lines, [profile_table], [profile_depth],
-    [profile_cause] and a [profile_summary] reconciling the census
-    against the caller's [Metrics] miss total. *)
+    [profile_level] lines, [profile_table], [profile_depth], one
+    [profile_cause] line per [(level, cause, count)] row of [causes] (the
+    miss census, e.g. [Gf_sim.Metrics.miss_causes]) and a
+    [profile_summary] reconciling the rows' sum against [total_misses]. *)

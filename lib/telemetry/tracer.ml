@@ -6,26 +6,14 @@
    on its own cadence (ring-full, per batch in the engine, per N packets
    in the walker, unconditionally at finalize).
 
-   Two always-on responsibilities ride alongside the sampled spans:
-
-   - the packet countdown ([on_packet]) decides deterministically whether
-     the current packet is traced: packet k of the shard's stream is
-     sampled iff k mod sample_every = 0, a pure function of the stream,
-     so engine==sequential and cadence invariance hold by construction;
-   - the miss-cause census ([miss]) charges every datapath miss — sampled
-     or not — to exactly one {!Attribution.cause} with a single int-array
-     increment, so per-cause counts reconcile against [Metrics] misses.
+   One always-on duty rides alongside the sampled spans: the packet
+   countdown ([on_packet]) decides deterministically whether the current
+   packet is traced.  Packet k of the shard's stream is sampled iff
+   k mod sample_every = 0, a pure function of the stream, so
+   engine==sequential and cadence invariance hold by construction.
 
    Like every other telemetry sink, a tracer is owned by one shard and
    merged after finalize, preserving the established bit-identity. *)
-
-type cause = Attribution.cause =
-  | Cold
-  | Deferred_admission
-  | Pressure_evicted
-  | Expired
-  | Revalidation
-  | Tag_chain_stall
 
 type t = {
   sample_every : int;
@@ -103,14 +91,9 @@ let span t ~packet ~time ~level ~table ~depth ~cycles ~outcome =
   t.sp_len <- k + 1;
   if k + 1 = Array.length t.sp_packet then flush t
 
-let miss t ~level cause = Attribution.miss_cause t.attr ~level cause
-
 let attribution t =
   flush t;
   t.attr
-
-let census_total t = Attribution.census_total t.attr
-let census_get t ~level cause = Attribution.census_get t.attr ~level cause
 
 (* [until] is per-shard stream position and stays with [into] — a merged
    tracer aggregates, it does not keep tracing a stream. *)

@@ -1,21 +1,11 @@
 (** Traversal tracer: hot-path span recording for 1-in-N sampled packets
-    (struct-of-arrays ring, plain array stores) plus an always-on,
-    allocation-free miss-cause census, pulled into {!Attribution} by the
-    sampler off the packet loop.
+    (struct-of-arrays ring, plain array stores), pulled into
+    {!Attribution} by the sampler off the packet loop.
 
     Determinism: packet k of a shard's stream is traced iff
-    [k mod sample_every = 0] — a pure function of the stream — and the
-    census is exact, so engine==sequential bit-identity and sampler
-    cadence invariance hold by construction.  One tracer per shard; merge
-    after finalize. *)
-
-type cause = Attribution.cause =
-  | Cold
-  | Deferred_admission
-  | Pressure_evicted
-  | Expired
-  | Revalidation
-  | Tag_chain_stall
+    [k mod sample_every = 0] — a pure function of the stream — so
+    engine==sequential bit-identity and sampler cadence invariance hold
+    by construction.  One tracer per shard; merge after finalize. *)
 
 type t = {
   sample_every : int;
@@ -72,19 +62,12 @@ val span :
     the attribution aggregates when the ring fills.  Only call when
     {!active} — the tracer does not re-check. *)
 
-val miss : t -> level:int -> cause -> unit
-(** Charge one miss to [cause] — every miss, sampled or not.  One
-    int-array increment. *)
-
 val flush : t -> unit
 (** Pull the span ring into the attribution aggregates (emission order
     preserved); called by samplers and finalize. *)
 
 val attribution : t -> Attribution.t
 (** Flush, then expose the aggregates. *)
-
-val census_total : t -> int
-val census_get : t -> level:int -> cause -> int
 
 val merge : into:t -> t -> unit
 (** Flush both sides, then sum into [into] ({!Attribution.merge}). *)

@@ -30,7 +30,7 @@ let mask_above v =
   m lor (m lsr 32)
 
 let int t bound =
-  assert (bound > 0);
+  if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   (* Bitmask-and-reject sampling: draw 62 bits (always a non-negative OCaml
      int), mask down to the smallest power-of-two window covering [bound],
      and redraw on overshoot.  Unlike [x mod bound] this is exactly uniform
@@ -46,7 +46,7 @@ let int t bound =
   draw ()
 
 let int_in t lo hi =
-  assert (hi >= lo);
+  if hi < lo then invalid_arg "Rng.int_in: empty range (hi < lo)";
   lo + int t (hi - lo + 1)
 
 let bool t = Int64.logand (bits64 t) 1L = 1L
@@ -59,7 +59,7 @@ let float t bound =
 let bernoulli t p = float t 1.0 < p
 
 let pick t a =
-  assert (Array.length a > 0);
+  if Array.length a = 0 then invalid_arg "Rng.pick: empty array";
   a.(int t (Array.length a))
 
 let pick_list t l =
@@ -89,7 +89,7 @@ let pick_weighted t items =
   go 0 0.0
 
 let geometric t p =
-  assert (p > 0.0 && p <= 1.0);
+  if not (p > 0.0 && p <= 1.0) then invalid_arg "Rng.geometric: p must be in (0, 1]";
   if p >= 1.0 then 0
   else
     let u = float t 1.0 in
@@ -104,11 +104,12 @@ let geometric t p =
     else int_of_float x
 
 let pareto t ~alpha ~xmin =
-  assert (alpha > 0.0 && xmin > 0.0);
+  if not (alpha > 0.0 && xmin > 0.0) then
+    invalid_arg "Rng.pareto: alpha and xmin must be positive";
   let u = 1.0 -. float t 1.0 in
   xmin /. (u ** (1.0 /. alpha))
 
 let exponential t ~mean =
-  assert (mean > 0.0);
+  if not (mean > 0.0) then invalid_arg "Rng.exponential: mean must be positive";
   let u = 1.0 -. float t 1.0 in
   -.mean *. log u

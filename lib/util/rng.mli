@@ -23,12 +23,14 @@ val bits64 : t -> int64
 (** Next raw 64-bit output. *)
 
 val int : t -> int -> int
-(** [int t bound] is uniform in [\[0, bound)]. Requires [bound > 0].
+(** [int t bound] is uniform in [\[0, bound)].  Raises [Invalid_argument]
+    unless [bound > 0].
     Exactly uniform for every bound (bitmask-and-reject sampling, not the
     modulo-biased [bits mod bound]). *)
 
 val int_in : t -> int -> int -> int
-(** [int_in t lo hi] is uniform in [\[lo, hi\]] inclusive. *)
+(** [int_in t lo hi] is uniform in [\[lo, hi\]] inclusive.  Raises
+    [Invalid_argument] if [hi < lo]. *)
 
 val bool : t -> bool
 
@@ -39,7 +41,8 @@ val bernoulli : t -> float -> bool
 (** [bernoulli t p] is [true] with probability [p]. *)
 
 val pick : t -> 'a array -> 'a
-(** Uniform element of a non-empty array. *)
+(** Uniform element of a non-empty array.  Raises [Invalid_argument] on
+    an empty one. *)
 
 val pick_list : t -> 'a list -> 'a
 (** Uniform element of a non-empty list. *)
@@ -53,12 +56,15 @@ val pick_weighted : t -> ('a * float) array -> 'a
 
 val geometric : t -> float -> int
 (** [geometric t p] counts Bernoulli(p) failures before the first success
-    (support {0, 1, ...}). Requires [0 < p <= 1].  The result is clamped to
+    (support {0, 1, ...}).  Raises [Invalid_argument] unless
+    [0 < p <= 1].  The result is clamped to
     [\[0, max_int\]] — tiny [p] would otherwise overflow the int range, where
     [int_of_float] is unspecified. *)
 
 val pareto : t -> alpha:float -> xmin:float -> float
-(** Pareto(alpha, xmin) sample; heavy-tailed, used for flow sizes. *)
+(** Pareto(alpha, xmin) sample; heavy-tailed, used for flow sizes.
+    Raises [Invalid_argument] unless [alpha > 0] and [xmin > 0]. *)
 
 val exponential : t -> mean:float -> float
-(** Exponential sample with the given mean; used for inter-arrival gaps. *)
+(** Exponential sample with the given mean; used for inter-arrival gaps.
+    Raises [Invalid_argument] unless [mean > 0]. *)

@@ -234,7 +234,8 @@ let gateway_mac _t (rule : rule) = 0x06FFFF000000 lor (rule.vlan land 0xFF)
 (* Fig. 4: average multiplicity of k-field sub-tuples over the 5-tuple
    (ip_src, ip_dst, proto, tp_src, tp_dst). *)
 let five_tuple_sharing rules ~k =
-  assert (k >= 1 && k <= 5);
+  if k < 1 || k > 5 then
+    invalid_arg "Classbench.five_tuple_sharing: k must be in [1, 5]";
   let project rule = function
     | 0 -> Printf.sprintf "s%d/%d" (fst rule.ip_src) (snd rule.ip_src)
     | 1 -> Printf.sprintf "d%d/%d" (fst rule.ip_dst) (snd rule.ip_dst)

@@ -76,4 +76,4 @@ val gateway_mac : t -> rule -> int
 val five_tuple_sharing : rule array -> k:int -> float
 (** Fig. 4's metric: the average number of rules sharing a given [k]-field
     sub-tuple of the 5-tuple, averaged over all C(5,k) field choices.
-    [k] in [1, 5]. *)
+    Raises [Invalid_argument] unless [k] is in [1, 5]. *)

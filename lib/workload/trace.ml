@@ -46,7 +46,8 @@ let churn ?(duration = 60.0) ?(epochs = 30) ?(active = 512) ?(turnover = 0.25)
     ?(packets_per_epoch = 2048) ~seed ~flows () =
   let rng = Rng.create seed in
   let n = Array.length flows in
-  assert (n > 0 && epochs > 0 && packets_per_epoch >= 0);
+  if not (n > 0 && epochs > 0 && packets_per_epoch >= 0) then
+    invalid_arg "Trace.churn: needs flows, epochs > 0 and packets_per_epoch >= 0";
   let active = max 1 (min active n) in
   let shift =
     int_of_float (Float.round (Float.max 0.0 turnover *. float_of_int active))
@@ -77,7 +78,8 @@ let elephant_mice ?(duration = 60.0) ?(elephants = 16) ?(elephant_share = 0.8)
     ?(packets = 32_768) ~seed ~flows () =
   let rng = Rng.create seed in
   let n = Array.length flows in
-  assert (n > 0 && packets >= 0);
+  if not (n > 0 && packets >= 0) then
+    invalid_arg "Trace.elephant_mice: needs flows and packets >= 0";
   let elephants = max 1 (min elephants n) in
   let mice = n - elephants in
   let mean_gap = duration /. float_of_int (Stdlib.max 1 packets) in
@@ -104,7 +106,9 @@ let drifting_skew ?(duration = 60.0) ?(epochs = 8) ?(zipf_s = 1.2) ?(drift = 64)
     ?(packets_per_epoch = 4096) ~seed ~flows () =
   let rng = Rng.create seed in
   let n = Array.length flows in
-  assert (n > 0 && epochs > 0 && packets_per_epoch >= 0);
+  if not (n > 0 && epochs > 0 && packets_per_epoch >= 0) then
+    invalid_arg
+      "Trace.drifting_skew: needs flows, epochs > 0 and packets_per_epoch >= 0";
   let zipf = Zipf.create ~n ~s:zipf_s in
   let epoch_len = duration /. float_of_int epochs in
   let mean_gap = epoch_len /. float_of_int (Stdlib.max 1 packets_per_epoch) in
@@ -167,7 +171,8 @@ let stream_of_trace t =
 let steady ?(duration = 60.0) ?(zipf_s = 1.1) ~packets ~seed ~flows () =
   let rng = Rng.create seed in
   let n = Array.length flows in
-  assert (n > 0 && packets >= 0);
+  if not (n > 0 && packets >= 0) then
+    invalid_arg "Trace.steady: needs flows and packets >= 0";
   let zipf = Zipf.create ~n ~s:zipf_s in
   let mean_gap = duration /. float_of_int (Stdlib.max 1 packets) in
   let time = ref 0.0 in

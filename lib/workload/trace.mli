@@ -52,7 +52,8 @@ val churn :
     wrapping around the array.  The rotating population keeps installing
     fresh entries while recently-cold ones still occupy space — the
     regime where replacement policy choice matters.  Deterministic in
-    [seed]. *)
+    [seed].  Raises [Invalid_argument] on empty [flows], [epochs < 1] or
+    [packets_per_epoch < 0]. *)
 
 val elephant_mice :
   ?duration:float ->
@@ -68,7 +69,8 @@ val elephant_mice :
     rest are mice drawn uniformly — each appears only a handful of times
     over the whole trace.  The regime where hardware-slot admission policy
     dominates: any slot spent on a mouse is wasted.  Deterministic in
-    [seed]. *)
+    [seed].  Raises [Invalid_argument] on empty [flows] or
+    [packets < 0]. *)
 
 val drifting_skew :
   ?duration:float ->
@@ -86,7 +88,8 @@ val drifting_skew :
     entries for yesterday's elephants go cold while still holding cache
     space.  Separates admission schemes that track drift (decay +
     demotion) from ones that only gate installs.  Deterministic in
-    [seed]. *)
+    [seed].  Raises [Invalid_argument] on empty [flows], [epochs < 1] or
+    [packets_per_epoch < 0]. *)
 
 val packet_count : t -> int
 
@@ -133,7 +136,8 @@ val steady :
     [duration / packets] seconds.  The popular-flow working set is stable
     for the whole stream — the regime where caches (and the engine's
     memo replay) converge — in contrast to {!generate}'s flow churn.
-    Deterministic in [seed]. *)
+    Deterministic in [seed].  Raises [Invalid_argument] on empty [flows]
+    or [packets < 0]. *)
 
 val trace_of_stream : ?batch:int -> stream -> t
 (** Materialise a stream (test/debug helper — drains it fully). *)

@@ -193,20 +193,9 @@ let test_controller_hook_transparent () =
   (* A Controller that observes clean windows takes no actions and stays
      transparent too. *)
   let c = Controller.create () in
-  let tel =
-    Telemetry.create
-      ~config:
-        {
-          Telemetry.default_config with
-          sample_every = 0;
-          event_sample_every = 0;
-          trace_sample_every = 1 lsl 30;
-        }
-      ()
-  in
   let driven =
-    run_loadtest ~controller:(Controller.on_window c) ~telemetry:tel ~packets
-      ~warmup:2000 ~window:3000 ~windows:3 w
+    run_loadtest ~controller:(Controller.on_window c) ~packets ~warmup:2000
+      ~window:3000 ~windows:3 w
   in
   if base.Loadtest.pass then begin
     Alcotest.(check bool) "no actions on clean windows" true
@@ -241,18 +230,7 @@ let test_controller_rescues_drifting_skew () =
   let static = drift_loadtest w in
   Alcotest.(check bool) "static run fails the gate" false static.Loadtest.pass;
   let c = Controller.create () in
-  let tel =
-    Telemetry.create
-      ~config:
-        {
-          Telemetry.default_config with
-          sample_every = 0;
-          event_sample_every = 0;
-          trace_sample_every = 1 lsl 30;
-        }
-      ()
-  in
-  let driven = drift_loadtest ~controller:(Controller.on_window c) ~telemetry:tel w in
+  let driven = drift_loadtest ~controller:(Controller.on_window c) w in
   Alcotest.(check bool) "controlled run passes the gate" true
     driven.Loadtest.pass;
   let acts = Controller.actions c in
@@ -287,27 +265,33 @@ let test_controller_rescues_drifting_skew () =
 
 (* Determinism: the controlled run is a pure function of its inputs —
    two identical runs produce identical reports and identical action
-   logs. *)
+   logs, and attaching a telemetry handle does not change either. *)
 let test_controlled_run_deterministic () =
   let w = workload ~flows:20_000 ~combos:8192 ~seed:42 () in
-  let go () =
+  let go ?telemetry () =
     let c = Controller.create () in
-    let tel =
-      Telemetry.create
-        ~config:
-          {
-            Telemetry.default_config with
-            sample_every = 0;
-            event_sample_every = 0;
-            trace_sample_every = 1 lsl 30;
-          }
-        ()
-    in
-    let r = drift_loadtest ~controller:(Controller.on_window c) ~telemetry:tel w in
+    let r = drift_loadtest ~controller:(Controller.on_window c) ?telemetry w in
     (r.Loadtest.windows, r.Loadtest.pass, Controller.actions c)
   in
   let a = go () and b = go () in
-  Alcotest.(check bool) "identical reports and action logs" true (a = b)
+  Alcotest.(check bool) "identical reports and action logs" true (a = b);
+  (* The controller reads its miss causes from [Metrics], so attaching a
+     telemetry handle with the tracer on changes nothing it decides. *)
+  let tel =
+    Telemetry.create
+      ~config:
+        {
+          Telemetry.default_config with
+          sample_every = 0;
+          event_sample_every = 0;
+          trace_sample_every = 1 lsl 30;
+        }
+      ()
+  in
+  let _, _, acts = a in
+  Alcotest.(check bool) "took actions" true (acts <> []);
+  Alcotest.(check bool) "identical with a telemetry handle" true
+    (go ~telemetry:tel () = a)
 
 let suite =
   [

@@ -102,7 +102,10 @@ let strong_fingerprint (m : Metrics.t) =
         (fun (l : Metrics.level) ->
           [
             l.Metrics.level_name; string_of_int l.Metrics.hits;
-            string_of_int l.Metrics.misses; string_of_int l.Metrics.installs;
+            string_of_int l.Metrics.misses;
+            String.concat "/"
+              (Array.to_list (Array.map string_of_int l.Metrics.miss_causes));
+            string_of_int l.Metrics.installs;
             string_of_int l.Metrics.shared; string_of_int l.Metrics.rejected;
             string_of_int l.Metrics.evictions;
             string_of_int l.Metrics.pressure_evictions;
@@ -348,10 +351,11 @@ let prop_tracer_cadence_transparent =
       let walk_ref = memo walk_plain name (fun () -> walk_fp 0) in
       eng_fp cadence = eng_ref && walk_fp cadence = walk_ref)
 
-(* Every [Metrics] miss is charged to exactly one census cause at the
-   point it is resolved, so the merged tracer's census total must equal
-   the summed per-level miss counters exactly — at every domain count, on
-   a churn trace against the small heavy-hitter presets (defer, pressure
+(* Every miss is charged to exactly one cause where [Metrics] counts it,
+   so each level's cause counts sum to its misses with telemetry off, and
+   the counts do not move when the tracer is on (cadences 1 and 701) —
+   for the walker and for the engine at every domain count, on a churn
+   trace against the small heavy-hitter presets (defer, pressure
    eviction, idle expiry and revalidation all fire). *)
 let test_miss_cause_census_reconciles () =
   let w =
@@ -364,39 +368,60 @@ let test_miss_cause_census_reconciles () =
     Trace.churn ~duration:20.0 ~epochs:12 ~active:256 ~turnover:0.4
       ~packets_per_epoch:2048 ~seed:23 ~flows:w.Pipebench.flows ()
   in
-  let telemetry =
+  let pipeline = Pipebench.pipeline w in
+  let runs cfg telemetry =
+    let walker =
+      let telemetry = Option.map (fun config -> Telemetry.create ~config ()) telemetry in
+      Datapath.run
+        (Datapath.create ?telemetry cfg (Gf_pipeline.Pipeline.copy pipeline))
+        strace
+    in
+    ("walker", walker)
+    :: List.map
+         (fun domains ->
+           let r =
+             Engine.replay ?telemetry ~batch_size:256 ~domains ~cfg pipeline
+               (Trace.stream_of_trace strace)
+           in
+           (Printf.sprintf "engine d=%d" domains, r.Parallel.merged))
+         [ 1; 2; 4 ]
+  in
+  let traced trace_sample_every =
     {
       Telemetry.sample_every = 5_000;
       event_capacity = 256;
       event_sample_every = 0;
-      trace_sample_every = 101;
+      trace_sample_every;
     }
   in
   Array.iter
     (fun (name, cfg) ->
+      let untraced = runs cfg None in
       List.iter
-        (fun domains ->
-          let r =
-            Engine.replay ~telemetry ~batch_size:256 ~domains ~cfg
-              (Pipebench.pipeline w)
-              (Trace.stream_of_trace strace)
-          in
-          let tel = Option.get r.Parallel.telemetry in
-          let tracer = Option.get (Telemetry.tracer tel) in
-          let total_misses =
-            List.fold_left
-              (fun acc (l : Metrics.level) -> acc + l.Metrics.misses)
-              0
-              (Metrics.levels r.Parallel.merged)
-          in
+        (fun (run, m) ->
           Alcotest.(check bool)
-            (Printf.sprintf "%s d=%d: misses observed" name domains)
-            true (total_misses > 0);
-          Alcotest.(check int)
-            (Printf.sprintf "%s d=%d: census = metrics misses" name domains)
-            total_misses
-            (Gf_telemetry.Tracer.census_total tracer))
-        [ 1; 2; 4 ])
+            (Printf.sprintf "%s %s: misses observed" name run)
+            true
+            (List.exists (fun (l : Metrics.level) -> l.Metrics.misses > 0) (Metrics.levels m));
+          List.iter
+            (fun (l : Metrics.level) ->
+              Alcotest.(check int)
+                (Printf.sprintf "%s %s %s: causes sum to misses" name run
+                   l.Metrics.level_name)
+                l.Metrics.misses
+                (Array.fold_left ( + ) 0 l.Metrics.miss_causes))
+            (Metrics.levels m))
+        untraced;
+      List.iter
+        (fun every ->
+          List.iter2
+            (fun (run, m0) (_, m) ->
+              Alcotest.(check (list (triple string string int)))
+                (Printf.sprintf "%s %s: causes with tracer 1/%d" name run every)
+                (Metrics.miss_causes m0) (Metrics.miss_causes m))
+            untraced
+            (runs cfg (Some (traced every))))
+        [ 1; 701 ])
     (cadence_presets ())
 
 (* ------------------------------- soak -------------------------------- *)

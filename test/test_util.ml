@@ -155,6 +155,20 @@ let test_rng_geometric_edges () =
   done;
   Alcotest.(check bool) "tiny p reaches large counts" true (!biggest > 1_000_000)
 
+let test_rng_rejects_bad_arguments () =
+  let rng = Rng.create 15 in
+  raises_invalid "int bound 0" (fun () -> Rng.int rng 0);
+  raises_invalid "int bound < 0" (fun () -> Rng.int rng (-4));
+  raises_invalid "int_in hi < lo" (fun () -> Rng.int_in rng 5 4);
+  raises_invalid "pick empty" (fun () -> Rng.pick rng [||]);
+  raises_invalid "geometric p = 0" (fun () -> Rng.geometric rng 0.0);
+  raises_invalid "geometric p > 1" (fun () -> Rng.geometric rng 1.5);
+  raises_invalid "geometric p nan" (fun () -> Rng.geometric rng Float.nan);
+  raises_invalid "pareto alpha = 0" (fun () -> Rng.pareto rng ~alpha:0.0 ~xmin:1.0);
+  raises_invalid "pareto xmin < 0" (fun () -> Rng.pareto rng ~alpha:1.5 ~xmin:(-1.0));
+  raises_invalid "exponential mean = 0" (fun () -> Rng.exponential rng ~mean:0.0);
+  raises_invalid "exponential mean nan" (fun () -> Rng.exponential rng ~mean:Float.nan)
+
 let test_zipf_pmf_sums_to_one () =
   let z = Zipf.create ~n:100 ~s:1.1 in
   let total = ref 0.0 in
@@ -404,6 +418,7 @@ let suite =
     ("zipf pmf monotone", `Quick, test_zipf_monotone);
     ("zipf sampling matches pmf", `Quick, test_zipf_sampling_matches_pmf);
     ("zipf s=0 uniform", `Quick, test_zipf_uniform_when_s0);
+    ("rng rejects bad arguments", `Quick, test_rng_rejects_bad_arguments);
     ("zipf rejects n <= 0", `Quick, test_zipf_rejects_empty);
     ("zipf rejects s < 0", `Quick, test_zipf_rejects_negative_s);
     ("zipf pmf range checked", `Quick, test_zipf_pmf_range_checked);

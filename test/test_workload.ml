@@ -56,6 +56,11 @@ let test_classbench_sharing_monotone () =
   Alcotest.(check bool) (Printf.sprintf "single fields highly shared (%.0f)" k1) true
     (k1 > 50.0)
 
+let test_classbench_sharing_rejects_bad_k () =
+  let rules = Classbench.generate (Classbench.create ~seed:8 ()) 10 in
+  Helpers.raises_invalid "k = 0" (fun () -> Classbench.five_tuple_sharing rules ~k:0);
+  Helpers.raises_invalid "k = 6" (fun () -> Classbench.five_tuple_sharing rules ~k:6)
+
 let test_gateway_macs_distinct_oui () =
   let gen = Classbench.create ~seed:9 () in
   let rules = Classbench.generate gen 100 in
@@ -247,6 +252,31 @@ let test_stream_edge_cases () =
   Alcotest.(check int) "trace stream exhausted" 0
     (Trace.fill st ~times ~flow_ids:ids ~flows:fls ~max:(n + 32))
 
+(* The generators reject impossible shapes with [Invalid_argument]. *)
+let test_trace_generators_reject_bad_arguments () =
+  let flows = Array.init 8 (fun i -> Flow.make [ (Gf_flow.Field.Vlan, i) ]) in
+  let no_flows = [||] in
+  Helpers.raises_invalid "churn: no flows" (fun () ->
+      Trace.churn ~seed:1 ~flows:no_flows ());
+  Helpers.raises_invalid "churn: 0 epochs" (fun () ->
+      Trace.churn ~epochs:0 ~seed:1 ~flows ());
+  Helpers.raises_invalid "churn: negative packets" (fun () ->
+      Trace.churn ~packets_per_epoch:(-1) ~seed:1 ~flows ());
+  Helpers.raises_invalid "elephant_mice: no flows" (fun () ->
+      Trace.elephant_mice ~seed:1 ~flows:no_flows ());
+  Helpers.raises_invalid "elephant_mice: negative packets" (fun () ->
+      Trace.elephant_mice ~packets:(-1) ~seed:1 ~flows ());
+  Helpers.raises_invalid "drifting_skew: no flows" (fun () ->
+      Trace.drifting_skew ~seed:1 ~flows:no_flows ());
+  Helpers.raises_invalid "drifting_skew: 0 epochs" (fun () ->
+      Trace.drifting_skew ~epochs:0 ~seed:1 ~flows ());
+  Helpers.raises_invalid "drifting_skew: negative packets" (fun () ->
+      Trace.drifting_skew ~packets_per_epoch:(-1) ~seed:1 ~flows ());
+  Helpers.raises_invalid "steady: no flows" (fun () ->
+      Trace.steady ~packets:10 ~seed:1 ~flows:no_flows ());
+  Helpers.raises_invalid "steady: negative packets" (fun () ->
+      Trace.steady ~packets:(-1) ~seed:1 ~flows ())
+
 let test_trace_elephant_mice_shape () =
   let flows = Array.init 1000 (fun i -> Flow.make [ (Gf_flow.Field.Vlan, i) ]) in
   let t =
@@ -340,6 +370,7 @@ let suite =
     ("classbench deterministic", `Quick, test_classbench_deterministic);
     ("classbench well-formed", `Quick, test_classbench_well_formed);
     ("classbench sharing monotone (fig 4)", `Quick, test_classbench_sharing_monotone);
+    ("classbench sharing rejects bad k", `Quick, test_classbench_sharing_rejects_bad_k);
     ("gateway macs distinct", `Quick, test_gateway_macs_distinct_oui);
     ("ruleset builds all pipelines", `Quick, test_ruleset_builds_all_pipelines);
     ("ruleset deterministic", `Quick, test_ruleset_deterministic);
@@ -351,6 +382,8 @@ let suite =
     ("trace concat", `Quick, test_trace_concat);
     ("trace churn shape", `Quick, test_trace_churn_shape);
     ("stream edge cases", `Quick, test_stream_edge_cases);
+    ("trace generators reject bad arguments", `Quick,
+     test_trace_generators_reject_bad_arguments);
     ("trace elephant/mice shape", `Quick, test_trace_elephant_mice_shape);
     ("trace drifting skew shape", `Quick, test_trace_drifting_skew_shape);
     ("pipebench churn", `Quick, test_pipebench_churn_shares_population);
