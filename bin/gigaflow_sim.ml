@@ -257,12 +257,27 @@ let domains_arg =
 
 let prom_path jsonl_path = Filename.remove_extension jsonl_path ^ ".prom"
 
-let run_cmd =
-  let run code locality seed flows combos hierarchy tables capacity policy
+(* The workload and cache hierarchy that [run] and [profile] replay,
+   built from their shared flags. *)
+type setup = {
+  info : Catalog.info;
+  locality : Ruleset.locality;
+  seed : int;
+  flows : int;
+  combos : int;
+  w : Pipebench.workload;
+  cfg : Datapath.config;
+  engine : [ `Walker | `Batched ];
+  batch_size : int;
+  domains : int;
+}
+
+(* A thunk, so the workload is built only once every flag has parsed. *)
+let setup_term =
+  let setup code locality seed flows combos hierarchy tables capacity policy
       level_policies max_idle churn churn_active churn_turnover churn_epochs
       trace_kind elephants elephant_share admission hh_threshold sw_level
-      sw_search engine batch_size domains telemetry_out sample_every
-      trace_events =
+      sw_search engine batch_size domains () =
     let info = find_pipeline code in
     Printf.printf "Building workload: %s, %s locality, %d flows...\n%!" info.Catalog.code
       (Ruleset.locality_name locality) flows;
@@ -303,6 +318,21 @@ let run_cmd =
             cfg
       | None -> cfg
     in
+    { info; locality; seed; flows; combos; w; cfg; engine; batch_size; domains }
+  in
+  Term.(
+    const setup $ pipeline_arg $ locality_arg $ seed_arg $ flows_arg $ combos_arg
+    $ hierarchy_arg $ tables_arg $ capacity_arg $ evict_policy_arg
+    $ evict_policy_level_arg $ max_idle_arg $ churn_arg $ churn_active_arg
+    $ churn_turnover_arg $ churn_epochs_arg $ trace_kind_arg $ elephants_arg
+    $ elephant_share_arg $ admission_arg $ hh_threshold_arg $ sw_level_arg
+    $ sw_search_arg $ engine_arg $ batch_size_arg $ domains_arg)
+
+let run_cmd =
+  let run setup telemetry_out sample_every trace_events =
+    let { info; locality; seed; flows; combos; w; cfg; engine; batch_size; domains } =
+      setup ()
+    in
     let tel_config =
       if String.equal telemetry_out "" then None
       else
@@ -340,14 +370,9 @@ let run_cmd =
     in
     let write_telemetry tel =
       let meta =
-        [
-          ("pipeline", Gf_util.Json.Str info.Catalog.code);
-          ("locality", Gf_util.Json.Str (Ruleset.locality_name locality));
-          ("hierarchy", Gf_util.Json.Str cfg.Datapath.name);
-          ("seed", Gf_util.Json.Int seed);
-          ("flows", Gf_util.Json.Int flows);
-          ("combos", Gf_util.Json.Int combos);
-        ]
+        Gf_telemetry.Schema.params ~pipeline:info.Catalog.code
+          ~locality:(Ruleset.locality_name locality) ~hierarchy:cfg.Datapath.name
+          ~seed ~flows ~combos ()
       in
       let oc = open_out telemetry_out in
       Gf_telemetry.Telemetry.write_jsonl ~meta oc tel;
@@ -432,13 +457,8 @@ let run_cmd =
   in
   let term =
     Term.(
-      const run $ pipeline_arg $ locality_arg $ seed_arg $ flows_arg $ combos_arg
-      $ hierarchy_arg $ tables_arg $ capacity_arg $ evict_policy_arg
-      $ evict_policy_level_arg $ max_idle_arg $ churn_arg $ churn_active_arg
-      $ churn_turnover_arg $ churn_epochs_arg $ trace_kind_arg $ elephants_arg
-      $ elephant_share_arg $ admission_arg $ hh_threshold_arg $ sw_level_arg
-      $ sw_search_arg $ engine_arg $ batch_size_arg
-      $ domains_arg $ telemetry_out_arg $ sample_every_arg $ trace_events_arg)
+      const run $ setup_term $ telemetry_out_arg $ sample_every_arg
+      $ trace_events_arg)
   in
   Cmd.v (Cmd.info "run" ~doc:"Run an end-to-end datapath simulation.") term
 
@@ -490,49 +510,9 @@ let profile_cmd =
              Perfetto), $(docv).jsonl (profile lines) and $(docv).prom \
              (Prometheus snapshot).")
   in
-  let run code locality seed flows combos hierarchy tables capacity policy
-      level_policies max_idle churn churn_active churn_turnover churn_epochs
-      trace_kind elephants elephant_share admission hh_threshold sw_level
-      sw_search engine batch_size domains sample out =
-    let info = find_pipeline code in
-    let trace_kind = if churn then `Churn else trace_kind in
-    Printf.printf "Building workload: %s, %s locality, %d flows...\n%!"
-      info.Catalog.code
-      (Ruleset.locality_name locality)
-      flows;
-    let w =
-      match trace_kind with
-      | `Churn ->
-          Pipebench.make_churn ~combos ~unique_flows:flows ~active:churn_active
-            ~turnover:churn_turnover ~epochs:churn_epochs ~info ~locality ~seed ()
-      | `Elephant ->
-          Pipebench.make_elephant ~combos ~unique_flows:flows ~elephants
-            ~elephant_share ~info ~locality ~seed ()
-      | `Drift -> Pipebench.make_drift ~combos ~unique_flows:flows ~info ~locality ~seed ()
-      | `Caida -> Pipebench.make ~combos ~unique_flows:flows ~info ~locality ~seed ()
-    in
-    let cfg =
-      Option.get
-        (Datapath.preset
-           ~gf:(Gf_core.Config.v ~tables ~table_capacity:capacity ())
-           ~mf_capacity:(tables * capacity) ?policy ?max_idle ?sw_search ?admission
-           hierarchy)
-    in
-    let cfg =
-      List.fold_left
-        (fun cfg (level, p) -> Datapath.with_level_policy ~level p cfg)
-        cfg level_policies
-    in
-    let cfg =
-      match sw_level with Some k -> Datapath.with_sw_level k cfg | None -> cfg
-    in
-    let cfg =
-      match hh_threshold with
-      | Some th ->
-          Datapath.with_admission
-            (Gf_offload.Heavy_hitter.policy_with_threshold cfg.Datapath.admission th)
-            cfg
-      | None -> cfg
+  let run setup sample out =
+    let { info; locality; seed; w; cfg; engine; batch_size; domains; _ } =
+      setup ()
     in
     let tel_config =
       {
@@ -588,16 +568,10 @@ let profile_cmd =
     write (out ^ ".trace.json")
       (Attribution.chrome_json ~us_of_cycles:Gf_nic.Latency.us_of_cycles attr);
     let meta =
-      [
-        ("pipeline", Gf_util.Json.Str info.Catalog.code);
-        ("locality", Gf_util.Json.Str (Ruleset.locality_name locality));
-        ("hierarchy", Gf_util.Json.Str cfg.Datapath.name);
-        ( "engine",
-          Gf_util.Json.Str
-            (match engine with `Walker -> "walker" | `Batched -> "batched") );
-        ("seed", Gf_util.Json.Int seed);
-        ("sample_every", Gf_util.Json.Int sample);
-      ]
+      Gf_telemetry.Schema.params ~pipeline:info.Catalog.code
+        ~locality:(Ruleset.locality_name locality) ~hierarchy:cfg.Datapath.name
+        ~engine:(match engine with `Walker -> "walker" | `Batched -> "batched")
+        ~seed ~sample_every:sample ()
     in
     let oc = open_out (out ^ ".jsonl") in
     Attribution.write_jsonl ~meta ~causes ~total_misses oc attr;
@@ -623,264 +597,42 @@ let profile_cmd =
       out out out;
     if not reconciled then exit 1
   in
-  let term =
-    Term.(
-      const run $ pipeline_arg $ locality_arg $ seed_arg $ flows_arg $ combos_arg
-      $ hierarchy_arg $ tables_arg $ capacity_arg $ evict_policy_arg
-      $ evict_policy_level_arg $ max_idle_arg $ churn_arg $ churn_active_arg
-      $ churn_turnover_arg $ churn_epochs_arg $ trace_kind_arg $ elephants_arg
-      $ elephant_share_arg $ admission_arg $ hh_threshold_arg $ sw_level_arg
-      $ sw_search_arg $ engine_arg $ batch_size_arg $ domains_arg $ sample_arg
-      $ out_arg)
-  in
   Cmd.v
     (Cmd.info "profile"
        ~doc:
          "Replay a workload with sub-traversal tracing on and emit \
           flamegraph, chrome trace, JSONL and Prometheus profile outputs \
           with per-cause miss attribution.")
-    term
+    Term.(const run $ setup_term $ sample_arg $ out_arg)
 
-(* Validate a telemetry JSONL file: every line must parse as JSON, the
-   stream must carry a meta line and at least one time-series sample, and
-   samples/events must expose the documented fields.  Loadtest JSONL
-   streams (loadtest_meta/loadtest_window/loadtest_summary lines) are
-   validated under their own schema.  Exits non-zero on the first
-   violation — check.sh uses this as the telemetry smoke gate. *)
+(* Validate a telemetry JSONL file and/or a chrome://tracing JSON file
+   against Gf_telemetry.Schema.  Exits non-zero on the first violation —
+   check.sh uses this as the telemetry smoke gate. *)
 let telemetry_check_cmd =
-  let module J = Gf_util.Json in
-  let fail line_no msg =
-    Printf.eprintf "telemetry-check: line %d: %s\n" line_no msg;
-    exit 1
-  in
-  let require line_no json field kind =
-    match (J.member field json, kind) with
-    | Some (J.Int _), `Num | Some (J.Float _), `Num -> ()
-    | Some (J.Str _), `Str -> ()
-    | Some (J.List _), `List -> ()
-    | Some (J.Bool _), `Bool -> ()
-    | Some _, _ -> fail line_no (Printf.sprintf "field %S has the wrong type" field)
-    | None, _ -> fail line_no (Printf.sprintf "missing field %S" field)
-  in
-  (* chrome://tracing JSON: a traceEvents array of complete events, each
-     with the fields the trace viewers require. *)
-  let check_chrome file =
-    let cfail msg =
-      Printf.eprintf "telemetry-check: %s: %s\n" file msg;
-      exit 1
-    in
-    let ic = open_in file in
-    let n = in_channel_length ic in
-    let text = really_input_string ic n in
-    close_in ic;
-    match J.of_string text with
-    | Error e -> cfail ("not valid JSON: " ^ e)
-    | Ok json -> (
-        match Option.bind (J.member "traceEvents" json) J.to_list_opt with
-        | None -> cfail "missing \"traceEvents\" array"
-        | Some events ->
-            List.iteri
-              (fun i ev ->
-                let evfail f =
-                  cfail
-                    (Printf.sprintf "traceEvents[%d]: missing or mistyped %S" i f)
-                in
-                let str f =
-                  if Option.bind (J.member f ev) J.to_string_opt = None then
-                    evfail f
-                and num f =
-                  if Option.bind (J.member f ev) J.to_float_opt = None then
-                    evfail f
-                in
-                str "name";
-                str "ph";
-                num "ts";
-                num "dur";
-                num "pid";
-                num "tid")
-              events;
-            Printf.printf "%s: OK (%d trace events)\n" file (List.length events))
-  in
+  let module Schema = Gf_telemetry.Schema in
   let check file chrome =
-    (match file with
-    | None -> ()
-    | Some file ->
-        let ic = open_in file in
-        let metas = ref 0 and samples = ref 0 and events = ref 0 in
-        let lt_metas = ref 0 and lt_windows = ref 0 and lt_summaries = ref 0 in
-        let lt_actions = ref 0 in
-        let p_metas = ref 0 and p_lines = ref 0 and p_summaries = ref 0 in
-        let p_cause_sum = ref 0 in
-        let p_census = ref 0 and p_misses = ref 0 and p_reconciled = ref false in
-        let line_no = ref 0 in
-        (try
-           while true do
-             let line = input_line ic in
-             incr line_no;
-             if String.trim line <> "" then
-               match J.of_string line with
-               | Error e -> fail !line_no ("not valid JSON: " ^ e)
-               | Ok json -> (
-                   match Option.bind (J.member "type" json) J.to_string_opt with
-                   | Some "meta" ->
-                       incr metas;
-                       require !line_no json "samples" `Num
-                   | Some "sample" ->
-                       incr samples;
-                       List.iter
-                         (fun f -> require !line_no json f `Num)
-                         [
-                           "packet"; "time"; "hw_hits"; "sw_hits"; "slowpaths";
-                           "hw_hit_rate"; "mean_us"; "p50_us"; "p90_us"; "p99_us";
-                           "p999_us";
-                         ];
-                       require !line_no json "levels" `List;
-                       let levels =
-                         Option.value ~default:[]
-                           (Option.bind (J.member "levels" json) J.to_list_opt)
-                       in
-                       List.iter
-                         (fun l ->
-                           require !line_no l "level" `Str;
-                           require !line_no l "tier" `Str;
-                           List.iter
-                             (fun f -> require !line_no l f `Num)
-                             [ "hits"; "misses"; "hit_rate"; "occupancy"; "p50_us"; "p99_us" ])
-                         levels
-                   | Some "event" ->
-                       incr events;
-                       require !line_no json "kind" `Str;
-                       require !line_no json "level" `Str;
-                       List.iter
-                         (fun f -> require !line_no json f `Num)
-                         [ "seq"; "packet"; "time"; "latency_us"; "count" ]
-                   | Some "loadtest_meta" ->
-                       incr lt_metas;
-                       List.iter
-                         (fun f -> require !line_no json f `Str)
-                         [ "commit"; "preset"; "engine" ];
-                       List.iter
-                         (fun f -> require !line_no json f `Num)
-                         [
-                           "rate_pps"; "warmup"; "window"; "windows";
-                           "queue_budget_us"; "slo_p50_us"; "slo_p99_us";
-                           "slo_p999_us"; "slo_drop_rate"; "slo_hw_hit_rate";
-                         ]
-                   | Some "loadtest_window" ->
-                       incr lt_windows;
-                       List.iter
-                         (fun f -> require !line_no json f `Num)
-                         [
-                           "index"; "offered"; "processed"; "dropped";
-                           "drop_rate"; "mean_us"; "p50_us"; "p99_us"; "p999_us";
-                           "hw_hit_rate";
-                         ];
-                       require !line_no json "truncated" `Bool;
-                       require !line_no json "violations" `List
-                   | Some "controller_action" ->
-                       incr lt_actions;
-                       require !line_no json "window" `Num;
-                       List.iter
-                         (fun f -> require !line_no json f `Str)
-                         [ "knob"; "level"; "from"; "to"; "reason" ]
-                   | Some "loadtest_summary" ->
-                       incr lt_summaries;
-                       require !line_no json "pass" `Bool;
-                       List.iter
-                         (fun f -> require !line_no json f `Num)
-                         [
-                           "windows"; "total_offered"; "total_processed";
-                           "total_dropped"; "violations";
-                         ]
-                   | Some "profile_meta" ->
-                       incr p_metas;
-                       require !line_no json "sampled_packets" `Num;
-                       require !line_no json "spans" `Num;
-                       require !line_no json "levels" `List
-                   | Some "profile_level" ->
-                       incr p_lines;
-                       require !line_no json "level" `Str;
-                       require !line_no json "outcome" `Str;
-                       require !line_no json "spans" `Num;
-                       require !line_no json "cycles" `Num
-                   | Some "profile_table" ->
-                       incr p_lines;
-                       List.iter
-                         (fun f -> require !line_no json f `Num)
-                         [ "table"; "visits"; "cycles" ]
-                   | Some "profile_depth" ->
-                       incr p_lines;
-                       List.iter
-                         (fun f -> require !line_no json f `Num)
-                         [ "depth"; "spans" ]
-                   | Some "profile_cause" ->
-                       incr p_lines;
-                       require !line_no json "level" `Str;
-                       require !line_no json "cause" `Str;
-                       require !line_no json "count" `Num;
-                       p_cause_sum :=
-                         !p_cause_sum
-                         + Option.value ~default:0
-                             (Option.bind (J.member "count" json) J.to_int_opt)
-                   | Some "profile_summary" ->
-                       incr p_summaries;
-                       require !line_no json "census_total" `Num;
-                       require !line_no json "total_misses" `Num;
-                       require !line_no json "reconciled" `Bool;
-                       let geti f =
-                         Option.value ~default:0
-                           (Option.bind (J.member f json) J.to_int_opt)
-                       in
-                       p_census := geti "census_total";
-                       p_misses := geti "total_misses";
-                       p_reconciled :=
-                         J.member "reconciled" json = Some (J.Bool true)
-                   | Some other ->
-                       fail !line_no (Printf.sprintf "unknown line type %S" other)
-                   | None -> fail !line_no "missing \"type\" field")
-           done
-         with End_of_file -> close_in ic);
-        if !p_metas + !p_lines + !p_summaries > 0 then begin
-          (* Profile stream: meta, at least one aggregate line, one
-             summary whose census reconciles — both against the run's
-             metrics misses and internally against the emitted
-             per-cause lines. *)
-          if !p_metas = 0 then fail !line_no "no profile_meta line found";
-          if !p_lines = 0 then fail !line_no "no profile aggregate lines found";
-          if !p_summaries = 0 then fail !line_no "no profile_summary line found";
-          if not !p_reconciled then
-            fail !line_no
-              (Printf.sprintf
-                 "miss census (%d) does not reconcile with metrics misses (%d)"
-                 !p_census !p_misses);
-          if !p_cause_sum <> !p_census then
-            fail !line_no
-              (Printf.sprintf
-                 "profile_cause counts sum to %d but census_total is %d"
-                 !p_cause_sum !p_census);
-          Printf.printf
-            "%s: OK (%d profile meta, %d aggregate lines, census %d reconciled)\n"
-            file !p_metas !p_lines !p_census
-        end
-        else if !lt_metas + !lt_windows + !lt_summaries + !lt_actions > 0
-        then begin
-          (* Loadtest stream: meta, at least one window, one summary;
-             controller_action lines are optional but only valid here. *)
-          if !lt_metas = 0 then fail !line_no "no loadtest_meta line found";
-          if !lt_windows = 0 then fail !line_no "no loadtest_window lines found";
-          if !lt_summaries = 0 then fail !line_no "no loadtest_summary line found";
-          Printf.printf
-            "%s: OK (%d loadtest meta, %d windows, %d summary, %d controller \
-             actions)\n"
-            file !lt_metas !lt_windows !lt_summaries !lt_actions
-        end
-        else begin
-          if !metas = 0 then fail !line_no "no meta line found";
-          if !samples = 0 then fail !line_no "no time-series samples found";
-          Printf.printf "%s: OK (%d meta, %d samples, %d events)\n" file !metas
-            !samples !events
-        end);
-    (match chrome with Some chrome -> check_chrome chrome | None -> ());
+    let read input path =
+      try In_channel.with_open_bin path input
+      with Sys_error e ->
+        Printf.eprintf "telemetry-check: %s\n" e;
+        exit 1
+    in
+    Option.iter
+      (fun file ->
+        match Schema.check_jsonl (read In_channel.input_lines file) with
+        | Ok s -> Printf.printf "%s: OK (%s)\n" file (Schema.describe s)
+        | Error (line, msg) ->
+            Printf.eprintf "telemetry-check: line %d: %s\n" line msg;
+            exit 1)
+      file;
+    Option.iter
+      (fun chrome ->
+        match Schema.check_chrome (read In_channel.input_all chrome) with
+        | Ok n -> Printf.printf "%s: OK (%d trace events)\n" chrome n
+        | Error msg ->
+            Printf.eprintf "telemetry-check: %s: %s\n" chrome msg;
+            exit 1)
+      chrome;
     if file = None && chrome = None then begin
       Printf.eprintf
         "telemetry-check: nothing to check (pass FILE and/or --chrome)\n";
@@ -915,6 +667,7 @@ let telemetry_check_cmd =
    violations into a non-zero exit for CI. *)
 let loadtest_cmd =
   let module Loadtest = Gf_engine.Loadtest in
+  let module Controller = Gf_control.Controller in
   let rate_arg =
     Arg.(
       value & opt float 1e6
@@ -961,40 +714,31 @@ let loadtest_cmd =
             "Zipf skew of the steady-state traffic over the flow population \
              ($(docv) >= 0).")
   in
-  let slo_p50_arg =
-    Arg.(
-      value & opt float Loadtest.default_slo.Loadtest.slo_p50_us
-      & info [ "slo-p50" ] ~docv:"US" ~doc:"SLO: sojourn median bound.")
-  in
-  let slo_p99_arg =
-    Arg.(
-      value & opt float Loadtest.default_slo.Loadtest.slo_p99_us
-      & info [ "slo-p99" ] ~docv:"US" ~doc:"SLO: sojourn p99 bound.")
-  in
-  let slo_p999_arg =
-    Arg.(
-      value & opt float Loadtest.default_slo.Loadtest.slo_p999_us
-      & info [ "slo-p999" ] ~docv:"US" ~doc:"SLO: sojourn p99.9 bound.")
-  in
-  let slo_drop_arg =
-    Arg.(
-      value & opt float Loadtest.default_slo.Loadtest.slo_drop_rate
-      & info [ "slo-drop-rate" ] ~docv:"F"
-          ~doc:"SLO: dropped/offered bound per window.")
-  in
-  let slo_hit_arg =
-    Arg.(
-      value & opt float Loadtest.default_slo.Loadtest.slo_hw_hit_rate
-      & info [ "slo-hit-rate" ] ~docv:"F"
-          ~doc:"SLO: hardware hits / processed floor per window.")
+  let slo_term =
+    let bound name docv default doc =
+      Arg.(value & opt float default & info [ name ] ~docv ~doc:("SLO: " ^ doc))
+    in
+    let slo slo_p50_us slo_p99_us slo_p999_us slo_drop_rate slo_hw_hit_rate =
+      { Loadtest.slo_p50_us; slo_p99_us; slo_p999_us; slo_drop_rate; slo_hw_hit_rate }
+    in
+    let d = Loadtest.default_slo in
+    Term.(
+      const slo
+      $ bound "slo-p50" "US" d.Loadtest.slo_p50_us "sojourn median bound."
+      $ bound "slo-p99" "US" d.Loadtest.slo_p99_us "sojourn p99 bound."
+      $ bound "slo-p999" "US" d.Loadtest.slo_p999_us "sojourn p99.9 bound."
+      $ bound "slo-drop-rate" "F" d.Loadtest.slo_drop_rate
+          "dropped/offered bound per window."
+      $ bound "slo-hit-rate" "F" d.Loadtest.slo_hw_hit_rate
+          "hardware hits / processed floor per window.")
   in
   let out_arg =
     Arg.(
       value & opt string ""
       & info [ "o"; "out" ] ~docv:"PATH"
           ~doc:
-            "Write the JSONL report (loadtest_meta + one loadtest_window per \
-             window + loadtest_summary) to $(docv).")
+            "Write the JSONL report (a meta line, one line per window, any \
+             controller actions and a summary line) to $(docv).")
   in
   let gate_arg =
     Arg.(
@@ -1035,8 +779,8 @@ let loadtest_cmd =
              eviction policy and software capacity within bounds.")
   in
   let run code locality seed flows combos hierarchy tables capacity rate warmup
-      window windows queue_budget zipf trace_kind epochs drift controller_spec
-      slo_p50 slo_p99 slo_p999 slo_drop slo_hit out gate =
+      window windows queue_budget zipf trace_kind epochs drift controller_spec slo
+      out gate =
     let info = find_pipeline code in
     let w = Pipebench.make ~combos ~unique_flows:flows ~info ~locality ~seed () in
     let cfg =
@@ -1061,23 +805,14 @@ let loadtest_cmd =
           Printf.eprintf "unknown --trace %S (expected steady or drift)\n" other;
           exit 2
     in
-    let controller =
-      if controller_spec = "" then None
+    let spec, controller =
+      if controller_spec = "" then (None, None)
       else
-        match Gf_control.Controller.spec_of_string controller_spec with
+        match Controller.spec_of_string controller_spec with
         | Error e ->
             Printf.eprintf "bad --controller spec: %s\n" e;
             exit 2
-        | Ok spec -> Some (Gf_control.Controller.create ~spec ())
-    in
-    let slo =
-      {
-        Loadtest.slo_p50_us = slo_p50;
-        slo_p99_us = slo_p99;
-        slo_p999_us = slo_p999;
-        slo_drop_rate = slo_drop;
-        slo_hw_hit_rate = slo_hit;
-      }
+        | Ok spec -> (Some spec, Some (Controller.create ~spec ()))
     in
     Printf.printf
       "Loadtest: %s on %s, %s pkt/s offered, %d warmup + %d x %d measured...\n%!"
@@ -1085,10 +820,7 @@ let loadtest_cmd =
       window;
     let r =
       Loadtest.run ~queue_budget_us:queue_budget ~warmup ~window ~windows
-        ?controller:
-          (Option.map
-             (fun c dp wr -> Gf_control.Controller.on_window c dp wr)
-             controller)
+        ?controller:(Option.map Controller.on_window controller)
         ~rate ~slo cfg (Pipebench.pipeline w) stream
     in
     let t =
@@ -1113,23 +845,23 @@ let loadtest_cmd =
       r.Loadtest.windows;
     Tablefmt.print t;
     (match controller with
-    | Some c when Gf_control.Controller.actions c <> [] ->
+    | Some c when Controller.actions c <> [] ->
         let at =
           Tablefmt.create [ "Window"; "Knob"; "Level"; "From"; "To"; "Why" ]
         in
         List.iter
-          (fun (a : Gf_control.Controller.action) ->
+          (fun (a : Controller.action) ->
             Tablefmt.add_row at
               [
-                (if a.Gf_control.Controller.act_window < 0 then "warmup"
-                 else string_of_int a.Gf_control.Controller.act_window);
-                a.Gf_control.Controller.act_knob;
-                a.Gf_control.Controller.act_level;
-                a.Gf_control.Controller.act_from;
-                a.Gf_control.Controller.act_to;
-                a.Gf_control.Controller.act_reason;
+                (if a.Controller.act_window < 0 then "warmup"
+                 else string_of_int a.Controller.act_window);
+                a.Controller.act_knob;
+                a.Controller.act_level;
+                a.Controller.act_from;
+                a.Controller.act_to;
+                a.Controller.act_reason;
               ])
-          (Gf_control.Controller.actions c);
+          (Controller.actions c);
         Printf.printf "Controller actions:\n";
         Tablefmt.print at
     | Some _ -> Printf.printf "Controller actions: none (all windows clean)\n"
@@ -1144,35 +876,15 @@ let loadtest_cmd =
       r.Loadtest.total_dropped r.Loadtest.total_offered;
     if out <> "" then begin
       let meta =
-        [
-          ("pipeline", Gf_util.Json.Str info.Catalog.code);
-          ("hierarchy", Gf_util.Json.Str cfg.Datapath.name);
-          ("seed", Gf_util.Json.Int seed);
-          ("flows", Gf_util.Json.Int flows);
-          ("zipf_s", Gf_util.Json.Float zipf);
-          ("trace", Gf_util.Json.Str trace_kind);
-        ]
-        @
-        match controller with
-        | None -> []
-        | Some _ ->
-            [
-              ( "controller",
-                Gf_util.Json.Str
-                  (Gf_control.Controller.spec_to_string
-                     (match
-                        Gf_control.Controller.spec_of_string controller_spec
-                      with
-                     | Ok s -> s
-                     | Error _ -> Gf_control.Controller.default_spec)) );
-            ]
+        Gf_telemetry.Schema.params ~pipeline:info.Catalog.code
+          ~hierarchy:cfg.Datapath.name ~seed ~flows ~zipf_s:zipf ~trace:trace_kind
+          ?controller:(Option.map Controller.spec_to_string spec)
+          ()
       in
       let extra =
         match controller with
         | None -> []
-        | Some c ->
-            List.map Gf_control.Controller.action_json
-              (Gf_control.Controller.actions c)
+        | Some c -> List.map Controller.action_json (Controller.actions c)
       in
       let oc = open_out out in
       Loadtest.write_jsonl ~meta ~extra oc r;
@@ -1186,8 +898,7 @@ let loadtest_cmd =
       const run $ pipeline_arg $ locality_arg $ seed_arg $ flows_arg $ combos_arg
       $ hierarchy_arg $ tables_arg $ capacity_arg $ rate_arg $ warmup_arg
       $ window_arg $ windows_arg $ queue_budget_arg $ zipf_arg $ trace_arg
-      $ epochs_arg $ drift_arg $ controller_arg $ slo_p50_arg $ slo_p99_arg
-      $ slo_p999_arg $ slo_drop_arg $ slo_hit_arg $ out_arg $ gate_arg)
+      $ epochs_arg $ drift_arg $ controller_arg $ slo_term $ out_arg $ gate_arg)
   in
   Cmd.v
     (Cmd.info "loadtest"

@@ -5,6 +5,7 @@ module Evict = Gf_cache.Evict
 module Heavy_hitter = Gf_offload.Heavy_hitter
 module Loadtest = Gf_engine.Loadtest
 module Json = Gf_util.Json
+module Schema = Gf_telemetry.Schema
 
 type spec = {
   min_threshold : int;
@@ -101,9 +102,8 @@ let create ?(spec = default_spec) () =
 let actions t = List.rev t.acts
 
 let action_json a =
-  Json.Obj
+  Schema.line Schema.Controller_action
     [
-      ("type", Json.Str "controller_action");
       ("window", Json.Int a.act_window);
       ("knob", Json.Str a.act_knob);
       ("level", Json.Str a.act_level);

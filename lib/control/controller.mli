@@ -83,5 +83,5 @@ val actions : t -> action list
 (** Every actuation taken so far, chronological. *)
 
 val action_json : action -> Gf_util.Json.t
-(** One ["controller_action"] JSONL record (validated by
-    [gigaflow-sim telemetry-check]). *)
+(** One {!Gf_telemetry.Schema.Controller_action} JSONL record, a line of
+    the loadtest report that {!Gf_telemetry.Schema.check_jsonl} validates. *)

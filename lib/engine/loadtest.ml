@@ -21,6 +21,7 @@ module Metrics = Gf_sim.Metrics
 module Histogram = Gf_telemetry.Histogram
 module Trace = Gf_workload.Trace
 module Json = Gf_util.Json
+module Schema = Gf_telemetry.Schema
 
 type slo = {
   slo_p50_us : float;
@@ -232,8 +233,8 @@ let run ?(queue_budget_us = 500.0) ?(warmup = 50_000) ?(window = 100_000)
 (* ------------------------------- output -------------------------------- *)
 
 let meta_json ?(meta = []) r =
-  Json.Obj
-    ((("type", Json.Str "loadtest_meta") :: meta)
+  Schema.line Schema.Loadtest_meta
+    (meta
     @ [
         ("commit", Json.Str (git_commit ()));
         ("preset", Json.Str r.preset);
@@ -251,9 +252,8 @@ let meta_json ?(meta = []) r =
       ])
 
 let window_json w =
-  Json.Obj
+  Schema.line Schema.Loadtest_window
     [
-      ("type", Json.Str "loadtest_window");
       ("index", Json.Int w.w_index);
       ("offered", Json.Int w.w_offered);
       ("processed", Json.Int w.w_processed);
@@ -275,9 +275,8 @@ let summary_json r =
   let ntrunc =
     List.fold_left (fun a w -> a + if w.w_truncated then 1 else 0) 0 r.windows
   in
-  Json.Obj
+  Schema.line Schema.Loadtest_summary
     [
-      ("type", Json.Str "loadtest_summary");
       ("pass", Json.Bool r.pass);
       ("windows", Json.Int (List.length r.windows));
       ("truncated_windows", Json.Int ntrunc);
@@ -288,7 +287,7 @@ let summary_json r =
     ]
 
 let write_jsonl ?meta ?(extra = []) oc r =
-  let line j = output_string oc (Json.to_string j ^ "\n") in
+  let line = Schema.write_line oc in
   line (meta_json ?meta r);
   List.iter (fun w -> line (window_json w)) r.windows;
   List.iter line extra;

@@ -285,9 +285,9 @@ let to_registry t registry =
    miss-cause rows and a summary line reconciling their sum against the
    miss total the caller observed. *)
 let write_jsonl ?(meta = []) ~causes ~total_misses oc t =
-  let line j = Export.write_line oc (Json.Obj j) in
-  line
-    ((("type", Json.Str "profile_meta") :: meta)
+  let line kind fields = Schema.write_line oc (Schema.line kind fields) in
+  line Schema.Profile_meta
+    (meta
     @ [
         ("sampled_packets", Json.Int t.sampled_packets);
         ("spans", Json.Int t.spans);
@@ -298,9 +298,8 @@ let write_jsonl ?(meta = []) ~causes ~total_misses oc t =
   for l = 0 to t.n_levels - 1 do
     for o = 0 to 1 do
       if t.level_spans.((l * 2) + o) > 0 then
-        line
+        line Schema.Profile_level
           [
-            ("type", Json.Str "profile_level");
             ("level", Json.Str t.level_names.(l));
             ("outcome", Json.Str (outcome_name o));
             ("spans", Json.Int t.level_spans.((l * 2) + o));
@@ -311,9 +310,8 @@ let write_jsonl ?(meta = []) ~causes ~total_misses oc t =
   Array.iteri
     (fun id v ->
       if v > 0 then
-        line
+        line Schema.Profile_table
           [
-            ("type", Json.Str "profile_table");
             ("table", Json.Int id);
             ("visits", Json.Int v);
             ("cycles", Json.Int t.table_cycles.(id));
@@ -322,27 +320,24 @@ let write_jsonl ?(meta = []) ~causes ~total_misses oc t =
   Array.iteri
     (fun d v ->
       if v > 0 then
-        line
+        line Schema.Profile_depth
           [
-            ("type", Json.Str "profile_depth");
             ("depth", Json.Int d);
             ("spans", Json.Int v);
           ])
     t.depth_hist;
   List.iter
     (fun (level, cause, v) ->
-      line
+      line Schema.Profile_cause
         [
-          ("type", Json.Str "profile_cause");
           ("level", Json.Str level);
           ("cause", Json.Str cause);
           ("count", Json.Int v);
         ])
     causes;
   let total = List.fold_left (fun acc (_, _, v) -> acc + v) 0 causes in
-  line
+  line Schema.Profile_summary
     [
-      ("type", Json.Str "profile_summary");
       ("census_total", Json.Int total);
       ("total_misses", Json.Int total_misses);
       ("reconciled", Json.Bool (total = total_misses));

@@ -1,7 +1,4 @@
-(* Exporters: Prometheus text exposition for a registry snapshot, and JSON
-   Lines encoding for time-series samples and flight-recorder events. *)
-
-module Json = Gf_util.Json
+(* Prometheus text exposition for a registry snapshot. *)
 
 (* --------------------------- Prometheus text --------------------------- *)
 
@@ -77,53 +74,3 @@ let prometheus registry =
   let buf = Buffer.create 4096 in
   prometheus_to_buffer buf registry;
   Buffer.contents buf
-
-(* ------------------------------ JSON Lines ------------------------------ *)
-
-let level_sample_json (l : Series.level_sample) =
-  Json.Obj
-    [
-      ("level", Json.Str l.Series.ls_level);
-      ("tier", Json.Str l.Series.ls_tier);
-      ("hits", Json.Int l.Series.ls_hits);
-      ("misses", Json.Int l.Series.ls_misses);
-      ("hit_rate", Json.Float l.Series.ls_hit_rate);
-      ("occupancy", Json.Int l.Series.ls_occupancy);
-      ("p50_us", Json.Float l.Series.ls_p50_us);
-      ("p99_us", Json.Float l.Series.ls_p99_us);
-    ]
-
-let sample_json (s : Series.sample) =
-  Json.Obj
-    [
-      ("type", Json.Str "sample");
-      ("packet", Json.Int s.Series.s_packet);
-      ("time", Json.Float s.Series.s_time);
-      ("hw_hits", Json.Int s.Series.s_hw_hits);
-      ("sw_hits", Json.Int s.Series.s_sw_hits);
-      ("slowpaths", Json.Int s.Series.s_slowpaths);
-      ("hw_hit_rate", Json.Float s.Series.s_hw_hit_rate);
-      ("mean_us", Json.Float s.Series.s_mean_us);
-      ("p50_us", Json.Float s.Series.s_p50_us);
-      ("p90_us", Json.Float s.Series.s_p90_us);
-      ("p99_us", Json.Float s.Series.s_p99_us);
-      ("p999_us", Json.Float s.Series.s_p999_us);
-      ("levels", Json.List (List.map level_sample_json s.Series.s_levels));
-    ]
-
-let event_json (e : Recorder.event) =
-  Json.Obj
-    [
-      ("type", Json.Str "event");
-      ("seq", Json.Int e.Recorder.seq);
-      ("packet", Json.Int e.Recorder.packet);
-      ("time", Json.Float e.Recorder.time);
-      ("level", Json.Str e.Recorder.level);
-      ("kind", Json.Str (Recorder.kind_name e.Recorder.kind));
-      ("latency_us", Json.Float e.Recorder.latency_us);
-      ("count", Json.Int e.Recorder.count);
-    ]
-
-let write_line oc json =
-  output_string oc (Json.to_string json);
-  output_char oc '\n'

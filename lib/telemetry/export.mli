@@ -1,4 +1,4 @@
-(** Exporters: Prometheus text exposition and JSON Lines encoding.
+(** Prometheus text exposition.
 
     Histograms are exposed Prometheus-summary-style (pre-computed
     p50/p90/p99/p99.9 + [_sum] + [_count]) — log-linear buckets would need
@@ -9,15 +9,6 @@ val prometheus : Registry.t -> string
 (** Render a registry snapshot in Prometheus text exposition format. *)
 
 val prometheus_to_buffer : Buffer.t -> Registry.t -> unit
-
-val sample_json : Series.sample -> Gf_util.Json.t
-(** One time-series snapshot as a [{"type":"sample", ...}] object. *)
-
-val event_json : Recorder.event -> Gf_util.Json.t
-(** One flight-recorder event as an [{"type":"event", ...}] object. *)
-
-val write_line : out_channel -> Gf_util.Json.t -> unit
-(** Write one JSON value followed by a newline (one JSONL record). *)
 
 val sanitize_name : string -> string
 (** Map a metric name onto Prometheus' allowed charset. *)

@@ -7,6 +7,8 @@
    no-op that performs no allocation and no calls, so disabled telemetry
    leaves the de-allocated datapath hot path untouched. *)
 
+module Json = Gf_util.Json
+
 type config = {
   sample_every : int;  (* time-series cadence in packets; 0 disables *)
   event_capacity : int;  (* flight-recorder ring size *)
@@ -92,6 +94,48 @@ let merge ~into src =
 
 (* ------------------------------ output ------------------------------ *)
 
+let level_sample_json (l : Series.level_sample) =
+  Json.Obj
+    [
+      ("level", Json.Str l.Series.ls_level);
+      ("tier", Json.Str l.Series.ls_tier);
+      ("hits", Json.Int l.Series.ls_hits);
+      ("misses", Json.Int l.Series.ls_misses);
+      ("hit_rate", Json.Float l.Series.ls_hit_rate);
+      ("occupancy", Json.Int l.Series.ls_occupancy);
+      ("p50_us", Json.Float l.Series.ls_p50_us);
+      ("p99_us", Json.Float l.Series.ls_p99_us);
+    ]
+
+let sample_json (s : Series.sample) =
+  Schema.line Schema.Sample
+    [
+      ("packet", Json.Int s.Series.s_packet);
+      ("time", Json.Float s.Series.s_time);
+      ("hw_hits", Json.Int s.Series.s_hw_hits);
+      ("sw_hits", Json.Int s.Series.s_sw_hits);
+      ("slowpaths", Json.Int s.Series.s_slowpaths);
+      ("hw_hit_rate", Json.Float s.Series.s_hw_hit_rate);
+      ("mean_us", Json.Float s.Series.s_mean_us);
+      ("p50_us", Json.Float s.Series.s_p50_us);
+      ("p90_us", Json.Float s.Series.s_p90_us);
+      ("p99_us", Json.Float s.Series.s_p99_us);
+      ("p999_us", Json.Float s.Series.s_p999_us);
+      ("levels", Json.List (List.map level_sample_json s.Series.s_levels));
+    ]
+
+let event_json (e : Recorder.event) =
+  Schema.line Schema.Event
+    [
+      ("seq", Json.Int e.Recorder.seq);
+      ("packet", Json.Int e.Recorder.packet);
+      ("time", Json.Float e.Recorder.time);
+      ("level", Json.Str e.Recorder.level);
+      ("kind", Json.Str (Recorder.kind_name e.Recorder.kind));
+      ("latency_us", Json.Float e.Recorder.latency_us);
+      ("count", Json.Int e.Recorder.count);
+    ]
+
 (* The full JSONL stream: one meta line, every time-series sample, then
    every retained flight-recorder event.  [meta] lets the caller prepend
    run parameters (workload, hierarchy, seed). *)
@@ -100,19 +144,18 @@ let write_jsonl ?(meta = []) oc t =
     match t.recorder with
     | Some r ->
         [
-          ("events_seen", Gf_util.Json.Int (Recorder.seen r));
-          ("events_recorded", Gf_util.Json.Int (Recorder.recorded r));
-          ("events_dropped", Gf_util.Json.Int (Recorder.dropped r));
-          ("event_sample_every", Gf_util.Json.Int (Recorder.sample_every r));
+          ("events_seen", Json.Int (Recorder.seen r));
+          ("events_recorded", Json.Int (Recorder.recorded r));
+          ("events_dropped", Json.Int (Recorder.dropped r));
+          ("event_sample_every", Json.Int (Recorder.sample_every r));
         ]
     | None -> []
   in
-  Export.write_line oc
-    (Gf_util.Json.Obj
-       ((("type", Gf_util.Json.Str "meta") :: meta)
-       @ [ ("samples", Gf_util.Json.Int (List.length (samples t))) ]
-       @ recorder_meta));
-  List.iter (fun s -> Export.write_line oc (Export.sample_json s)) (samples t);
-  List.iter (fun e -> Export.write_line oc (Export.event_json e)) (events t)
+  let samples = samples t in
+  Schema.write_line oc
+    (Schema.line Schema.Meta
+       (meta @ (("samples", Json.Int (List.length samples)) :: recorder_meta)));
+  List.iter (fun s -> Schema.write_line oc (sample_json s)) samples;
+  List.iter (fun e -> Schema.write_line oc (event_json e)) (events t)
 
 let prometheus t = Export.prometheus t.registry

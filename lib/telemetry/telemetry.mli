@@ -61,9 +61,9 @@ val merge : into:t -> t -> unit
     with no tracer adopts the first shard's).  [src] is unchanged. *)
 
 val write_jsonl : ?meta:(string * Gf_util.Json.t) list -> out_channel -> t -> unit
-(** Emit the full JSONL stream: one [{"type":"meta",...}] line (with the
-    caller's extra fields and the recorder census), every time-series
-    sample, then every retained event. *)
+(** Emit the full JSONL stream: one {!Schema.Meta} line (with
+    [schema_version], the caller's extra fields and the recorder census),
+    every time-series sample, then every retained event. *)
 
 val prometheus : t -> string
 (** Prometheus text exposition of the registry. *)

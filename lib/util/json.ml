@@ -1,6 +1,6 @@
 (* Minimal JSON: a value type, a compact printer and a recursive-descent
-   parser.  Used by the telemetry exporters (JSON Lines emission) and by the
-   CLI's telemetry-check validator; deliberately dependency-free. *)
+   parser.  Used by Gf_telemetry.Schema, which both emits and validates
+   the JSON Lines formats; deliberately dependency-free. *)
 
 type t =
   | Null

@@ -1,8 +1,9 @@
 (** Minimal JSON value type, compact printer and parser.
 
-    Backs the telemetry exporters (JSON Lines emission) and the CLI's
-    [telemetry-check] validator.  The printer emits [null] for non-finite
-    floats so every emitted line stays machine-parseable. *)
+    Backs the telemetry line formats: [Gf_telemetry.Schema] builds every
+    JSON Lines record with it and parses them back to validate.  The
+    printer emits [null] for non-finite floats so every emitted line stays
+    machine-parseable. *)
 
 type t =
   | Null

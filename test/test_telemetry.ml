@@ -1,7 +1,8 @@
 (* Tests for gigaflow.telemetry: histogram quantile accuracy against an
    exact oracle, exact merge, flight-recorder ring/sampling semantics,
-   series cadence, registry merge, exporters, and the datapath/parallel
-   integration invariants (telemetry observes, never perturbs). *)
+   series cadence, registry merge, exporters, the datapath/parallel
+   integration invariants (telemetry observes, never perturbs), and the
+   line schema every emitter writes and telemetry-check enforces. *)
 
 module Histogram = Gf_telemetry.Histogram
 module Recorder = Gf_telemetry.Recorder
@@ -569,6 +570,194 @@ let test_parallel_telemetry_modes_agree () =
   Alcotest.(check string) "merged registries identical" (Telemetry.prometheus ts)
     (Telemetry.prometheus te)
 
+(* ------------------------------- schema ------------------------------- *)
+
+module Schema = Gf_telemetry.Schema
+
+let golden_lines () =
+  In_channel.with_open_bin "golden/telemetry.jsonl" In_channel.input_lines
+
+(* The lines an emitter writes to a channel. *)
+let emitted write =
+  let path = Filename.temp_file "gf_schema" ".jsonl" in
+  Out_channel.with_open_bin path write;
+  let lines = In_channel.with_open_bin path In_channel.input_lines in
+  Sys.remove path;
+  lines
+
+let accepted what lines =
+  match Schema.check_jsonl lines with
+  | Ok s -> s
+  | Error (n, msg) -> Alcotest.failf "%s rejected at line %d: %s" what n msg
+
+let rejected what ~line ~needle lines =
+  match Schema.check_jsonl lines with
+  | Ok s -> Alcotest.failf "%s accepted (%s)" what (Schema.describe s)
+  | Error (n, msg) ->
+      Alcotest.(check int) (what ^ ": failing line") line n;
+      if not (contains ~needle msg) then
+        Alcotest.failf "%s: error %S does not name %S" what msg needle
+
+let replace_first ~sub ~by s =
+  let n = String.length sub in
+  let rec at i =
+    if i + n > String.length s then Alcotest.failf "%S not in %S" sub s
+    else if String.sub s i n = sub then
+      String.sub s 0 i ^ by ^ String.sub s (i + n) (String.length s - i - n)
+    else at (i + 1)
+  in
+  at 0
+
+(* A minimal profile stream; the negative cases below edit it. *)
+let p_meta =
+  {|{"type":"profile_meta","schema_version":1,"sampled_packets":4,"spans":9,"levels":["gf"]}|}
+
+let p_cause = {|{"type":"profile_cause","level":"gf","cause":"cold","count":3}|}
+
+let p_summary =
+  {|{"type":"profile_summary","census_total":3,"total_misses":3,"reconciled":true}|}
+
+let test_schema_golden_stream () =
+  let s = accepted "golden telemetry" (golden_lines ()) in
+  Alcotest.(check string) "counts" "1 meta, 6 samples, 64 events" (Schema.describe s)
+
+let test_schema_loadtest_report () =
+  let w = small_workload () in
+  let stream =
+    Gf_workload.Trace.steady ~zipf_s:1.1 ~packets:6000 ~seed:9 ~flows:w.Pipebench.flows ()
+  in
+  let r =
+    Gf_engine.Loadtest.run ~warmup:2000 ~window:2000 ~windows:2 ~rate:1e5
+      ~slo:Gf_engine.Loadtest.default_slo (Datapath.emc_gf_sw ())
+      (Pipebench.pipeline w) stream
+  in
+  let act window =
+    {
+      Gf_control.Controller.act_window = window;
+      act_knob = "evict";
+      act_level = "gf";
+      act_from = "reject";
+      act_to = "lru";
+      act_reason = "p50 over budget; pressure-dominant";
+    }
+  in
+  let lines =
+    emitted (fun oc ->
+        Gf_engine.Loadtest.write_jsonl
+          ~meta:(Schema.params ~pipeline:"PSC" ~hierarchy:"emc_gf_sw" ~seed:77 ())
+          ~extra:(List.map Gf_control.Controller.action_json [ act (-1); act 0 ])
+          oc r)
+  in
+  let s = accepted "loadtest report" lines in
+  Alcotest.(check int) "windows" 2 (Schema.count s Schema.Loadtest_window);
+  Alcotest.(check int) "controller actions" 2 (Schema.count s Schema.Controller_action);
+  Alcotest.(check int) "summary" 1 (Schema.count s Schema.Loadtest_summary)
+
+let test_schema_profile_stream () =
+  let w = small_workload () in
+  let config = { telemetry_config with trace_sample_every = 7 } in
+  let tel = Telemetry.create ~config () in
+  let dp =
+    Datapath.create ~telemetry:tel (Datapath.emc_gf_sw ()) (Pipebench.pipeline w)
+  in
+  let m = Datapath.run dp w.Pipebench.trace in
+  let attr = Gf_telemetry.Tracer.attribution (Option.get (Telemetry.tracer tel)) in
+  let causes = Metrics.miss_causes m in
+  let total_misses =
+    List.fold_left (fun a l -> a + l.Metrics.misses) 0 (Metrics.levels m)
+  in
+  let lines =
+    emitted (fun oc -> Gf_telemetry.Attribution.write_jsonl ~causes ~total_misses oc attr)
+  in
+  let s = accepted "profile stream" lines in
+  Alcotest.(check int) "cause lines" (List.length causes)
+    (Schema.count s Schema.Profile_cause);
+  match Schema.check_chrome (Gf_telemetry.Attribution.chrome_json attr) with
+  | Ok n -> Alcotest.(check bool) "chrome trace has events" true (n > 0)
+  | Error e -> Alcotest.failf "chrome trace rejected: %s" e
+
+let test_schema_rejects () =
+  let meta = List.hd (golden_lines ()) and sample = List.nth (golden_lines ()) 1 in
+  let cause_without f = replace_first ~sub:f ~by:"" p_cause in
+  ignore (accepted "minimal profile" [ p_meta; p_cause; p_summary ]);
+  rejected "missing field" ~line:2 ~needle:{|missing field "cause"|}
+    [ p_meta; cause_without {|"cause":"cold",|}; p_summary ];
+  rejected "wrong kind" ~line:2 ~needle:{|field "level" has the wrong type|}
+    [ p_meta; replace_first ~sub:{|"gf"|} ~by:"7" p_cause; p_summary ];
+  rejected "sample level row" ~line:2 ~needle:{|levels[0]: missing field "tier"|}
+    [ meta; replace_first ~sub:{|"tier":"hardware",|} ~by:"" sample ];
+  rejected "unknown type" ~line:2 ~needle:{|unknown line type "profile_bogus"|}
+    [ p_meta; {|{"type":"profile_bogus"}|}; p_summary ];
+  rejected "untyped line" ~line:2 ~needle:{|missing "type" field|}
+    [ p_meta; cause_without {|"type":"profile_cause",|}; p_summary ];
+  rejected "not JSON" ~line:2 ~needle:"not valid JSON" [ p_meta; "{"; p_summary ];
+  rejected "empty stream" ~line:0 ~needle:"no meta line found" [];
+  rejected "sample before meta" ~line:1 ~needle:{|opens with "sample", not "meta"|}
+    [ sample; meta ];
+  rejected "no samples" ~line:1 ~needle:"no time-series samples found" [ meta ];
+  rejected "missing summary" ~line:2 ~needle:"no profile_summary line found"
+    [ p_meta; p_cause ];
+  rejected "unversioned meta" ~line:1 ~needle:{|missing field "schema_version"|}
+    [ replace_first ~sub:{|"schema_version":1,|} ~by:"" meta; sample ];
+  rejected "future version" ~line:1 ~needle:"schema_version 2 is not supported"
+    [ replace_first ~sub:{|"schema_version":1|} ~by:{|"schema_version":2|} p_meta ];
+  rejected "unreconciled census" ~line:3 ~needle:"does not reconcile"
+    [
+      p_meta; p_cause;
+      {|{"type":"profile_summary","census_total":3,"total_misses":4,"reconciled":false}|};
+    ];
+  rejected "cause rows vs census" ~line:3 ~needle:"counts sum to 2 but census_total is 3"
+    [ p_meta; replace_first ~sub:{|"count":3|} ~by:{|"count":2|} p_cause; p_summary ];
+  rejected "summary not last" ~line:3 ~needle:"after the summary"
+    [ p_meta; p_summary; p_cause ];
+  rejected "second meta" ~line:2 ~needle:{|second "profile_meta"|}
+    [ p_meta; p_meta; p_cause; p_summary ]
+
+(* Three inputs the hand-written validator this module replaced accepted. *)
+let test_schema_hole_float_count () =
+  rejected "float census count" ~line:2 ~needle:{|field "count" has the wrong type|}
+    [
+      p_meta;
+      {|{"type":"profile_cause","level":"gf","cause":"cold","count":3.0}|};
+      {|{"type":"profile_summary","census_total":0,"total_misses":0,"reconciled":true}|};
+    ];
+  rejected "float census total" ~line:3
+    ~needle:{|field "census_total" has the wrong type|}
+    [
+      p_meta; p_cause;
+      {|{"type":"profile_summary","census_total":3.0,"total_misses":3,"reconciled":true}|};
+    ]
+
+let test_schema_hole_foreign_line () =
+  rejected "telemetry meta in a profile stream" ~line:2
+    ~needle:{|"meta" line in a profile stream|}
+    [ p_meta; List.hd (golden_lines ()); p_cause; p_summary ]
+
+let test_schema_hole_summary_first () =
+  rejected "summary before meta" ~line:1
+    ~needle:{|opens with "profile_summary", not "profile_meta"|}
+    [ p_summary; p_meta; p_cause ]
+
+let test_schema_chrome_rejects () =
+  let ev = {|{"name":"gf","ph":"X","ts":1,"dur":2,"pid":0,"tid":0}|} in
+  let doc evs = Printf.sprintf {|{"traceEvents":[%s]}|} (String.concat "," evs) in
+  Alcotest.(check (result int string))
+    "valid" (Ok 2)
+    (Schema.check_chrome (doc [ ev; ev ]));
+  let fails what ~needle text =
+    match Schema.check_chrome text with
+    | Ok n -> Alcotest.failf "%s accepted (%d events)" what n
+    | Error msg ->
+        if not (contains ~needle msg) then
+          Alcotest.failf "%s: error %S does not name %S" what msg needle
+  in
+  fails "no events array" ~needle:{|missing field "traceEvents"|} "{}";
+  fails "not JSON" ~needle:"not valid JSON" "{";
+  fails "event without ts" ~needle:{|traceEvents[1]: missing field "ts"|}
+    (doc [ ev; replace_first ~sub:{|"ts":1,|} ~by:"" ev ]);
+  fails "string pid" ~needle:{|traceEvents[0]: field "pid" has the wrong type|}
+    (doc [ replace_first ~sub:{|"pid":0|} ~by:{|"pid":"0"|} ev ])
+
 let suite =
   [
     ("histogram quantiles vs oracle", `Quick, test_histogram_quantiles_vs_oracle);
@@ -590,6 +779,14 @@ let suite =
     ("event census = event stream", `Quick, test_event_census_matches_stream);
     ("golden prometheus + jsonl", `Quick, test_golden_exports);
     ("parallel modes agree", `Slow, test_parallel_telemetry_modes_agree);
+    ("schema: golden stream", `Quick, test_schema_golden_stream);
+    ("schema: loadtest report", `Quick, test_schema_loadtest_report);
+    ("schema: profile + chrome", `Quick, test_schema_profile_stream);
+    ("schema: rejects", `Quick, test_schema_rejects);
+    ("schema: float census count", `Quick, test_schema_hole_float_count);
+    ("schema: foreign line type", `Quick, test_schema_hole_foreign_line);
+    ("schema: summary before meta", `Quick, test_schema_hole_summary_first);
+    ("schema: chrome rejects", `Quick, test_schema_chrome_rejects);
   ]
 
 let props = [ prop_histogram_quantile_bounded; prop_histogram_merge_exact ]
