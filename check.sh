@@ -12,6 +12,11 @@ dune runtest
 echo "== dune build @fmt"
 dune build @fmt
 
+echo "== dead-export gate"
+# Every val of lib/**/*.mli has a caller outside its own module, or a line
+# in tools/dead_exports.allow saying why it stays public.
+dune exec --no-build tools/dead_exports.exe -- tools/dead_exports.allow
+
 echo "== telemetry smoke"
 # Small fixed-seed run with the full telemetry stack on; telemetry-check
 # fails unless every line parses as JSON and the required series are there.

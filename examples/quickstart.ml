@@ -63,8 +63,8 @@ let () =
     match Gigaflow.lookup gf ~now:0.0 ~pipeline flow with
     | Some hit, _ ->
         Printf.printf "%-34s -> CACHE HIT  (%s, %d LTM tables matched)\n" descr
-          (Format.asprintf "%a" Action.pp_terminal hit.Ltm_cache.terminal)
-          hit.Ltm_cache.tables_matched
+          (Format.asprintf "%a" Action.pp_terminal hit.Gf_cache.Hit.terminal)
+          (Ltm_cache.last_depth (Gigaflow.cache gf))
     | None, _ -> (
         match Gigaflow.handle_miss gf ~now:0.0 ~pipeline flow with
         | Ok outcome ->

@@ -75,11 +75,12 @@ let () =
             | _ -> incr wrong)
       in
       check
-        (Option.map (fun (h : Megaflow.hit) -> h.Megaflow.terminal)
+        (Option.map
+           (fun h -> h.Gf_cache.Hit.terminal)
            (fst (Megaflow.lookup mf ~now:1.0 flow)));
       check
         (Option.map
-           (fun (h : Gf_core.Ltm_cache.hit) -> h.Gf_core.Ltm_cache.terminal)
+           (fun h -> h.Gf_cache.Hit.terminal)
            (fst (Gigaflow.lookup gf ~now:1.0 ~pipeline flow))))
     flows;
   Printf.printf "\nPost-update audit: %d cache hits checked, %d inconsistent\n" !audited

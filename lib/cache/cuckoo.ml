@@ -1,12 +1,6 @@
 module Flow = Gf_flow.Flow
 
-type hit = {
-  terminal : Gf_pipeline.Action.terminal;
-  out_flow : Flow.t;
-}
-
 let bucket_width = 4
-let max_probe = 2 * bucket_width
 let max_kicks = 8
 
 (* Slot-per-index flat arrays; [occupied] disambiguates live slots from the
@@ -18,14 +12,14 @@ type t = {
   mutable policy : Evict.policy;
   rng : Gf_util.Rng.t;
   keys : Flow.t array;
-  hits : hit array;
+  hits : Hit.t array;
   last_used : float array;
   occupied : bool array;
   stats : Cache_stats.t;
   mutable size : int;
 }
 
-let dummy_hit = { terminal = Gf_pipeline.Action.Drop; out_flow = Flow.zero }
+let dummy_hit = { Hit.terminal = Gf_pipeline.Action.Drop; out_flow = Flow.zero }
 
 let next_pow2 n =
   let rec go p = if p >= n then p else go (p * 2) in

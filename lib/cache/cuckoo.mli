@@ -13,11 +13,6 @@
     out of the table); under the evicting policies a failed kick chain
     drops the last displaced entry as one pressure eviction. *)
 
-type hit = {
-  terminal : Gf_pipeline.Action.terminal;
-  out_flow : Gf_flow.Flow.t;
-}
-
 type t
 
 val create : ?policy:Evict.policy -> ?rng_seed:int -> capacity:int -> unit -> t
@@ -43,10 +38,10 @@ val set_capacity : t -> int -> unit
 val occupancy : t -> int
 val stats : t -> Cache_stats.t
 
-val lookup : t -> now:float -> Gf_flow.Flow.t -> hit option
+val lookup : t -> now:float -> Gf_flow.Flow.t -> Hit.t option
 (** Refreshes the entry's last-used time on a hit. *)
 
-val install : t -> now:float -> Gf_flow.Flow.t -> hit -> int
+val install : t -> now:float -> Gf_flow.Flow.t -> Hit.t -> int
 (** Insert (replacing any existing entry for the same key).  Returns the
     number of entries evicted under pressure (0 or 1).  Under [Reject] a
     refused install is counted in [Cache_stats.rejected] and returns 0. *)
@@ -57,7 +52,3 @@ val expire : t -> now:float -> max_idle:float -> int
 val invalidate_all : t -> int
 (** Flush every entry (rule-change response; exact-match entries carry no
     dependency info).  Returns how many were dropped. *)
-
-val max_probe : int
-(** Slots probed per lookup (two buckets × bucket width) — exported for the
-    latency model. *)

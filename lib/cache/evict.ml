@@ -8,11 +8,4 @@ let to_string = function
   | Random -> "random"
   | Priority_aware -> "priority"
 
-let of_string = function
-  | "reject" -> Some Reject
-  | "lru" -> Some Lru
-  | "random" -> Some Random
-  | "priority" | "priority_aware" | "priority-aware" -> Some Priority_aware
-  | _ -> None
-
 let pp fmt p = Format.pp_print_string fmt (to_string p)

@@ -23,6 +23,4 @@ val all : policy list
 val to_string : policy -> string
 (** Stable lowercase name: "reject", "lru", "random", "priority". *)
 
-val of_string : string -> policy option
-
 val pp : Format.formatter -> policy -> unit

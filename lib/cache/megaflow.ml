@@ -6,8 +6,6 @@ module Action = Gf_pipeline.Action
 module Traversal = Gf_pipeline.Traversal
 module Executor = Gf_pipeline.Executor
 
-type hit = { terminal : Action.terminal; out_flow : Flow.t }
-
 type payload = {
   commit : (Gf_flow.Field.t * int) list;
   terminal : Action.terminal;
@@ -34,7 +32,7 @@ type payload = {
 type memo = {
   mutable m_gen : int;
   mutable m_entry : payload Entry.t option;
-  mutable m_hit : hit option;
+  mutable m_hit : Hit.t option;
   mutable m_work : int;
 }
 
@@ -89,7 +87,6 @@ let set_capacity t capacity =
 
 let occupancy t = Hashtbl.length t.by_key
 let stats t = t.stats
-let search_algo t = Searcher.algo t.searcher
 
 (* One array copy for the whole commit (none when it is empty), not one
    [Flow.set] copy per field — this runs on every cache hit. *)
@@ -102,7 +99,8 @@ let lookup t ~now flow =
       let payload = entry.Entry.payload in
       payload.last_used <- now;
       Cache_stats.record_lookup t.stats ~hit:true;
-      (Some { terminal = payload.terminal; out_flow = apply_commit payload.commit flow }, work)
+      let out_flow = apply_commit payload.commit flow in
+      (Some { Hit.terminal = payload.terminal; out_flow }, work)
   | None ->
       Cache_stats.record_lookup t.stats ~hit:false;
       (None, work)
@@ -137,7 +135,10 @@ let lookup_memo t ~now ~flow_id flow =
             payload.last_used <- now;
             Cache_stats.record_lookup t.stats ~hit:true;
             Some
-              { terminal = payload.terminal; out_flow = apply_commit payload.commit flow }
+              {
+                Hit.terminal = payload.terminal;
+                out_flow = apply_commit payload.commit flow;
+              }
         | None ->
             Cache_stats.record_lookup t.stats ~hit:false;
             None

@@ -12,11 +12,6 @@
     The search structure is pluggable (TSS or NuevoMatch — Fig. 17); lookup
     reports the work units spent for the latency model. *)
 
-type hit = {
-  terminal : Gf_pipeline.Action.terminal;
-  out_flow : Gf_flow.Flow.t;
-}
-
 type t
 
 val create :
@@ -43,7 +38,6 @@ val set_capacity : t -> int -> unit
 
 val occupancy : t -> int
 val stats : t -> Cache_stats.t
-val search_algo : t -> Gf_classifier.Searcher.algo
 
 val check_invariants : t -> bool
 (** [true] iff the two indexes ([by_fmatch] : match -> key and
@@ -52,10 +46,10 @@ val check_invariants : t -> bool
     path forgot a table; [install] [assert]s the same property on the
     [`Exists] fast path. *)
 
-val lookup : t -> now:float -> Gf_flow.Flow.t -> hit option * int
+val lookup : t -> now:float -> Gf_flow.Flow.t -> Hit.t option * int
 (** Result and classifier work units. Refreshes last-used on hit. *)
 
-val lookup_memo : t -> now:float -> flow_id:int -> Gf_flow.Flow.t -> hit option * int
+val lookup_memo : t -> now:float -> flow_id:int -> Gf_flow.Flow.t -> Hit.t option * int
 (** Observably identical to {!lookup}, but repeat packets of a known flow
     replay the memoised result, skipping the classifier search.  A hit
     memo stays valid while its entry is still cached — entries are

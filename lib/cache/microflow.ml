@@ -1,8 +1,6 @@
 module Flow = Gf_flow.Flow
 
-type hit = { terminal : Gf_pipeline.Action.terminal; out_flow : Flow.t }
-
-type entry = { hit : hit; mutable last_used : float }
+type entry = { hit : Hit.t; mutable last_used : float }
 
 type t = {
   mutable capacity : int;

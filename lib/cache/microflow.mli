@@ -5,11 +5,6 @@
     expire after [max_idle] of disuse; at capacity the replacement policy
     decides ([Lru] — the historical behaviour — by default). *)
 
-type hit = {
-  terminal : Gf_pipeline.Action.terminal;
-  out_flow : Gf_flow.Flow.t;
-}
-
 type t
 
 val create : ?policy:Evict.policy -> ?rng_seed:int -> capacity:int -> unit -> t
@@ -29,10 +24,10 @@ val set_capacity : t -> int -> unit
 val occupancy : t -> int
 val stats : t -> Cache_stats.t
 
-val lookup : t -> now:float -> Gf_flow.Flow.t -> hit option
+val lookup : t -> now:float -> Gf_flow.Flow.t -> Hit.t option
 (** Refreshes the entry's last-used time on a hit. *)
 
-val install : t -> now:float -> Gf_flow.Flow.t -> hit -> int
+val install : t -> now:float -> Gf_flow.Flow.t -> Hit.t -> int
 (** Insert (replacing any existing entry for the same flow).  At capacity
     the policy picks a victim; returns the number of entries evicted under
     pressure (0 or 1).  Under [Reject] a full cache refuses the install

@@ -5,10 +5,6 @@ module Fmatch = Gf_flow.Fmatch
 
 let algorithm = "nuevomatch"
 
-(* Default/reporting dimension; each trained iSet picks its own best
-   dimension (see [carve]). *)
-let index_field = Field.Ip_dst
-
 let max_isets = 12
 let model_buckets = 512
 

@@ -18,10 +18,6 @@
 
 include Classifier_intf.S
 
-val index_field : Gf_flow.Field.t
-(** The dimension the learned models index (IPv4 destination, the most
-    discriminating field in datacenter rulesets). *)
-
 val iset_count : 'a t -> int
 (** Number of trained iSets (0 before first training). *)
 

@@ -19,8 +19,6 @@ type 'a ops = {
   lookup_disjoint : Gf_flow.Flow.t -> 'a Entry.t option * int;
   replay_disjoint : 'a Entry.t -> prev_work:int -> int;
   prepare_replay : 'a Entry.t -> (unit -> int) option;
-  entries : unit -> 'a Entry.t list;
-  clear : unit -> unit;
 }
 
 type 'a t = { algo : algo; ops : 'a ops }
@@ -40,8 +38,6 @@ let wrap (type p) (module C : Classifier_intf.S) : p ops =
     (* No per-entry state to compile: callers fall back to the memoised
        work value (guarded by their generation check). *)
     prepare_replay = (fun _ -> None);
-    entries = (fun () -> C.entries c);
-    clear = (fun () -> C.clear c);
   }
 
 (* TSS gets a dedicated wrapper so disjoint-entry users (the Megaflow cache)
@@ -58,8 +54,6 @@ let wrap_tss (type p) () : p ops =
       (fun e ~prev_work ->
         match Tss.replay_first c e with Some probes -> probes | None -> prev_work);
     prepare_replay = (fun e -> Tss.prepare_first c e);
-    entries = (fun () -> Tss.entries c);
-    clear = (fun () -> Tss.clear c);
   }
 
 let create algo =
@@ -79,5 +73,3 @@ let lookup t flow = t.ops.lookup flow
 let lookup_disjoint t flow = t.ops.lookup_disjoint flow
 let replay_disjoint t entry ~prev_work = t.ops.replay_disjoint entry ~prev_work
 let prepare_replay t entry = t.ops.prepare_replay entry
-let entries t = t.ops.entries ()
-let clear t = t.ops.clear ()

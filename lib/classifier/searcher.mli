@@ -38,5 +38,3 @@ val prepare_replay : 'a t -> 'a Entry.t -> (unit -> int) option
     fall back to the memoised work value under their own generation
     guard.  The closure is valid only while [entry] remains stored. *)
 
-val entries : 'a t -> 'a Entry.t list
-val clear : 'a t -> unit

@@ -51,7 +51,7 @@ val attach_telemetry : t -> Gf_telemetry.Registry.t -> unit
 
 val lookup :
   t -> now:float -> pipeline:Gf_pipeline.Pipeline.t -> Gf_flow.Flow.t ->
-  Ltm_cache.hit option * int
+  Gf_cache.Hit.t option * int
 (** LTM cache lookup (the entry tag is the pipeline's entry table). *)
 
 val lookup_memo :
@@ -60,7 +60,7 @@ val lookup_memo :
   pipeline:Gf_pipeline.Pipeline.t ->
   flow_id:int ->
   Gf_flow.Flow.t ->
-  Ltm_cache.hit option * int
+  Gf_cache.Hit.t option * int
 (** {!Ltm_cache.lookup_memo} with the pipeline's entry tag: observably
     identical to {!lookup}, with repeat flows replayed from the per-flow
     memo while the cache's entry set is unchanged. *)

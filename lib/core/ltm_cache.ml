@@ -3,8 +3,6 @@ module Flow = Gf_flow.Flow
 module Cache_stats = Gf_cache.Cache_stats
 module Evict = Gf_cache.Evict
 
-type hit = { terminal : Action.terminal; out_flow : Flow.t; tables_matched : int }
-
 type install_result =
   | Installed of { fresh : int; shared : int; pressure_evicted : int }
   | Rejected
@@ -17,7 +15,7 @@ type install_result =
    replay reapplies them exactly. *)
 type memo = {
   mutable m_gen : int;
-  mutable m_result : hit option;
+  mutable m_result : Gf_cache.Hit.t option;
   mutable m_work : int;
   mutable m_touched : Ltm_table.stored list; (* reverse match order, as walked *)
 }
@@ -33,7 +31,9 @@ type t = {
       (* tables matched by the most recent lookup: the tag-chain reuse
          depth on a hit, the partial-prefix progress on a miss (non-zero
          means the chain matched a prefix then dead-ended — a stall).
-         Observability only; never read by the datapath logic. *)
+         Read by the tracer and by [Datapath.miss_cause], which resolves
+         a miss with non-zero depth to [Tag_chain_stall]; never feeds
+         back into cache behaviour. *)
 }
 
 let create ?(rng_seed = 0x61F) config =
@@ -84,8 +84,7 @@ let rec walk tables ~now i tag flow work matched =
         let flow = Flow.update flow rule.Ltm_rule.commit in
         match rule.Ltm_rule.next with
         | Ltm_rule.Done terminal ->
-            let tables_matched = List.length matched in
-            (Some { terminal; out_flow = flow; tables_matched }, work, matched)
+            (Some { Gf_cache.Hit.terminal; out_flow = flow }, work, matched)
         | Ltm_rule.Next_tag tag -> walk tables ~now (i + 1) tag flow work matched)
   end
 
@@ -469,10 +468,3 @@ let stranded t ~entry_tags =
     List.iter (fun tag -> Hashtbl.replace available tag ()) !produced
   done;
   !count
-
-let clear t =
-  Array.iteri
-    (fun i _ ->
-      t.tables.(i) <- Ltm_table.create ~capacity:t.config.Config.table_capacity)
-    t.tables;
-  t.generation <- t.generation + 1

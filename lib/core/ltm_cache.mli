@@ -9,12 +9,6 @@
     the tag reaches the terminal state; otherwise the packet goes to the
     slowpath. *)
 
-type hit = {
-  terminal : Gf_pipeline.Action.terminal;
-  out_flow : Gf_flow.Flow.t;
-  tables_matched : int;  (** How many LTM tables contributed a rule. *)
-}
-
 type install_result =
   | Installed of { fresh : int; shared : int; pressure_evicted : int }
       (** [fresh] new entries written; [shared] segments satisfied by
@@ -40,9 +34,9 @@ val set_policy : t -> Gf_cache.Evict.policy -> unit
 val last_depth : t -> int
 (** Tables matched by the most recent {!lookup} / {!lookup_memo}: the
     tag-chain reuse depth on a hit, the partial-prefix progress on a miss
-    (non-zero means the chain dead-ended — a tag-chain stall).
-    Observability hook for the traversal tracer; never feeds back into
-    cache behaviour. *)
+    (non-zero means the chain dead-ended — a tag-chain stall).  Read by
+    the traversal tracer and to resolve miss causes; never feeds back
+    into cache behaviour. *)
 
 val occupancy : t -> int
 (** Total entries across all tables. *)
@@ -53,12 +47,18 @@ val available_tables : t -> int
 (** Number of non-full tables — the partitioner's segment budget for the
     next installation (paper section 4.2.1's GF set). *)
 
-val lookup : t -> now:float -> entry_tag:int -> Gf_flow.Flow.t -> hit option * int
+val lookup :
+  t -> now:float -> entry_tag:int -> Gf_flow.Flow.t -> Gf_cache.Hit.t option * int
 (** [entry_tag] is the pipeline's entry table id.  Returns the hit (if the
     walk completed) and total work units. Touches matched entries. *)
 
 val lookup_memo :
-  t -> now:float -> entry_tag:int -> flow_id:int -> Gf_flow.Flow.t -> hit option * int
+  t ->
+  now:float ->
+  entry_tag:int ->
+  flow_id:int ->
+  Gf_flow.Flow.t ->
+  Gf_cache.Hit.t option * int
 (** Observably identical to {!lookup}, but repeat packets of a known flow
     replay the memoised walk — result, work and the recency touches on the
     matched entries — while no install or eviction has changed any table's
@@ -133,5 +133,3 @@ val mean_sharing : t -> float
 (** Average number of installations resolved per entry. *)
 
 val iter_rules : t -> (table:int -> Ltm_table.stored -> unit) -> unit
-
-val clear : t -> unit

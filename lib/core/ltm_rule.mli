@@ -39,11 +39,9 @@ type signature
 val signature : t -> signature
 (** Allocation-free. *)
 
-val same_rule : t -> t -> bool
-(** Signature equality (structural on every field but [origin]). *)
-
 module Signature_tbl : Hashtbl.S with type key = signature
-(** Hash table keyed by signatures.  The hash covers every field of the
+(** Hash table keyed by signatures, compared structurally on every field
+    but [origin].  The hash covers every field of the
     signature (tag, the full pattern and mask, priority, commit and next),
     so rules differing in any one of them spread over the buckets. *)
 

@@ -53,7 +53,6 @@ let create ~capacity =
     consumed_changes = 0;
   }
 
-let capacity t = t.capacity
 let occupancy t = Hashtbl.length t.by_key
 let is_full t = occupancy t >= t.capacity
 
@@ -129,11 +128,3 @@ let entry t i =
 let iter t f = Hashtbl.iter (fun _ s -> f s) t.by_key
 
 let fold t ~init ~f = Hashtbl.fold (fun _ s acc -> f acc s) t.by_key init
-
-let tag_edges t =
-  let counts = Hashtbl.create 16 in
-  iter t (fun s ->
-      let key = (s.rule.Ltm_rule.tag_in, s.rule.Ltm_rule.next) in
-      Hashtbl.replace counts key
-        (1 + Option.value ~default:0 (Hashtbl.find_opt counts key)));
-  Hashtbl.fold (fun (tag_in, next) n acc -> (tag_in, next, n) :: acc) counts []

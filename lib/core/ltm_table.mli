@@ -32,7 +32,6 @@ type stored = {
 type t
 
 val create : capacity:int -> t
-val capacity : t -> int
 val occupancy : t -> int
 val is_full : t -> bool
 
@@ -64,7 +63,3 @@ val entry : t -> int -> stored
 
 val iter : t -> (stored -> unit) -> unit
 val fold : t -> init:'a -> f:('a -> stored -> 'a) -> 'a
-
-val tag_edges : t -> (int * Ltm_rule.next * int) list
-(** [(tag_in, next, multiplicity)] aggregated over entries — the input to
-    rule-space coverage counting. *)

@@ -25,9 +25,6 @@
 val default_batch_size : int
 (** 256 packets. *)
 
-val default_ring_depth : int
-(** 8 batches per link direction. *)
-
 val replay :
   ?telemetry:Gf_telemetry.Telemetry.config ->
   ?batch_size:int ->
@@ -38,8 +35,8 @@ val replay :
   Gf_workload.Trace.stream ->
   Gf_sim.Parallel.result
 (** Drain [stream] through the engine ([batch_size] defaults to
-    {!default_batch_size}, [domains] to 1, [ring_depth] to
-    {!default_ring_depth}).  [domains = 1] runs inline on the calling
+    {!default_batch_size}, [domains] to 1, [ring_depth] to 8
+    batches per link direction).  [domains = 1] runs inline on the calling
     domain — no spawns, no rings — which is the honest single-core
     configuration throughput benchmarks compare against the per-packet
     walker.  [telemetry] creates a private sink per worker and merges them

@@ -42,9 +42,6 @@ let create ~capacity =
 
 let capacity t = Array.length t.slots
 
-(* Approximate under concurrency; exact when the other side is quiescent. *)
-let length t = Atomic.get t.tail - Atomic.get t.head
-
 let try_push t v =
   let tail = Atomic.get t.tail in
   let full = tail - t.cached_head >= Array.length t.slots in

@@ -14,9 +14,6 @@ val create : capacity:int -> 'a t
 
 val capacity : 'a t -> int
 
-val length : 'a t -> int
-(** Occupancy; approximate while the other side is concurrently active. *)
-
 val try_push : 'a t -> 'a -> bool
 (** [false] if the ring is full.  Producer side only. *)
 

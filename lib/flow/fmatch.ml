@@ -26,7 +26,6 @@ let matches t flow = Mask.matches t.mask ~pattern:t.pattern flow
 
 let mask t = t.mask
 let pattern t = t.pattern
-let fields t = Mask.fields t.mask
 
 let equal a b = Flow.equal a.pattern b.pattern && Mask.equal a.mask b.mask
 

@@ -28,7 +28,6 @@ val matches : t -> Flow.t -> bool
 
 val mask : t -> Mask.t
 val pattern : t -> Flow.t
-val fields : t -> Field.Set.t
 
 val equal : t -> t -> bool
 val compare : t -> t -> int

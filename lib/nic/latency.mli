@@ -63,9 +63,6 @@ val slowpath_us :
 
 (** {1 CPU cycle accounting (paper Fig. 13)} *)
 
-val cpu_hz : float
-(** 2.6 GHz. *)
-
 val probe_cycles : int
 (** CPU cycles per software-classifier work unit (one hash-table tuple
     probe including mask application, ~450 cycles) — the per-level
@@ -78,13 +75,6 @@ val cycles_rulegen : rulegen_work:int -> int
 val us_of_cycles : int -> float
 
 (** {1 Telemetry} *)
-
-val histogram_lo_us : float
-(** Finest latency the model can produce (a fraction of an EMC hit) — the
-    lower bound of the telemetry latency histograms' log-linear region. *)
-
-val histogram_hi_us : float
-(** Above any modelled slowpath burst; the histograms' upper bound. *)
 
 val latency_histogram : unit -> Gf_telemetry.Histogram.t
 (** A log-linear histogram whose bucket range is derived from the model's

@@ -8,13 +8,7 @@
     real P4 target (and so the artifact includes the hardware half of the
     design in reviewable form). *)
 
-val ltm_table_name : int -> string
-(** ["gf1"], ["gf2"], ... *)
-
 val emit : tables:int -> table_capacity:int -> string
 (** The complete P4_16 program: headers, parser, [tables] LTM stages wired
     in sequence with tag gating, deparser, and the miss-to-slowpath punt
     path.  Deterministic text (suitable for golden tests). *)
-
-val emit_for : Gf_core.Config.t -> string
-(** {!emit} with the geometry of a simulator configuration. *)

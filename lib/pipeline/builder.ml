@@ -75,11 +75,6 @@ let instantiate spec =
   in
   Pipeline.create ~name:spec.spec_name ~entry:spec.entry_table (build ordered)
 
-let table_fields spec id =
-  match List.find_opt (fun t -> t.table_id = id) spec.tables with
-  | Some t -> Field.Set.of_list t.fields
-  | None -> raise Not_found
-
 let unique_paths spec =
   spec.traversals
   |> List.map (fun tr -> List.map (fun h -> h.table) tr.hops)

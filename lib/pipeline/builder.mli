@@ -42,9 +42,6 @@ val instantiate : spec -> Pipeline.t
     table's miss action is goto-next-declared-table; the last table's miss
     drops.  Raises [Invalid_argument] if [validate] fails. *)
 
-val table_fields : spec -> int -> Gf_flow.Field.Set.t
-(** Declared field set of a table.  Raises [Not_found]. *)
-
 val unique_paths : spec -> int list list
 (** The distinct table-id sequences among the templates (the "Traversals"
     column of the paper's Table 1). *)

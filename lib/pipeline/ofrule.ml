@@ -2,8 +2,6 @@ type t = { id : int; priority : int; fmatch : Gf_flow.Fmatch.t; action : Action.
 
 let v ~id ~priority ~fmatch ~action = { id; priority; fmatch; action }
 
-let matches t flow = Gf_flow.Fmatch.matches t.fmatch flow
-
 let equal a b =
   a.id = b.id && a.priority = b.priority
   && Gf_flow.Fmatch.equal a.fmatch b.fmatch

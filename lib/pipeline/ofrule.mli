@@ -12,8 +12,6 @@ type t = private {
 
 val v : id:int -> priority:int -> fmatch:Gf_flow.Fmatch.t -> action:Action.t -> t
 
-val matches : t -> Gf_flow.Flow.t -> bool
-
 val equal : t -> t -> bool
 (** Structural equality (including id). *)
 

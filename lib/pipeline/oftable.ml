@@ -59,7 +59,6 @@ let create ~id ~name ~match_fields ~miss =
 
 let id t = t.id
 let name t = t.name
-let match_fields t = t.match_fields
 let miss_action t = t.miss
 let size t = Hashtbl.length t.rules
 let set_unwildcard t mode = t.unwildcard <- mode
@@ -280,8 +279,6 @@ let remove_rule t rule_id =
   end
   else false
 
-let find_rule t rule_id = Hashtbl.find_opt t.rules rule_id
-
 let lookup t flow =
   ensure t;
   (* Pass 1: probe tuples best-priority-first to find the winner, recording
@@ -334,10 +331,6 @@ let lookup t flow =
   match best with
   | Some r -> { outcome = `Hit r; consulted; probes }
   | None -> { outcome = `Miss; consulted; probes }
-
-let distinct_masks t =
-  ensure t;
-  List.length t.tuples
 
 let pp fmt t =
   Format.fprintf fmt "table %d (%s): %d rules, fields %a" t.id t.name (size t)

@@ -30,7 +30,6 @@ val create :
 
 val id : t -> int
 val name : t -> string
-val match_fields : t -> Gf_flow.Field.Set.t
 val miss_action : t -> Action.t
 val size : t -> int
 val rules : t -> Ofrule.t list
@@ -41,8 +40,6 @@ val add_rule : t -> Ofrule.t -> unit
 
 val remove_rule : t -> int -> bool
 (** [remove_rule t id] returns whether a rule was removed. *)
-
-val find_rule : t -> int -> Ofrule.t option
 
 type unwildcard = [ `Minimal | `Full ]
 (** How {!lookup} builds the consulted wildcard.  [`Minimal] (the default
@@ -66,8 +63,5 @@ val copy : t -> t
 val lookup : t -> Gf_flow.Flow.t -> lookup_result
 (** Highest-priority matching rule; ties broken toward the lowest rule id
     (deterministic, mirroring OVS's stable behaviour). *)
-
-val distinct_masks : t -> int
-(** Number of tuples (distinct masks), i.e. the TSS search cost bound. *)
 
 val pp : Format.formatter -> t -> unit

@@ -19,7 +19,6 @@ let create ~name ~entry tables =
     invalid_arg "Pipeline.create: entry table not present";
   { name; entry; tables = by_id; version = 0; next_rule_id = 0 }
 
-let name t = t.name
 let entry t = t.entry
 let version t = t.version
 

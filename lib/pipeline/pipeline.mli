@@ -10,7 +10,6 @@ type t
 val create : name:string -> entry:int -> Oftable.t list -> t
 (** Table ids must be unique and include [entry]. *)
 
-val name : t -> string
 val entry : t -> int
 val version : t -> int
 

@@ -23,9 +23,6 @@ let length t = Array.length t.steps
 
 let path t = Array.to_list (Array.map (fun s -> s.table_id) t.steps)
 
-let path_signature t =
-  String.concat ">" (List.map string_of_int (path t))
-
 let step_fields s = Mask.fields s.wildcard
 
 (* Re-base consulted wildcards onto the flow entering step [first]: a bit of

@@ -34,9 +34,6 @@ val path : t -> int list
 (** The table-id sequence; two traversals with equal paths are the same
     "unique traversal" in the sense of the paper's Table 1. *)
 
-val path_signature : t -> string
-(** Compact string form of [path], usable as a hashtable key. *)
-
 val step_fields : step -> Gf_flow.Field.Set.t
 (** Fields with at least one consulted bit in this step. *)
 

@@ -1,8 +1,10 @@
 module Microflow = Gf_cache.Microflow
+module Cuckoo = Gf_cache.Cuckoo
 module Megaflow = Gf_cache.Megaflow
 module Evict = Gf_cache.Evict
 module Gigaflow = Gf_core.Gigaflow
 module Ltm_cache = Gf_core.Ltm_cache
+module Config = Gf_core.Config
 module Latency = Gf_nic.Latency
 module Pipeline = Gf_pipeline.Pipeline
 
@@ -10,7 +12,7 @@ type tier = Hardware | Software
 
 let tier_name = function Hardware -> "hardware" | Software -> "software"
 
-type install_policy = Install_on_miss | Promote_on_hit | Never_install
+type install_policy = Install_on_miss | Promote_on_hit
 
 type descriptor = {
   name : string;
@@ -19,11 +21,6 @@ type descriptor = {
   max_idle : float;
   hit_us : work:int -> float;
   cycles_per_work : int;
-}
-
-type hit = {
-  terminal : Gf_pipeline.Action.terminal;
-  out_flow : Gf_flow.Flow.t;
 }
 
 type install_report = {
@@ -45,172 +42,48 @@ let no_install =
     rulegen_work = 0;
   }
 
-type view =
-  | Microflow_view of Microflow.t
-  | Megaflow_view of Megaflow.t
-  | Gigaflow_view of Gigaflow.t
-  | Cuckoo_view of Gf_cache.Cuckoo.t
+type backend =
+  | Emc of Microflow.t
+  | Megaflow of Megaflow.t
+  | Cuckoo of Cuckoo.t
+  | Ltm of Gigaflow.t * Pipeline.t
 
-module type LEVEL = sig
-  val descriptor : descriptor
-  val view : view
-  val lookup : now:float -> Gf_flow.Flow.t -> hit option * int
+type t = { descriptor : descriptor; backend : backend }
 
-  val lookup_memo : now:float -> flow_id:int -> Gf_flow.Flow.t -> hit option * int
-  (** Observably identical to [lookup], but backends that support it replay
-      memoised per-flow results while their entry set is unchanged (the
-      batched engine's amortisation; see [Datapath.process_memo]).  Levels
-      whose live lookup is already O(1) (the EMC) just delegate. *)
+let descriptor t = t.descriptor
+let backend t = t.backend
+let name t = t.descriptor.name
+let tier t = t.descriptor.tier
 
-  val prepare_replay : flow_id:int -> (now:float -> int option) option
-  (** Compiled per-flow hit replay (see [Megaflow.prepare_replay] /
-      [Ltm_cache.prepare_replay]): after [lookup_memo] returned a hit for
-      [flow_id], a closure applying just that hit's per-packet side
-      effects and returning its work, or [None] per call once stale.
-      Levels without a memo (the EMC) return [None] outright. *)
+let lookup t ~now flow =
+  match t.backend with
+  | Emc emc -> (Microflow.lookup emc ~now flow, 1)
+  | Cuckoo ck -> (Cuckoo.lookup ck ~now flow, 1)
+  | Megaflow mf -> Megaflow.lookup mf ~now flow
+  | Ltm (gf, pipeline) -> Gigaflow.lookup gf ~now ~pipeline flow
 
-  val install_from_traversal :
-    now:float -> version:int -> Gf_pipeline.Traversal.t -> install_report
+(* Exact-match lookups are already one bounded probe: nothing to
+   amortise, so they keep no memo. *)
+let lookup_memo t ~now ~flow_id flow =
+  match t.backend with
+  | Emc _ | Cuckoo _ -> lookup t ~now flow
+  | Megaflow mf -> Megaflow.lookup_memo mf ~now ~flow_id flow
+  | Ltm (gf, pipeline) -> Gigaflow.lookup_memo gf ~now ~pipeline ~flow_id flow
 
-  val promote : now:float -> Gf_flow.Flow.t -> hit -> int
-  val expire : now:float -> int
+let prepare_replay t ~flow_id =
+  match t.backend with
+  | Emc _ | Cuckoo _ -> None
+  | Megaflow mf -> Megaflow.prepare_replay mf ~flow_id
+  | Ltm (gf, _) -> Gigaflow.prepare_replay gf ~flow_id
 
-  val demote : is_hot:(Gf_flow.Flow.t -> bool) -> int
-  (** Admission re-partition sweep (see [Megaflow.demote] /
-      [Ltm_cache.demote]): evict entries whose flows went cold under the
-      hotness predicate.  Only meaningful for hardware tiers — exact-match
-      software levels return 0 (their entries age out via [expire]). *)
-
-  val revalidate : Gf_pipeline.Pipeline.t -> int * int
-  val occupancy : unit -> int
-  val capacity : unit -> int
-
-  val evict_policy : unit -> Evict.policy
-  (** Current replacement policy (the LTM reads it from its config). *)
-
-  val set_evict : Evict.policy -> unit
-  (** Swap the replacement policy online; applies from the next install.
-      Online control-loop actuation. *)
-
-  val set_capacity : int -> unit
-  (** Retune the admission bound online.  Software levels clamp to their
-      physical storage where relevant; hardware geometry (the LTM's MAT
-      shape, SRAM) is fixed at build time, so hardware levels ignore it. *)
-
-  val stats : unit -> Gf_cache.Cache_stats.t
-
-  val last_depth : unit -> int
-  (** Tag-chain steps matched by this level's most recent lookup: the
-      sub-traversal reuse depth for the LTM (non-zero on a miss means the
-      chain matched a prefix then dead-ended — a stall); unchained levels
-      report 0.  Observability hook for the traversal tracer. *)
-end
-
-type t = (module LEVEL)
-
-let descriptor (module L : LEVEL) = L.descriptor
-let name t = (descriptor t).name
-let tier t = (descriptor t).tier
-let view (module L : LEVEL) = L.view
-let lookup (module L : LEVEL) = L.lookup
-let lookup_memo (module L : LEVEL) = L.lookup_memo
-let prepare_replay (module L : LEVEL) = L.prepare_replay
-let install_from_traversal (module L : LEVEL) = L.install_from_traversal
-let promote (module L : LEVEL) = L.promote
-let expire (module L : LEVEL) = L.expire
-let demote (module L : LEVEL) = L.demote
-let revalidate (module L : LEVEL) = L.revalidate
-let occupancy (module L : LEVEL) = L.occupancy ()
-let capacity (module L : LEVEL) = L.capacity ()
-let evict_policy (module L : LEVEL) = L.evict_policy ()
-let set_evict (module L : LEVEL) = L.set_evict
-let set_capacity (module L : LEVEL) = L.set_capacity
-let stats (module L : LEVEL) = L.stats ()
-let last_depth (module L : LEVEL) = L.last_depth ()
-
-(* ------------------------------ adapters ------------------------------ *)
-
-let of_microflow ?(name = "emc") ~max_idle emc : t =
-  (module struct
-    let descriptor =
-      {
-        name;
-        tier = Software;
-        policy = Promote_on_hit;
-        max_idle;
-        hit_us = (fun ~work:_ -> Latency.emc_hit_us);
-        cycles_per_work = 0;
-      }
-
-    let view = Microflow_view emc
-
-    let lookup ~now flow =
-      match Microflow.lookup emc ~now flow with
-      | Some h ->
-          (Some { terminal = h.Microflow.terminal; out_flow = h.Microflow.out_flow }, 1)
-      | None -> (None, 1)
-
-    (* Exact-match lookup is already a single hash probe: nothing to
-       amortise. *)
-    let lookup_memo ~now ~flow_id:_ flow = lookup ~now flow
-    let prepare_replay ~flow_id:_ = None
-
-    let install_from_traversal ~now:_ ~version:_ _ = no_install
-
-    let promote ~now flow h =
-      Microflow.install emc ~now flow
-        { Microflow.terminal = h.terminal; out_flow = h.out_flow }
-
-    let expire ~now = Microflow.expire emc ~now ~max_idle
-    let demote ~is_hot:_ = 0
-
-    (* Exact-match entries carry no dependency information: the only safe
-       response to a pipeline change is a flush (OVS does the same). *)
-    let revalidate _ = (Microflow.invalidate_all emc, 0)
-    let occupancy () = Microflow.occupancy emc
-    let capacity () = Microflow.capacity emc
-    let evict_policy () = Microflow.policy emc
-    let set_evict p = Microflow.set_policy emc p
-    let set_capacity c = Microflow.set_capacity emc c
-    let stats () = Microflow.stats emc
-    let last_depth () = 0
-  end)
-
-(* The cuckoo level is an exact-match software cache for the long tail:
-   installs collapse the slowpath traversal to (input flow, committed
-   output flow, terminal) — exactly the result that packet produced — so
-   a mouse's second packet short-circuits in two bucket probes without
-   ever earning a wildcard or hardware slot. *)
-let of_cuckoo ?(name = "sw-ck") ~max_idle ck : t =
-  (module struct
-    let descriptor =
-      {
-        name;
-        tier = Software;
-        policy = Install_on_miss;
-        max_idle;
-        hit_us = (fun ~work:_ -> Latency.cuckoo_hit_us);
-        cycles_per_work = 0;
-      }
-
-    let view = Cuckoo_view ck
-
-    let lookup ~now flow =
-      match Gf_cache.Cuckoo.lookup ck ~now flow with
-      | Some h ->
-          ( Some
-              {
-                terminal = h.Gf_cache.Cuckoo.terminal;
-                out_flow = h.Gf_cache.Cuckoo.out_flow;
-              },
-            1 )
-      | None -> (None, 1)
-
-    (* Bounded-probe exact lookup: nothing to amortise. *)
-    let lookup_memo ~now ~flow_id:_ flow = lookup ~now flow
-    let prepare_replay ~flow_id:_ = None
-
-    let install_from_traversal ~now ~version:_ traversal =
+let install_from_traversal t ~now ~version traversal =
+  match t.backend with
+  | Emc _ -> no_install
+  | Cuckoo ck ->
+      (* Installs collapse the traversal to (input flow, committed output
+         flow, terminal) — exactly the result that packet produced — so a
+         mouse's second packet short-circuits in two bucket probes without
+         ever earning a wildcard or hardware slot. *)
       let open Gf_pipeline in
       let input = traversal.Traversal.input in
       let commit =
@@ -219,132 +92,21 @@ let of_cuckoo ?(name = "sw-ck") ~max_idle ck : t =
       in
       let hit =
         {
-          Gf_cache.Cuckoo.terminal = traversal.Traversal.terminal;
+          Gf_cache.Hit.terminal = traversal.Traversal.terminal;
           out_flow = Gf_flow.Flow.update input commit;
         }
       in
-      let before_rejects = (Gf_cache.Cuckoo.stats ck).Gf_cache.Cache_stats.rejected in
-      let pressure_evicted = Gf_cache.Cuckoo.install ck ~now input hit in
-      let rejected =
-        (Gf_cache.Cuckoo.stats ck).Gf_cache.Cache_stats.rejected - before_rejects
-      in
+      let before_rejects = (Cuckoo.stats ck).Gf_cache.Cache_stats.rejected in
+      let pressure_evicted = Cuckoo.install ck ~now input hit in
+      let rejected = (Cuckoo.stats ck).Gf_cache.Cache_stats.rejected - before_rejects in
       if rejected > 0 then { no_install with rejected }
       else { no_install with fresh = 1; pressure_evicted }
-
-    let promote ~now flow h =
-      Gf_cache.Cuckoo.install ck ~now flow
-        { Gf_cache.Cuckoo.terminal = h.terminal; out_flow = h.out_flow }
-
-    let expire ~now = Gf_cache.Cuckoo.expire ck ~now ~max_idle
-    let demote ~is_hot:_ = 0
-
-    (* Exact-match entries carry no dependency information: flush on any
-       pipeline change, like the EMC. *)
-    let revalidate _ = (Gf_cache.Cuckoo.invalidate_all ck, 0)
-    let occupancy () = Gf_cache.Cuckoo.occupancy ck
-    let capacity () = Gf_cache.Cuckoo.capacity ck
-    let evict_policy () = Gf_cache.Cuckoo.policy ck
-    let set_evict p = Gf_cache.Cuckoo.set_policy ck p
-    let set_capacity c = Gf_cache.Cuckoo.set_capacity ck c
-    let stats () = Gf_cache.Cuckoo.stats ck
-    let last_depth () = 0
-  end)
-
-let of_megaflow ?name ~tier ~max_idle mf : t =
-  let name =
-    match name with
-    | Some n -> n
-    | None -> ( match tier with Hardware -> "nic-mf" | Software -> "sw-mf")
-  in
-  (module struct
-    let descriptor =
-      {
-        name;
-        tier;
-        policy = Install_on_miss;
-        max_idle;
-        hit_us =
-          (match tier with
-          | Hardware -> fun ~work:_ -> Latency.hw_hit_us
-          | Software ->
-              fun ~work ->
-                Latency.sw_search_us ~algo:(Megaflow.search_algo mf) ~work ());
-        cycles_per_work =
-          (match tier with Hardware -> 0 | Software -> Latency.probe_cycles);
-      }
-
-    let view = Megaflow_view mf
-
-    let lookup ~now flow =
-      let hit, work = Megaflow.lookup mf ~now flow in
-      ( (match hit with
-        | Some h ->
-            Some { terminal = h.Megaflow.terminal; out_flow = h.Megaflow.out_flow }
-        | None -> None),
-        work )
-
-    let lookup_memo ~now ~flow_id flow =
-      let hit, work = Megaflow.lookup_memo mf ~now ~flow_id flow in
-      ( (match hit with
-        | Some h ->
-            Some { terminal = h.Megaflow.terminal; out_flow = h.Megaflow.out_flow }
-        | None -> None),
-        work )
-
-    let prepare_replay ~flow_id = Megaflow.prepare_replay mf ~flow_id
-
-    let install_from_traversal ~now ~version traversal =
+  | Megaflow mf -> (
       match Megaflow.install mf ~now ~version traversal with
       | `Installed pressure_evicted -> { no_install with fresh = 1; pressure_evicted }
       | `Exists -> no_install
-      | `Rejected -> { no_install with rejected = 1 }
-
-    let promote ~now:_ _ _ = 0
-    let expire ~now = Megaflow.expire mf ~now ~max_idle
-    let demote ~is_hot = Megaflow.demote mf ~is_hot
-    let revalidate pipeline = Megaflow.revalidate mf pipeline
-    let occupancy () = Megaflow.occupancy mf
-    let capacity () = Megaflow.capacity mf
-    let evict_policy () = Megaflow.policy mf
-    let set_evict p = Megaflow.set_policy mf p
-    let set_capacity c = Megaflow.set_capacity mf c
-    let stats () = Megaflow.stats mf
-    let last_depth () = 0
-  end)
-
-let of_gigaflow ?(name = "gf") ~pipeline gf : t =
-  (module struct
-    let descriptor =
-      {
-        name;
-        tier = Hardware;
-        policy = Install_on_miss;
-        max_idle = (Gigaflow.config gf).Gf_core.Config.max_idle;
-        hit_us = (fun ~work:_ -> Latency.hw_hit_us);
-        cycles_per_work = 0;
-      }
-
-    let view = Gigaflow_view gf
-
-    let lookup ~now flow =
-      let hit, work = Gigaflow.lookup gf ~now ~pipeline flow in
-      ( (match hit with
-        | Some h ->
-            Some { terminal = h.Ltm_cache.terminal; out_flow = h.Ltm_cache.out_flow }
-        | None -> None),
-        work )
-
-    let lookup_memo ~now ~flow_id flow =
-      let hit, work = Gigaflow.lookup_memo gf ~now ~pipeline ~flow_id flow in
-      ( (match hit with
-        | Some h ->
-            Some { terminal = h.Ltm_cache.terminal; out_flow = h.Ltm_cache.out_flow }
-        | None -> None),
-        work )
-
-    let prepare_replay ~flow_id = Gigaflow.prepare_replay gf ~flow_id
-
-    let install_from_traversal ~now ~version traversal =
+      | `Rejected -> { no_install with rejected = 1 })
+  | Ltm (gf, _) ->
       let o = Gigaflow.install_traversal gf ~now ~version traversal in
       let fresh, shared, rejected, pressure_evicted =
         match o.Gigaflow.install with
@@ -361,21 +123,76 @@ let of_gigaflow ?(name = "gf") ~pipeline gf : t =
         rulegen_work = o.Gigaflow.rulegen_work;
       }
 
-    let promote ~now:_ _ _ = 0
-    let expire ~now = Gigaflow.expire gf ~now
-    let demote ~is_hot = Gigaflow.demote gf ~is_hot
-    let revalidate pipeline = Gigaflow.revalidate gf pipeline
-    let occupancy () = Ltm_cache.occupancy (Gigaflow.cache gf)
-    let capacity () = Gf_core.Config.total_capacity (Gigaflow.config gf)
-    let evict_policy () = (Gigaflow.config gf).Gf_core.Config.policy
-    let set_evict p = Gigaflow.set_policy gf p
+let promote t ~now flow hit =
+  match t.backend with
+  | Emc emc -> Microflow.install emc ~now flow hit
+  | Cuckoo ck -> Cuckoo.install ck ~now flow hit
+  | Megaflow _ | Ltm _ -> 0
 
-    (* LTM geometry (table count, per-table SRAM) is the hardware; only the
-       replacement policy is an online knob. *)
-    let set_capacity _ = ()
-    let stats () = Ltm_cache.stats (Gigaflow.cache gf)
-    let last_depth () = Ltm_cache.last_depth (Gigaflow.cache gf)
-  end)
+let expire t ~now =
+  let max_idle = t.descriptor.max_idle in
+  match t.backend with
+  | Emc emc -> Microflow.expire emc ~now ~max_idle
+  | Cuckoo ck -> Cuckoo.expire ck ~now ~max_idle
+  | Megaflow mf -> Megaflow.expire mf ~now ~max_idle
+  | Ltm (gf, _) -> Gigaflow.expire gf ~now
+
+let demote t ~is_hot =
+  match t.backend with
+  | Emc _ | Cuckoo _ -> 0
+  | Megaflow mf -> Megaflow.demote mf ~is_hot
+  | Ltm (gf, _) -> Gigaflow.demote gf ~is_hot
+
+(* Exact-match entries carry no dependency information: the only safe
+   response to a pipeline change is a flush (OVS does the same). *)
+let revalidate t pipeline =
+  match t.backend with
+  | Emc emc -> (Microflow.invalidate_all emc, 0)
+  | Cuckoo ck -> (Cuckoo.invalidate_all ck, 0)
+  | Megaflow mf -> Megaflow.revalidate mf pipeline
+  | Ltm (gf, _) -> Gigaflow.revalidate gf pipeline
+
+let occupancy t =
+  match t.backend with
+  | Emc emc -> Microflow.occupancy emc
+  | Cuckoo ck -> Cuckoo.occupancy ck
+  | Megaflow mf -> Megaflow.occupancy mf
+  | Ltm (gf, _) -> Ltm_cache.occupancy (Gigaflow.cache gf)
+
+let capacity t =
+  match t.backend with
+  | Emc emc -> Microflow.capacity emc
+  | Cuckoo ck -> Cuckoo.capacity ck
+  | Megaflow mf -> Megaflow.capacity mf
+  | Ltm (gf, _) -> Config.total_capacity (Gigaflow.config gf)
+
+let evict_policy t =
+  match t.backend with
+  | Emc emc -> Microflow.policy emc
+  | Cuckoo ck -> Cuckoo.policy ck
+  | Megaflow mf -> Megaflow.policy mf
+  | Ltm (gf, _) -> (Gigaflow.config gf).Config.policy
+
+let set_evict t p =
+  match t.backend with
+  | Emc emc -> Microflow.set_policy emc p
+  | Cuckoo ck -> Cuckoo.set_policy ck p
+  | Megaflow mf -> Megaflow.set_policy mf p
+  | Ltm (gf, _) -> Gigaflow.set_policy gf p
+
+(* LTM geometry (table count, per-table SRAM) is the hardware; only the
+   replacement policy is an online knob. *)
+let set_capacity t c =
+  match t.backend with
+  | Emc emc -> Microflow.set_capacity emc c
+  | Cuckoo ck -> Cuckoo.set_capacity ck c
+  | Megaflow mf -> Megaflow.set_capacity mf c
+  | Ltm _ -> ()
+
+let last_depth t =
+  match t.backend with
+  | Ltm (gf, _) -> Ltm_cache.last_depth (Gigaflow.cache gf)
+  | Emc _ | Cuckoo _ | Megaflow _ -> 0
 
 (* ------------------------------- specs ------------------------------- *)
 
@@ -393,7 +210,7 @@ type spec =
       evict : Evict.policy option;
     }
   | Sw_cuckoo of { capacity : int; max_idle : float option; evict : Evict.policy option }
-  | Gf_ltm of { gf : Gf_core.Config.t; max_idle : float option }
+  | Gf_ltm of { gf : Config.t; max_idle : float option }
 
 (* [Gf_ltm] carries its policy inside the Gigaflow config. *)
 let spec_with_evict spec policy =
@@ -402,13 +219,13 @@ let spec_with_evict spec policy =
   | Nic_megaflow e -> Nic_megaflow { e with evict = Some policy }
   | Sw_megaflow e -> Sw_megaflow { e with evict = Some policy }
   | Sw_cuckoo e -> Sw_cuckoo { e with evict = Some policy }
-  | Gf_ltm e -> Gf_ltm { e with gf = { e.gf with Gf_core.Config.policy } }
+  | Gf_ltm e -> Gf_ltm { e with gf = { e.gf with Config.policy } }
 
 let spec_evict = function
   | Emc { evict; _ } | Sw_cuckoo { evict; _ } -> Option.value evict ~default:Evict.Lru
   | Nic_megaflow { evict; _ } | Sw_megaflow { evict; _ } ->
       Option.value evict ~default:Evict.Reject
-  | Gf_ltm { gf; _ } -> gf.Gf_core.Config.policy
+  | Gf_ltm { gf; _ } -> gf.Config.policy
 
 let spec_name = function
   | Emc _ -> "emc"
@@ -427,31 +244,47 @@ let spec_capacity = function
   | Sw_megaflow { capacity; _ }
   | Sw_cuckoo { capacity; _ } ->
       capacity
-  | Gf_ltm { gf; _ } -> Gf_core.Config.total_capacity gf
+  | Gf_ltm { gf; _ } -> Config.total_capacity gf
 
 let build ?name ~default_max_idle ~pipeline spec =
-  match spec with
-  | Emc { capacity; max_idle; _ } ->
-      let max_idle = Option.value max_idle ~default:default_max_idle in
-      of_microflow ?name ~max_idle
-        (Microflow.create ~policy:(spec_evict spec) ~capacity ())
-  | Nic_megaflow { capacity; max_idle; _ } ->
-      let max_idle = Option.value max_idle ~default:default_max_idle in
-      of_megaflow ?name ~tier:Hardware ~max_idle
-        (Megaflow.create ~policy:(spec_evict spec) ~capacity ())
-  | Sw_megaflow { search; capacity; max_idle; _ } ->
-      (* The software wildcard cache outlives the NIC levels: entries are
-         cheap (host DRAM) and re-seeding the NIC from it avoids slowpath
-         re-execution, so the default idle budget is 4x the hierarchy's. *)
-      let max_idle = Option.value max_idle ~default:(4.0 *. default_max_idle) in
-      of_megaflow ?name ~tier:Software ~max_idle
-        (Megaflow.create ~search ~policy:(spec_evict spec) ~capacity ())
-  | Sw_cuckoo { capacity; max_idle; _ } ->
-      (* Same host-DRAM idle budget as the software megaflow it replaces. *)
-      let max_idle = Option.value max_idle ~default:(4.0 *. default_max_idle) in
-      of_cuckoo ?name ~max_idle
-        (Gf_cache.Cuckoo.create ~policy:(spec_evict spec) ~capacity ())
-  | Gf_ltm { gf; max_idle } ->
-      let max_idle = Option.value max_idle ~default:default_max_idle in
-      of_gigaflow ?name ~pipeline
-        (Gigaflow.create { gf with Gf_core.Config.max_idle })
+  let policy = spec_evict spec in
+  let idle = Option.value ~default:default_max_idle in
+  (* The host-DRAM levels outlive the NIC levels: entries are cheap and
+     re-seeding the NIC from them avoids slowpath re-execution, so their
+     default idle budget is 4x the hierarchy's. *)
+  let host_idle = Option.value ~default:(4.0 *. default_max_idle) in
+  let (backend : backend), max_idle, hit_us =
+    match spec with
+    | Emc { capacity; max_idle; _ } ->
+        ( Emc (Microflow.create ~policy ~capacity ()),
+          idle max_idle,
+          fun ~work:_ -> Latency.emc_hit_us )
+    | Nic_megaflow { capacity; max_idle; _ } ->
+        ( Megaflow (Megaflow.create ~policy ~capacity ()),
+          idle max_idle,
+          fun ~work:_ -> Latency.hw_hit_us )
+    | Sw_megaflow { search; capacity; max_idle; _ } ->
+        ( Megaflow (Megaflow.create ~search ~policy ~capacity ()),
+          host_idle max_idle,
+          fun ~work -> Latency.sw_search_us ~algo:search ~work () )
+    | Sw_cuckoo { capacity; max_idle; _ } ->
+        ( Cuckoo (Cuckoo.create ~policy ~capacity ()),
+          host_idle max_idle,
+          fun ~work:_ -> Latency.cuckoo_hit_us )
+    | Gf_ltm { gf; max_idle } ->
+        let max_idle = idle max_idle in
+        ( Ltm (Gigaflow.create { gf with Config.max_idle }, pipeline),
+          max_idle,
+          fun ~work:_ -> Latency.hw_hit_us )
+  in
+  let descriptor =
+    {
+      name = Option.value name ~default:(spec_name spec);
+      tier = spec_tier spec;
+      policy = (match spec with Emc _ -> Promote_on_hit | _ -> Install_on_miss);
+      max_idle;
+      hit_us;
+      cycles_per_work = (match spec with Sw_megaflow _ -> Latency.probe_cycles | _ -> 0);
+    }
+  in
+  { descriptor; backend }

@@ -1,13 +1,16 @@
-(** A pluggable cache-hierarchy level.
+(** One level of the cache hierarchy.
 
-    The datapath is a generic walker over an ordered list of levels: a
-    packet is looked up level by level, the first hit wins, and a full miss
-    runs the slowpath pipeline whose traversal is then offered to every
-    level's install policy.  Each concrete cache — the exact-match
-    Microflow/EMC, the single-table Megaflow (hardware- or
-    software-flavoured) and the Gigaflow LTM — is wrapped in a first-class
-    module implementing {!LEVEL}, so hierarchies are composed, swept and
-    replicated without the datapath knowing any backend concretely. *)
+    The datapath walks an ordered array of levels: a packet is looked up
+    level by level, the first hit wins, and a full miss runs the slowpath
+    pipeline whose traversal is then offered to every level's install
+    policy.  A level is a {!descriptor} — the name, tier, install policy,
+    idle budget and cost model the walk reads — over one of the four caches
+    of the paper's hierarchy (Fig. 2b), the closed {!backend} variant: the
+    exact-match EMC, the single-table Megaflow (hardware- or
+    software-flavoured), the cuckoo exact-match tail and the Gigaflow LTM.
+    Each operation below is one [match] on the backend; the datapath
+    matches on it too where it needs the LTM itself (telemetry handles,
+    tag-chain depth). *)
 
 type tier =
   | Hardware  (** Lives in the SmartNIC: hits never reach host software. *)
@@ -22,11 +25,10 @@ val tier_name : tier -> string
 type install_policy =
   | Install_on_miss
       (** The slowpath traversal is installed here (NIC caches, software
-          wildcard cache). *)
+          wildcard cache, cuckoo tail). *)
   | Promote_on_hit
       (** Populated by promotion when a {e deeper} level hits (OVS's EMC:
           exact-match entries learned from wildcard-cache hits). *)
-  | Never_install  (** Read-only / externally managed. *)
 
 type descriptor = {
   name : string;  (** Metrics key; unique within a hierarchy. *)
@@ -38,13 +40,9 @@ type descriptor = {
           levels this is the end-to-end figure; for [Software] levels it is
           added on top of the upcall + software base cost. *)
   cycles_per_work : int;
-      (** Host CPU cycles burned per lookup work unit (0 for hardware
-          levels — the NIC does the work). *)
-}
-
-type hit = {
-  terminal : Gf_pipeline.Action.terminal;
-  out_flow : Gf_flow.Flow.t;
+      (** Host CPU cycles burned per lookup work unit: the classifier
+          probe cost for the software Megaflow, 0 for the rest (the NIC
+          does the hardware levels' work). *)
 }
 
 type install_report = {
@@ -58,143 +56,102 @@ type install_report = {
   rulegen_work : int;  (** Rules generated. *)
 }
 
-val no_install : install_report
-(** The all-zero report (levels that do not install from traversals). *)
+type backend =
+  | Emc of Gf_cache.Microflow.t
+      (** OVS's EMC: software tier, one hash probe per lookup, populated
+          by promotion from deeper-level hits. *)
+  | Megaflow of Gf_cache.Megaflow.t
+      (** The single-table wildcard cache.  On the [Hardware] tier hits
+          cost the fixed SmartNIC latency; on the [Software] tier they pay
+          the classifier search (TSS/NuevoMatch work units). *)
+  | Cuckoo of Gf_cache.Cuckoo.t
+      (** 2-choice cuckoo exact-match table: software tier, installs the
+          collapsed slowpath result on miss — the cheap home for the long
+          tail of mice that never earn a hardware slot. *)
+  | Ltm of Gf_core.Gigaflow.t * Gf_pipeline.Pipeline.t
+      (** The Gigaflow LTM and the pipeline whose entry tag its walks
+          start from: hardware tier; installs partition the traversal into
+          sub-traversal rules. *)
 
-(** Diagnostic access to the wrapped cache (occupancy sampling, coverage
-    counting); never used for datapath dispatch. *)
-type view =
-  | Microflow_view of Gf_cache.Microflow.t
-  | Megaflow_view of Gf_cache.Megaflow.t
-  | Gigaflow_view of Gf_core.Gigaflow.t
-  | Cuckoo_view of Gf_cache.Cuckoo.t
-
-module type LEVEL = sig
-  val descriptor : descriptor
-  val view : view
-
-  val lookup : now:float -> Gf_flow.Flow.t -> hit option * int
-  (** Result and lookup work units (spent whether or not it hit). *)
-
-  val lookup_memo : now:float -> flow_id:int -> Gf_flow.Flow.t -> hit option * int
-  (** Observably identical to [lookup], but backends that support it
-      replay memoised per-flow results while their entry set is unchanged
-      (the batched engine's sub-traversal replay; see
-      {!Datapath.process_memo}).  Requires that a given [flow_id] is
-      always presented with the same flow value. *)
-
-  val prepare_replay : flow_id:int -> (now:float -> int option) option
-  (** Compiled per-flow hit replay: after [lookup_memo] returned a hit
-      for [flow_id], a closure applying just that hit's per-packet side
-      effects and returning its work, re-validating on every call —
-      [None] once the memo is stale.  Levels without a per-flow memo (the
-      EMC) return [None] outright.  See {!Megaflow.prepare_replay}. *)
-
-  val install_from_traversal :
-    now:float -> version:int -> Gf_pipeline.Traversal.t -> install_report
-  (** Offer a slowpath traversal per the level's {!install_policy}. *)
-
-  val promote : now:float -> Gf_flow.Flow.t -> hit -> int
-  (** Learn from a hit at a deeper level ([Promote_on_hit] levels only;
-      a no-op returning 0 elsewhere).  Returns the number of entries
-      evicted under capacity pressure to admit the promoted entry. *)
-
-  val expire : now:float -> int
-  (** Evict entries idle longer than the descriptor's [max_idle]. *)
-
-  val demote : is_hot:(Gf_flow.Flow.t -> bool) -> int
-  (** Admission re-partition sweep: evict entries whose representative
-      flows fail [is_hot], freeing slots for the current heavy hitters.
-      Only meaningful for hardware tiers; exact-match software levels
-      return 0 (their entries age out via [expire]).  See
-      {!Gf_cache.Megaflow.demote} / {!Gf_core.Ltm_cache.demote}. *)
-
-  val revalidate : Gf_pipeline.Pipeline.t -> int * int
-  (** Re-check entries against a (possibly updated) pipeline; returns
-      [(evicted, work)].  Exact-match levels flush (their entries carry no
-      dependency information). *)
-
-  val occupancy : unit -> int
-  val capacity : unit -> int
-
-  val evict_policy : unit -> Gf_cache.Evict.policy
-  (** Current replacement policy (the LTM reads it from its config). *)
-
-  val set_evict : Gf_cache.Evict.policy -> unit
-  (** Swap the replacement policy online; applies from the next install.
-      The control loop's per-level actuation. *)
-
-  val set_capacity : int -> unit
-  (** Retune the admission bound online.  Software levels clamp to their
-      physical storage where relevant; hardware geometry (the LTM's MAT
-      shape, SRAM) is fixed at build time, so hardware levels ignore it. *)
-
-  val stats : unit -> Gf_cache.Cache_stats.t
-
-  val last_depth : unit -> int
-  (** Tag-chain steps matched by this level's most recent lookup: the
-      sub-traversal reuse depth for the LTM (non-zero on a miss means the
-      chain matched a prefix then dead-ended — a stall); unchained levels
-      report 0.  Read to resolve miss causes and for tracer spans. *)
-end
-
-type t = (module LEVEL)
-
-(** {1 Accessors} *)
+type t
 
 val descriptor : t -> descriptor
+val backend : t -> backend
 val name : t -> string
 val tier : t -> tier
-val view : t -> view
-val lookup : t -> now:float -> Gf_flow.Flow.t -> hit option * int
-val lookup_memo : t -> now:float -> flow_id:int -> Gf_flow.Flow.t -> hit option * int
+
+val lookup : t -> now:float -> Gf_flow.Flow.t -> Gf_cache.Hit.t option * int
+(** Result and lookup work units (spent whether or not it hit). *)
+
+val lookup_memo :
+  t -> now:float -> flow_id:int -> Gf_flow.Flow.t -> Gf_cache.Hit.t option * int
+(** Observably identical to [lookup], but the Megaflow and the LTM replay
+    memoised per-flow results while their entry set is unchanged (the
+    batched engine's sub-traversal replay; see {!Datapath.process_memo}).
+    Exact-match levels are already one probe and just look up.  Requires
+    that a given [flow_id] is always presented with the same flow value. *)
+
 val prepare_replay : t -> flow_id:int -> (now:float -> int option) option
+(** Compiled per-flow hit replay: after [lookup_memo] returned a hit for
+    [flow_id], a closure applying just that hit's per-packet side effects
+    and returning its work, re-validating on every call — [None] once the
+    memo is stale.  Exact-match levels keep no memo and return [None]
+    outright.  See {!Gf_cache.Megaflow.prepare_replay}. *)
 
 val install_from_traversal :
   t -> now:float -> version:int -> Gf_pipeline.Traversal.t -> install_report
+(** Offer a slowpath traversal per the level's {!install_policy} (the EMC
+    reports no install). *)
 
-val promote : t -> now:float -> Gf_flow.Flow.t -> hit -> int
+val promote : t -> now:float -> Gf_flow.Flow.t -> Gf_cache.Hit.t -> int
+(** Learn from a hit at a deeper level (exact-match levels; a no-op
+    returning 0 on the Megaflow and the LTM).  Returns the number of
+    entries evicted under capacity pressure to admit the promoted entry. *)
+
 val expire : t -> now:float -> int
+(** Evict entries idle longer than the descriptor's [max_idle]. *)
+
 val demote : t -> is_hot:(Gf_flow.Flow.t -> bool) -> int
+(** Admission re-partition sweep: evict entries whose representative
+    flows fail [is_hot], freeing slots for the current heavy hitters.
+    Exact-match levels return 0 (their entries age out via [expire]).  See
+    {!Gf_cache.Megaflow.demote} / {!Gf_core.Ltm_cache.demote}. *)
+
 val revalidate : t -> Gf_pipeline.Pipeline.t -> int * int
+(** Re-check entries against a (possibly updated) pipeline; returns
+    [(evicted, work)].  Exact-match levels flush (their entries carry no
+    dependency information). *)
+
 val occupancy : t -> int
 val capacity : t -> int
+
 val evict_policy : t -> Gf_cache.Evict.policy
+(** Current replacement policy (the LTM reads it from its config). *)
+
 val set_evict : t -> Gf_cache.Evict.policy -> unit
+(** Swap the replacement policy online; applies from the next install.
+    The control loop's per-level actuation. *)
+
 val set_capacity : t -> int -> unit
-val stats : t -> Gf_cache.Cache_stats.t
+(** Retune the admission bound online.  Software levels clamp to their
+    physical storage where relevant; the LTM's geometry (table count,
+    per-table SRAM) is fixed at build time, so it ignores this. *)
+
 val last_depth : t -> int
-
-(** {1 Adapters} *)
-
-val of_microflow : ?name:string -> max_idle:float -> Gf_cache.Microflow.t -> t
-(** OVS's EMC: software tier, one hash probe per lookup, populated by
-    promotion from deeper-level hits. *)
-
-val of_cuckoo : ?name:string -> max_idle:float -> Gf_cache.Cuckoo.t -> t
-(** 2-choice cuckoo exact-match table: software tier, installs the
-    collapsed slowpath result on miss — the cheap home for the long tail
-    of mice that never earn a hardware slot. *)
-
-val of_megaflow :
-  ?name:string -> tier:tier -> max_idle:float -> Gf_cache.Megaflow.t -> t
-(** The single-table wildcard cache.  [tier] selects the latency flavour:
-    [Hardware] hits at the fixed SmartNIC latency, [Software] pays the
-    classifier search (TSS/NuevoMatch work units). *)
-
-val of_gigaflow :
-  ?name:string -> pipeline:Gf_pipeline.Pipeline.t -> Gf_core.Gigaflow.t -> t
-(** The Gigaflow LTM: hardware tier; installs partition the traversal into
-    sub-traversal rules (idle budget comes from the Gigaflow config). *)
+(** Tag-chain steps matched by this level's most recent lookup: the
+    sub-traversal reuse depth for the LTM (non-zero on a miss means the
+    chain matched a prefix then dead-ended — a stall); unchained levels
+    report 0.  Read to resolve miss causes and for tracer spans. *)
 
 (** {1 Specs — declarative hierarchy descriptions} *)
 
 (** A buildable description of one level.  [max_idle = None] takes the
     hierarchy default ({!Datapath.config.max_idle}; the software wildcard
-    cache defaults to 4x it, preserving OVS's longer-lived software
-    entries).  [evict = None] takes the level's historical default
-    replacement policy: [Lru] for the EMC, [Reject] for the Megaflows.
-    The Gigaflow LTM carries its policy inside its config. *)
+    cache and the cuckoo tail default to 4x it, preserving OVS's
+    longer-lived software entries).  [evict = None] takes the level's
+    historical default replacement policy: [Lru] for the exact-match
+    levels, [Reject] for the Megaflows.  The Gigaflow LTM carries its
+    policy inside its config. *)
 type spec =
   | Emc of {
       capacity : int;
@@ -239,6 +196,6 @@ val build :
   pipeline:Gf_pipeline.Pipeline.t ->
   spec ->
   t
-(** Instantiate a fresh cache for [spec] and wrap it.  [name] overrides
-    {!spec_name} (hierarchies with duplicate level kinds must deduplicate
-    names). *)
+(** Instantiate a fresh cache for [spec] with its descriptor.  [name]
+    overrides {!spec_name} (hierarchies with duplicate level kinds must
+    deduplicate names). *)

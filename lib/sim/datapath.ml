@@ -381,12 +381,10 @@ let create ?telemetry cfg pipeline =
   | Some tel ->
       Array.iter
         (fun l ->
-          match Cache_level.view l with
-          | Cache_level.Gigaflow_view g ->
+          match Cache_level.backend l with
+          | Cache_level.Ltm (g, _) ->
               Gf_core.Gigaflow.attach_telemetry g (Telemetry.registry tel)
-          | Cache_level.Microflow_view _ | Cache_level.Megaflow_view _
-          | Cache_level.Cuckoo_view _ ->
-              ())
+          | Cache_level.Emc _ | Cache_level.Megaflow _ | Cache_level.Cuckoo _ -> ())
         levels
   | None -> ());
   let hh, hh_threshold =
@@ -429,11 +427,9 @@ let create ?telemetry cfg pipeline =
     level_is_ltm =
       Array.map
         (fun l ->
-          match Cache_level.view l with
-          | Cache_level.Gigaflow_view _ -> true
-          | Cache_level.Microflow_view _ | Cache_level.Megaflow_view _
-          | Cache_level.Cuckoo_view _ ->
-              false)
+          match Cache_level.backend l with
+          | Cache_level.Ltm _ -> true
+          | Cache_level.Emc _ | Cache_level.Megaflow _ | Cache_level.Cuckoo _ -> false)
         levels;
     level_is_hw =
       Array.map (fun l -> Cache_level.tier l = Cache_level.Hardware) levels;
@@ -447,13 +443,10 @@ let create ?telemetry cfg pipeline =
     fs_seen0 = (if n_levels > 0 then fs_seen.(0) else [||]);
   }
 
-let telemetry t = t.telemetry
 let heavy_hitter t = t.hh
 let config t = t.cfg
 let pipeline t = t.pipeline
 let levels t = Array.to_list t.levels
-
-let find_view f t = Array.find_map (fun l -> f (Cache_level.view l)) t.levels
 
 (* ------------------------- online control knobs ------------------------ *)
 
@@ -499,16 +492,11 @@ let set_level_capacity t ~level capacity =
 let evict_policy t ~level = Cache_level.evict_policy (find_level t level)
 
 let gigaflow t =
-  find_view (function Cache_level.Gigaflow_view g -> Some g | _ -> None) t
-
-let hw_megaflow t =
   Array.find_map
     (fun l ->
-      if Cache_level.tier l = Cache_level.Hardware then
-        match Cache_level.view l with
-        | Cache_level.Megaflow_view mf -> Some mf
-        | _ -> None
-      else None)
+      match Cache_level.backend l with
+      | Cache_level.Ltm (g, _) -> Some g
+      | Cache_level.Emc _ | Cache_level.Megaflow _ | Cache_level.Cuckoo _ -> None)
     t.levels
 
 let hw_occupancy t =
@@ -1031,7 +1019,7 @@ let walk t ~memo ~now ~flow_id flow =
           Histogram.record lm.Metrics.latency_hist lat;
           note t Recorder.Hit ~level:i ~packet:(m.Metrics.packets - 1) ~time:now ~lat
             ~count:1;
-          (outcome, Some h.Cache_level.terminal, lat, i)
+          (outcome, Some h.Gf_cache.Hit.terminal, lat, i)
     end
   in
   let outcome, terminal, latency, hit_level = go 0 in
@@ -1059,7 +1047,7 @@ let process ?(flow_id = -1) t ~now flow = walk t ~memo:false ~now ~flow_id flow
 
 (* [process] amortised for the batched engine.  Repeat flows hitting the
    hardware top level replay a compiled constant effect ([pmemo]) — no
-   first-class-module projections, no hash probes, no log2 per packet —
+   level dispatch, no hash probes, no log2 per packet —
    every other packet takes the memoised [walk].  The fast path is only
    legal when no expiry sweep is due (a due sweep must run, and may evict
    anything), and it re-validates the memoised entry on every packet

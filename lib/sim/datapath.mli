@@ -8,10 +8,12 @@
     [Promote_on_hit] levels (OVS's EMC).  Idle entries expire on a
     periodic per-level sweep.
 
-    The walker knows no backend concretely: SmartNIC Megaflow, Gigaflow
-    LTM, EMC and the software wildcard cache are all {!Cache_level.t}
-    values, so hierarchies are composed declaratively ({!config.levels})
-    and selected by name ({!preset}). *)
+    SmartNIC Megaflow, Gigaflow LTM, EMC, software wildcard cache and
+    cuckoo tail are all {!Cache_level.t} values, so hierarchies are
+    composed declaratively ({!config.levels}) and selected by name
+    ({!preset}).  The walk reads each level's descriptor and matches on
+    its backend only to reach the LTM (telemetry handles, tag-chain
+    depth). *)
 
 type config = {
   name : string;  (** Hierarchy name (preset key, metrics label). *)
@@ -191,13 +193,11 @@ val create : ?telemetry:Gf_telemetry.Telemetry.t -> config -> Gf_pipeline.Pipeli
     way; telemetry adds the flight recorder, which each emission site
     offers its event to inline (sampling happens in
     {!Gf_telemetry.Recorder.record}), the time series the sampler builds
-    from {!Metrics} ({!maybe_sample}, {!snapshot}, {!finalize}) and, when
+    from {!Metrics} ({!maybe_sample}, {!finalize}) and, when
     [trace_sample_every > 0], the traversal tracer.  Any Gigaflow level
     registers its install-path counters in the registry.  Without it
     every emission site is a no-op pattern match — the hot path stays
     allocation-free. *)
-
-val telemetry : t -> Gf_telemetry.Telemetry.t option
 
 val heavy_hitter : t -> Gf_offload.Heavy_hitter.t option
 (** The live admission sketch ([None] under [Admit_all]) — diagnostics
@@ -249,9 +249,6 @@ val evict_policy : t -> level:string -> Gf_cache.Evict.policy
 val gigaflow : t -> Gf_core.Gigaflow.t option
 (** The first Gigaflow level's instance, if the hierarchy has one. *)
 
-val hw_megaflow : t -> Gf_cache.Megaflow.t option
-(** The first hardware-tier Megaflow level's instance, if any. *)
-
 val hw_occupancy : t -> int
 (** Entries currently resident across all hardware-tier levels. *)
 
@@ -299,19 +296,15 @@ val revalidate : t -> int * int
     metrics.  Also drops the memoised slowpath traversals
     ({!process_memo}) — the pipeline may have changed. *)
 
-val snapshot : t -> time:float -> Gf_telemetry.Series.sample
-(** A time-series sample built from the live metrics (and current level
-    occupancies), so a snapshot taken after {!run} agrees with the returned
-    {!Metrics.t} exactly; its quantiles come from the {!Metrics} latency
-    histograms, which every packet records into inline. *)
-
 val maybe_sample : t -> time:float -> unit
 (** The sampler tick: if a time-series sample is due at the current
-    packet count ({!Gf_telemetry.Telemetry.sample_due}), push a
-    {!snapshot} at [time].  The batched engine calls this once per batch;
-    cadence cannot change the final telemetry — counters, histograms and
-    recorded events are all written inline by the packet path, so only
-    the series length depends on it.  A no-op without telemetry. *)
+    packet count ({!Gf_telemetry.Telemetry.sample_due}), push a sample
+    at [time] built from the live metrics and level occupancies, so it
+    agrees with {!Metrics} exactly.  The batched engine calls this once
+    per batch; cadence cannot change the final telemetry — counters,
+    histograms and recorded events are all written inline by the packet
+    path, so only the series length depends on it.  A no-op without
+    telemetry. *)
 
 val finalize : t -> time:float -> Metrics.t
 (** End-of-run epilogue (called by {!run}; the batched engine calls it

@@ -59,15 +59,13 @@ val replay :
     from the given config and merges them into {!result.telemetry} in
     shard order. *)
 
-val merged_flow_cycles : result -> (int, int) Hashtbl.t
-(** Union of per-shard slowpath censuses (disjoint by construction). *)
-
 val measured_loads : result -> Multicore.t
 (** Measured per-domain slowpath cycles, wrapped for comparison with the
     static model. *)
 
 val model_loads : result -> Multicore.t
 (** The static model's prediction from the same census:
-    [Multicore.distribute] over {!merged_flow_cycles}.  Equals
-    {!measured_loads} exactly — the model and the engine use the same hash
-    — which is the cross-validation the tests pin down. *)
+    [Multicore.distribute] over the union of the per-shard slowpath
+    censuses (disjoint by construction).  Equals {!measured_loads}
+    exactly — the model and the engine use the same hash — which is the
+    cross-validation the tests pin down. *)

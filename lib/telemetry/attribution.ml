@@ -76,7 +76,6 @@ let create ?(retain = default_retain) ~level_names () =
     r_len = 0;
   }
 
-let level_names t = t.level_names
 let sampled_packets t = t.sampled_packets
 let spans t = t.spans
 

@@ -9,7 +9,6 @@
 val outcome_miss : int
 val outcome_hit : int
 val outcome_slowpath : int
-val outcome_name : int -> string
 
 type t
 
@@ -18,7 +17,6 @@ val create : ?retain:int -> level_names:string array -> unit -> t
     4096); the {e first} sampled spans are retained so the set is
     independent of flush cadence. *)
 
-val level_names : t -> string array
 val sampled_packets : t -> int
 val spans : t -> int
 

@@ -8,7 +8,3 @@
 val prometheus : Registry.t -> string
 (** Render a registry snapshot in Prometheus text exposition format. *)
 
-val prometheus_to_buffer : Buffer.t -> Registry.t -> unit
-
-val sanitize_name : string -> string
-(** Map a metric name onto Prometheus' allowed charset. *)

@@ -53,8 +53,6 @@ let min_value t = if t.count = 0 then nan else t.min_v
 let max_value t = if t.count = 0 then nan else t.max_v
 let mean t = if t.count = 0 then 0.0 else t.sum /. float_of_int t.count
 
-let relative_error t = 1.0 /. float_of_int t.sub
-
 (* Bucket index for a sample.  Values below [lo] (including <= 0) land in
    the underflow bucket; values past the top octave clamp into overflow. *)
 let index t x =

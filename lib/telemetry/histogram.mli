@@ -45,18 +45,15 @@ val max_value : t -> float
 val quantile : t -> float -> float
 (** [quantile t q] with [q] in [\[0, 1\]]: representative value of the
     bucket holding the rank-[ceil q*count] sample, clamped into the exact
-    observed [min, max] range.  0.0 when empty. *)
+    observed [min, max] range.  0.0 when empty.  The worst-case relative
+    bucket width is [1/sub], so a reported quantile [v] brackets the exact
+    order statistic within [v * (1 +- 1/sub)] (plus the underflow bucket's
+    absolute [lo] bound for samples below [lo]). *)
 
 val p50 : t -> float
 val p90 : t -> float
 val p99 : t -> float
 val p999 : t -> float
-
-val relative_error : t -> float
-(** Worst-case relative bucket width, [1/sub]: a reported quantile [v]
-    brackets the exact order statistic within [v * (1 +- relative_error)]
-    (plus the underflow bucket's absolute [lo] bound for sub-[lo]
-    samples). *)
 
 val merge : into:t -> t -> unit
 (** Add [src]'s buckets into [into].  Exact: afterwards [into] equals a

@@ -52,7 +52,6 @@ let create ?(capacity = 4096) ?(sample_every = 1) () =
     invalid_arg "Recorder.create: sample_every must be positive";
   { capacity; sample_every; ring = Array.make capacity None; seen = 0; written = 0 }
 
-let capacity t = t.capacity
 let sample_every t = t.sample_every
 let seen t = t.seen
 let recorded t = t.written

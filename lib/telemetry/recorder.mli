@@ -49,7 +49,6 @@ val record :
 val drain : t -> event list
 (** Retained events, oldest first.  Non-destructive. *)
 
-val capacity : t -> int
 val sample_every : t -> int
 
 val seen : t -> int

@@ -85,8 +85,6 @@ let iter f t =
     (fun e -> f ~name:e.name ~labels:e.labels ~help:e.help e.metric)
     (List.rev t.entries)
 
-let cardinal t = List.length t.entries
-
 (* Merge by (name, labels): counters and gauges add (shards own disjoint
    caches, so instantaneous gauges like occupancy sum), histograms merge
    exactly.  Metrics only [src] has seen are copied in. *)

@@ -46,8 +46,6 @@ val iter :
   (name:string -> labels:labels -> help:string -> metric -> unit) -> t -> unit
 (** Iterate in registration order. *)
 
-val cardinal : t -> int
-
 val merge : into:t -> t -> unit
 (** Fold [src] into [into] by (name, labels); metrics only [src] has seen
     are copied in.  [src] is unchanged. *)

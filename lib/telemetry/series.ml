@@ -39,8 +39,6 @@ let create ~every =
   if every < 1 then invalid_arg "Series.create: every must be positive";
   { every; rev_samples = []; last_packet = -1 }
 
-let every t = t.every
-
 (* A snapshot is due on every [every]-th packet (and never twice for the
    same packet count, so a final flush can call [push] unconditionally). *)
 let due t ~packets = packets mod t.every = 0 && packets <> t.last_packet
@@ -53,8 +51,6 @@ let push t sample =
 
 let samples t = List.rev t.rev_samples
 let length t = List.length t.rev_samples
-
-let last t = match t.rev_samples with [] -> None | s :: _ -> Some s
 
 (* Shard merge keeps every shard's samples, ordered by packet index (each
    shard counts its own packets, so interleaving by s_packet is the only

@@ -36,8 +36,6 @@ type t
 val create : every:int -> t
 (** Snapshot cadence in packets; must be positive. *)
 
-val every : t -> int
-
 val due : t -> packets:int -> bool
 (** True on every [every]-th packet, and never twice for the same packet
     count (so a final flush can push unconditionally). *)
@@ -49,7 +47,6 @@ val samples : t -> sample list
 (** Oldest first. *)
 
 val length : t -> int
-val last : t -> sample option
 
 val merge : into:t -> t -> unit
 (** Keep every shard's samples, ordered by packet index (each shard counts

@@ -55,7 +55,6 @@ let create ?(config = default_config) () =
 let config t = t.config
 let registry t = t.registry
 let recorder t = t.recorder
-let series t = t.series
 let tracer t = t.tracer
 let set_tracer t tr = t.tracer <- Some tr
 

@@ -26,7 +26,6 @@ val create : ?config:config -> unit -> t
 val config : t -> config
 val registry : t -> Registry.t
 val recorder : t -> Recorder.t option
-val series : t -> Series.t option
 
 val tracer : t -> Tracer.t option
 

@@ -54,7 +54,6 @@ let create ?(span_capacity = default_span_capacity) ?retain ~sample_every
   attr = Attribution.create ?retain ~level_names ();
   }
 
-let sample_every t = t.sample_every
 let active t = t.active
 
 let flush t =

@@ -38,8 +38,6 @@ val create :
     (default 2048) bounds the ring between pulls; [retain] is forwarded
     to {!Attribution.create}. *)
 
-val sample_every : t -> int
-
 val on_packet : t -> bool
 (** Advance the packet countdown and return whether this packet is
     traced.  Must be called exactly once per packet, before any {!span},

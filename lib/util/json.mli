@@ -15,7 +15,6 @@ type t =
   | Obj of (string * t) list
 
 val to_string : t -> string
-val to_buffer : Buffer.t -> t -> unit
 
 val of_string : string -> (t, string) result
 (** Parse one complete JSON value; trailing non-whitespace is an error. *)

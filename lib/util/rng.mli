@@ -44,9 +44,6 @@ val pick : t -> 'a array -> 'a
 (** Uniform element of a non-empty array.  Raises [Invalid_argument] on
     an empty one. *)
 
-val pick_list : t -> 'a list -> 'a
-(** Uniform element of a non-empty list. *)
-
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)
 

@@ -50,7 +50,6 @@ module Acc = struct
   let total t = t.total
   let mean t = if t.count = 0 then nan else t.mean
   let variance t = if t.count < 2 then nan else t.m2 /. float_of_int (t.count - 1)
-  let stddev t = sqrt (variance t)
   let min t = if t.count = 0 then nan else t.min
   let max t = if t.count = 0 then nan else t.max
 end

@@ -23,7 +23,6 @@ module Acc : sig
   val variance : t -> float
   (** Unbiased sample variance (Welford); [nan] with fewer than two samples. *)
 
-  val stddev : t -> float
   val min : t -> float
   val max : t -> float
 end

@@ -58,9 +58,6 @@ let create ~n ~s =
   (* Leftovers (either list) are 1.0 up to rounding. *)
   { n; s; cdf; prob; alias }
 
-let n t = t.n
-let exponent t = t.s
-
 (* One uniform draw serves both the column pick and the acceptance test
    (the standard trick), so the RNG stream advances exactly as the old
    CDF binary search did — one draw per sample. *)

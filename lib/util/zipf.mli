@@ -11,9 +11,6 @@ val create : n:int -> s:float -> t
     Requires [n > 0] and [s >= 0] ([s = 0] degenerates to uniform);
     raises [Invalid_argument] otherwise. *)
 
-val n : t -> int
-val exponent : t -> float
-
 val sample : t -> Rng.t -> int
 (** Draw a rank in [\[0, n)]; rank 0 is the most popular. *)
 

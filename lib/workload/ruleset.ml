@@ -27,9 +27,7 @@ type t = {
 }
 
 let pipeline t = t.pipeline
-let info t = t.info
 let combo_count t = Array.length t.combos
-let combos t = t.combos
 let rule_count t = Pipeline.rule_count t.pipeline
 
 (* Deterministic derived values: rewrites must depend only on the matched
@@ -231,16 +229,6 @@ let concretize_view t rng view =
   in
   Flow.of_array
     (Array.mapi (fun i c -> value (Field.of_index i) c) view)
-
-let concretize t rng combo =
-  (* Locate the combo's entry view by identity search. *)
-  let idx = ref (-1) in
-  Array.iteri (fun i c -> if c == combo then idx := i) t.combos;
-  let view =
-    if !idx >= 0 then t.entry_views.(!idx)
-    else view_of_cb ~arp:false combo.cb
-  in
-  concretize_view t rng view
 
 let sample_flows ?combo_filter t ~seed ~locality ~n =
   let rng = Rng.create seed in

@@ -40,9 +40,7 @@ val build :
 (** [combos] defaults to 4096 rule chains. Deterministic in [seed]. *)
 
 val pipeline : t -> Gf_pipeline.Pipeline.t
-val info : t -> Gf_pipelines.Catalog.info
 val combo_count : t -> int
-val combos : t -> combo array
 val rule_count : t -> int
 (** Total pipeline rules installed (after deduplication). *)
 
@@ -56,6 +54,3 @@ val sample_flows :
 (** [n] distinct concrete flows.  Deterministic in [seed].  [combo_filter]
     restricts sampling to a subset of combo indices — used to build
     workloads over disjoint rule-space regions (the paper's Fig. 18). *)
-
-val concretize : t -> Gf_util.Rng.t -> combo -> Gf_flow.Flow.t
-(** One concrete flow matching the combo's entry constraints. *)

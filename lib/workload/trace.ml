@@ -144,8 +144,6 @@ type stream = {
 }
 
 let fill s = s.fill
-let stream_unique_flows s = s.stream_unique_flows
-let stream_duration s = s.stream_duration
 
 let stream_of_trace t =
   let pos = ref 0 in

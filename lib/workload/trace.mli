@@ -115,9 +115,6 @@ val fill :
     across calls.  A given [flow_id] is always paired with the same flow
     value (the contract the engine's memoisation relies on). *)
 
-val stream_unique_flows : stream -> int
-val stream_duration : stream -> float
-
 val stream_of_trace : t -> stream
 (** Iterate a materialised trace (one pass; for determinism comparisons
     against array-based replay). *)

@@ -3,6 +3,7 @@
 open Helpers
 module Field = Gf_flow.Field
 module Flow = Gf_flow.Flow
+module Hit = Gf_cache.Hit
 module Action = Gf_pipeline.Action
 module Executor = Gf_pipeline.Executor
 module Pipeline = Gf_pipeline.Pipeline
@@ -10,7 +11,7 @@ module Microflow = Gf_cache.Microflow
 module Megaflow = Gf_cache.Megaflow
 module Cache_stats = Gf_cache.Cache_stats
 
-let a_hit = { Microflow.terminal = Action.Output 1; out_flow = Flow.zero }
+let a_hit = { Hit.terminal = Action.Output 1; out_flow = Flow.zero }
 let hit _cache = a_hit
 
 let test_microflow_basic () =
@@ -103,8 +104,8 @@ let prop_megaflow_consistent =
             match Executor.terminal_of p flow with
             | Ok (terminal, out_flow) ->
                 if
-                  (not (Action.terminal_equal h.Megaflow.terminal terminal))
-                  || not (Flow.equal h.Megaflow.out_flow out_flow)
+                  (not (Action.terminal_equal h.Hit.terminal terminal))
+                  || not (Flow.equal h.Hit.out_flow out_flow)
                 then ok := false
             | Error _ -> ok := false)
         | None, _ -> (
@@ -281,8 +282,8 @@ let prop_megaflow_revalidate_sound =
             match Executor.terminal_of p flow with
             | Ok (terminal, out_flow) ->
                 if
-                  (not (Action.terminal_equal h.Megaflow.terminal terminal))
-                  || not (Flow.equal h.Megaflow.out_flow out_flow)
+                  (not (Action.terminal_equal h.Hit.terminal terminal))
+                  || not (Flow.equal h.Hit.out_flow out_flow)
                 then ok := false
             | Error _ -> ok := false)
         | None, _ -> ()
@@ -346,8 +347,8 @@ let prop_megaflow_any_match_correct =
             match (Megaflow.lookup cache ~now:0.0 flow, Executor.terminal_of p flow) with
             | (Some h, _), Ok (terminal, out_flow) ->
                 if
-                  (not (Action.terminal_equal h.Megaflow.terminal terminal))
-                  || not (Flow.equal h.Megaflow.out_flow out_flow)
+                  (not (Action.terminal_equal h.Hit.terminal terminal))
+                  || not (Flow.equal h.Hit.out_flow out_flow)
                 then ok := false
             | (None, _), _ -> ok := false (* matched entries but lookup missed *)
             | (Some _, _), Error _ -> ok := false)
@@ -410,8 +411,8 @@ let test_megaflow_search_algos_agree () =
     let b, _ = Megaflow.lookup nm ~now:1.0 flow in
     match (a, b) with
     | Some x, Some y ->
-        Alcotest.check terminal_testable "same terminal" x.Megaflow.terminal
-          y.Megaflow.terminal
+        Alcotest.check terminal_testable "same terminal" x.Hit.terminal
+          y.Hit.terminal
     | None, None -> ()
     | Some _, None | None, Some _ -> Alcotest.fail "tss/nm disagree on hit"
   done

@@ -9,6 +9,7 @@
 open Helpers
 module Field = Gf_flow.Field
 module Flow = Gf_flow.Flow
+module Hit = Gf_cache.Hit
 module Mask = Gf_flow.Mask
 module Action = Gf_pipeline.Action
 module Executor = Gf_pipeline.Executor
@@ -345,8 +346,8 @@ let test_ltm_cache_fig5c_walk () =
   let flow = Flow.make [ (Field.Eth_dst, 0xAA); (Field.Tp_src, 80) ] in
   match fst (Ltm_cache.lookup cache ~now:1.0 ~entry_tag:1 flow) with
   | Some hit ->
-      Alcotest.check terminal_testable "terminal" (Action.Output 7) hit.Ltm_cache.terminal;
-      Alcotest.(check int) "two tables matched" 2 hit.Ltm_cache.tables_matched
+      Alcotest.check terminal_testable "terminal" (Action.Output 7) hit.Hit.terminal;
+      Alcotest.(check int) "two tables matched" 2 (Ltm_cache.last_depth cache)
   | None -> Alcotest.fail "expected hit"
 
 let test_ltm_cache_incomplete_walk_misses () =
@@ -524,7 +525,7 @@ let test_ltm_cache_priority_aware_evicts_short () =
   with
   | Some hit ->
       Alcotest.check terminal_testable "long traversal survived" (Action.Output 1)
-        hit.Ltm_cache.terminal
+        hit.Hit.terminal
   | None -> Alcotest.fail "high-priority entry was evicted"
 
 let test_ltm_cache_reject_counters_unchanged () =
@@ -710,8 +711,8 @@ let gigaflow_consistency ?(unwildcard = `Minimal) ~scheme seed =
         match Executor.terminal_of p flow with
         | Ok (terminal, out_flow) ->
             if
-              (not (Action.terminal_equal hit.Ltm_cache.terminal terminal))
-              || not (Flow.equal hit.Ltm_cache.out_flow out_flow)
+              (not (Action.terminal_equal hit.Hit.terminal terminal))
+              || not (Flow.equal hit.Hit.out_flow out_flow)
             then ok := false
         | Error _ -> ok := false)
     | None, _ -> (
@@ -763,8 +764,8 @@ let prop_gigaflow_consistent_perturbed =
                 match Executor.terminal_of p probe with
                 | Ok (terminal, out_flow) ->
                     if
-                      (not (Action.terminal_equal hit.Ltm_cache.terminal terminal))
-                      || not (Flow.equal hit.Ltm_cache.out_flow out_flow)
+                      (not (Action.terminal_equal hit.Hit.terminal terminal))
+                      || not (Flow.equal hit.Hit.out_flow out_flow)
                     then ok := false
                 | Error _ -> ok := false)
             | None, _ -> ()
@@ -841,7 +842,7 @@ let test_gigaflow_revalidation () =
     | Some hit, _ -> (
         match Executor.terminal_of p flow with
         | Ok (terminal, _) ->
-            if not (Action.terminal_equal hit.Ltm_cache.terminal terminal) then
+            if not (Action.terminal_equal hit.Hit.terminal terminal) then
               ok := false
         | Error _ -> ok := false)
     | None, _ -> ()
@@ -1033,8 +1034,8 @@ let test_adaptive_consistency () =
         match Executor.terminal_of p flow with
         | Ok (terminal, out_flow) ->
             if
-              (not (Action.terminal_equal hit.Ltm_cache.terminal terminal))
-              || not (Flow.equal hit.Ltm_cache.out_flow out_flow)
+              (not (Action.terminal_equal hit.Hit.terminal terminal))
+              || not (Flow.equal hit.Hit.out_flow out_flow)
             then ok := false
         | Error _ -> ok := false)
     | None, _ -> ignore (Gigaflow.handle_miss gf ~now:0.0 ~pipeline:p flow)

@@ -4,6 +4,7 @@
 
 module Field = Gf_flow.Field
 module Flow = Gf_flow.Flow
+module Hit = Gf_cache.Hit
 module Action = Gf_pipeline.Action
 module Heavy_hitter = Gf_offload.Heavy_hitter
 module Cuckoo = Gf_cache.Cuckoo
@@ -167,21 +168,21 @@ let test_hh_policy_strings () =
 
 (* ------------------------------ cuckoo ------------------------------ *)
 
-let a_hit = { Cuckoo.terminal = Action.Output 1; out_flow = Flow.zero }
+let a_hit = { Hit.terminal = Action.Output 1; out_flow = Flow.zero }
 
 let test_cuckoo_roundtrip () =
   let c = Cuckoo.create ~capacity:64 () in
   Alcotest.(check bool) "miss first" true (Cuckoo.lookup c ~now:0.0 (flow 1) = None);
   ignore (Cuckoo.install c ~now:0.0 (flow 1) a_hit);
   (match Cuckoo.lookup c ~now:1.0 (flow 1) with
-  | Some h -> Alcotest.(check bool) "terminal" true (h.Cuckoo.terminal = Action.Output 1)
+  | Some h -> Alcotest.(check bool) "terminal" true (h.Hit.terminal = Action.Output 1)
   | None -> Alcotest.fail "installed flow missing");
   Alcotest.(check int) "occupancy" 1 (Cuckoo.occupancy c);
   (* Same-key reinstall replaces, does not duplicate. *)
   ignore (Cuckoo.install c ~now:2.0 (flow 1) { a_hit with terminal = Action.Drop });
   Alcotest.(check int) "still one entry" 1 (Cuckoo.occupancy c);
   match Cuckoo.lookup c ~now:3.0 (flow 1) with
-  | Some h -> Alcotest.(check bool) "replaced" true (h.Cuckoo.terminal = Action.Drop)
+  | Some h -> Alcotest.(check bool) "replaced" true (h.Hit.terminal = Action.Drop)
   | None -> Alcotest.fail "replaced flow missing"
 
 let test_cuckoo_expire_and_flush () =

@@ -500,6 +500,76 @@ let test_per_level_max_idle () =
   Alcotest.(check (float 1e-9)) "spec override wins" 1.5
     (budget overridden "sw-mf")
 
+(* [Cache_level.build] derives each level's whole descriptor from its
+   spec kind: name, tier, install policy, default idle budget (4x the
+   hierarchy's on the host-DRAM levels), host cycles per work unit and the
+   hit-latency model, checked at two work values so a constant and a
+   work-proportional cost cannot pass for each other. *)
+let test_level_descriptors () =
+  let pipeline = Pipebench.pipeline (small_workload ()) in
+  let fixed us ~work:_ = us in
+  let rows =
+    [
+      ( Cache_level.Emc { capacity = 64; max_idle = None; evict = None },
+        "emc",
+        Cache_level.Software,
+        Cache_level.Promote_on_hit,
+        2.0,
+        0,
+        fixed Latency.emc_hit_us );
+      ( Cache_level.Nic_megaflow { capacity = 64; max_idle = None; evict = None },
+        "nic-mf",
+        Cache_level.Hardware,
+        Cache_level.Install_on_miss,
+        2.0,
+        0,
+        fixed Latency.hw_hit_us );
+      ( Cache_level.Sw_megaflow
+          { search = `Nuevomatch; capacity = 64; max_idle = None; evict = None },
+        "sw-mf",
+        Cache_level.Software,
+        Cache_level.Install_on_miss,
+        8.0,
+        Latency.probe_cycles,
+        fun ~work -> Latency.sw_search_us ~algo:`Nuevomatch ~work () );
+      ( Cache_level.Sw_cuckoo { capacity = 64; max_idle = None; evict = None },
+        "sw-ck",
+        Cache_level.Software,
+        Cache_level.Install_on_miss,
+        8.0,
+        0,
+        fixed Latency.cuckoo_hit_us );
+      ( Cache_level.Gf_ltm { gf = Gf_core.Config.default; max_idle = None },
+        "gf",
+        Cache_level.Hardware,
+        Cache_level.Install_on_miss,
+        2.0,
+        0,
+        fixed Latency.hw_hit_us );
+    ]
+  in
+  List.iter
+    (fun (spec, name, tier, policy, max_idle, cpw, hit_us) ->
+      let d =
+        Cache_level.descriptor
+          (Cache_level.build ~default_max_idle:2.0 ~pipeline spec)
+      in
+      Alcotest.(check string) "name" name d.Cache_level.name;
+      Alcotest.(check bool) (name ^ " tier") true (d.Cache_level.tier = tier);
+      Alcotest.(check bool) (name ^ " policy") true (d.Cache_level.policy = policy);
+      Alcotest.(check (float 1e-9)) (name ^ " max_idle") max_idle d.Cache_level.max_idle;
+      Alcotest.(check int) (name ^ " cycles_per_work") cpw d.Cache_level.cycles_per_work;
+      List.iter
+        (fun work ->
+          Alcotest.(check (float 1e-9))
+            (Printf.sprintf "%s hit_us at work %d" name work)
+            (hit_us ~work) (d.Cache_level.hit_us ~work))
+        [ 1; 40 ])
+    rows;
+  Alcotest.(check bool) "the sw-mf row tells NuevoMatch from TSS" true
+    (Latency.sw_search_us ~algo:`Tss ~work:40 ()
+    <> Latency.sw_search_us ~algo:`Nuevomatch ~work:40 ())
+
 (* Satellite: cache transparency.  Whatever the hierarchy — including none
    at all on the hardware side — the terminal decision for every packet
    equals the bare slowpath's, through the walker and through the memoised
@@ -626,6 +696,7 @@ let suite =
     ("hierarchy walker = pre-refactor datapath", `Quick, test_hierarchy_regression);
     ("per-level eviction accounting", `Quick, test_per_level_eviction_accounting);
     ("per-level idle budgets", `Quick, test_per_level_max_idle);
+    ("level descriptors per spec kind", `Quick, test_level_descriptors);
     ("duplicate level names", `Quick, test_duplicate_level_names);
     ("parallel custom hierarchy", `Slow, test_parallel_custom_hierarchy);
     ("pcie model", `Quick, test_pcie_model);
