@@ -45,7 +45,7 @@ type t = {
   by_key : (int, Fmatch.t * payload) Hashtbl.t;
   stats : Cache_stats.t;
   mutable next_key : int;
-  memo_tbl : (int, memo) Hashtbl.t; (* flow id -> last lookup *)
+  memo_tbl : memo Gf_util.Int_tbl.t; (* flow id -> last lookup *)
   mutable generation : int; (* bumped on any structural entry-set change *)
   stable_replay : bool;
       (* hit replays stay exact under entry-set churn (ranked TSS walk) *)
@@ -69,7 +69,7 @@ let create ?(search = `Tss) ?(policy = Evict.Reject) ?(rng_seed = 0x3F1A)
     by_key = Hashtbl.create (index_size capacity);
     stats = Cache_stats.create ();
     next_key = 0;
-    memo_tbl = Hashtbl.create 256;
+    memo_tbl = Gf_util.Int_tbl.create 256;
     generation = 0;
     stable_replay = (search = `Tss);
   }
@@ -115,7 +115,7 @@ let lookup t ~now flow =
    ([generation] guard).  Observably identical to {!lookup}; callers must
    present the same [flow] value for a given [flow_id]. *)
 let lookup_memo t ~now ~flow_id flow =
-  match Hashtbl.find_opt t.memo_tbl flow_id with
+  match Gf_util.Int_tbl.find_opt t.memo_tbl flow_id with
   | Some ({ m_entry = Some entry; _ } as m)
     when entry.Entry.payload.live && (t.stable_replay || m.m_gen = t.generation)
     ->
@@ -150,7 +150,7 @@ let lookup_memo t ~now ~flow_id flow =
           m.m_hit <- hit;
           m.m_work <- work
       | None ->
-          Hashtbl.replace t.memo_tbl flow_id
+          Gf_util.Int_tbl.replace t.memo_tbl flow_id
             { m_gen = t.generation; m_entry = result; m_hit = hit; m_work = work });
       (hit, work)
 
@@ -163,7 +163,7 @@ let lookup_memo t ~now ~flow_id flow =
    [None] once stale, after which the caller must fall back to
    {!lookup_memo} and compile a fresh replay. *)
 let prepare_replay t ~flow_id =
-  match Hashtbl.find_opt t.memo_tbl flow_id with
+  match Gf_util.Int_tbl.find_opt t.memo_tbl flow_id with
   | Some ({ m_entry = Some entry as entry0; _ } as m) ->
       let compiled = Searcher.prepare_replay t.searcher entry in
       let payload = entry.Entry.payload in

@@ -25,7 +25,7 @@ type t = {
   rng : Gf_util.Rng.t;
   tables : Ltm_table.t array;
   stats : Cache_stats.t;
-  memo_tbl : (int, memo) Hashtbl.t; (* flow id -> last lookup *)
+  memo_tbl : memo Gf_util.Int_tbl.t; (* flow id -> last lookup *)
   mutable generation : int; (* bumped on any structural entry-set change *)
   mutable last_depth : int;
       (* tables matched by the most recent lookup: the tag-chain reuse
@@ -47,7 +47,7 @@ let create ?(rng_seed = 0x61F) config =
       Array.init config.Config.tables (fun _ ->
           Ltm_table.create ~capacity:config.Config.table_capacity);
     stats = Cache_stats.create ();
-    memo_tbl = Hashtbl.create 256;
+    memo_tbl = Gf_util.Int_tbl.create 256;
     generation = 0;
     last_depth = 0;
   }
@@ -112,7 +112,7 @@ let lookup t ~now ~entry_tag flow =
    {!lookup}; callers must present the same [flow] value for a given
    [flow_id]. *)
 let lookup_memo t ~now ~entry_tag ~flow_id flow =
-  match Hashtbl.find_opt t.memo_tbl flow_id with
+  match Gf_util.Int_tbl.find_opt t.memo_tbl flow_id with
   | Some m when m.m_gen = t.generation ->
       List.iter (fun s -> s.Ltm_table.last_used <- now) m.m_touched;
       if Option.is_some m.m_result then
@@ -129,7 +129,7 @@ let lookup_memo t ~now ~entry_tag ~flow_id flow =
           m.m_work <- work;
           m.m_touched <- touched
       | None ->
-          Hashtbl.replace t.memo_tbl flow_id
+          Gf_util.Int_tbl.replace t.memo_tbl flow_id
             { m_gen = t.generation; m_result = result; m_work = work; m_touched = touched });
       (result, work)
 
@@ -141,7 +141,7 @@ let lookup_memo t ~now ~entry_tag ~flow_id flow =
    validity is the generation guard plus the memo still holding the same
    result; [None] once stale. *)
 let prepare_replay t ~flow_id =
-  match Hashtbl.find_opt t.memo_tbl flow_id with
+  match Gf_util.Int_tbl.find_opt t.memo_tbl flow_id with
   | Some ({ m_result = Some _ as result0; _ } as m) ->
       Some
         (fun ~now ->

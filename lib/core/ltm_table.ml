@@ -17,15 +17,7 @@ type stored = {
   mutable safe : bool;
 }
 
-(* Tags are small ints: the identity hash spreads them, and a functor
-   table compares them inline where polymorphic [Hashtbl] calls C
-   [caml_hash] on every per-packet find. *)
-module Tag_tbl = Hashtbl.Make (struct
-  type t = int
-
-  let equal = Int.equal
-  let hash t = t land max_int
-end)
+module Tag_tbl = Gf_util.Int_tbl
 
 type t = {
   capacity : int;

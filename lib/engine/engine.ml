@@ -159,8 +159,9 @@ let replay ?telemetry ?(batch_size = default_batch_size)
   let telemetry_of i =
     if Array.length shard_telemetry = 0 then None else Some shard_telemetry.(i)
   in
-  (* Replicate the pipeline in the parent, before any domain runs (table
-     lookups mutate lazily-built indexes). *)
+  (* Replicate the pipeline in the parent, before any domain runs:
+     [Pipeline.copy] builds the parent's stale tables, whose indexes the
+     replicas then share read-only. *)
   let datapaths =
     Array.init domains (fun i ->
         Datapath.create ?telemetry:(telemetry_of i) cfg (Pipeline.copy pipeline))

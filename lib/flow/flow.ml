@@ -11,7 +11,7 @@ let make bindings =
   List.iter (fun (f, v) -> a.(Field.index f) <- truncate f v) bindings;
   a
 
-let get t f = t.(Field.index f)
+let get (t : t) f = t.(Field.index f)
 
 let set t f v =
   let a = Array.copy t in
@@ -51,7 +51,9 @@ let rec hash_loop t i h =
 
 let hash t = hash_loop t 0 0x3bf29ce484222325
 
-let slot t i = t.(i)
+(* The annotation matters: unannotated, [t.(i)] compiles as a generic
+   ['a array] read (float-array tag check, boxing path) behind a call. *)
+let[@inline] slot (t : t) i = t.(i)
 
 let to_array t = Array.copy t
 

@@ -19,8 +19,11 @@ let exact_fields fields =
 
 let prefix f len = make [ (f, Gf_util.Bitops.prefix_mask ~width:(Field.width f) len) ]
 
-let get t f = t.(Field.index f)
-let slot t i = t.(i)
+let get (t : t) f = t.(Field.index f)
+
+(* Annotated for the same reason as [Flow.slot]: a plain int load, not a
+   generic ['a array] read. *)
+let slot (t : t) i = t.(i)
 
 let set t f v =
   let a = Array.copy t in

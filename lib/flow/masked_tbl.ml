@@ -3,7 +3,15 @@
    non-zero slots, so a tuple constraining two fields hashes and compares
    two slots instead of masking all ten into a buffer first.  Most tuple
    probes miss, so each cell keeps its key's hash: a chain walk compares
-   keys only on a hash match and never loads a non-matching key. *)
+   keys only on a hash match and never loads a non-matching key.
+
+   Most misses do not get that far.  A counting filter, as long as the
+   bucket array, holds per cell the number of stored keys whose value on
+   one slot of the mask (the widest mask word, lowest slot on ties) lands
+   there; a probe whose cell is zero is a definite miss, answered after a
+   few loads and one multiply, before the masked hash.  The table grows
+   at load 1/2, so a probe that passes the filter usually lands on an
+   empty bucket. *)
 
 type 'a bucket =
   | Empty
@@ -14,6 +22,10 @@ type 'a t = {
   compiled : int array;
       (* the mask's non-zero slots, ascending, each followed by its mask
          word: [| slot; word; slot; word; ... |] *)
+  fslot : int; (* the filter's slot and its mask word *)
+  fword : int;
+  mutable fshift : int; (* 63 - log2 (length of [filter] and [buckets]) *)
+  mutable filter : int array; (* stored keys per filter cell *)
   mutable size : int;
   mutable buckets : 'a bucket array; (* length is a power of two *)
 }
@@ -26,8 +38,26 @@ let create mask n =
            if w = 0 then [] else [ i; w ])
     |> Array.of_list
   in
-  let rec pow2 k = if k >= n then k else pow2 (2 * k) in
-  { mask; compiled; size = 0; buckets = Array.make (pow2 1) Empty }
+  (* An empty mask filters on slot 0 under word 0: every key's value is 0,
+     so the filter only says whether the table is empty. *)
+  let fslot = ref 0 in
+  for i = 1 to Field.count - 1 do
+    if Gf_util.Bitops.popcount (Mask.slot mask i)
+       > Gf_util.Bitops.popcount (Mask.slot mask !fslot)
+    then fslot := i
+  done;
+  let rec pow2 k bits = if k >= n then (k, bits) else pow2 (2 * k) (bits + 1) in
+  let len, bits = pow2 1 0 in
+  {
+    mask;
+    compiled;
+    fslot = !fslot;
+    fword = Mask.slot mask !fslot;
+    fshift = 63 - bits;
+    filter = Array.make len 0;
+    size = 0;
+    buckets = Array.make len Empty;
+  }
 
 let length t = t.size
 
@@ -58,15 +88,28 @@ let rec find_chain c h flow = function
       if cell.hash = h && matches_from c cell.key flow 0 then Some cell.data
       else find_chain c h flow cell.next
 
+(* Fibonacci hashing: the top bits of the product depend on every bit of
+   the value, so prefix-masked values (low bits zero) spread too. *)
+let[@inline] filter_cell t flow =
+  ((Flow.slot flow t.fslot land t.fword) * 0x3f58476d1ce4e5b9) lsr t.fshift
+
 let find_opt t flow =
-  let h = hash t flow in
-  find_chain t.compiled h flow
-    (Array.unsafe_get t.buckets (h land (Array.length t.buckets - 1)))
+  if Array.unsafe_get t.filter (filter_cell t flow) = 0 then None
+  else
+    let h = hash t flow in
+    find_chain t.compiled h flow
+      (Array.unsafe_get t.buckets (h land (Array.length t.buckets - 1)))
+
+let count t key d =
+  let i = filter_cell t key in
+  t.filter.(i) <- t.filter.(i) + d
 
 let resize t =
   let old = t.buckets in
   let mask = (2 * Array.length old) - 1 in
   t.buckets <- Array.make (mask + 1) Empty;
+  t.filter <- Array.make (mask + 1) 0;
+  t.fshift <- t.fshift - 1;
   let rec move = function
     | Empty -> ()
     | Cons c as cell ->
@@ -74,6 +117,7 @@ let resize t =
         let i = c.hash land mask in
         c.next <- t.buckets.(i);
         t.buckets.(i) <- cell;
+        count t c.key 1;
         move next
   in
   Array.iter move old
@@ -87,7 +131,8 @@ let replace t key data =
     | Empty ->
         t.buckets.(i) <- Cons { hash = h; key; data; next = t.buckets.(i) };
         t.size <- t.size + 1;
-        if t.size > 2 * Array.length t.buckets then resize t
+        count t key 1;
+        if 2 * t.size > Array.length t.buckets then resize t
     | Cons c ->
         if c.hash = h && matches_from t.compiled c.key key 0 then c.data <- data
         else go c.next
@@ -102,7 +147,8 @@ let remove t key =
     | Cons c as cell ->
         if c.hash = h && matches_from t.compiled c.key key 0 then begin
           (match prev with Empty -> t.buckets.(i) <- c.next | Cons p -> p.next <- c.next);
-          t.size <- t.size - 1
+          t.size <- t.size - 1;
+          count t c.key (-1)
         end
         else go cell c.next
   in

@@ -6,7 +6,17 @@
     masked patterns (as {!Fmatch.pattern} is), so probing with a stored key
     finds it too.  The hash is {!Flow.hash}'s mixed FNV-1a restricted to
     the mask's slots; it is private to the table, and {!Flow.hash} stays
-    the hash of whole flows.  Bindings are unique per key. *)
+    the hash of whole flows.  Bindings are unique per key.
+
+    Most classifier probes miss, so the table keeps a counting filter in
+    front of its buckets: per cell, the number of stored keys whose masked
+    value on one slot of the mask (the widest mask word, lowest slot on
+    ties) hashes there.  A probe whose value lands on a zero cell is a
+    definite miss and skips the masked hash and the bucket load.  The
+    filter is exact in what it answers — it only ever says "absent" for
+    an absent key — and it is invisible to callers: classifiers count
+    such a probe like any other.  The table grows at load 1/2, so a probe
+    that passes the filter usually finds an empty bucket. *)
 
 type 'a t
 
@@ -20,7 +30,10 @@ val length : 'a t -> int
 val find_opt : 'a t -> Flow.t -> 'a option
 (** [find_opt t flow] is the binding of the pattern [Mask.apply m flow],
     [m] the table's mask, if any.  [flow] need not be masked; the probe
-    allocates only the result's [Some]. *)
+    allocates only the result's [Some].  When no stored key shares
+    [flow]'s filter cell, the answer is [None] after a few loads and one
+    multiply, without hashing [flow] under [m]; any other probe hashes and
+    walks its bucket's chain. *)
 
 val replace : 'a t -> Flow.t -> 'a -> unit
 (** [replace t key v] binds the pattern [key], replacing any binding it

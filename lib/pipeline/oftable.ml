@@ -249,21 +249,15 @@ let rebuild t =
 
 let ensure t = if t.dirty then rebuild t
 
-(* Independent replica for a parallel-replay domain: shares the (immutable)
-   rules but owns its search state — the tuple tables and lazy-rebuild flag
-   are mutated during lookups, so replicas must not share them across
-   domains. *)
+(* Replica for a parallel-replay domain.  It owns its rule set and its
+   lazy-rebuild flag but shares the source's built tuples: lookups only
+   read them, and [rebuild] never mutates a tuple it did not just create,
+   so an [add_rule]/[remove_rule] on either side marks only that side
+   dirty and its rebuild leaves the other's tuples alone.  Building the
+   source first means N replicas cost one rebuild, not N. *)
 let copy t =
-  {
-    id = t.id;
-    name = t.name;
-    match_fields = t.match_fields;
-    miss = t.miss;
-    rules = Hashtbl.copy t.rules;
-    tuples = [];
-    dirty = true;
-    unwildcard = t.unwildcard;
-  }
+  ensure t;
+  { t with rules = Hashtbl.copy t.rules }
 
 let add_rule t (r : Ofrule.t) =
   if Hashtbl.mem t.rules r.id then

@@ -55,10 +55,11 @@ val set_unwildcard : t -> unwildcard -> unit
     side by side, from different domains too. *)
 
 val copy : t -> t
-(** Independent replica sharing the (immutable) rules but owning its search
-    state (tuple tables, lazy rebuild) — safe to use from another domain
-    while the original keeps serving lookups.  Keeps the unwildcard mode.
-    See {!Pipeline.copy}. *)
+(** Independent replica owning its rule set and lazy-rebuild flag — safe
+    to use from another domain while the original keeps serving lookups.
+    Builds [t]'s tuple index if stale, then shares it: lookups only read
+    it, and a rule change on either side rebuilds fresh tuples for that
+    side alone.  Keeps the unwildcard mode.  See {!Pipeline.copy}. *)
 
 val lookup : t -> Gf_flow.Flow.t -> lookup_result
 (** Highest-priority matching rule; ties broken toward the lowest rule id

@@ -22,9 +22,11 @@ let create ~name ~entry tables =
 let entry t = t.entry
 let version t = t.version
 
-(* Per-domain replica for parallel replay: table lookups mutate
-   lazily-rebuilt tuple indexes, so domains must not share
-   [Oftable.t]s.  Rule records themselves are immutable and stay shared.
+(* Per-domain replica for parallel replay: each table is an
+   [Oftable.copy], which owns its rule set and rebuild flag but shares
+   the source's built (read-only) tuple index, so domains may look up
+   side by side and a rule change rebuilds only the changed replica.
+   Rule records themselves are immutable and stay shared.
    Preserves [version] (cache entries installed from the replica carry the
    same revalidation version) and [next_rule_id]. *)
 let copy t =

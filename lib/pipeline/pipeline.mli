@@ -14,10 +14,11 @@ val entry : t -> int
 val version : t -> int
 
 val copy : t -> t
-(** Independent replica for a parallel-replay domain: same tables, rules and
-    version and unwildcard mode, but private lookup state (lazily rebuilt
-    tuple indexes) so concurrent replays never race.  Rule mutations on either side are not
-    seen by the other. *)
+(** Independent replica for a parallel-replay domain: same tables, rules,
+    version and unwildcard mode.  Each table is an {!Oftable.copy}: the
+    built tuple index is shared read-only, so concurrent replays never
+    race, and rule mutations on either side are not seen by the other.
+    Call it from the domain that owns [t]: it builds [t]'s stale tables. *)
 
 val set_unwildcard : t -> Oftable.unwildcard -> unit
 (** Set every table's {!Oftable.unwildcard} mode; {!copy} keeps it. *)

@@ -316,7 +316,7 @@ type t = {
       (* The telemetry's flight recorder, resolved once here: [Some] iff
          telemetry is attached with event tracing on.  Every emission site
          offers its event through [note]. *)
-  traversal_memo : (int, (Traversal.t, Executor.error) result) Hashtbl.t;
+  traversal_memo : (Traversal.t, Executor.error) result Gf_util.Int_tbl.t;
       (* flow id -> memoised [Executor.execute] result, used only by the
          memoised walk ([process_memo]).  [Executor.execute] is observably
          pure over a fixed pipeline, so the memo is valid for a whole run;
@@ -418,7 +418,7 @@ let create ?telemetry cfg pipeline =
     last_expire = 0.0;
     telemetry;
     recorder = Option.bind telemetry Telemetry.recorder;
-    traversal_memo = Hashtbl.create 256;
+    traversal_memo = Gf_util.Int_tbl.create 256;
     replay_tbl = Array.make 1024 None;
     hh;
     hh_threshold;
@@ -568,7 +568,7 @@ let maybe_expire t ~now =
 let revalidate t =
   (* The pipeline (possibly) changed: memoised slowpath traversals and
      compiled replays are stale. *)
-  Hashtbl.reset t.traversal_memo;
+  Gf_util.Int_tbl.reset t.traversal_memo;
   Array.fill t.replay_tbl 0 (Array.length t.replay_tbl) None;
   t.reval_gen <- t.reval_gen + 1;
   let total_evicted = ref 0 and total_work = ref 0 in
@@ -706,11 +706,11 @@ let trace_probe t tr ~level:i ~now ~work ~cpw ~depth outcome =
    and all accounting stay live. *)
 let traversal t ~memo ~flow_id flow =
   if memo then (
-    match Hashtbl.find_opt t.traversal_memo flow_id with
+    match Gf_util.Int_tbl.find_opt t.traversal_memo flow_id with
     | Some r -> r
     | None ->
         let r = Executor.execute t.pipeline flow in
-        Hashtbl.replace t.traversal_memo flow_id r;
+        Gf_util.Int_tbl.replace t.traversal_memo flow_id r;
         r)
   else Executor.execute t.pipeline flow
 

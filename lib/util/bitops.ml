@@ -23,7 +23,7 @@ let is_subset ~sub ~super = sub land super = sub
 
 (* splitmix64's finaliser with its multipliers cut to 62 bits (still odd,
    so each step stays a bijection on OCaml's 63-bit ints). *)
-let mix h =
+let[@inline] mix h =
   let h = (h lxor (h lsr 31)) * 0x3f58476d1ce4e5b9 in
   let h = (h lxor (h lsr 29)) * 0x14d049bb133111eb in
   (h lxor (h lsr 32)) land max_int

@@ -102,6 +102,21 @@ let prop_mask_subsumes_weaker =
       (not (Mask.matches m ~pattern:pat flow))
       || Mask.matches loose ~pattern:pat flow)
 
+(* A flow with every field drawn over its full width: distinct keys under
+   any mask wider than a few bits. *)
+let wide_flow rng =
+  Flow.make
+    (List.map
+       (fun f -> (f, Gf_util.Rng.int rng (1 lsl min 30 (Field.width f))))
+       (Array.to_list Field.all))
+
+let agrees tbl reference m probes =
+  Masked_tbl.length tbl = Flow.Tbl.length reference
+  && List.for_all
+       (fun flow ->
+         Masked_tbl.find_opt tbl flow = Flow.Tbl.find_opt reference (Mask.apply m flow))
+       probes
+
 (* Property: the masked-key table, probed with unmasked flows, answers
    exactly as a [Flow.Tbl] probed with the masked flow, through random
    inserts and removes (removes also by unmasked flow), starting from one
@@ -124,15 +139,78 @@ let prop_masked_tbl_agrees =
           Flow.Tbl.replace reference (Mask.apply m flow) i
         end
       done;
-      Masked_tbl.length tbl = Flow.Tbl.length reference
-      && List.for_all
-           (fun _ ->
-             let flow = pool_flow rng in
-             Masked_tbl.find_opt tbl flow = Flow.Tbl.find_opt reference (Mask.apply m flow))
-           (List.init 200 Fun.id)
+      agrees tbl reference m (List.init 200 (fun _ -> pool_flow rng))
       && Masked_tbl.fold
            (fun key v ok -> ok && Flow.Tbl.find_opt reference key = Some v)
            tbl true)
+
+(* Property: the miss filter never hides a binding as the table grows from
+   one bucket through many resizes, is emptied again by removals, and is
+   refilled.  [Tp_src] joins every mask so there are enough distinct keys
+   to force the growth. *)
+let prop_masked_tbl_filter_lifecycle =
+  QCheck2.Test.make ~name:"masked tbl filter: grow, empty, refill" ~count:100
+    QCheck2.Gen.(pair gen_mask (0 -- 1_000_000))
+    (fun (m, seed) ->
+      let m = Mask.union m (Mask.exact_fields [ Field.Tp_src ]) in
+      let rng = Gf_util.Rng.create seed in
+      let tbl = Masked_tbl.create m 1 in
+      let reference = Flow.Tbl.create 16 in
+      let flows = List.init 300 (fun _ -> wide_flow rng) in
+      let probes = List.init 100 (fun _ -> wide_flow rng) @ flows in
+      let fill () =
+        List.iteri
+          (fun i flow ->
+            Masked_tbl.replace tbl (Mask.apply m flow) i;
+            Flow.Tbl.replace reference (Mask.apply m flow) i)
+          flows
+      in
+      fill ();
+      (* From one bucket, five keys already mean four resizes. *)
+      let grown = Masked_tbl.length tbl >= 5 && agrees tbl reference m probes in
+      List.iter
+        (fun flow ->
+          Masked_tbl.remove tbl flow;
+          Flow.Tbl.remove reference (Mask.apply m flow);
+          (* Removing an absent key must leave the filter counts alone. *)
+          Masked_tbl.remove tbl flow)
+        flows;
+      let emptied =
+        Masked_tbl.length tbl = 0
+        && List.for_all (fun flow -> Masked_tbl.find_opt tbl flow = None) probes
+      in
+      fill ();
+      grown && emptied && agrees tbl reference m probes)
+
+(* The filter keys on the widest mask word (here [Eth_dst]).  When every
+   key shares that value the filter passes every probe with it, and the
+   table must still answer from the chains alone. *)
+let test_masked_tbl_shared_filter_value () =
+  let m = Mask.exact_fields [ Field.Eth_dst; Field.Tp_dst ] in
+  let tbl = Masked_tbl.create m 1 in
+  let flow ?(eth = 0xaabbcc) tp = Flow.make [ (Field.Eth_dst, eth); (Field.Tp_dst, tp) ] in
+  for tp = 0 to 499 do
+    Masked_tbl.replace tbl (flow tp) tp
+  done;
+  for tp = 0 to 999 do
+    Alcotest.(check (option int))
+      (Printf.sprintf "tp %d" tp)
+      (if tp < 500 then Some tp else None)
+      (Masked_tbl.find_opt tbl (flow tp))
+  done;
+  Alcotest.(check (option int)) "other eth_dst" None (Masked_tbl.find_opt tbl (flow ~eth:1 7));
+  for tp = 0 to 249 do
+    Masked_tbl.remove tbl (flow tp)
+  done;
+  Alcotest.(check int) "half removed" 250 (Masked_tbl.length tbl);
+  for tp = 0 to 499 do
+    Alcotest.(check (option int))
+      (Printf.sprintf "after removal, tp %d" tp)
+      (if tp >= 250 then Some tp else None)
+      (Masked_tbl.find_opt tbl (flow tp))
+  done;
+  Masked_tbl.replace tbl (flow 7) 70;
+  Alcotest.(check (option int)) "re-inserted" (Some 70) (Masked_tbl.find_opt tbl (flow 7))
 
 let test_fmatch_canonical () =
   let pattern = Flow.make [ (Field.Ip_dst, 0x0A0000FF) ] in
@@ -360,6 +438,34 @@ let test_equal_allocation_free () =
   let words = Gc.minor_words () -. before in
   Alcotest.(check bool) (Printf.sprintf "%.0f minor words" words) true (words <= 4.)
 
+(* Every TSS walk is mostly missing probes: a miss, whether the filter or
+   the chain answers it, must allocate nothing.  Net of the cost of the
+   [Gc.minor_words] reads themselves, measured back to back. *)
+let test_masked_tbl_miss_allocation_free () =
+  let m = Mask.union (Mask.prefix Field.Ip_dst 24) (Mask.exact_fields [ Field.Tp_dst ]) in
+  let tbl = Masked_tbl.create m 1 in
+  for i = 0 to 99 do
+    Masked_tbl.replace tbl
+      (Flow.make [ (Field.Ip_dst, 0x0A000000 lor (i lsl 8)); (Field.Tp_dst, 80) ])
+      i
+  done;
+  let probes =
+    Array.init 64 (fun i ->
+        (* Even i: an absent /24 (filter miss); odd i: a present /24 with
+           an absent port (chain miss, unless the filter cell collides). *)
+        let net = if i land 1 = 0 then 0x0B000000 lor (i lsl 8) else 0x0A000000 lor (i lsl 8) in
+        Flow.make [ (Field.Ip_dst, net lor 7); (Field.Tp_dst, 443) ])
+  in
+  Array.iter (fun p -> assert (Masked_tbl.find_opt tbl p = None)) probes;
+  let r0 = Gc.minor_words () in
+  let r1 = Gc.minor_words () in
+  let before = Gc.minor_words () in
+  for i = 1 to 10_000 do
+    ignore (Sys.opaque_identity (Masked_tbl.find_opt tbl probes.(i land 63)))
+  done;
+  let words = Gc.minor_words () -. before -. (r1 -. r0) in
+  Alcotest.(check (float 0.)) "minor words" 0. words
+
 let test_headers_ipv4 () =
   Alcotest.(check int) "parse" 0x0A000001 (Headers.ipv4 "10.0.0.1");
   Alcotest.(check string) "print" "10.0.0.1" (Headers.ipv4_to_string 0x0A000001);
@@ -403,6 +509,8 @@ let suite =
     ("masked tbl spreads prefixes", `Quick, test_masked_tbl_spreads_prefixes);
     ("masked tbl rejects unmasked key", `Quick, test_masked_tbl_rejects_unmasked_key);
     ("equal allocation-free", `Quick, test_equal_allocation_free);
+    ("masked tbl shared filter value", `Quick, test_masked_tbl_shared_filter_value);
+    ("masked tbl miss allocation-free", `Quick, test_masked_tbl_miss_allocation_free);
     ("headers ipv4", `Quick, test_headers_ipv4);
     ("headers mac", `Quick, test_headers_mac);
     ("headers tcp", `Quick, test_headers_tcp);
@@ -414,6 +522,7 @@ let props =
     prop_mask_matches_semantics;
     prop_mask_subsumes_weaker;
     prop_masked_tbl_agrees;
+    prop_masked_tbl_filter_lifecycle;
     prop_fmatch_overlap_symmetric;
     prop_fmatch_overlap_witness;
     prop_fmatch_specific;

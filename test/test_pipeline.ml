@@ -63,6 +63,54 @@ let test_oftable_priority_selection () =
   | `Hit r -> Alcotest.(check int) "broad catches rest" 1 r.Ofrule.id
   | `Miss -> Alcotest.fail "expected hit"
 
+(* Copies share the source's built tuple index: a rule added to one copy
+   must rebuild that copy alone, and the source and a sibling copy keep
+   answering from the old index, consulted wildcard and probes included. *)
+let test_oftable_copy_isolated () =
+  let t =
+    mk_table
+      [
+        Ofrule.v ~id:1 ~priority:1 ~fmatch:(Fmatch.of_fields [ (Field.Vlan, 1) ])
+          ~action:(Action.output 1);
+        Ofrule.v ~id:2 ~priority:5
+          ~fmatch:(Fmatch.with_prefix Fmatch.any Field.Ip_dst ~value:0x0A000000 ~len:8)
+          ~action:(Action.output 2);
+      ]
+  in
+  let flows =
+    [
+      Flow.make [ (Field.Vlan, 1); (Field.Tp_dst, 80) ];
+      Flow.make [ (Field.Vlan, 1); (Field.Ip_dst, 0x0A010203); (Field.Tp_dst, 80) ];
+      Flow.make [ (Field.Vlan, 2); (Field.Tp_dst, 80) ];
+    ]
+  in
+  let answer table flow =
+    let r = Oftable.lookup table flow in
+    ( (match r.Oftable.outcome with `Hit r -> r.Ofrule.id | `Miss -> -1),
+      Mask.to_string r.Oftable.consulted,
+      r.Oftable.probes )
+  in
+  let before = List.map (answer t) flows in
+  let changed = Oftable.copy t in
+  let sibling = Oftable.copy t in
+  Oftable.add_rule changed
+    (Ofrule.v ~id:3 ~priority:9
+       ~fmatch:(Fmatch.of_fields [ (Field.Tp_dst, 80) ])
+       ~action:(Action.output 3));
+  let answers table = List.map (answer table) flows in
+  let same = Alcotest.(list (triple int string int)) in
+  Alcotest.check same "source unchanged" before (answers t);
+  Alcotest.check same "sibling unchanged" before (answers sibling);
+  Alcotest.(check (list int)) "changed copy sees its rule" [ 3; 3; 3 ]
+    (List.map (fun (id, _, _) -> id) (answers changed));
+  Alcotest.(check bool) "source remove is private" true (Oftable.remove_rule t 2);
+  Alcotest.check same "sibling unchanged after source remove" before (answers sibling);
+  (* Force the sibling's own rebuild: it must see its rules alone. *)
+  Oftable.add_rule sibling
+    (Ofrule.v ~id:4 ~priority:0 ~fmatch:Fmatch.any ~action:(Action.output 4));
+  Alcotest.(check bool) "sibling remove" true (Oftable.remove_rule sibling 4);
+  Alcotest.check same "sibling rebuilt from its own rules" before (answers sibling)
+
 let test_oftable_tie_break_lowest_id () =
   let fm = Fmatch.of_fields [ (Field.Vlan, 1) ] in
   let fm2 = Fmatch.of_fields [ (Field.Vlan, 1); (Field.In_port, 0) ] in
@@ -690,6 +738,7 @@ let suite =
     ("ofrule same_behaviour", `Quick, test_ofrule_same_behaviour);
     ("oftable priority selection", `Quick, test_oftable_priority_selection);
     ("oftable tie-break by id", `Quick, test_oftable_tie_break_lowest_id);
+    ("oftable copies isolated", `Quick, test_oftable_copy_isolated);
     ("oftable remove", `Quick, test_oftable_remove);
     ("minimal unwildcarding (paper 4.2.3 example)", `Quick, test_minimal_unwildcarding_paper_example);
     ("unwildcard tight for single rule", `Quick, test_unwildcard_tight_single_rule);
