@@ -294,13 +294,18 @@ let setup_term =
       | `Caida -> Pipebench.make ~combos ~unique_flows:flows ~info ~locality ~seed ()
     in
     (* Gigaflow-based presets take the LTM geometry; Megaflow-based ones get
-       the same total entry budget (tables x capacity) in one table. *)
+       the same total entry budget (tables x capacity) in one table.  Each
+       flag given overrides the preset's default. *)
+    let given with_ v cfg = Option.fold ~none:cfg ~some:(fun v -> with_ v cfg) v in
     let cfg =
       Option.get
         (Datapath.preset
            ~gf:(Gf_core.Config.v ~tables ~table_capacity:capacity ())
-           ~mf_capacity:(tables * capacity) ?policy ?max_idle ?sw_search ?admission
-           hierarchy)
+           ~mf_capacity:(tables * capacity) hierarchy)
+      |> given Datapath.with_max_idle max_idle
+      |> given Datapath.with_sw_search sw_search
+      |> given Datapath.with_admission admission
+      |> given Datapath.with_policy policy
     in
     let cfg =
       List.fold_left

@@ -71,8 +71,8 @@ let () =
             let segs = List.length outcome.Gigaflow.segments in
             let fresh, shared =
               match outcome.Gigaflow.install with
-              | Ltm_cache.Installed { fresh; shared; _ } -> (fresh, shared)
-              | Ltm_cache.Rejected -> (0, 0)
+              | Gf_cache.Install.Installed { fresh; shared; _ } -> (fresh, shared)
+              | Gf_cache.Install.Rejected -> (0, 0)
             in
             Printf.printf
               "%-34s -> miss: slowpath took %d lookups, cached %d sub-traversals \

@@ -15,7 +15,6 @@ type t = {
   hits : Hit.t array;
   last_used : float array;
   occupied : bool array;
-  stats : Cache_stats.t;
   mutable size : int;
 }
 
@@ -41,7 +40,6 @@ let create ?(policy = Evict.Lru) ?(rng_seed = 0xCC00) ~capacity () =
     hits = Array.make nslots dummy_hit;
     last_used = Array.make nslots 0.0;
     occupied = Array.make nslots false;
-    stats = Cache_stats.create ();
     size = 0;
   }
 
@@ -57,7 +55,6 @@ let set_capacity t capacity =
   if capacity < 1 then invalid_arg "Cuckoo.set_capacity: capacity must be >= 1";
   t.capacity <- min capacity (t.nbuckets * bucket_width)
 let occupancy t = t.size
-let stats t = t.stats
 
 let bucket1 t key = Flow.hash key land t.bmask
 
@@ -98,13 +95,9 @@ let lookup t ~now flow =
   let s = find_slot t flow in
   if s >= 0 then begin
     t.last_used.(s) <- now;
-    Cache_stats.record_lookup t.stats ~hit:true;
     Some t.hits.(s)
   end
-  else begin
-    Cache_stats.record_lookup t.stats ~hit:false;
-    None
-  end
+  else None
 
 let clear_slot t s =
   t.occupied.(s) <- false;
@@ -155,11 +148,7 @@ let rec kick t ~depth b key hit lu =
     fill_slot t s key hit lu;
     0
   end
-  else if depth >= max_kicks then begin
-    t.stats.Cache_stats.pressure_evictions <-
-      t.stats.Cache_stats.pressure_evictions + 1;
-    1
-  end
+  else if depth >= max_kicks then 1
   else begin
     let base = b * bucket_width in
     let v = base + Gf_util.Rng.int t.rng bucket_width in
@@ -177,25 +166,19 @@ let install t ~now flow hit =
   if s >= 0 then begin
     t.hits.(s) <- hit;
     t.last_used.(s) <- now;
-    t.stats.Cache_stats.installs <- t.stats.Cache_stats.installs + 1;
-    0
+    Install.Installed { fresh = 1; shared = 0; pressure_evicted = 0 }
   end
   else begin
     let b1 = bucket1 t flow in
     let b2 = alt_bucket t flow b1 in
     let over = t.size >= t.capacity in
-    if over && t.policy = Evict.Reject then begin
-      t.stats.Cache_stats.rejected <- t.stats.Cache_stats.rejected + 1;
-      0
-    end
+    if over && t.policy = Evict.Reject then Install.Rejected
     else begin
       let pressure =
         if over then begin
           let v = pick_victim t b1 b2 in
           if v >= 0 then begin
             clear_slot t v;
-            t.stats.Cache_stats.pressure_evictions <-
-              t.stats.Cache_stats.pressure_evictions + 1;
             1
           end
           else 0
@@ -206,20 +189,18 @@ let install t ~now flow hit =
       let s = if s >= 0 then s else empty_in_bucket t b2 in
       if s >= 0 then begin
         fill_slot t s flow hit now;
-        t.stats.Cache_stats.installs <- t.stats.Cache_stats.installs + 1;
-        pressure
+        Install.Installed { fresh = 1; shared = 0; pressure_evicted = pressure }
       end
-      else if t.policy = Evict.Reject then begin
-        (* both buckets full: under Reject nothing may be displaced *)
-        t.stats.Cache_stats.rejected <- t.stats.Cache_stats.rejected + 1;
-        pressure
-      end
+      else if t.policy = Evict.Reject then
+        (* both buckets full: under Reject nothing may be displaced (and
+           nothing was evicted above, the table being under capacity) *)
+        Install.Rejected
       else begin
         (* displace a resident of b2 and re-home it down a bounded chain:
            the newcomer overwrites the first victim in place (net size
            unchanged — one in, one in hand), then the chain either finds
            the victim a home (net +1, counted by [fill_slot]) or drops the
-           last displaced entry (net 0, counted inside [kick]) *)
+           last displaced entry (net 0, one pressure eviction) *)
         let b = b2 in
         let base = b * bucket_width in
         let v = base + Gf_util.Rng.int t.rng bucket_width in
@@ -230,8 +211,7 @@ let install t ~now flow hit =
         let vb1 = bucket1 t vkey in
         let vb = if vb1 = b then alt_bucket t vkey vb1 else vb1 in
         let dropped = kick t ~depth:1 vb vkey vhit vlu in
-        t.stats.Cache_stats.installs <- t.stats.Cache_stats.installs + 1;
-        pressure + dropped
+        Install.Installed { fresh = 1; shared = 0; pressure_evicted = pressure + dropped }
       end
     end
   end
@@ -244,7 +224,6 @@ let expire t ~now ~max_idle =
       incr n
     end
   done;
-  t.stats.Cache_stats.evictions <- t.stats.Cache_stats.evictions + !n;
   !n
 
 let invalidate_all t =
@@ -253,5 +232,4 @@ let invalidate_all t =
   Array.fill t.keys 0 (Array.length t.keys) Flow.zero;
   Array.fill t.hits 0 (Array.length t.hits) dummy_hit;
   t.size <- 0;
-  t.stats.Cache_stats.evictions <- t.stats.Cache_stats.evictions + n;
   n

@@ -36,15 +36,17 @@ val set_capacity : t -> int -> unit
     evict residents — the new bound bites on the next install. *)
 
 val occupancy : t -> int
-val stats : t -> Cache_stats.t
 
 val lookup : t -> now:float -> Gf_flow.Flow.t -> Hit.t option
 (** Refreshes the entry's last-used time on a hit. *)
 
-val install : t -> now:float -> Gf_flow.Flow.t -> Hit.t -> int
-(** Insert (replacing any existing entry for the same key).  Returns the
-    number of entries evicted under pressure (0 or 1).  Under [Reject] a
-    refused install is counted in [Cache_stats.rejected] and returns 0. *)
+val install : t -> now:float -> Gf_flow.Flow.t -> Hit.t -> Install.t
+(** Insert (replacing any existing entry for the same key): [Installed]
+    with [fresh = 1], a re-install of a present key included, and
+    [pressure_evicted] the entries evicted under pressure (a policy
+    victim, a dropped end of a failed kick chain, or both).  Under
+    [Reject] a full table or a full bucket pair refuses the install and
+    returns [Rejected]. *)
 
 val expire : t -> now:float -> max_idle:float -> int
 (** Remove entries idle longer than [max_idle]; returns how many. *)

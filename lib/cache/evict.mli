@@ -1,10 +1,12 @@
 (** Replacement policies for capacity pressure.
 
-    Every cache level (Microflow, Megaflow, the Gigaflow LTM tables) accepts
-    a policy deciding what happens when an install arrives at a full table:
+    Every cache level (Microflow, the cuckoo table, Megaflow, the Gigaflow
+    LTM tables) accepts a policy deciding what happens when an install
+    arrives at a full table:
 
-    - [Reject]: refuse the install and count it (the seed behaviour — a full
-      cache stays frozen until idle-expiry or revalidation frees slots).
+    - [Reject]: refuse the install, which returns {!Install.Rejected} (the
+      seed behaviour — a full cache stays frozen until idle-expiry or
+      revalidation frees slots).
     - [Lru]: evict the least recently used admissible entry.
     - [Random]: evict a uniformly random admissible entry (what many NIC
       flow-table offload engines ship, being state-free in hardware).
@@ -12,9 +14,10 @@
       (ties broken LRU); levels without meaningful priorities fall back to
       the oldest pipeline version, then LRU.
 
-    Evictions made to admit a new entry are counted as
-    [Cache_stats.pressure_evictions], separate from idle-expiry and
-    revalidation evictions. *)
+    Evictions made to admit a new entry are returned in the install's
+    [pressure_evicted] ({!Install.t}); the datapath's per-level
+    [Gf_sim.Metrics] counts them apart from idle-expiry and revalidation
+    evictions. *)
 
 type policy = Reject | Lru | Random | Priority_aware
 

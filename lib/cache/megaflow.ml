@@ -43,7 +43,6 @@ type t = {
   searcher : payload Searcher.t;
   by_fmatch : int Fmatch.Tbl.t; (* match -> classifier key *)
   by_key : (int, Fmatch.t * payload) Hashtbl.t;
-  stats : Cache_stats.t;
   mutable next_key : int;
   memo_tbl : memo Gf_util.Int_tbl.t; (* flow id -> last lookup *)
   mutable generation : int; (* bumped on any structural entry-set change *)
@@ -67,7 +66,6 @@ let create ?(search = `Tss) ?(policy = Evict.Reject) ?(rng_seed = 0x3F1A)
     searcher = Searcher.create search;
     by_fmatch = Fmatch.Tbl.create (index_size capacity);
     by_key = Hashtbl.create (index_size capacity);
-    stats = Cache_stats.create ();
     next_key = 0;
     memo_tbl = Gf_util.Int_tbl.create 256;
     generation = 0;
@@ -86,7 +84,6 @@ let set_capacity t capacity =
   t.capacity <- capacity
 
 let occupancy t = Hashtbl.length t.by_key
-let stats t = t.stats
 
 (* One array copy for the whole commit (none when it is empty), not one
    [Flow.set] copy per field — this runs on every cache hit. *)
@@ -98,16 +95,13 @@ let lookup t ~now flow =
   | Some entry ->
       let payload = entry.Entry.payload in
       payload.last_used <- now;
-      Cache_stats.record_lookup t.stats ~hit:true;
       let out_flow = apply_commit payload.commit flow in
       (Some { Hit.terminal = payload.terminal; out_flow }, work)
-  | None ->
-      Cache_stats.record_lookup t.stats ~hit:false;
-      (None, work)
+  | None -> (None, work)
 
 (* Memoised lookup keyed by trace flow id.  A repeat packet of a known
    flow replays the previous result: same hit record, same touch side
-   effects (last-used refresh, stats, TSS rank promotion — probe work is
+   effects (last-used refresh, TSS rank promotion — probe work is
    recomputed from the tuple's current rank so it matches what a live
    ranked walk would report).  Hit memos stay valid across installs and
    unrelated evictions (entry [live] flag + positional replay); miss memos
@@ -121,10 +115,8 @@ let lookup_memo t ~now ~flow_id flow =
     ->
       let payload = entry.Entry.payload in
       payload.last_used <- now;
-      Cache_stats.record_lookup t.stats ~hit:true;
       (m.m_hit, Searcher.replay_disjoint t.searcher entry ~prev_work:m.m_work)
   | Some ({ m_entry = None; _ } as m) when m.m_gen = t.generation ->
-      Cache_stats.record_lookup t.stats ~hit:false;
       (None, m.m_work)
   | memo ->
       let result, work = Searcher.lookup_disjoint t.searcher flow in
@@ -133,15 +125,12 @@ let lookup_memo t ~now ~flow_id flow =
         | Some entry ->
             let payload = entry.Entry.payload in
             payload.last_used <- now;
-            Cache_stats.record_lookup t.stats ~hit:true;
             Some
               {
                 Hit.terminal = payload.terminal;
                 out_flow = apply_commit payload.commit flow;
               }
-        | None ->
-            Cache_stats.record_lookup t.stats ~hit:false;
-            None
+        | None -> None
       in
       (match memo with
       | Some m ->
@@ -156,7 +145,7 @@ let lookup_memo t ~now ~flow_id flow =
 
 (* Compiled hit replay for the datapath's per-flow fast path: after
    {!lookup_memo} stored a hit for [flow_id], return a closure performing
-   just that hit's per-packet side effects (touch, stats, ranked-walk work
+   just that hit's per-packet side effects (touch, ranked-walk work
    + promotion) with every lookup hoisted out — no memo-table find, no
    mask hash.  The closure re-validates on each call (entry unchanged and
    still live, plus the generation guard for stateless search) and returns
@@ -174,7 +163,6 @@ let prepare_replay t ~flow_id =
             && (t.stable_replay || m.m_gen = t.generation)
           then begin
             payload.last_used <- now;
-            Cache_stats.record_lookup t.stats ~hit:true;
             Some (match compiled with Some f -> f () | None -> m.m_work)
           end
           else None)
@@ -190,7 +178,7 @@ let collapse traversal =
   in
   (fmatch, commit, traversal.Traversal.terminal)
 
-let remove_key_quiet t key =
+let remove_key t key =
   match Hashtbl.find_opt t.by_key key with
   | None -> ()
   | Some (fmatch, payload) ->
@@ -249,7 +237,7 @@ let install t ~now ~version traversal =
           (* by_fmatch and by_key index the same entry set; a key present in
              one but not the other means an eviction path forgot a table. *)
           assert false);
-      `Exists
+      Install.Installed { fresh = 0; shared = 0; pressure_evicted = 0 }
   | None ->
       let pressure = ref 0 in
       while
@@ -257,19 +245,14 @@ let install t ~now ~version traversal =
         &&
         match pick_victim t with
         | Some victim ->
-            remove_key_quiet t victim;
-            t.stats.Cache_stats.pressure_evictions <-
-              t.stats.Cache_stats.pressure_evictions + 1;
+            remove_key t victim;
             incr pressure;
             true
         | None -> false
       do
         ()
       done;
-      if occupancy t >= t.capacity then begin
-        t.stats.Cache_stats.rejected <- t.stats.Cache_stats.rejected + 1;
-        `Rejected
-      end
+      if occupancy t >= t.capacity then Install.Rejected
       else begin
         let key = t.next_key in
         t.next_key <- key + 1;
@@ -286,22 +269,11 @@ let install t ~now ~version traversal =
         Searcher.insert t.searcher (Entry.v ~key ~fmatch ~priority:0 payload);
         Fmatch.Tbl.replace t.by_fmatch fmatch key;
         Hashtbl.replace t.by_key key (fmatch, payload);
-        t.stats.Cache_stats.installs <- t.stats.Cache_stats.installs + 1;
         (* Entry set changed (insert, plus any pressure evictions above):
            invalidate memoised lookups. *)
         t.generation <- t.generation + 1;
-        `Installed !pressure
+        Install.Installed { fresh = 1; shared = 0; pressure_evicted = !pressure }
       end
-
-let remove_key t key =
-  match Hashtbl.find_opt t.by_key key with
-  | None -> ()
-  | Some (fmatch, payload) ->
-      payload.live <- false;
-      Hashtbl.remove t.by_key key;
-      Fmatch.Tbl.remove t.by_fmatch fmatch;
-      ignore (Searcher.remove t.searcher key);
-      t.stats.Cache_stats.evictions <- t.stats.Cache_stats.evictions + 1
 
 let expire t ~now ~max_idle =
   let stale =

@@ -37,14 +37,13 @@ val set_capacity : t -> int -> unit
     down under the evicting policies). *)
 
 val occupancy : t -> int
-val stats : t -> Cache_stats.t
 
 val check_invariants : t -> bool
 (** [true] iff the two indexes ([by_fmatch] : match -> key and
     [by_key] : key -> match) form a bijection over the same entry set.
     An entry present in one but not the other would mean an eviction
-    path forgot a table; [install] [assert]s the same property on the
-    [`Exists] fast path. *)
+    path forgot a table; [install] [assert]s the same property when the
+    match is already cached. *)
 
 val lookup : t -> now:float -> Gf_flow.Flow.t -> Hit.t option * int
 (** Result and classifier work units. Refreshes last-used on hit. *)
@@ -58,7 +57,7 @@ val lookup_memo : t -> now:float -> flow_id:int -> Gf_flow.Flow.t -> Hit.t optio
     positionally; miss memos (and hit memos under stateless search, whose
     work cannot be recomputed) additionally require that no install or
     eviction has changed the entry set (a generation counter guards
-    this).  Touch side effects — last-used refresh, stats, TSS rank
+    this).  Touch side effects — last-used refresh, TSS rank
     promotion and its drifting probe count — are reapplied exactly.
     Requires that a given [flow_id] is always presented with the same
     [flow] value (true of every {!Gf_workload.Trace} generator). *)
@@ -67,22 +66,21 @@ val prepare_replay : t -> flow_id:int -> (now:float -> int option) option
 (** Compiled per-flow hit replay for the batched engine's fast path:
     after {!lookup_memo} returned a hit for [flow_id], a closure that
     performs exactly that hit's per-packet side effects (last-used
-    refresh, stats, ranked-walk probe count + promotion) with the memo
+    refresh, ranked-walk probe count + promotion) with the memo
     find and mask hash hoisted out.  Each call re-validates and returns
     the probe work, or [None] once the memo is stale (entry evicted or
     replaced) — the caller must then fall back to {!lookup_memo} and
     compile a fresh replay.  [None] if the flow's memo is absent or a
     miss. *)
 
-val install : t -> now:float -> version:int -> Gf_pipeline.Traversal.t ->
-  [ `Installed of int | `Exists | `Rejected ]
-(** Collapse the traversal and insert.  [`Installed n] reports the number
-    of entries evicted under capacity pressure to make room (always 0
-    under [Reject]); [`Exists] when an identical match is already cached
-    (its last-used time is refreshed); [`Rejected] when the cache is full
-    and the policy refuses to evict ([version] is the pipeline version,
-    kept for revalidation bookkeeping and consulted by the
-    [Priority_aware] victim choice). *)
+val install : t -> now:float -> version:int -> Gf_pipeline.Traversal.t -> Install.t
+(** Collapse the traversal and insert.  [Installed] with [fresh = 1] and
+    [pressure_evicted] the entries evicted under capacity pressure to
+    make room (always 0 under [Reject]); [Installed] with every count 0
+    when an identical match is already cached (its last-used time is
+    refreshed); [Rejected] when the cache is full and the policy refuses
+    to evict.  [version] is the pipeline version, kept for revalidation
+    bookkeeping and consulted by the [Priority_aware] victim choice. *)
 
 val expire : t -> now:float -> max_idle:float -> int
 (** Evict entries idle longer than [max_idle]; returns how many. *)

@@ -7,7 +7,6 @@ type t = {
   mutable policy : Evict.policy;
   rng : Gf_util.Rng.t;
   table : entry Flow.Tbl.t; (* monomorphic hash/equal: no polymorphic compare per probe *)
-  stats : Cache_stats.t;
 }
 
 let create ?(policy = Evict.Lru) ?(rng_seed = 0xE3C) ~capacity () =
@@ -17,7 +16,6 @@ let create ?(policy = Evict.Lru) ?(rng_seed = 0xE3C) ~capacity () =
     policy;
     rng = Gf_util.Rng.create rng_seed;
     table = Flow.Tbl.create capacity;
-    stats = Cache_stats.create ();
   }
 
 let capacity t = t.capacity
@@ -30,17 +28,13 @@ let set_capacity t capacity =
   t.capacity <- capacity
 
 let occupancy t = Flow.Tbl.length t.table
-let stats t = t.stats
 
 let lookup t ~now flow =
   match Flow.Tbl.find_opt t.table flow with
   | Some entry ->
       entry.last_used <- now;
-      Cache_stats.record_lookup t.stats ~hit:true;
       Some entry.hit
-  | None ->
-      Cache_stats.record_lookup t.stats ~hit:false;
-      None
+  | None -> None
 
 (* Ties on [last_used] break towards the smaller flow, not the table's
    iteration order, so the victim does not depend on [Flow.hash]. *)
@@ -58,8 +52,6 @@ let evict_lru t =
   match !victim with
   | Some (flow, _) ->
       Flow.Tbl.remove t.table flow;
-      t.stats.Cache_stats.pressure_evictions <-
-        t.stats.Cache_stats.pressure_evictions + 1;
       true
   | None -> false
 
@@ -77,8 +69,6 @@ let evict_random t =
     match !victim with
     | Some flow ->
         Flow.Tbl.remove t.table flow;
-        t.stats.Cache_stats.pressure_evictions <-
-          t.stats.Cache_stats.pressure_evictions + 1;
         true
     | None -> false
   end
@@ -92,26 +82,16 @@ let evict_one t =
   | Evict.Random -> evict_random t
 
 let install t ~now flow hit =
-  match Flow.Tbl.find_opt t.table flow with
-  | Some _ ->
-      Flow.Tbl.replace t.table flow { hit; last_used = now };
-      t.stats.Cache_stats.installs <- t.stats.Cache_stats.installs + 1;
-      0
-  | None ->
-      let evicted =
-        if Flow.Tbl.length t.table >= t.capacity then
-          if evict_one t then 1 else -1 (* -1: full and policy refused *)
-        else 0
-      in
-      if evicted < 0 then begin
-        t.stats.Cache_stats.rejected <- t.stats.Cache_stats.rejected + 1;
-        0
-      end
-      else begin
-        Flow.Tbl.replace t.table flow { hit; last_used = now };
-        t.stats.Cache_stats.installs <- t.stats.Cache_stats.installs + 1;
-        evicted
-      end
+  let pressure_evicted =
+    if Flow.Tbl.mem t.table flow || Flow.Tbl.length t.table < t.capacity then 0
+    else if evict_one t then 1
+    else -1 (* full and the policy refused *)
+  in
+  if pressure_evicted < 0 then Install.Rejected
+  else begin
+    Flow.Tbl.replace t.table flow { hit; last_used = now };
+    Install.Installed { fresh = 1; shared = 0; pressure_evicted }
+  end
 
 let expire t ~now ~max_idle =
   let stale =
@@ -120,12 +100,9 @@ let expire t ~now ~max_idle =
       t.table []
   in
   List.iter (Flow.Tbl.remove t.table) stale;
-  let n = List.length stale in
-  t.stats.Cache_stats.evictions <- t.stats.Cache_stats.evictions + n;
-  n
+  List.length stale
 
 let invalidate_all t =
   let n = Flow.Tbl.length t.table in
   Flow.Tbl.reset t.table;
-  t.stats.Cache_stats.evictions <- t.stats.Cache_stats.evictions + n;
   n

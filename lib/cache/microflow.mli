@@ -22,16 +22,16 @@ val set_capacity : t -> int -> unit
     residents — the new bound bites on the next install. *)
 
 val occupancy : t -> int
-val stats : t -> Cache_stats.t
 
 val lookup : t -> now:float -> Gf_flow.Flow.t -> Hit.t option
 (** Refreshes the entry's last-used time on a hit. *)
 
-val install : t -> now:float -> Gf_flow.Flow.t -> Hit.t -> int
-(** Insert (replacing any existing entry for the same flow).  At capacity
-    the policy picks a victim; returns the number of entries evicted under
-    pressure (0 or 1).  Under [Reject] a full cache refuses the install
-    (counted in [Cache_stats.rejected]) and returns 0. *)
+val install : t -> now:float -> Gf_flow.Flow.t -> Hit.t -> Install.t
+(** Insert (replacing any existing entry for the same flow): [Installed]
+    with [fresh = 1], a re-install of a present flow included, and
+    [pressure_evicted] the entries evicted to make room (0 or 1).  At
+    capacity the policy picks a victim; under [Reject] a full cache
+    refuses the install and returns [Rejected]. *)
 
 val expire : t -> now:float -> max_idle:float -> int
 (** Remove entries idle longer than [max_idle]; returns how many. *)

@@ -1,6 +1,7 @@
 module Traversal = Gf_pipeline.Traversal
 module Executor = Gf_pipeline.Executor
 module Pipeline = Gf_pipeline.Pipeline
+module Install = Gf_cache.Install
 
 type slowpath_work = {
   pipeline_lookups : int;
@@ -11,7 +12,7 @@ type slowpath_work = {
 
 type miss_outcome = {
   traversal : Traversal.t;
-  install : Ltm_cache.install_result;
+  install : Install.t;
   segments : Partitioner.segment list;
   work : slowpath_work;
 }
@@ -109,7 +110,7 @@ let lookup_memo t ~now ~pipeline ~flow_id flow =
 let prepare_replay t ~flow_id = Ltm_cache.prepare_replay t.cache ~flow_id
 
 type install_outcome = {
-  install : Ltm_cache.install_result;
+  install : Install.t;
   segments : Partitioner.segment list;
   partition_work : int;
   rulegen_work : int;
@@ -141,17 +142,17 @@ let install_traversal t ~now ~version traversal =
       p.p_segments := !(p.p_segments) + List.length segments;
       if whole then incr p.p_whole;
       (match install with
-      | Ltm_cache.Installed { fresh; shared; _ } ->
+      | Install.Installed { fresh; shared; _ } ->
           p.p_fresh := !(p.p_fresh) + fresh;
           p.p_shared := !(p.p_shared) + shared
-      | Ltm_cache.Rejected -> incr p.p_rejected));
+      | Install.Rejected -> incr p.p_rejected));
   if t.config.Config.adaptive then begin
     a.misses_in_window <- a.misses_in_window + 1;
     (match install with
-    | Ltm_cache.Installed { fresh; shared; _ } when probe ->
+    | Install.Installed { fresh; shared; _ } when probe ->
         a.probe_fresh <- a.probe_fresh + fresh;
         a.probe_shared <- a.probe_shared + shared
-    | Ltm_cache.Installed _ | Ltm_cache.Rejected -> ());
+    | Install.Installed _ | Install.Rejected -> ());
     if a.misses_in_window >= window then begin
       let total = a.probe_fresh + a.probe_shared in
       let sharing =

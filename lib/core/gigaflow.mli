@@ -17,7 +17,7 @@ type slowpath_work = {
 
 type miss_outcome = {
   traversal : Gf_pipeline.Traversal.t;
-  install : Ltm_cache.install_result;
+  install : Gf_cache.Install.t;
   segments : Partitioner.segment list;
   work : slowpath_work;
 }
@@ -69,7 +69,7 @@ val prepare_replay : t -> flow_id:int -> (now:float -> int option) option
 (** {!Ltm_cache.prepare_replay} on the underlying LTM cache. *)
 
 type install_outcome = {
-  install : Ltm_cache.install_result;
+  install : Gf_cache.Install.t;
   segments : Partitioner.segment list;
   partition_work : int;
   rulegen_work : int;

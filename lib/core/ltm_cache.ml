@@ -1,11 +1,7 @@
 module Action = Gf_pipeline.Action
 module Flow = Gf_flow.Flow
-module Cache_stats = Gf_cache.Cache_stats
 module Evict = Gf_cache.Evict
-
-type install_result =
-  | Installed of { fresh : int; shared : int; pressure_evicted : int }
-  | Rejected
+module Install = Gf_cache.Install
 
 (* Per-flow lookup memo (see [lookup_memo]): result, work and the matched
    entries (the walk's touch set) of the last lookup for a flow id, valid
@@ -24,7 +20,6 @@ type t = {
   mutable config : Config.t;
   rng : Gf_util.Rng.t;
   tables : Ltm_table.t array;
-  stats : Cache_stats.t;
   memo_tbl : memo Gf_util.Int_tbl.t; (* flow id -> last lookup *)
   mutable generation : int; (* bumped on any structural entry-set change *)
   mutable last_depth : int;
@@ -46,14 +41,12 @@ let create ?(rng_seed = 0x61F) config =
     tables =
       Array.init config.Config.tables (fun _ ->
           Ltm_table.create ~capacity:config.Config.table_capacity);
-    stats = Cache_stats.create ();
     memo_tbl = Gf_util.Int_tbl.create 256;
     generation = 0;
     last_depth = 0;
   }
 
 let config t = t.config
-let stats t = t.stats
 let last_depth t = t.last_depth
 
 (* Replacement policy is read per install from [t.config], so swapping the
@@ -96,7 +89,6 @@ let lookup_core t ~now ~entry_tag flow =
      expiry, preserving legacy expiry behaviour). *)
   if Option.is_some result then
     List.iter (fun s -> s.Ltm_table.last_hit <- now) matched_entries;
-  Cache_stats.record_lookup t.stats ~hit:(Option.is_some result);
   t.last_depth <- List.length matched_entries;
   (result, work, matched_entries)
 
@@ -117,7 +109,6 @@ let lookup_memo t ~now ~entry_tag ~flow_id flow =
       List.iter (fun s -> s.Ltm_table.last_used <- now) m.m_touched;
       if Option.is_some m.m_result then
         List.iter (fun s -> s.Ltm_table.last_hit <- now) m.m_touched;
-      Cache_stats.record_lookup t.stats ~hit:(Option.is_some m.m_result);
       t.last_depth <- List.length m.m_touched;
       (m.m_result, m.m_work)
   | memo ->
@@ -135,7 +126,7 @@ let lookup_memo t ~now ~entry_tag ~flow_id flow =
 
 (* Compiled hit replay for the datapath's per-flow fast path: after
    {!lookup_memo} stored a hit for [flow_id], a closure performing just
-   that hit's per-packet side effects (touch the matched entries, stats)
+   that hit's per-packet side effects (touch the matched entries)
    with the memo find hoisted out.  The LTM walk's work and touch set
    depend on every table's contents (tag gating, priority scan order), so
    validity is the generation guard plus the memo still holding the same
@@ -151,7 +142,6 @@ let prepare_replay t ~flow_id =
                 s.Ltm_table.last_used <- now;
                 s.Ltm_table.last_hit <- now)
               m.m_touched;
-            Cache_stats.record_lookup t.stats ~hit:true;
             Some m.m_work
           end
           else None)
@@ -303,18 +293,15 @@ let install t ~now rules =
           match pick_victim t ~lo ~hi with
           | Some (p, s) ->
               Ltm_table.remove t.tables.(p) s;
-              t.stats.Cache_stats.pressure_evictions <-
-                t.stats.Cache_stats.pressure_evictions + 1;
               incr pressure;
               attempt (budget - 1)
           | None -> None)
   in
   match attempt (2 * k) with
   | None ->
-      t.stats.Cache_stats.rejected <- t.stats.Cache_stats.rejected + 1;
       (* A failed plan may still have evicted victims while replanning. *)
       if !pressure > 0 then t.generation <- t.generation + 1;
-      Rejected
+      Install.Rejected
   | Some placements ->
       let fresh = ref 0 and shared = ref 0 in
       List.iter
@@ -329,12 +316,10 @@ let install t ~now rules =
               ignore (Ltm_table.insert t.tables.(p) ~now rule);
               incr fresh)
         placements;
-      t.stats.Cache_stats.installs <- t.stats.Cache_stats.installs + !fresh;
-      t.stats.Cache_stats.shared <- t.stats.Cache_stats.shared + !shared;
       (* Reuse-only installs touch recency/shares but change no entry set:
          memoised lookups stay valid. *)
       if !fresh > 0 || !pressure > 0 then t.generation <- t.generation + 1;
-      Installed { fresh = !fresh; shared = !shared; pressure_evicted = !pressure }
+      Install.Installed { fresh = !fresh; shared = !shared; pressure_evicted = !pressure }
 
 let expire t ~now ~max_idle =
   let total = ref 0 in
@@ -347,7 +332,6 @@ let expire t ~now ~max_idle =
       List.iter (Ltm_table.remove table) victims;
       total := !total + List.length victims)
     t.tables;
-  t.stats.Cache_stats.evictions <- t.stats.Cache_stats.evictions + !total;
   if !total > 0 then t.generation <- t.generation + 1;
   !total
 
@@ -372,7 +356,6 @@ let demote t ~is_hot =
       List.iter (Ltm_table.remove table) victims;
       total := !total + List.length victims)
     t.tables;
-  t.stats.Cache_stats.evictions <- t.stats.Cache_stats.evictions + !total;
   if !total > 0 then t.generation <- t.generation + 1;
   !total
 
@@ -421,7 +404,6 @@ let revalidate t pipeline =
       List.iter (Ltm_table.remove table) victims;
       evicted := !evicted + List.length victims)
     t.tables;
-  t.stats.Cache_stats.evictions <- t.stats.Cache_stats.evictions + !evicted;
   if !evicted > 0 then t.generation <- t.generation + 1;
   (!evicted, !work)
 

@@ -9,14 +9,6 @@
     the tag reaches the terminal state; otherwise the packet goes to the
     slowpath. *)
 
-type install_result =
-  | Installed of { fresh : int; shared : int; pressure_evicted : int }
-      (** [fresh] new entries written; [shared] segments satisfied by
-          existing identical entries; [pressure_evicted] entries removed
-          under capacity pressure to make the placement feasible (always 0
-          under the [Reject] policy). *)
-  | Rejected  (** No feasible placement (tables full). *)
-
 type t
 
 val create : ?rng_seed:int -> Config.t -> t
@@ -24,7 +16,6 @@ val create : ?rng_seed:int -> Config.t -> t
     replacement policy's victim choice. *)
 
 val config : t -> Config.t
-val stats : t -> Gf_cache.Cache_stats.t
 
 val set_policy : t -> Gf_cache.Evict.policy -> unit
 (** Swap the replacement policy online (the policy is consulted per
@@ -70,13 +61,13 @@ val prepare_replay : t -> flow_id:int -> (now:float -> int option) option
 (** Compiled per-flow hit replay for the batched engine's fast path:
     after {!lookup_memo} returned a hit for [flow_id], a closure that
     performs exactly that hit's per-packet side effects (recency touches
-    on the matched entries, stats) with the memo find hoisted out.  Each
+    on the matched entries) with the memo find hoisted out.  Each
     call re-validates (generation unchanged and the memo still holding
     the same result) and returns the walk work, or [None] once stale —
     the caller falls back to {!lookup_memo} and compiles a fresh replay.
     [None] if the flow's memo is absent or a miss. *)
 
-val install : t -> now:float -> Ltm_rule.t list -> install_result
+val install : t -> now:float -> Ltm_rule.t list -> Gf_cache.Install.t
 (** Install the rules of one partitioned traversal, in segment order.  Each
     segment reuses an identical existing entry when one exists in a
     feasible table (sharing), otherwise takes a slot in the first feasible
@@ -89,7 +80,11 @@ val install : t -> now:float -> Ltm_rule.t list -> install_result
     or no tag-chain-safe victim remains.  Victims are restricted to safe
     entries — ones whose removal cannot strand a dependent continuation
     in a later table (their chain terminates, or nothing downstream
-    consumes the tag they produce). *)
+    consumes the tag they produce).
+
+    Returns [Installed] with the fresh, shared and pressure-evicted
+    counts, or [Rejected] when no feasible placement remains; victims
+    evicted while replanning a plan that still fails are not reported. *)
 
 val pick_victim : t -> lo:int -> hi:int -> (int * Ltm_table.stored) option
 (** The pressure victim {!install} evicts when the first unplaceable

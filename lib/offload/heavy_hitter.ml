@@ -191,44 +191,6 @@ let top t ~n =
   let sorted = List.stable_sort cmp !rows in
   List.filteri (fun i _ -> i < n) sorted
 
-let merge a b =
-  let k = max a.k b.k in
-  let acc = Flow.Tbl.create (2 * k) in
-  let add t =
-    for i = 0 to t.size - 1 do
-      let f = t.flows.(i) in
-      let c, e =
-        match Flow.Tbl.find_opt acc f with
-        | Some (c, e) -> (c, e)
-        | None -> (0, 0)
-      in
-      Flow.Tbl.replace acc f (c + t.counts.(i), e + t.errs.(i))
-    done
-  in
-  add a;
-  add b;
-  let rows = Flow.Tbl.fold (fun f (c, e) l -> (f, c, e) :: l) acc [] in
-  let cmp (f1, c1, e1) (f2, c2, e2) =
-    if c1 <> c2 then compare c2 c1
-    else if e1 <> e2 then compare e1 e2
-    else Flow.compare f1 f2
-  in
-  let sorted = List.stable_sort cmp rows in
-  let merged = create ~k in
-  List.iteri
-    (fun i (f, c, e) ->
-      if i < k then begin
-        merged.flows.(i) <- f;
-        merged.counts.(i) <- c;
-        merged.errs.(i) <- e;
-        Flow.Tbl.replace merged.index f i;
-        merged.size <- i + 1
-      end)
-    sorted;
-  merged.observed <- a.observed + b.observed;
-  rebuild_boundary merged;
-  merged
-
 (* ---------------------------------------------------------------- *)
 (* Admission policy                                                 *)
 (* ---------------------------------------------------------------- *)

@@ -12,8 +12,8 @@
     over-estimates.
 
     Determinism: observations are pure state-machine transitions (no RNG,
-    no wall clock), so per-shard sketches over disjoint RSS flow sets are
-    reproducible and {!merge} is deterministic — the engine==sequential
+    no wall clock), so the per-worker sketches the engine keeps over
+    disjoint RSS flow sets are reproducible — the engine==sequential
     bit-identity property survives admission decisions made from the
     sketch. *)
 
@@ -70,13 +70,6 @@ val check_invariants : t -> bool
 val top : t -> n:int -> (Gf_flow.Flow.t * int * int) list
 (** [(flow, count, err)] for the [n] highest-count entries, count
     descending (ties broken by [Flow.compare] for determinism). *)
-
-val merge : t -> t -> t
-(** Combine two sketches into a fresh one of the same [k] (the larger of
-    the two if they differ): flows tracked by both sum their counts and
-    errors; the union is re-ranked and truncated to the top [k].  With
-    RSS-disjoint shards this is exact union.  Deterministic: ties are
-    broken by [Flow.compare]. *)
 
 (** {1 Admission policy} *)
 

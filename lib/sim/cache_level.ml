@@ -2,6 +2,7 @@ module Microflow = Gf_cache.Microflow
 module Cuckoo = Gf_cache.Cuckoo
 module Megaflow = Gf_cache.Megaflow
 module Evict = Gf_cache.Evict
+module Install = Gf_cache.Install
 module Gigaflow = Gf_core.Gigaflow
 module Ltm_cache = Gf_core.Ltm_cache
 module Config = Gf_core.Config
@@ -76,6 +77,13 @@ let prepare_replay t ~flow_id =
   | Megaflow mf -> Megaflow.prepare_replay mf ~flow_id
   | Ltm (gf, _) -> Gigaflow.prepare_replay gf ~flow_id
 
+(* One install outcome to the report's counts; the LTM's partition and
+   rule-generation work is added by the caller. *)
+let report_of_install = function
+  | Install.Installed { fresh; shared; pressure_evicted } ->
+      { no_install with fresh; shared; pressure_evicted }
+  | Install.Rejected -> { no_install with rejected = 1 }
+
 let install_from_traversal t ~now ~version traversal =
   match t.backend with
   | Emc _ -> no_install
@@ -96,29 +104,12 @@ let install_from_traversal t ~now ~version traversal =
           out_flow = Gf_flow.Flow.update input commit;
         }
       in
-      let before_rejects = (Cuckoo.stats ck).Gf_cache.Cache_stats.rejected in
-      let pressure_evicted = Cuckoo.install ck ~now input hit in
-      let rejected = (Cuckoo.stats ck).Gf_cache.Cache_stats.rejected - before_rejects in
-      if rejected > 0 then { no_install with rejected }
-      else { no_install with fresh = 1; pressure_evicted }
-  | Megaflow mf -> (
-      match Megaflow.install mf ~now ~version traversal with
-      | `Installed pressure_evicted -> { no_install with fresh = 1; pressure_evicted }
-      | `Exists -> no_install
-      | `Rejected -> { no_install with rejected = 1 })
+      report_of_install (Cuckoo.install ck ~now input hit)
+  | Megaflow mf -> report_of_install (Megaflow.install mf ~now ~version traversal)
   | Ltm (gf, _) ->
       let o = Gigaflow.install_traversal gf ~now ~version traversal in
-      let fresh, shared, rejected, pressure_evicted =
-        match o.Gigaflow.install with
-        | Ltm_cache.Installed { fresh; shared; pressure_evicted } ->
-            (fresh, shared, 0, pressure_evicted)
-        | Ltm_cache.Rejected -> (0, 0, 1, 0)
-      in
       {
-        fresh;
-        shared;
-        rejected;
-        pressure_evicted;
+        (report_of_install o.Gigaflow.install) with
         partition_work = o.Gigaflow.partition_work;
         rulegen_work = o.Gigaflow.rulegen_work;
       }
@@ -127,7 +118,7 @@ let promote t ~now flow hit =
   match t.backend with
   | Emc emc -> Microflow.install emc ~now flow hit
   | Cuckoo ck -> Cuckoo.install ck ~now flow hit
-  | Megaflow _ | Ltm _ -> 0
+  | Megaflow _ | Ltm _ -> Install.Installed { fresh = 0; shared = 0; pressure_evicted = 0 }
 
 let expire t ~now =
   let max_idle = t.descriptor.max_idle in

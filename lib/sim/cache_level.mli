@@ -101,12 +101,13 @@ val prepare_replay : t -> flow_id:int -> (now:float -> int option) option
 val install_from_traversal :
   t -> now:float -> version:int -> Gf_pipeline.Traversal.t -> install_report
 (** Offer a slowpath traversal per the level's {!install_policy} (the EMC
-    reports no install). *)
+    reports no install): the backend's {!Gf_cache.Install.t} as counts,
+    plus the LTM's partition and rule-generation work. *)
 
-val promote : t -> now:float -> Gf_flow.Flow.t -> Gf_cache.Hit.t -> int
-(** Learn from a hit at a deeper level (exact-match levels; a no-op
-    returning 0 on the Megaflow and the LTM).  Returns the number of
-    entries evicted under capacity pressure to admit the promoted entry. *)
+val promote : t -> now:float -> Gf_flow.Flow.t -> Gf_cache.Hit.t -> Gf_cache.Install.t
+(** Learn from a hit at a deeper level: the exact-match level's own
+    install outcome — [Rejected] when it is full under [Reject] — or, on
+    the Megaflow and the LTM, a no-op [Installed] with every count 0. *)
 
 val expire : t -> now:float -> int
 (** Evict entries idle longer than the descriptor's [max_idle]. *)

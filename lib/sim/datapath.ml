@@ -160,38 +160,16 @@ let preset_names =
     "mf_only";
   ]
 
-let preset ?gf ?mf_capacity ?emc_capacity ?sw_search ?sw_capacity ?max_idle
-    ?expire_every ?policy ?admission name =
-  let apply cfg =
-    match policy with
-    | None -> cfg
-    | Some p ->
-        {
-          cfg with
-          levels = List.map (fun s -> Cache_level.spec_with_evict s p) cfg.levels;
-        }
-  in
-  Option.map apply
-  @@
+let preset ?gf ?mf_capacity name =
   match name with
-  | "emc_gf_sw" ->
-      Some
-        (emc_gf_sw ?gf ?emc_capacity ?sw_search ?sw_capacity ?max_idle ?expire_every
-           ?admission ())
-  | "emc_mf_sw" ->
-      Some
-        (emc_mf_sw ?mf_capacity ?emc_capacity ?sw_search ?sw_capacity ?max_idle
-           ?expire_every ?admission ())
-  | "gf_sw" ->
-      Some (gf_sw ?gf ?sw_search ?sw_capacity ?max_idle ?expire_every ?admission ())
-  | "mf_sw" ->
-      Some
-        (mf_sw ?mf_capacity ?sw_search ?sw_capacity ?max_idle ?expire_every ?admission ())
-  | "gf_sw_hh" -> Some (gf_sw_hh ?gf ?sw_capacity ?max_idle ?expire_every ?admission ())
-  | "mf_sw_hh" ->
-      Some (mf_sw_hh ?mf_capacity ?sw_capacity ?max_idle ?expire_every ?admission ())
-  | "gf_only" -> Some (gf_only ?gf ?max_idle ?expire_every ?admission ())
-  | "mf_only" -> Some (mf_only ?mf_capacity ?max_idle ?expire_every ?admission ())
+  | "emc_gf_sw" -> Some (emc_gf_sw ?gf ())
+  | "emc_mf_sw" -> Some (emc_mf_sw ?mf_capacity ())
+  | "gf_sw" -> Some (gf_sw ?gf ())
+  | "mf_sw" -> Some (mf_sw ?mf_capacity ())
+  | "gf_sw_hh" -> Some (gf_sw_hh ?gf ())
+  | "mf_sw_hh" -> Some (mf_sw_hh ?mf_capacity ())
+  | "gf_only" -> Some (gf_only ?gf ())
+  | "mf_only" -> Some (mf_only ?mf_capacity ())
   | _ -> None
 
 (* ------------------------- config combinators ------------------------- *)
@@ -872,8 +850,9 @@ let maybe_promote_hot t ~memo ~now ~flow_id flow tier =
   | Some _ | None -> false
 
 (* Let the promote-on-hit levels shallower than a hit at level [i] (the
-   EMC) learn its decision for subsequent packets of this flow.  Returns
-   [true] iff any level learned. *)
+   EMC) learn its decision for subsequent packets of this flow.  A level
+   that refuses the entry (full under [Reject]) is accounted like a
+   rejected install.  Returns [true] iff any level learned. *)
 let promote_above t ~now ~flow_id flow h i =
   let m = t.metrics in
   let promoted = ref false in
@@ -881,19 +860,25 @@ let promote_above t ~now ~flow_id flow h i =
     let lj = t.levels.(j) in
     if (Cache_level.descriptor lj).Cache_level.policy = Cache_level.Promote_on_hit
     then begin
-      promoted := true;
-      let pe = Cache_level.promote lj ~now flow h in
-      fs_install t ~level:j ~now flow_id;
       let lmj = t.level_metrics.(j) in
-      lmj.Metrics.promotions <- lmj.Metrics.promotions + 1;
       let packet = m.Metrics.packets - 1 in
-      note t Recorder.Promote ~level:j ~packet ~time:now ~lat:0.0 ~count:1;
-      if pe > 0 then begin
-        lmj.Metrics.pressure_evictions <- lmj.Metrics.pressure_evictions + pe;
-        if t.level_is_hw.(j) then
-          m.Metrics.hw_pressure_evictions <- m.Metrics.hw_pressure_evictions + pe;
-        note t Recorder.Pressure_evict ~level:j ~packet ~time:now ~lat:0.0 ~count:pe
-      end
+      match Cache_level.promote lj ~now flow h with
+      | Gf_cache.Install.Rejected ->
+          lmj.Metrics.rejected <- lmj.Metrics.rejected + 1;
+          if t.level_is_hw.(j) then m.Metrics.hw_rejected <- m.Metrics.hw_rejected + 1;
+          fs_mark t ~level:j flow_id '\003';
+          note t Recorder.Reject ~level:j ~packet ~time:now ~lat:0.0 ~count:1
+      | Gf_cache.Install.Installed { pressure_evicted = pe; _ } ->
+          promoted := true;
+          fs_install t ~level:j ~now flow_id;
+          lmj.Metrics.promotions <- lmj.Metrics.promotions + 1;
+          note t Recorder.Promote ~level:j ~packet ~time:now ~lat:0.0 ~count:1;
+          if pe > 0 then begin
+            lmj.Metrics.pressure_evictions <- lmj.Metrics.pressure_evictions + pe;
+            if t.level_is_hw.(j) then
+              m.Metrics.hw_pressure_evictions <- m.Metrics.hw_pressure_evictions + pe;
+            note t Recorder.Pressure_evict ~level:j ~packet ~time:now ~lat:0.0 ~count:pe
+          end
     end
   done;
   !promoted

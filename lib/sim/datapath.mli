@@ -132,24 +132,11 @@ val mf_only :
 
 val preset_names : string list
 
-val preset :
-  ?gf:Gf_core.Config.t ->
-  ?mf_capacity:int ->
-  ?emc_capacity:int ->
-  ?sw_search:Gf_classifier.Searcher.algo ->
-  ?sw_capacity:int ->
-  ?max_idle:float ->
-  ?expire_every:float ->
-  ?policy:Gf_cache.Evict.policy ->
-  ?admission:Gf_offload.Heavy_hitter.policy ->
-  string ->
-  config option
-(** Look a preset up by name (see {!preset_names}); optional arguments
-    override the preset's defaults where they apply.  [policy] applies
-    the replacement policy to {e every} level (see {!with_policy});
-    [admission] overrides the preset's admission policy (the [*_hh]
-    presets default to heavy-hitter admission, everything else to
-    [Admit_all]). *)
+val preset : ?gf:Gf_core.Config.t -> ?mf_capacity:int -> string -> config option
+(** Look a preset up by name (see {!preset_names}); [gf] and
+    [mf_capacity] override its cache geometry where they apply.  Every
+    other knob is a combinator applied to the result ({!with_policy},
+    {!with_max_idle}, {!with_sw_search}, {!with_admission}, ...). *)
 
 (** {1 Config combinators} *)
 

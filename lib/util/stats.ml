@@ -75,22 +75,6 @@ let drop_nan xs =
     out
   end
 
-let mean xs =
-  let xs = drop_nan xs in
-  if Array.length xs = 0 then nan
-  else Array.fold_left ( +. ) 0.0 xs /. float_of_int (Array.length xs)
-
-let stddev xs =
-  let xs = drop_nan xs in
-  let n = Array.length xs in
-  if n = 0 then nan
-  else if n = 1 then 0.0
-  else begin
-    let m = mean xs in
-    let ss = Array.fold_left (fun acc x -> acc +. ((x -. m) ** 2.0)) 0.0 xs in
-    sqrt (ss /. float_of_int (n - 1))
-  end
-
 let percentile xs p =
   (* Not an assert: the bounds check must survive [-noassert] builds —
      an out-of-range (or NaN) [p] is a caller bug, not a tunable. *)
@@ -113,30 +97,3 @@ let percentile xs p =
   end
 
 let median xs = percentile xs 50.0
-
-module Histogram = struct
-  type t = { lo : float; hi : float; counts : int array; mutable total : int }
-
-  let create ~lo ~hi ~bins =
-    if bins <= 0 then invalid_arg "Stats.Histogram.create: bins must be > 0";
-    if not (hi > lo) then invalid_arg "Stats.Histogram.create: hi must be > lo";
-    { lo; hi; counts = Array.make bins 0; total = 0 }
-
-  let add t x =
-    let bins = Array.length t.counts in
-    let raw = (x -. t.lo) /. (t.hi -. t.lo) *. float_of_int bins in
-    let i = int_of_float (Float.floor raw) in
-    let i = if i < 0 then 0 else if i >= bins then bins - 1 else i in
-    t.counts.(i) <- t.counts.(i) + 1;
-    t.total <- t.total + 1
-
-  let counts t = Array.copy t.counts
-  let total t = t.total
-
-  let bin_bounds t i =
-    let bins = Array.length t.counts in
-    if i < 0 || i >= bins then
-      invalid_arg "Stats.Histogram.bin_bounds: bin outside 0..bins-1";
-    let w = (t.hi -. t.lo) /. float_of_int bins in
-    (t.lo +. (w *. float_of_int i), t.lo +. (w *. float_of_int (i + 1)))
-end

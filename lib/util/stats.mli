@@ -1,5 +1,5 @@
-(** Small statistics toolkit for experiment reporting: running accumulators,
-    percentiles and fixed-width histograms. *)
+(** Small statistics toolkit for experiment reporting: running accumulators
+    and percentiles. *)
 
 (** {1 Running accumulator} *)
 
@@ -33,14 +33,6 @@ end
     sample must not poison (or, under a comparison sort, arbitrarily
     reorder) the whole batch.  An all-NaN or empty input yields [nan]. *)
 
-val mean : float array -> float
-(** Mean of the non-NaN samples; [nan] when none. *)
-
-val stddev : float array -> float
-(** Unbiased sample standard deviation of the non-NaN samples; [0.0] for a
-    single sample (no observed spread), [nan] when none — callers writing
-    JSON must treat [nan] as "absent", never print it. *)
-
 val percentile : float array -> float -> float
 (** [percentile xs p] with [p] in [\[0, 100\]]; linear interpolation between
     order statistics of the non-NaN samples ([Float.compare], total order).
@@ -49,21 +41,3 @@ val percentile : float array -> float -> float
     [-noassert] builds). *)
 
 val median : float array -> float
-
-(** {1 Histogram} *)
-
-module Histogram : sig
-  type t
-
-  val create : lo:float -> hi:float -> bins:int -> t
-  (** Raises [Invalid_argument] unless [bins > 0] and [hi > lo]. *)
-
-  val add : t -> float -> unit
-  (** Out-of-range samples are clamped into the first/last bin. *)
-
-  val counts : t -> int array
-  val total : t -> int
-  val bin_bounds : t -> int -> float * float
-  (** [bin_bounds t i] is bin [i]'s [(lo, hi)]; raises [Invalid_argument]
-      unless [0 <= i < bins]. *)
-end

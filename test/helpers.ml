@@ -149,6 +149,26 @@ let flow_testable = Alcotest.testable Flow.pp Flow.equal
 let mask_testable = Alcotest.testable Mask.pp Mask.equal
 let fmatch_testable = Alcotest.testable Fmatch.pp Fmatch.equal
 
+(* A cache's install outcome. *)
+let install_testable =
+  Alcotest.testable
+    (fun fmt -> function
+      | Gf_cache.Install.Installed { fresh; shared; pressure_evicted } ->
+          Format.fprintf fmt "Installed { fresh = %d; shared = %d; pressure_evicted = %d }"
+            fresh shared pressure_evicted
+      | Gf_cache.Install.Rejected -> Format.pp_print_string fmt "Rejected")
+    ( = )
+
+(* An exact-match or Megaflow install of one entry that evicted
+   [pressure_evicted] others to make room. *)
+let installed_one pressure_evicted =
+  Gf_cache.Install.Installed { fresh = 1; shared = 0; pressure_evicted }
+
+(* The pressure evictions of an install that must not be rejected. *)
+let pressure_of = function
+  | Gf_cache.Install.Installed { pressure_evicted; _ } -> pressure_evicted
+  | Gf_cache.Install.Rejected -> Alcotest.fail "install rejected"
+
 (* Argument checks are [invalid_arg], not [assert]: they must survive
    [-noassert] builds. *)
 let raises_invalid name f =

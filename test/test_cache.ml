@@ -9,7 +9,7 @@ module Executor = Gf_pipeline.Executor
 module Pipeline = Gf_pipeline.Pipeline
 module Microflow = Gf_cache.Microflow
 module Megaflow = Gf_cache.Megaflow
-module Cache_stats = Gf_cache.Cache_stats
+module Install = Gf_cache.Install
 
 let a_hit = { Hit.terminal = Action.Output 1; out_flow = Flow.zero }
 let hit _cache = a_hit
@@ -50,42 +50,30 @@ let test_microflow_invalidate_all () =
 
 let test_microflow_policy_pressure () =
   let f i = Flow.make [ (Field.Vlan, i) ] in
-  (* Reject: a full cache refuses installs and counts them, today's
-     megaflow-style behaviour. *)
+  (* Reject: a full cache refuses installs, megaflow-style; a re-install
+     of a resident flow still lands. *)
   let c = Microflow.create ~policy:Gf_cache.Evict.Reject ~capacity:2 () in
-  Alcotest.(check int) "no eviction" 0 (Microflow.install c ~now:0.0 (f 1) (hit c));
+  Alcotest.(check install_testable) "no eviction" (installed_one 0)
+    (Microflow.install c ~now:0.0 (f 1) (hit c));
   ignore @@ Microflow.install c ~now:1.0 (f 2) (hit c);
-  Alcotest.(check int) "rejected returns 0" 0
+  Alcotest.(check install_testable) "rejection returned" Install.Rejected
     (Microflow.install c ~now:2.0 (f 3) (hit c));
+  Alcotest.(check install_testable) "re-install of a resident flow" (installed_one 0)
+    (Microflow.install c ~now:2.0 (f 1) (hit c));
   Alcotest.(check int) "occupancy capped" 2 (Microflow.occupancy c);
-  Alcotest.(check int) "rejection counted" 1 (Microflow.stats c).Cache_stats.rejected;
-  Alcotest.(check int) "no pressure evictions" 0
-    (Microflow.stats c).Cache_stats.pressure_evictions;
   Alcotest.(check bool) "new flow absent" true (Microflow.lookup c ~now:3.0 (f 3) = None);
-  (* Every evicting policy keeps occupancy at capacity and counts each
-     eviction exactly once. *)
+  (* Every evicting policy keeps occupancy at capacity, never rejects and
+     reports each eviction exactly once. *)
   List.iter
     (fun policy ->
       let c = Microflow.create ~policy ~capacity:4 () in
       let pressure = ref 0 in
       for i = 1 to 50 do
-        pressure := !pressure + Microflow.install c ~now:(float_of_int i) (f i) (hit c)
+        pressure := !pressure + pressure_of (Microflow.install c ~now:(float_of_int i) (f i) (hit c))
       done;
       Alcotest.(check int) "occupancy = capacity" 4 (Microflow.occupancy c);
-      Alcotest.(check int) "46 pressure evictions" 46 !pressure;
-      Alcotest.(check int) "stats agree" 46
-        (Microflow.stats c).Cache_stats.pressure_evictions;
-      Alcotest.(check int) "nothing rejected" 0 (Microflow.stats c).Cache_stats.rejected)
+      Alcotest.(check int) "46 pressure evictions" 46 !pressure)
     [ Gf_cache.Evict.Lru; Gf_cache.Evict.Random; Gf_cache.Evict.Priority_aware ]
-
-let test_cache_stats () =
-  let s = Cache_stats.create () in
-  Cache_stats.record_lookup s ~hit:true;
-  Cache_stats.record_lookup s ~hit:false;
-  Cache_stats.record_lookup s ~hit:true;
-  Alcotest.(check (float 1e-9)) "hit rate" (2.0 /. 3.0) (Cache_stats.hit_rate s);
-  Cache_stats.reset s;
-  Alcotest.(check int) "reset" 0 s.Cache_stats.lookups
 
 (* Megaflow correctness: a cache hit must reproduce the slowpath decision for
    any flow, not just the one that installed the entry. *)
@@ -127,8 +115,9 @@ let test_megaflow_collapses_flows () =
   Alcotest.(check int) "one entry" 1 (Megaflow.occupancy cache);
   match Executor.execute p flow with
   | Ok tr ->
-      Alcotest.(check bool) "same traversal dedups" true
-        (Megaflow.install cache ~now:1.0 ~version:0 tr = `Exists)
+      Alcotest.(check install_testable) "same traversal dedups"
+        (Install.Installed { fresh = 0; shared = 0; pressure_evicted = 0 })
+        (Megaflow.install cache ~now:1.0 ~version:0 tr)
   | Error _ -> Alcotest.fail "exec failed"
 
 let test_megaflow_capacity_reject () =
@@ -141,14 +130,12 @@ let test_megaflow_capacity_reject () =
     match Executor.execute p flow with
     | Ok tr -> (
         match Megaflow.install cache ~now:0.0 ~version:0 tr with
-        | `Installed _ -> incr installed
-        | `Rejected -> incr rejected
-        | `Exists -> ())
+        | Install.Installed { fresh; _ } -> installed := !installed + fresh
+        | Install.Rejected -> incr rejected)
     | Error _ -> ()
   done;
   Alcotest.(check int) "filled to capacity" 2 !installed;
-  Alcotest.(check bool) "rejections counted" true (!rejected > 0);
-  Alcotest.(check int) "stats agree" !rejected (Megaflow.stats cache).Cache_stats.rejected
+  Alcotest.(check bool) "rejections returned" true (!rejected > 0)
 
 let test_megaflow_pressure_eviction () =
   let rng = Gf_util.Rng.create 26 in
@@ -162,20 +149,15 @@ let test_megaflow_pressure_eviction () =
         match Executor.execute p flow with
         | Ok tr -> (
             match Megaflow.install cache ~now:(float_of_int i) ~version:0 tr with
-            | `Installed n ->
-                incr installed;
-                pressure := !pressure + n
-            | `Rejected -> Alcotest.fail "evicting policy rejected an install"
-            | `Exists -> ())
+            | Install.Installed { fresh; pressure_evicted; _ } ->
+                installed := !installed + fresh;
+                pressure := !pressure + pressure_evicted
+            | Install.Rejected -> Alcotest.fail "evicting policy rejected an install")
         | Error _ -> ()
       done;
       Alcotest.(check bool) "occupancy capped" true (Megaflow.occupancy cache <= 2);
       Alcotest.(check bool) "installs kept landing" true (!installed > 2);
-      Alcotest.(check int) "per-install counts sum to stats" !pressure
-        (Megaflow.stats cache).Cache_stats.pressure_evictions;
       Alcotest.(check int) "pressure = installs - capacity" (!installed - 2) !pressure;
-      Alcotest.(check int) "idle evictions untouched" 0
-        (Megaflow.stats cache).Cache_stats.evictions;
       Alcotest.(check bool) "indexes stay a bijection" true
         (Megaflow.check_invariants cache))
     [ Gf_cache.Evict.Lru; Gf_cache.Evict.Random; Gf_cache.Evict.Priority_aware ]
@@ -193,7 +175,7 @@ let test_megaflow_lru_keeps_hot_entry () =
     let flow = pool_flow rng in
     match Executor.execute p flow with
     | Ok tr ->
-        if Megaflow.install cache ~now:0.0 ~version:0 tr = `Installed 0 && !hot = None
+        if Megaflow.install cache ~now:0.0 ~version:0 tr = installed_one 0 && !hot = None
         then hot := Some flow
     | Error _ -> ()
   done;
@@ -359,7 +341,7 @@ let prop_megaflow_any_match_correct =
    interleaving of installs, refreshing lookups and expiry sweeps at a full
    table, the policy must (a) always admit the incoming entry by evicting
    exactly one admissible victim, (b) keep occupancy at/below capacity, and
-   (c) count every pressure eviction exactly once in the stats. *)
+   (c) never reject. *)
 let prop_priority_aware_churn =
   QCheck2.Test.make ~name:"priority-aware eviction under capacity churn"
     ~count:40
@@ -371,15 +353,13 @@ let prop_priority_aware_churn =
         Microflow.create ~policy:Gf_cache.Evict.Priority_aware ~capacity ()
       in
       let f i = Flow.make [ (Field.Vlan, i) ] in
-      let pressure = ref 0 in
       let ok = ref true in
       for i = 1 to 300 do
         let now = float_of_int i in
         let key = 1 + Gf_util.Rng.int rng 40 in
         (match Gf_util.Rng.int rng 4 with
         | 0 | 1 ->
-            let evicted = Microflow.install c ~now (f key) a_hit in
-            pressure := !pressure + evicted;
+            let evicted = pressure_of (Microflow.install c ~now (f key) a_hit) in
             (* The incoming entry is always admitted (Priority_aware never
                rejects), and at most one victim pays for it. *)
             if evicted > 1 then ok := false;
@@ -388,9 +368,7 @@ let prop_priority_aware_churn =
         | _ -> if i mod 60 = 0 then ignore (Microflow.expire c ~now ~max_idle:25.0));
         if Microflow.occupancy c > capacity then ok := false
       done;
-      !ok
-      && !pressure = (Microflow.stats c).Cache_stats.pressure_evictions
-      && (Microflow.stats c).Cache_stats.rejected = 0)
+      !ok)
 
 let test_megaflow_search_algos_agree () =
   let rng = Gf_util.Rng.create 25 in
@@ -443,7 +421,6 @@ let suite =
     ("microflow expire", `Quick, test_microflow_expire);
     ("microflow invalidate", `Quick, test_microflow_invalidate_all);
     ("microflow eviction policies", `Quick, test_microflow_policy_pressure);
-    ("cache stats", `Quick, test_cache_stats);
     ("megaflow dedup", `Quick, test_megaflow_collapses_flows);
     ("megaflow capacity", `Quick, test_megaflow_capacity_reject);
     ("megaflow pressure eviction", `Quick, test_megaflow_pressure_eviction);

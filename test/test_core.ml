@@ -10,6 +10,7 @@ open Helpers
 module Field = Gf_flow.Field
 module Flow = Gf_flow.Flow
 module Hit = Gf_cache.Hit
+module Install = Gf_cache.Install
 module Mask = Gf_flow.Mask
 module Action = Gf_pipeline.Action
 module Executor = Gf_pipeline.Executor
@@ -341,7 +342,7 @@ let test_ltm_cache_fig5c_walk () =
       (Fmatch.of_fields [ (Field.Tp_src, 80) ])
   in
   (match Ltm_cache.install cache ~now:0.0 [ seg1; seg2 ] with
-  | Ltm_cache.Installed { fresh = 2; shared = 0; _ } -> ()
+  | Install.Installed { fresh = 2; shared = 0; _ } -> ()
   | _ -> Alcotest.fail "install failed");
   let flow = Flow.make [ (Field.Eth_dst, 0xAA); (Field.Tp_src, 80) ] in
   match fst (Ltm_cache.lookup cache ~now:1.0 ~entry_tag:1 flow) with
@@ -357,8 +358,8 @@ let test_ltm_cache_incomplete_walk_misses () =
       (Fmatch.of_fields [ (Field.Vlan, 1) ])
   in
   (match Ltm_cache.install cache ~now:0.0 [ seg1 ] with
-  | Ltm_cache.Installed _ -> ()
-  | Ltm_cache.Rejected -> Alcotest.fail "rejected");
+  | Install.Installed _ -> ()
+  | Install.Rejected -> Alcotest.fail "rejected");
   (* Matching seg1 but nothing provides tag 5 -> overall miss. *)
   Alcotest.(check bool) "dangling tag = miss" true
     (fst (Ltm_cache.lookup cache ~now:0.0 ~entry_tag:1 (Flow.make [ (Field.Vlan, 1) ]))
@@ -379,10 +380,10 @@ let test_ltm_cache_sharing () =
       (Fmatch.of_fields [ (Field.Tp_dst, 443) ])
   in
   (match Ltm_cache.install cache ~now:0.0 [ seg_shared; seg_a ] with
-  | Ltm_cache.Installed { fresh = 2; _ } -> ()
+  | Install.Installed { fresh = 2; _ } -> ()
   | _ -> Alcotest.fail "first install");
   (match Ltm_cache.install cache ~now:1.0 [ seg_shared; seg_b ] with
-  | Ltm_cache.Installed { fresh = 1; shared = 1; _ } -> ()
+  | Install.Installed { fresh = 1; shared = 1; _ } -> ()
   | _ -> Alcotest.fail "expected sharing");
   Alcotest.(check int) "3 entries for 4 segments" 3 (Ltm_cache.occupancy cache);
   let hist = Ltm_cache.sharing_histogram cache in
@@ -400,8 +401,8 @@ let test_ltm_cache_all_or_nothing () =
          mk_rule ~tag_in:1 ~next:(Ltm_rule.Done Action.Drop) (fm 2);
        ]
    with
-  | Ltm_cache.Installed _ -> ()
-  | Ltm_cache.Rejected -> Alcotest.fail "fill failed");
+  | Install.Installed _ -> ()
+  | Install.Rejected -> Alcotest.fail "fill failed");
   let occ = Ltm_cache.occupancy cache in
   (match
      Ltm_cache.install cache ~now:1.0
@@ -410,11 +411,9 @@ let test_ltm_cache_all_or_nothing () =
          mk_rule ~tag_in:1 ~next:(Ltm_rule.Done Action.Drop) (fm 4);
        ]
    with
-  | Ltm_cache.Rejected -> ()
-  | Ltm_cache.Installed _ -> Alcotest.fail "expected rejection");
-  Alcotest.(check int) "nothing partially installed" occ (Ltm_cache.occupancy cache);
-  Alcotest.(check int) "rejection counted" 1
-    (Ltm_cache.stats cache).Gf_cache.Cache_stats.rejected
+  | Install.Rejected -> ()
+  | Install.Installed _ -> Alcotest.fail "expected rejection");
+  Alcotest.(check int) "nothing partially installed" occ (Ltm_cache.occupancy cache)
 
 let test_ltm_cache_expire () =
   let cache = Ltm_cache.create (Config.v ~tables:2 ~table_capacity:8 ()) in
@@ -443,17 +442,11 @@ let test_ltm_cache_pressure_eviction () =
       Ltm_cache.install cache ~now:(float_of_int i)
         [ mk_rule ~tag_in:0 ~next:(Ltm_rule.Done Action.Drop) (fm i) ]
     with
-    | Ltm_cache.Installed { pressure_evicted; _ } -> pressure := !pressure + pressure_evicted
-    | Ltm_cache.Rejected -> Alcotest.fail "LRU policy rejected an install"
+    | Install.Installed { pressure_evicted; _ } -> pressure := !pressure + pressure_evicted
+    | Install.Rejected -> Alcotest.fail "LRU policy rejected an install"
   done;
   Alcotest.(check int) "occupancy pinned at capacity" 2 (Ltm_cache.occupancy cache);
   Alcotest.(check int) "one eviction per over-capacity install" 18 !pressure;
-  Alcotest.(check int) "stats agree" 18
-    (Ltm_cache.stats cache).Gf_cache.Cache_stats.pressure_evictions;
-  Alcotest.(check int) "nothing rejected" 0
-    (Ltm_cache.stats cache).Gf_cache.Cache_stats.rejected;
-  Alcotest.(check int) "idle-eviction counter untouched" 0
-    (Ltm_cache.stats cache).Gf_cache.Cache_stats.evictions;
   Alcotest.(check int) "no stranded entries" 0
     (Ltm_cache.stranded cache ~entry_tags:[ 0 ])
 
@@ -473,8 +466,8 @@ let test_ltm_cache_eviction_respects_tag_chains () =
          mk_rule ~tag_in:7 ~next:(Ltm_rule.Done Action.Drop) (fm 2);
        ]
    with
-  | Ltm_cache.Installed _ -> ()
-  | Ltm_cache.Rejected -> Alcotest.fail "fill failed");
+  | Install.Installed _ -> ()
+  | Install.Rejected -> Alcotest.fail "fill failed");
   (match
      Ltm_cache.install cache ~now:1.0
        [
@@ -482,8 +475,8 @@ let test_ltm_cache_eviction_respects_tag_chains () =
          mk_rule ~tag_in:8 ~next:(Ltm_rule.Done Action.Drop) (fm 4);
        ]
    with
-  | Ltm_cache.Rejected -> ()
-  | Ltm_cache.Installed _ -> Alcotest.fail "evicting the prefix strands the chain");
+  | Install.Rejected -> ()
+  | Install.Installed _ -> Alcotest.fail "evicting the prefix strands the chain");
   Alcotest.(check int) "chain intact" 0 (Ltm_cache.stranded cache ~entry_tags:[ 0 ]);
   (* A single-segment install can take the leaf's slot (the leaf is safe:
      nothing depends on it), after which the walk still never strands —
@@ -492,9 +485,9 @@ let test_ltm_cache_eviction_respects_tag_chains () =
      Ltm_cache.install cache ~now:2.0
        [ mk_rule ~tag_in:0 ~next:(Ltm_rule.Done Action.Drop) (fm 5) ]
    with
-  | Ltm_cache.Installed { pressure_evicted; _ } ->
+  | Install.Installed { pressure_evicted; _ } ->
       Alcotest.(check int) "evicted the leaf only" 1 pressure_evicted
-  | Ltm_cache.Rejected -> Alcotest.fail "leaf slot should be reclaimable");
+  | Install.Rejected -> Alcotest.fail "leaf slot should be reclaimable");
   Alcotest.(check int) "occupancy still capped" 2 (Ltm_cache.occupancy cache);
   Alcotest.(check int) "reachability preserved" 0
     (Ltm_cache.stranded cache ~entry_tags:[ 0 ])
@@ -517,7 +510,7 @@ let test_ltm_cache_priority_aware_evicts_short () =
      Ltm_cache.install cache ~now:2.0
        [ mk_rule ~tag_in:0 ~priority:3 ~next:(Ltm_rule.Done (Action.Output 3)) (fm 3) ]
    with
-  | Ltm_cache.Installed { pressure_evicted = 1; _ } -> ()
+  | Install.Installed { pressure_evicted = 1; _ } -> ()
   | _ -> Alcotest.fail "expected one pressure eviction");
   match
     fst
@@ -529,20 +522,23 @@ let test_ltm_cache_priority_aware_evicts_short () =
   | None -> Alcotest.fail "high-priority entry was evicted"
 
 let test_ltm_cache_reject_counters_unchanged () =
-  (* The default policy must reproduce the historical counters exactly:
-     rejects counted, no pressure evictions, occupancy frozen. *)
+  (* The default policy must reproduce the historical counts exactly:
+     rejects returned, no pressure evictions, occupancy frozen. *)
   let cache = Ltm_cache.create (Config.v ~tables:2 ~table_capacity:1 ()) in
   let fm i = Fmatch.of_fields [ (Field.Vlan, i) ] in
+  let rejected = ref 0 and pressure = ref 0 in
   for i = 1 to 10 do
-    ignore
-      (Ltm_cache.install cache ~now:(float_of_int i)
-         [ mk_rule ~tag_in:0 ~next:(Ltm_rule.Done Action.Drop) (fm i) ])
+    match
+      Ltm_cache.install cache ~now:(float_of_int i)
+        [ mk_rule ~tag_in:0 ~next:(Ltm_rule.Done Action.Drop) (fm i) ]
+    with
+    | Install.Installed { pressure_evicted; _ } ->
+        pressure := !pressure + pressure_evicted
+    | Install.Rejected -> incr rejected
   done;
-  let stats = Ltm_cache.stats cache in
   Alcotest.(check int) "two landed" 2 (Ltm_cache.occupancy cache);
-  Alcotest.(check int) "eight rejected" 8 stats.Gf_cache.Cache_stats.rejected;
-  Alcotest.(check int) "zero pressure evictions" 0
-    stats.Gf_cache.Cache_stats.pressure_evictions
+  Alcotest.(check int) "eight rejected" 8 !rejected;
+  Alcotest.(check int) "zero pressure evictions" 0 !pressure
 
 (* Under random single/multi-segment install churn with an evicting policy,
    occupancy never exceeds capacity and no entry is ever stranded. *)
@@ -886,7 +882,7 @@ let test_ltm_placement_ordering () =
   in
   (* First install: single segment lands in table 0. *)
   (match Ltm_cache.install cache ~now:0.0 [ seg_x ] with
-  | Ltm_cache.Installed { fresh = 1; shared = 0; _ } -> ()
+  | Install.Installed { fresh = 1; shared = 0; _ } -> ()
   | _ -> Alcotest.fail "first install");
   Alcotest.(check (array int)) "lands in table 0" [| 1; 0; 0 |]
     (Ltm_cache.table_occupancies cache);
@@ -898,17 +894,17 @@ let test_ltm_placement_ordering () =
       (Fmatch.of_fields [ (Field.Eth_src, 0x7) ])
   in
   (match Ltm_cache.install cache ~now:1.0 [ seg_a; seg_x ] with
-  | Ltm_cache.Installed { fresh; shared; _ } ->
+  | Install.Installed { fresh; shared; _ } ->
       Alcotest.(check int) "two fresh entries" 2 fresh;
       Alcotest.(check int) "no (illegal) reuse" 0 shared
-  | Ltm_cache.Rejected -> Alcotest.fail "install rejected");
+  | Install.Rejected -> Alcotest.fail "install rejected");
   (* seg_a reused table 0? No — table 0 had the old seg_x; placement is
      first-fit: seg_a goes to table 0 (not full), seg_x copy to table 1. *)
   Alcotest.(check (array int)) "chain spread over tables" [| 2; 1; 0 |]
     (Ltm_cache.table_occupancies cache);
   (* A third chain identical to the second now shares both entries. *)
   match Ltm_cache.install cache ~now:2.0 [ seg_a; seg_x ] with
-  | Ltm_cache.Installed { fresh = 0; shared = 2; _ } -> ()
+  | Install.Installed { fresh = 0; shared = 2; _ } -> ()
   | _ -> Alcotest.fail "expected full sharing"
 
 (* ----------------------- Eviction mid-chain ------------------------- *)
@@ -926,8 +922,8 @@ let test_ltm_eviction_breaks_chain_safely () =
       (Gf_flow.Fmatch.of_fields [ (Field.Tp_dst, 80) ])
   in
   (match Ltm_cache.install cache ~now:0.0 [ seg1; seg2 ] with
-  | Ltm_cache.Installed _ -> ()
-  | Ltm_cache.Rejected -> Alcotest.fail "install");
+  | Install.Installed _ -> ()
+  | Install.Rejected -> Alcotest.fail "install");
   let flow = Flow.make [ (Field.Eth_src, 0x11); (Field.Tp_dst, 80) ] in
   Alcotest.(check bool) "hit before eviction" true
     (fst (Ltm_cache.lookup cache ~now:1.0 ~entry_tag:0 flow) <> None);

@@ -8,7 +8,7 @@ module Hit = Gf_cache.Hit
 module Action = Gf_pipeline.Action
 module Heavy_hitter = Gf_offload.Heavy_hitter
 module Cuckoo = Gf_cache.Cuckoo
-module Cache_stats = Gf_cache.Cache_stats
+module Install = Gf_cache.Install
 module Catalog = Gf_pipelines.Catalog
 module Ruleset = Gf_workload.Ruleset
 module Pipebench = Gf_workload.Pipebench
@@ -116,44 +116,6 @@ let prop_hh_bounds =
         truth;
       !ok)
 
-(* Merge property: merging per-shard sketches is deterministic (stable
-   tie-breaks) and preserves the union's summed counts for flows tracked
-   on exactly one side — the cross-shard reporting path. *)
-let prop_hh_merge =
-  QCheck2.Test.make ~name:"sketch merge is deterministic and sums counts"
-    ~count:50
-    QCheck2.Gen.(int_range 0 100_000)
-    (fun seed ->
-      let rng = Gf_util.Rng.create seed in
-      let k = 2 + Gf_util.Rng.int rng 6 in
-      let a = Heavy_hitter.create ~k and b = Heavy_hitter.create ~k in
-      (* Disjoint shards: even flows to [a], odd flows to [b] (RSS-style). *)
-      for _ = 1 to 300 do
-        let i = 1 + Gf_util.Rng.int rng 16 in
-        Heavy_hitter.observe (if i mod 2 = 0 then a else b) (flow i)
-      done;
-      let fingerprint m =
-        List.map
-          (fun (f, c, e) -> Printf.sprintf "%d:%d:%d" (Flow.hash f) c e)
-          (Heavy_hitter.top m ~n:k)
-      in
-      let m1 = Heavy_hitter.merge a b and m2 = Heavy_hitter.merge a b in
-      let deterministic = fingerprint m1 = fingerprint m2 in
-      let observed_ok =
-        Heavy_hitter.observed m1
-        = Heavy_hitter.observed a + Heavy_hitter.observed b
-      in
-      (* Any flow surviving into the merge carries at least the count either
-         side tracked for it (disjoint shards: the other side contributes
-         nothing). *)
-      let counts_ok =
-        List.for_all
-          (fun (f, c, _) ->
-            c >= Heavy_hitter.count a f && c >= Heavy_hitter.count b f)
-          (Heavy_hitter.top m1 ~n:k)
-      in
-      deterministic && observed_ok && counts_ok)
-
 let test_hh_policy_strings () =
   let roundtrip s expect =
     match Heavy_hitter.policy_of_string s with
@@ -201,11 +163,13 @@ let test_cuckoo_reject_at_capacity () =
     ignore (Cuckoo.install c ~now:(float_of_int i) (flow i) a_hit)
   done;
   Alcotest.(check int) "full" 4 (Cuckoo.occupancy c);
-  Alcotest.(check int) "reject evicts nothing" 0
+  Alcotest.(check Helpers.install_testable) "rejection returned" Install.Rejected
     (Cuckoo.install c ~now:5.0 (flow 5) a_hit);
   Alcotest.(check int) "occupancy capped" 4 (Cuckoo.occupancy c);
   Alcotest.(check bool) "newcomer absent" true (Cuckoo.lookup c ~now:6.0 (flow 5) = None);
-  Alcotest.(check int) "rejection counted" 1 (Cuckoo.stats c).Cache_stats.rejected;
+  Alcotest.(check Helpers.install_testable) "re-install of a resident key"
+    (Helpers.installed_one 0)
+    (Cuckoo.install c ~now:5.0 (flow 4) a_hit);
   (* Existing entries survive the refused install. *)
   for i = 1 to 4 do
     Alcotest.(check bool)
@@ -296,34 +260,28 @@ let test_hh_retarget_preserves_hot_set () =
   | () -> Alcotest.fail "retarget accepted k=0"
 
 (* Structural invariant under arbitrary interleavings of every mutation
-   the sketch supports — observe, decay, merge, retarget: the boundary
+   the sketch supports — observe, decay, retarget: the boundary
    index must keep mapping each live count to the leftmost row of its
    run (the O(1) bump-by-swap precondition). *)
 let prop_hh_invariants_under_interleaving =
   QCheck2.Test.make
-    ~name:"sketch invariants hold under observe/decay/merge/retarget" ~count:80
+    ~name:"sketch invariants hold under observe/decay/retarget" ~count:80
     QCheck2.Gen.(int_range 0 100_000)
     (fun seed ->
       let rng = Gf_util.Rng.create seed in
-      let t = ref (Heavy_hitter.create ~k:(1 + Gf_util.Rng.int rng 8)) in
+      let t = Heavy_hitter.create ~k:(1 + Gf_util.Rng.int rng 8) in
       let ok = ref true in
       let step () =
         match Gf_util.Rng.int rng 20 with
-        | 0 -> Heavy_hitter.decay !t
+        | 0 -> Heavy_hitter.decay t
         | 1 ->
             (* Retarget to a nearby k, shrink or grow. *)
-            Heavy_hitter.retarget !t ~k:(1 + Gf_util.Rng.int rng 12)
-        | 2 ->
-            let other = Heavy_hitter.create ~k:(1 + Gf_util.Rng.int rng 8) in
-            for _ = 1 to Gf_util.Rng.int rng 40 do
-              Heavy_hitter.observe other (flow (1 + Gf_util.Rng.int rng 24))
-            done;
-            t := Heavy_hitter.merge !t other
-        | _ -> Heavy_hitter.observe !t (flow (1 + Gf_util.Rng.int rng 24))
+            Heavy_hitter.retarget t ~k:(1 + Gf_util.Rng.int rng 12)
+        | _ -> Heavy_hitter.observe t (flow (1 + Gf_util.Rng.int rng 24))
       in
       for _ = 1 to 200 do
         step ();
-        if not (Heavy_hitter.check_invariants !t) then ok := false
+        if not (Heavy_hitter.check_invariants t) then ok := false
       done;
       !ok)
 
@@ -401,6 +359,6 @@ let suite =
 
 let props =
   [
-    prop_hh_bounds; prop_hh_merge; prop_hh_invariants_under_interleaving;
+    prop_hh_bounds; prop_hh_invariants_under_interleaving;
     prop_cuckoo_churn;
   ]

@@ -570,6 +570,117 @@ let test_level_descriptors () =
     (Latency.sw_search_us ~algo:`Tss ~work:40 ()
     <> Latency.sw_search_us ~algo:`Nuevomatch ~work:40 ())
 
+(* A full level's answer to one more distinct traversal, through
+   [Cache_level.build] for every spec kind at capacity 2: [Reject] refuses
+   it and leaves occupancy alone, [Lru] writes it over at least one
+   victim.  The EMC learns through [promote], the rest through
+   [install_from_traversal].  (A 2-entry cuckoo has two buckets, so every
+   key's bucket pair holds a victim.) *)
+let test_full_level_install_outcome () =
+  let w = small_workload () in
+  let pipeline = Pipebench.pipeline w in
+  let specs policy =
+    let evict = Some policy in
+    [
+      Cache_level.Emc { capacity = 2; max_idle = None; evict };
+      Cache_level.Nic_megaflow { capacity = 2; max_idle = None; evict };
+      Cache_level.Sw_megaflow { search = `Tss; capacity = 2; max_idle = None; evict };
+      Cache_level.Sw_cuckoo { capacity = 2; max_idle = None; evict };
+      Cache_level.Gf_ltm
+        { gf = Gf_core.Config.v ~tables:1 ~table_capacity:2 ~policy (); max_idle = None };
+    ]
+  in
+  List.iter
+    (fun policy ->
+      List.iter
+        (fun spec ->
+          let level = Cache_level.build ~default_max_idle:10.0 ~pipeline spec in
+          let name =
+            Cache_level.name level ^ "/" ^ Gf_cache.Evict.to_string policy
+          in
+          (* Offer a traversal the level does not hold yet. *)
+          let offer flow tr =
+            match Cache_level.backend level with
+            | Cache_level.Emc _ -> (
+                let hit =
+                  {
+                    Gf_cache.Hit.terminal = tr.Gf_pipeline.Traversal.terminal;
+                    out_flow = flow;
+                  }
+                in
+                match Cache_level.promote level ~now:1.0 flow hit with
+                | Gf_cache.Install.Installed { fresh; pressure_evicted; _ } ->
+                    (fresh, 0, pressure_evicted)
+                | Gf_cache.Install.Rejected -> (0, 1, 0))
+            | Cache_level.Megaflow _ | Cache_level.Cuckoo _ | Cache_level.Ltm _ ->
+                let r = Cache_level.install_from_traversal level ~now:1.0 ~version:0 tr in
+                ( r.Cache_level.fresh,
+                  r.Cache_level.rejected,
+                  r.Cache_level.pressure_evicted )
+          in
+          let unseen =
+            Array.to_seq w.Pipebench.flows
+            |> Seq.filter_map (fun flow ->
+                   match Executor.execute pipeline flow with
+                   | Ok tr -> Some (flow, tr)
+                   | Error _ -> None)
+            |> Seq.filter (fun (flow, _) ->
+                   fst (Cache_level.lookup level ~now:1.0 flow) = None)
+          in
+          let rec fill seq =
+            if Cache_level.occupancy level < 2 then
+              match seq () with
+              | Seq.Cons ((flow, tr), rest) ->
+                  ignore (offer flow tr);
+                  fill rest
+              | Seq.Nil -> Alcotest.failf "%s: ran out of flows filling" name
+          in
+          fill unseen;
+          let flow, tr =
+            match unseen () with
+            | Seq.Cons (next, _) -> next
+            | Seq.Nil -> Alcotest.failf "%s: no flow left to offer" name
+          in
+          let fresh, rejected, pressure_evicted = offer flow tr in
+          match policy with
+          | Gf_cache.Evict.Reject ->
+              Alcotest.(check (list int)) (name ^ " rejected, nothing written")
+                [ 0; 1; 0 ] [ fresh; rejected; pressure_evicted ];
+              Alcotest.(check int) (name ^ " occupancy unchanged") 2
+                (Cache_level.occupancy level)
+          | _ ->
+              Alcotest.(check (pair int int)) (name ^ " written, not rejected") (1, 0)
+                (fresh, rejected);
+              Alcotest.(check bool) (name ^ " evicted to make room") true
+                (pressure_evicted >= 1))
+        (specs policy))
+    [ Gf_cache.Evict.Reject; Gf_cache.Evict.Lru ]
+
+(* A 4-entry EMC under [Reject] refuses most promotions.  Each refusal is
+   a rejected install, not a promotion: the EMC's promotions are exactly
+   the entries it took (still resident, or gone by idle expiry — a
+   [Reject] EMC evicts nothing else), and with the EMC between the NIC
+   Megaflow and the software Megaflow, every software hit offers one
+   promotion. *)
+let test_refused_emc_promotion () =
+  let w =
+    Pipebench.make ~combos:256 ~unique_flows:500
+      ~info:(Option.get (Catalog.find "PSC"))
+      ~locality:Ruleset.High ~seed:7 ()
+  in
+  let cfg =
+    Datapath.with_policy Gf_cache.Evict.Reject (Datapath.emc_mf_sw ~emc_capacity:4 ())
+  in
+  let _, m = run cfg w in
+  let lvl name = Option.get (Metrics.find_level m name) in
+  let emc = lvl "emc" and sw = lvl "sw-mf" in
+  Alcotest.(check int) "promotions = entries the EMC took"
+    (emc.Metrics.occupancy_final + emc.Metrics.evictions)
+    emc.Metrics.promotions;
+  Alcotest.(check int) "promotions + rejected = promotion offers" sw.Metrics.hits
+    (emc.Metrics.promotions + emc.Metrics.rejected);
+  Alcotest.(check bool) "the EMC refused some" true (emc.Metrics.rejected > 0)
+
 (* Satellite: cache transparency.  Whatever the hierarchy — including none
    at all on the hardware side — the terminal decision for every packet
    equals the bare slowpath's, through the walker and through the memoised
@@ -697,6 +808,8 @@ let suite =
     ("per-level eviction accounting", `Quick, test_per_level_eviction_accounting);
     ("per-level idle budgets", `Quick, test_per_level_max_idle);
     ("level descriptors per spec kind", `Quick, test_level_descriptors);
+    ("full level install outcome per spec kind", `Quick, test_full_level_install_outcome);
+    ("refused emc promotion is a rejection", `Quick, test_refused_emc_promotion);
     ("duplicate level names", `Quick, test_duplicate_level_names);
     ("parallel custom hierarchy", `Slow, test_parallel_custom_hierarchy);
     ("pcie model", `Quick, test_pcie_model);

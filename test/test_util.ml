@@ -267,41 +267,6 @@ let test_percentile_ignores_nan () =
   Alcotest.(check bool) "empty is nan" true
     (Float.is_nan (Stats.percentile [||] 50.0))
 
-let test_batch_mean_stddev_edges () =
-  Alcotest.(check (float 1e-9)) "mean skips nan" 2.0
-    (Stats.mean [| 1.0; Float.nan; 3.0 |]);
-  Alcotest.(check bool) "mean of empty is nan" true
-    (Float.is_nan (Stats.mean [||]));
-  Alcotest.(check (float 0.0)) "single-sample stddev is 0" 0.0
-    (Stats.stddev [| 5.0 |]);
-  Alcotest.(check (float 1e-9)) "stddev skips nan" (Float.sqrt 2.0)
-    (Stats.stddev [| 1.0; Float.nan; 3.0 |]);
-  Alcotest.(check bool) "stddev of empty is nan" true
-    (Float.is_nan (Stats.stddev [||]));
-  Alcotest.(check bool) "stddev of all-nan is nan" true
-    (Float.is_nan (Stats.stddev [| Float.nan |]))
-
-let test_histogram () =
-  let h = Stats.Histogram.create ~lo:0.0 ~hi:10.0 ~bins:5 in
-  List.iter (Stats.Histogram.add h) [ 0.5; 1.5; 2.5; 9.9; -3.0; 42.0 ];
-  let counts = Stats.Histogram.counts h in
-  Alcotest.(check int) "total" 6 (Stats.Histogram.total h);
-  Alcotest.(check int) "first bin has clamped low" 3 counts.(0);
-  Alcotest.(check int) "last bin has clamped high" 2 counts.(4);
-  let lo, hi = Stats.Histogram.bin_bounds h 1 in
-  Alcotest.(check (float 1e-9)) "bin lo" 2.0 lo;
-  Alcotest.(check (float 1e-9)) "bin hi" 4.0 hi
-
-let test_histogram_rejects_bad_shape () =
-  raises_invalid "bins 0" (fun () -> Stats.Histogram.create ~lo:0.0 ~hi:1.0 ~bins:0);
-  raises_invalid "hi = lo" (fun () -> Stats.Histogram.create ~lo:1.0 ~hi:1.0 ~bins:4);
-  raises_invalid "hi < lo" (fun () -> Stats.Histogram.create ~lo:2.0 ~hi:1.0 ~bins:4)
-
-let test_histogram_bin_bounds_range_checked () =
-  let h = Stats.Histogram.create ~lo:0.0 ~hi:10.0 ~bins:5 in
-  raises_invalid "bin -1" (fun () -> Stats.Histogram.bin_bounds h (-1));
-  raises_invalid "bin 5" (fun () -> Stats.Histogram.bin_bounds h 5)
-
 let contains haystack needle =
   let n = String.length haystack and m = String.length needle in
   let rec at i = i + m <= n && (String.sub haystack i m = needle || at (i + 1)) in
@@ -428,10 +393,6 @@ let suite =
     ("stats percentile interpolation", `Quick, test_percentile_interpolates);
     ("stats percentile rejects bad p", `Quick, test_percentile_rejects_bad_p);
     ("stats percentile ignores nan", `Quick, test_percentile_ignores_nan);
-    ("stats batch mean/stddev edges", `Quick, test_batch_mean_stddev_edges);
-    ("stats histogram", `Quick, test_histogram);
-    ("stats histogram rejects bad shape", `Quick, test_histogram_rejects_bad_shape);
-    ("stats histogram bin_bounds range checked", `Quick, test_histogram_bin_bounds_range_checked);
     ("tablefmt renders", `Quick, test_tablefmt_renders);
     ("tablefmt arity check", `Quick, test_tablefmt_bad_row);
     ("tablefmt numbers", `Quick, test_fmt_numbers);
