@@ -483,7 +483,7 @@ let test_event_census_matches_stream () =
    pinned copies under golden/ byte for byte. *)
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
-let test_golden_exports () =
+let golden_run cfg =
   let w =
     Pipebench.make ~combos:512 ~unique_flows:2000
       ~info:(Option.get (Catalog.find "PSC"))
@@ -500,8 +500,12 @@ let test_golden_exports () =
         }
       ()
   in
-  let dp = Datapath.create ~telemetry:tel (Datapath.emc_gf_sw ()) (Pipebench.pipeline w) in
+  let dp = Datapath.create ~telemetry:tel cfg (Pipebench.pipeline w) in
   ignore (Datapath.run dp w.Pipebench.trace : Metrics.t);
+  tel
+
+let test_golden_exports () =
+  let tel = golden_run (Datapath.emc_gf_sw ()) in
   let jsonl = Filename.temp_file "gf_golden" ".jsonl" in
   Out_channel.with_open_bin jsonl (fun oc -> Telemetry.write_jsonl oc tel);
   let got = read_file jsonl in
@@ -509,6 +513,20 @@ let test_golden_exports () =
   Alcotest.(check string) "JSONL stream" (read_file "golden/telemetry.jsonl") got;
   Alcotest.(check string) "Prometheus snapshot"
     (read_file "golden/telemetry.prom")
+    (Telemetry.prometheus tel)
+
+(* The same run on the skew-aware preset: a 2 x 64 LTM over the cuckoo
+   software tail at its default 1M-entry bound.  Heavy-hitter admission
+   defers every cold slowpath to the cuckoo, promotes the flows that get
+   hot into the LTM, and both levels expire idle entries; the snapshot
+   pins the cuckoo's hits, installs and evictions end to end. *)
+let test_golden_hh_export () =
+  let tel =
+    golden_run
+      (Datapath.gf_sw_hh ~gf:(Gf_core.Config.v ~tables:2 ~table_capacity:64 ()) ())
+  in
+  Alcotest.(check string) "Prometheus snapshot"
+    (read_file "golden/telemetry_hh.prom")
     (Telemetry.prometheus tel)
 
 let test_final_sample_matches_metrics () =
@@ -778,6 +796,7 @@ let suite =
     ("final sample = metrics", `Quick, test_final_sample_matches_metrics);
     ("event census = event stream", `Quick, test_event_census_matches_stream);
     ("golden prometheus + jsonl", `Quick, test_golden_exports);
+    ("golden prometheus, gf_sw_hh", `Quick, test_golden_hh_export);
     ("parallel modes agree", `Slow, test_parallel_telemetry_modes_agree);
     ("schema: golden stream", `Quick, test_schema_golden_stream);
     ("schema: loadtest report", `Quick, test_schema_loadtest_report);
