@@ -72,7 +72,7 @@ let () =
             let fresh, shared =
               match outcome.Gigaflow.install with
               | Gf_cache.Install.Installed { fresh; shared; _ } -> (fresh, shared)
-              | Gf_cache.Install.Rejected -> (0, 0)
+              | Gf_cache.Install.Rejected _ -> (0, 0)
             in
             Printf.printf
               "%-34s -> miss: slowpath took %d lookups, cached %d sub-traversals \

@@ -10,4 +10,8 @@ type t =
           always 0 elsewhere); [pressure_evicted] entries removed under
           capacity pressure to admit this install (always 0 under the
           [Reject] policy). *)
-  | Rejected  (** The cache is full and its policy refused to make room. *)
+  | Rejected of { pressure_evicted : int }
+      (** The cache is full and its policy could not make room;
+          [pressure_evicted] entries were evicted while it tried (only the
+          LTM, which evicts one victim per replanning round, ever reports
+          more than 0). *)

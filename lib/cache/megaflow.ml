@@ -252,7 +252,7 @@ let install t ~now ~version traversal =
       do
         ()
       done;
-      if occupancy t >= t.capacity then Install.Rejected
+      if occupancy t >= t.capacity then Install.Rejected { pressure_evicted = 0 }
       else begin
         let key = t.next_key in
         t.next_key <- key + 1;

@@ -87,7 +87,7 @@ let install t ~now flow hit =
     else if evict_one t then 1
     else -1 (* full and the policy refused *)
   in
-  if pressure_evicted < 0 then Install.Rejected
+  if pressure_evicted < 0 then Install.Rejected { pressure_evicted = 0 }
   else begin
     Flow.Tbl.replace t.table flow { hit; last_used = now };
     Install.Installed { fresh = 1; shared = 0; pressure_evicted }

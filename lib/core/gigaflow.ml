@@ -145,14 +145,14 @@ let install_traversal t ~now ~version traversal =
       | Install.Installed { fresh; shared; _ } ->
           p.p_fresh := !(p.p_fresh) + fresh;
           p.p_shared := !(p.p_shared) + shared
-      | Install.Rejected -> incr p.p_rejected));
+      | Install.Rejected _ -> incr p.p_rejected));
   if t.config.Config.adaptive then begin
     a.misses_in_window <- a.misses_in_window + 1;
     (match install with
     | Install.Installed { fresh; shared; _ } when probe ->
         a.probe_fresh <- a.probe_fresh + fresh;
         a.probe_shared <- a.probe_shared + shared
-    | Install.Installed _ | Install.Rejected -> ());
+    | Install.Installed _ | Install.Rejected _ -> ());
     if a.misses_in_window >= window then begin
       let total = a.probe_fresh + a.probe_shared in
       let sharing =

@@ -301,7 +301,7 @@ let install t ~now rules =
   | None ->
       (* A failed plan may still have evicted victims while replanning. *)
       if !pressure > 0 then t.generation <- t.generation + 1;
-      Install.Rejected
+      Install.Rejected { pressure_evicted = !pressure }
   | Some placements ->
       let fresh = ref 0 and shared = ref 0 in
       List.iter

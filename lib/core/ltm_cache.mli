@@ -83,8 +83,8 @@ val install : t -> now:float -> Ltm_rule.t list -> Gf_cache.Install.t
     consumes the tag they produce).
 
     Returns [Installed] with the fresh, shared and pressure-evicted
-    counts, or [Rejected] when no feasible placement remains; victims
-    evicted while replanning a plan that still fails are not reported. *)
+    counts, or [Rejected] when no feasible placement remains, with the
+    victims evicted while replanning the plan that still failed. *)
 
 val pick_victim : t -> lo:int -> hi:int -> (int * Ltm_table.stored) option
 (** The pressure victim {!install} evicts when the first unplaceable

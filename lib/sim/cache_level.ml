@@ -82,7 +82,7 @@ let prepare_replay t ~flow_id =
 let report_of_install = function
   | Install.Installed { fresh; shared; pressure_evicted } ->
       { no_install with fresh; shared; pressure_evicted }
-  | Install.Rejected -> { no_install with rejected = 1 }
+  | Install.Rejected { pressure_evicted } -> { no_install with rejected = 1; pressure_evicted }
 
 let install_from_traversal t ~now ~version traversal =
   match t.backend with

@@ -862,23 +862,27 @@ let promote_above t ~now ~flow_id flow h i =
     then begin
       let lmj = t.level_metrics.(j) in
       let packet = m.Metrics.packets - 1 in
-      match Cache_level.promote lj ~now flow h with
-      | Gf_cache.Install.Rejected ->
-          lmj.Metrics.rejected <- lmj.Metrics.rejected + 1;
-          if t.level_is_hw.(j) then m.Metrics.hw_rejected <- m.Metrics.hw_rejected + 1;
-          fs_mark t ~level:j flow_id '\003';
-          note t Recorder.Reject ~level:j ~packet ~time:now ~lat:0.0 ~count:1
-      | Gf_cache.Install.Installed { pressure_evicted = pe; _ } ->
-          promoted := true;
-          fs_install t ~level:j ~now flow_id;
-          lmj.Metrics.promotions <- lmj.Metrics.promotions + 1;
-          note t Recorder.Promote ~level:j ~packet ~time:now ~lat:0.0 ~count:1;
-          if pe > 0 then begin
-            lmj.Metrics.pressure_evictions <- lmj.Metrics.pressure_evictions + pe;
-            if t.level_is_hw.(j) then
-              m.Metrics.hw_pressure_evictions <- m.Metrics.hw_pressure_evictions + pe;
-            note t Recorder.Pressure_evict ~level:j ~packet ~time:now ~lat:0.0 ~count:pe
-          end
+      let pe =
+        match Cache_level.promote lj ~now flow h with
+        | Gf_cache.Install.Rejected { pressure_evicted } ->
+            lmj.Metrics.rejected <- lmj.Metrics.rejected + 1;
+            if t.level_is_hw.(j) then m.Metrics.hw_rejected <- m.Metrics.hw_rejected + 1;
+            fs_mark t ~level:j flow_id '\003';
+            note t Recorder.Reject ~level:j ~packet ~time:now ~lat:0.0 ~count:1;
+            pressure_evicted
+        | Gf_cache.Install.Installed { pressure_evicted; _ } ->
+            promoted := true;
+            fs_install t ~level:j ~now flow_id;
+            lmj.Metrics.promotions <- lmj.Metrics.promotions + 1;
+            note t Recorder.Promote ~level:j ~packet ~time:now ~lat:0.0 ~count:1;
+            pressure_evicted
+      in
+      if pe > 0 then begin
+        lmj.Metrics.pressure_evictions <- lmj.Metrics.pressure_evictions + pe;
+        if t.level_is_hw.(j) then
+          m.Metrics.hw_pressure_evictions <- m.Metrics.hw_pressure_evictions + pe;
+        note t Recorder.Pressure_evict ~level:j ~packet ~time:now ~lat:0.0 ~count:pe
+      end
     end
   done;
   !promoted

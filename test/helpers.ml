@@ -156,7 +156,8 @@ let install_testable =
       | Gf_cache.Install.Installed { fresh; shared; pressure_evicted } ->
           Format.fprintf fmt "Installed { fresh = %d; shared = %d; pressure_evicted = %d }"
             fresh shared pressure_evicted
-      | Gf_cache.Install.Rejected -> Format.pp_print_string fmt "Rejected")
+      | Gf_cache.Install.Rejected { pressure_evicted } ->
+          Format.fprintf fmt "Rejected { pressure_evicted = %d }" pressure_evicted)
     ( = )
 
 (* An exact-match or Megaflow install of one entry that evicted
@@ -167,7 +168,7 @@ let installed_one pressure_evicted =
 (* The pressure evictions of an install that must not be rejected. *)
 let pressure_of = function
   | Gf_cache.Install.Installed { pressure_evicted; _ } -> pressure_evicted
-  | Gf_cache.Install.Rejected -> Alcotest.fail "install rejected"
+  | Gf_cache.Install.Rejected _ -> Alcotest.fail "install rejected"
 
 (* Argument checks are [invalid_arg], not [assert]: they must survive
    [-noassert] builds. *)

@@ -56,7 +56,8 @@ let test_microflow_policy_pressure () =
   Alcotest.(check install_testable) "no eviction" (installed_one 0)
     (Microflow.install c ~now:0.0 (f 1) (hit c));
   ignore @@ Microflow.install c ~now:1.0 (f 2) (hit c);
-  Alcotest.(check install_testable) "rejection returned" Install.Rejected
+  Alcotest.(check install_testable) "rejection returned"
+    (Install.Rejected { pressure_evicted = 0 })
     (Microflow.install c ~now:2.0 (f 3) (hit c));
   Alcotest.(check install_testable) "re-install of a resident flow" (installed_one 0)
     (Microflow.install c ~now:2.0 (f 1) (hit c));
@@ -131,7 +132,7 @@ let test_megaflow_capacity_reject () =
     | Ok tr -> (
         match Megaflow.install cache ~now:0.0 ~version:0 tr with
         | Install.Installed { fresh; _ } -> installed := !installed + fresh
-        | Install.Rejected -> incr rejected)
+        | Install.Rejected _ -> incr rejected)
     | Error _ -> ()
   done;
   Alcotest.(check int) "filled to capacity" 2 !installed;
@@ -152,7 +153,7 @@ let test_megaflow_pressure_eviction () =
             | Install.Installed { fresh; pressure_evicted; _ } ->
                 installed := !installed + fresh;
                 pressure := !pressure + pressure_evicted
-            | Install.Rejected -> Alcotest.fail "evicting policy rejected an install")
+            | Install.Rejected _ -> Alcotest.fail "evicting policy rejected an install")
         | Error _ -> ()
       done;
       Alcotest.(check bool) "occupancy capped" true (Megaflow.occupancy cache <= 2);

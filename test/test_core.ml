@@ -359,7 +359,7 @@ let test_ltm_cache_incomplete_walk_misses () =
   in
   (match Ltm_cache.install cache ~now:0.0 [ seg1 ] with
   | Install.Installed _ -> ()
-  | Install.Rejected -> Alcotest.fail "rejected");
+  | Install.Rejected _ -> Alcotest.fail "rejected");
   (* Matching seg1 but nothing provides tag 5 -> overall miss. *)
   Alcotest.(check bool) "dangling tag = miss" true
     (fst (Ltm_cache.lookup cache ~now:0.0 ~entry_tag:1 (Flow.make [ (Field.Vlan, 1) ]))
@@ -402,7 +402,7 @@ let test_ltm_cache_all_or_nothing () =
        ]
    with
   | Install.Installed _ -> ()
-  | Install.Rejected -> Alcotest.fail "fill failed");
+  | Install.Rejected _ -> Alcotest.fail "fill failed");
   let occ = Ltm_cache.occupancy cache in
   (match
      Ltm_cache.install cache ~now:1.0
@@ -411,7 +411,7 @@ let test_ltm_cache_all_or_nothing () =
          mk_rule ~tag_in:1 ~next:(Ltm_rule.Done Action.Drop) (fm 4);
        ]
    with
-  | Install.Rejected -> ()
+  | Install.Rejected _ -> ()
   | Install.Installed _ -> Alcotest.fail "expected rejection");
   Alcotest.(check int) "nothing partially installed" occ (Ltm_cache.occupancy cache)
 
@@ -443,7 +443,7 @@ let test_ltm_cache_pressure_eviction () =
         [ mk_rule ~tag_in:0 ~next:(Ltm_rule.Done Action.Drop) (fm i) ]
     with
     | Install.Installed { pressure_evicted; _ } -> pressure := !pressure + pressure_evicted
-    | Install.Rejected -> Alcotest.fail "LRU policy rejected an install"
+    | Install.Rejected _ -> Alcotest.fail "LRU policy rejected an install"
   done;
   Alcotest.(check int) "occupancy pinned at capacity" 2 (Ltm_cache.occupancy cache);
   Alcotest.(check int) "one eviction per over-capacity install" 18 !pressure;
@@ -467,7 +467,7 @@ let test_ltm_cache_eviction_respects_tag_chains () =
        ]
    with
   | Install.Installed _ -> ()
-  | Install.Rejected -> Alcotest.fail "fill failed");
+  | Install.Rejected _ -> Alcotest.fail "fill failed");
   (match
      Ltm_cache.install cache ~now:1.0
        [
@@ -475,7 +475,7 @@ let test_ltm_cache_eviction_respects_tag_chains () =
          mk_rule ~tag_in:8 ~next:(Ltm_rule.Done Action.Drop) (fm 4);
        ]
    with
-  | Install.Rejected -> ()
+  | Install.Rejected _ -> ()
   | Install.Installed _ -> Alcotest.fail "evicting the prefix strands the chain");
   Alcotest.(check int) "chain intact" 0 (Ltm_cache.stranded cache ~entry_tags:[ 0 ]);
   (* A single-segment install can take the leaf's slot (the leaf is safe:
@@ -487,7 +487,7 @@ let test_ltm_cache_eviction_respects_tag_chains () =
    with
   | Install.Installed { pressure_evicted; _ } ->
       Alcotest.(check int) "evicted the leaf only" 1 pressure_evicted
-  | Install.Rejected -> Alcotest.fail "leaf slot should be reclaimable");
+  | Install.Rejected _ -> Alcotest.fail "leaf slot should be reclaimable");
   Alcotest.(check int) "occupancy still capped" 2 (Ltm_cache.occupancy cache);
   Alcotest.(check int) "reachability preserved" 0
     (Ltm_cache.stranded cache ~entry_tags:[ 0 ])
@@ -534,7 +534,7 @@ let test_ltm_cache_reject_counters_unchanged () =
     with
     | Install.Installed { pressure_evicted; _ } ->
         pressure := !pressure + pressure_evicted
-    | Install.Rejected -> incr rejected
+    | Install.Rejected _ -> incr rejected
   done;
   Alcotest.(check int) "two landed" 2 (Ltm_cache.occupancy cache);
   Alcotest.(check int) "eight rejected" 8 !rejected;
@@ -686,6 +686,47 @@ let prop_ltm_victim_matches_reference =
           Gf_cache.Evict.all
       done;
       !ok && !picked > 0)
+
+(* Every entry an install writes or evicts is counted by its outcome:
+   across random chained-tag installs ([Lru] replans evict one victim per
+   round, and a replan can still fail after evicting) and idle expiry,
+   occupancy = fresh installs - pressure evictions - expirations.  The
+   pressure evictions of a rejected install count too. *)
+let prop_ltm_install_outcomes_account_every_entry =
+  QCheck2.Test.make ~name:"ltm install outcomes account every entry" ~count:60
+    QCheck2.Gen.(int_range 0 100_000)
+    (fun seed ->
+      let rng = Gf_util.Rng.create seed in
+      let k = 2 + Gf_util.Rng.int rng 3 and cap = 1 + Gf_util.Rng.int rng 5 in
+      let cache =
+        Ltm_cache.create ~rng_seed:seed
+          (Config.v ~tables:k ~table_capacity:cap ~policy:Gf_cache.Evict.Lru ())
+      in
+      let tag () = Gf_util.Rng.int rng 4 in
+      let fm () = Fmatch.of_fields [ (Field.Vlan, Gf_util.Rng.int rng 6) ] in
+      let chain () =
+        let m = 1 + Gf_util.Rng.int rng k in
+        let rec go i tag_in =
+          let priority = 1 + Gf_util.Rng.int rng 3 in
+          if i = m - 1 then [ mk_rule ~tag_in ~priority ~next:(Ltm_rule.Done Action.Drop) (fm ()) ]
+          else
+            let next = tag () in
+            mk_rule ~tag_in ~priority ~next:(Ltm_rule.Next_tag next) (fm ()) :: go (i + 1) next
+        in
+        go 0 (tag ())
+      in
+      let written = ref 0 and ok = ref true in
+      for round = 1 to 40 do
+        let now = float_of_int round in
+        (match Ltm_cache.install cache ~now (chain ()) with
+        | Install.Installed { fresh; pressure_evicted; _ } ->
+            written := !written + fresh - pressure_evicted
+        | Install.Rejected { pressure_evicted } -> written := !written - pressure_evicted);
+        if round mod 10 = 0 then
+          written := !written - Ltm_cache.expire cache ~now ~max_idle:6.0;
+        if Ltm_cache.occupancy cache <> !written then ok := false
+      done;
+      !ok)
 
 (* --------------- End-to-end consistency (the big one) --------------- *)
 
@@ -897,7 +938,7 @@ let test_ltm_placement_ordering () =
   | Install.Installed { fresh; shared; _ } ->
       Alcotest.(check int) "two fresh entries" 2 fresh;
       Alcotest.(check int) "no (illegal) reuse" 0 shared
-  | Install.Rejected -> Alcotest.fail "install rejected");
+  | Install.Rejected _ -> Alcotest.fail "install rejected");
   (* seg_a reused table 0? No — table 0 had the old seg_x; placement is
      first-fit: seg_a goes to table 0 (not full), seg_x copy to table 1. *)
   Alcotest.(check (array int)) "chain spread over tables" [| 2; 1; 0 |]
@@ -923,7 +964,7 @@ let test_ltm_eviction_breaks_chain_safely () =
   in
   (match Ltm_cache.install cache ~now:0.0 [ seg1; seg2 ] with
   | Install.Installed _ -> ()
-  | Install.Rejected -> Alcotest.fail "install");
+  | Install.Rejected _ -> Alcotest.fail "install");
   let flow = Flow.make [ (Field.Eth_src, 0x11); (Field.Tp_dst, 80) ] in
   Alcotest.(check bool) "hit before eviction" true
     (fst (Ltm_cache.lookup cache ~now:1.0 ~entry_tag:0 flow) <> None);
@@ -1144,4 +1185,5 @@ let props =
     prop_coverage_matches_brute_force;
     prop_ltm_no_stranding_under_churn;
     prop_ltm_victim_matches_reference;
+    prop_ltm_install_outcomes_account_every_entry;
   ]

@@ -611,7 +611,7 @@ let test_full_level_install_outcome () =
                 match Cache_level.promote level ~now:1.0 flow hit with
                 | Gf_cache.Install.Installed { fresh; pressure_evicted; _ } ->
                     (fresh, 0, pressure_evicted)
-                | Gf_cache.Install.Rejected -> (0, 1, 0))
+                | Gf_cache.Install.Rejected _ -> (0, 1, 0))
             | Cache_level.Megaflow _ | Cache_level.Cuckoo _ | Cache_level.Ltm _ ->
                 let r = Cache_level.install_from_traversal level ~now:1.0 ~version:0 tr in
                 ( r.Cache_level.fresh,
