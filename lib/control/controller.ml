@@ -227,7 +227,7 @@ let move_grow_sw_capacity t dp =
             fun () ->
               Datapath.set_level_capacity dp ~level:name
                 (min t.spec.max_sw_capacity (cap * 2));
-              (* Re-read: the level may clamp to its physical storage. *)
+              (* Re-read: the cuckoo clamps to its slot geometry. *)
               ( "capacity",
                 name,
                 string_of_int cap,

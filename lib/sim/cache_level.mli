@@ -134,8 +134,8 @@ val set_evict : t -> Gf_cache.Evict.policy -> unit
     The control loop's per-level actuation. *)
 
 val set_capacity : t -> int -> unit
-(** Retune the admission bound online.  Software levels clamp to their
-    physical storage where relevant; the LTM's geometry (table count,
+(** Retune the admission bound online.  The cuckoo clamps to its slot
+    geometry ({!Gf_cache.Cuckoo.slots}); the LTM's geometry (table count,
     per-table SRAM) is fixed at build time, so it ignores this. *)
 
 val last_depth : t -> int

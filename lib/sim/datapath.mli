@@ -223,8 +223,8 @@ val set_evict_policy : t -> level:string -> Gf_cache.Evict.policy -> unit
     install).  Raises [Invalid_argument] on an unknown level name. *)
 
 val set_level_capacity : t -> level:string -> int -> unit
-(** Retune one level's admission bound online.  Software levels clamp to
-    their physical storage where relevant; hardware geometry is fixed, so
+(** Retune one level's admission bound online.  The cuckoo clamps to its
+    slot geometry; hardware geometry is fixed, so
     hardware levels ignore it.  Shrinking does not evict residents — the
     bound bites on the next install.  Raises [Invalid_argument] on an
     unknown level name. *)
