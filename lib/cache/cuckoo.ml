@@ -313,18 +313,19 @@ let install t ~now flow hit =
   else begin
     let b1 = bucket1 t flow in
     let b2 = alt_bucket t flow b1 in
-    let over = t.size >= t.capacity in
-    if over && t.policy = Evict.Reject then Install.Rejected { pressure_evicted = 0 }
+    if t.size >= t.capacity && t.policy = Evict.Reject then
+      Install.Rejected { pressure_evicted = 0 }
     else begin
-      let pressure =
-        if over then begin
-          (* an evicting policy over a bound >= 1: a resident exists *)
-          let v = pick_victim t b1 b2 in
-          clear_slot t (if v >= 0 then v else table_victim t);
-          1
-        end
-        else 0
-      in
+      (* An evicting policy at or over a bound >= 1 evicts down to one
+         below it (more than one victim only after the bound shrank), so
+         residents exist for every victim. *)
+      let pressure = ref 0 in
+      while t.size >= t.capacity do
+        let v = pick_victim t b1 b2 in
+        clear_slot t (if v >= 0 then v else table_victim t);
+        incr pressure
+      done;
+      let pressure = !pressure in
       let hit = Some hit in
       let installed pressure_evicted =
         Install.Installed { fresh = 1; shared = 0; pressure_evicted }

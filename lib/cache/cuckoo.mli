@@ -40,7 +40,8 @@ val set_policy : t -> Evict.policy -> unit
 val set_capacity : t -> int -> unit
 (** Retune the admission bound online ([>= 1]), clamped to {!slots}
     (the logical geometry is fixed at creation).  Shrinking does not
-    evict residents — the new bound bites on the next install. *)
+    evict residents — the next install of a new key evicts down to the
+    new bound. *)
 
 val occupancy : t -> int
 
@@ -51,12 +52,15 @@ val install : t -> now:float -> Gf_flow.Flow.t -> Hit.t -> Install.t
 (** Insert (replacing any existing entry for the same key): [Installed]
     with [fresh = 1], a re-install of a present key included, and
     [pressure_evicted] the entries evicted under pressure (a policy
-    victim, a dropped end of a failed kick chain, or both).  At the bound
-    the victim comes from the newcomer's two buckets or, when both are
-    empty, from the whole table (the least recently used resident under
-    [Lru] and [Priority_aware], a seeded draw under [Random]), so no
-    install raises occupancy above the bound.  Under [Reject] a
-    full table or a full bucket pair refuses the install and returns
+    victims, a dropped end of a failed kick chain, or both).  At the
+    bound each victim comes from the newcomer's two buckets or, when both
+    are empty, from the whole table (the least recently used resident
+    under [Lru] and [Priority_aware], a seeded draw under [Random]), so
+    no install raises occupancy above the bound.  After {!set_capacity}
+    shrank the bound below occupancy, the next install of a new key
+    evicts down to it (a victim beyond the bucket pair's residents costs
+    a scan of the table).  Under [Reject] a table at or over the bound,
+    or a full bucket pair, refuses the install and returns
     [Rejected]. *)
 
 val expire : t -> now:float -> max_idle:float -> int

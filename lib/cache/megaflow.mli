@@ -62,16 +62,16 @@ val lookup_memo : t -> now:float -> flow_id:int -> Gf_flow.Flow.t -> Hit.t optio
     Requires that a given [flow_id] is always presented with the same
     [flow] value (true of every {!Gf_workload.Trace} generator). *)
 
-val prepare_replay : t -> flow_id:int -> (now:float -> int option) option
+val prepare_replay : t -> flow_id:int -> (now:float -> int) option
 (** Compiled per-flow hit replay for the batched engine's fast path:
     after {!lookup_memo} returned a hit for [flow_id], a closure that
     performs exactly that hit's per-packet side effects (last-used
     refresh, ranked-walk probe count + promotion) with the memo
     find and mask hash hoisted out.  Each call re-validates and returns
-    the probe work, or [None] once the memo is stale (entry evicted or
+    the probe work (>= 0), or -1 once the memo is stale (entry evicted or
     replaced) — the caller must then fall back to {!lookup_memo} and
-    compile a fresh replay.  [None] if the flow's memo is absent or a
-    miss. *)
+    compile a fresh replay.  A call allocates nothing.  [None] if the
+    flow's memo is absent or a miss. *)
 
 val install : t -> now:float -> version:int -> Gf_pipeline.Traversal.t -> Install.t
 (** Collapse the traversal and insert.  [Installed] with [fresh = 1] and

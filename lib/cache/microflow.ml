@@ -1,6 +1,9 @@
 module Flow = Gf_flow.Flow
 
-type entry = { hit : Hit.t; mutable last_used : float }
+(* The clock is an all-float record, stored flat: refreshing it on a hit
+   boxes no float and runs no write barrier. *)
+type clock = { mutable last_used : float }
+type entry = { hit : Hit.t; clock : clock }
 
 type t = {
   mutable capacity : int;
@@ -32,7 +35,7 @@ let occupancy t = Flow.Tbl.length t.table
 let lookup t ~now flow =
   match Flow.Tbl.find_opt t.table flow with
   | Some entry ->
-      entry.last_used <- now;
+      entry.clock.last_used <- now;
       Some entry.hit
   | None -> None
 
@@ -44,8 +47,8 @@ let evict_lru t =
     (fun flow entry ->
       match !victim with
       | Some (f, e)
-        when e.last_used < entry.last_used
-             || (e.last_used = entry.last_used && Flow.compare f flow < 0) ->
+        when e.clock.last_used < entry.clock.last_used
+             || (e.clock.last_used = entry.clock.last_used && Flow.compare f flow < 0) ->
           ()
       | _ -> victim := Some (flow, entry))
     t.table;
@@ -81,22 +84,27 @@ let evict_one t =
   | Evict.Lru | Evict.Priority_aware -> evict_lru t
   | Evict.Random -> evict_random t
 
+(* A new flow at or over the bound evicts down to one below it (several
+   victims only after [set_capacity] shrank the bound below occupancy);
+   under [Reject] nothing is evicted and the install is refused.  A
+   present flow is replaced in place. *)
 let install t ~now flow hit =
-  let pressure_evicted =
-    if Flow.Tbl.mem t.table flow || Flow.Tbl.length t.table < t.capacity then 0
-    else if evict_one t then 1
-    else -1 (* full and the policy refused *)
-  in
-  if pressure_evicted < 0 then Install.Rejected { pressure_evicted = 0 }
-  else begin
-    Flow.Tbl.replace t.table flow { hit; last_used = now };
-    Install.Installed { fresh = 1; shared = 0; pressure_evicted }
+  let pressure = ref 0 in
+  let present = Flow.Tbl.mem t.table flow in
+  if not present then
+    while Flow.Tbl.length t.table >= t.capacity && evict_one t do
+      incr pressure
+    done;
+  if present || Flow.Tbl.length t.table < t.capacity then begin
+    Flow.Tbl.replace t.table flow { hit; clock = { last_used = now } };
+    Install.Installed { fresh = 1; shared = 0; pressure_evicted = !pressure }
   end
+  else Install.Rejected { pressure_evicted = 0 }
 
 let expire t ~now ~max_idle =
   let stale =
     Flow.Tbl.fold
-      (fun flow entry acc -> if now -. entry.last_used > max_idle then flow :: acc else acc)
+      (fun flow entry acc -> if now -. entry.clock.last_used > max_idle then flow :: acc else acc)
       t.table []
   in
   List.iter (Flow.Tbl.remove t.table) stale;

@@ -19,7 +19,8 @@ val set_policy : t -> Evict.policy -> unit
 
 val set_capacity : t -> int -> unit
 (** Retune the admission bound online ([>= 1]).  Shrinking does not evict
-    residents — the new bound bites on the next install. *)
+    residents — the next install of a new flow evicts down to the new
+    bound. *)
 
 val occupancy : t -> int
 
@@ -29,9 +30,11 @@ val lookup : t -> now:float -> Gf_flow.Flow.t -> Hit.t option
 val install : t -> now:float -> Gf_flow.Flow.t -> Hit.t -> Install.t
 (** Insert (replacing any existing entry for the same flow): [Installed]
     with [fresh = 1], a re-install of a present flow included, and
-    [pressure_evicted] the entries evicted to make room (0 or 1).  At
-    capacity the policy picks a victim; under [Reject] a full cache
-    refuses the install and returns [Rejected]. *)
+    [pressure_evicted] the entries evicted to make room.  A new flow at
+    the bound evicts one victim the policy picks; after {!set_capacity}
+    shrank the bound below occupancy it evicts down to the bound, one
+    O(occupancy) victim scan each.  Under [Reject] a new flow at or over
+    the bound is refused with [Rejected]. *)
 
 val expire : t -> now:float -> max_idle:float -> int
 (** Remove entries idle longer than [max_idle]; returns how many. *)

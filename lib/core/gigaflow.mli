@@ -65,7 +65,7 @@ val lookup_memo :
     identical to {!lookup}, with repeat flows replayed from the per-flow
     memo while the cache's entry set is unchanged. *)
 
-val prepare_replay : t -> flow_id:int -> (now:float -> int option) option
+val prepare_replay : t -> flow_id:int -> (now:float -> int) option
 (** {!Ltm_cache.prepare_replay} on the underlying LTM cache. *)
 
 type install_outcome = {

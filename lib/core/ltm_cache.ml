@@ -71,7 +71,7 @@ let rec walk tables ~now i tag flow work matched =
     match stored with
     | None -> walk tables ~now (i + 1) tag flow work matched
     | Some s -> (
-        s.Ltm_table.last_used <- now;
+        s.Ltm_table.clock.last_used <- now;
         let matched = s :: matched in
         let rule = s.Ltm_table.rule in
         let flow = Flow.update flow rule.Ltm_rule.commit in
@@ -81,14 +81,23 @@ let rec walk tables ~now i tag flow work matched =
         | Ltm_rule.Next_tag tag -> walk tables ~now (i + 1) tag flow work matched)
   end
 
+(* Touch the matched entries of a walk: [last_used] always, [last_hit]
+   only when the walk [completed].  A top-level loop, so a replayed hit
+   allocates no closure. *)
+let rec touch ~now ~completed = function
+  | [] -> ()
+  | (s : Ltm_table.stored) :: rest ->
+      s.clock.last_used <- now;
+      if completed then s.clock.last_hit <- now;
+      touch ~now ~completed rest
+
 let lookup_core t ~now ~entry_tag flow =
   let result, work, matched_entries = walk t.tables ~now 0 entry_tag flow 0 [] in
   (* Completion recency: only full traversals refresh [last_hit], so a dead
      chain prefix that every miss still touches goes cold in the eyes of
      the replacement policies (it keeps its [last_used] touches for idle
      expiry, preserving legacy expiry behaviour). *)
-  if Option.is_some result then
-    List.iter (fun s -> s.Ltm_table.last_hit <- now) matched_entries;
+  if Option.is_some result then touch ~now ~completed:true matched_entries;
   t.last_depth <- List.length matched_entries;
   (result, work, matched_entries)
 
@@ -106,9 +115,7 @@ let lookup t ~now ~entry_tag flow =
 let lookup_memo t ~now ~entry_tag ~flow_id flow =
   match Gf_util.Int_tbl.find_opt t.memo_tbl flow_id with
   | Some m when m.m_gen = t.generation ->
-      List.iter (fun s -> s.Ltm_table.last_used <- now) m.m_touched;
-      if Option.is_some m.m_result then
-        List.iter (fun s -> s.Ltm_table.last_hit <- now) m.m_touched;
+      touch ~now ~completed:(Option.is_some m.m_result) m.m_touched;
       t.last_depth <- List.length m.m_touched;
       (m.m_result, m.m_work)
   | memo ->
@@ -130,21 +137,17 @@ let lookup_memo t ~now ~entry_tag ~flow_id flow =
    with the memo find hoisted out.  The LTM walk's work and touch set
    depend on every table's contents (tag gating, priority scan order), so
    validity is the generation guard plus the memo still holding the same
-   result; [None] once stale. *)
+   result; -1 once stale. *)
 let prepare_replay t ~flow_id =
   match Gf_util.Int_tbl.find_opt t.memo_tbl flow_id with
   | Some ({ m_result = Some _ as result0; _ } as m) ->
       Some
         (fun ~now ->
           if m.m_gen = t.generation && m.m_result == result0 then begin
-            List.iter
-              (fun s ->
-                s.Ltm_table.last_used <- now;
-                s.Ltm_table.last_hit <- now)
-              m.m_touched;
-            Some m.m_work
+            touch ~now ~completed:true m.m_touched;
+            m.m_work
           end
-          else None)
+          else -1)
   | Some { m_result = None; _ } | None -> None
 
 (* Placement planning: segments must land in strictly increasing table
@@ -234,7 +237,7 @@ let colder ~by_priority p (s : Ltm_table.stored) p' (s' : Ltm_table.stored) =
   and pr' = s'.Ltm_table.rule.Ltm_rule.priority in
   if by_priority && pr <> pr' then pr < pr'
   else
-    let h = s.Ltm_table.last_hit and h' = s'.Ltm_table.last_hit in
+    let h = s.Ltm_table.clock.last_hit and h' = s'.Ltm_table.clock.last_hit in
     h < h' || (h = h' && (p < p' || (p = p' && s.Ltm_table.key < s'.Ltm_table.key)))
 
 (* The pressure victim among the safe entries of the full tables at
@@ -309,8 +312,8 @@ let install t ~now rules =
           match action with
           | `Reuse stored ->
               stored.Ltm_table.shares <- stored.Ltm_table.shares + 1;
-              stored.Ltm_table.last_used <- now;
-              stored.Ltm_table.last_hit <- now;
+              stored.Ltm_table.clock.last_used <- now;
+              stored.Ltm_table.clock.last_hit <- now;
               incr shared
           | `Fresh rule ->
               ignore (Ltm_table.insert t.tables.(p) ~now rule);
@@ -327,7 +330,7 @@ let expire t ~now ~max_idle =
     (fun table ->
       let victims =
         Ltm_table.fold table ~init:[] ~f:(fun acc stored ->
-            if now -. stored.Ltm_table.last_used > max_idle then stored :: acc else acc)
+            if now -. stored.Ltm_table.clock.last_used > max_idle then stored :: acc else acc)
       in
       List.iter (Ltm_table.remove table) victims;
       total := !total + List.length victims)

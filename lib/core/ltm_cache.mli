@@ -57,14 +57,15 @@ val lookup_memo :
     given [flow_id] is always presented with the same [flow] value (true
     of every {!Gf_workload.Trace} generator). *)
 
-val prepare_replay : t -> flow_id:int -> (now:float -> int option) option
+val prepare_replay : t -> flow_id:int -> (now:float -> int) option
 (** Compiled per-flow hit replay for the batched engine's fast path:
     after {!lookup_memo} returned a hit for [flow_id], a closure that
     performs exactly that hit's per-packet side effects (recency touches
     on the matched entries) with the memo find hoisted out.  Each
     call re-validates (generation unchanged and the memo still holding
-    the same result) and returns the walk work, or [None] once stale —
+    the same result) and returns the walk work (>= 0), or -1 once stale —
     the caller falls back to {!lookup_memo} and compiles a fresh replay.
+    A call allocates nothing.
     [None] if the flow's memo is absent or a miss. *)
 
 val install : t -> now:float -> Ltm_rule.t list -> Gf_cache.Install.t

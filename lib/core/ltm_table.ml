@@ -1,9 +1,9 @@
 module Entry = Gf_classifier.Entry
 module Tss = Gf_classifier.Tss
 
-type stored = {
-  rule : Ltm_rule.t;
-  key : int;
+(* All floats, so stored flat: a touch on the hit path is two plain
+   stores, no float box and no write barrier. *)
+type clock = {
   mutable last_used : float;
   mutable last_hit : float;
       (* last time a walk *completed* through this entry (or an install
@@ -11,6 +11,12 @@ type stored = {
          fall to the slowpath do not refresh it, so replacement policies
          see dead chain prefixes as cold even though every miss still
          touches them. *)
+}
+
+type stored = {
+  rule : Ltm_rule.t;
+  key : int;
+  clock : clock;
   mutable shares : int;
   mutable slot : int; (* index in [entries] *)
   mutable safe_stamp : int;
@@ -73,7 +79,15 @@ let insert t ~now rule =
   t.next_key <- key + 1;
   let slot = occupancy t in
   let stored =
-    { rule; key; last_used = now; last_hit = now; shares = 1; slot; safe_stamp = -1; safe = false }
+    {
+      rule;
+      key;
+      clock = { last_used = now; last_hit = now };
+      shares = 1;
+      slot;
+      safe_stamp = -1;
+      safe = false;
+    }
   in
   if slot = Array.length t.entries then begin
     (* Sized by occupancy, doubling up to the capacity. *)

@@ -6,9 +6,9 @@
     Mirrors the homogeneous P4 table of the paper's Fig. 6: any table can
     hold any sub-traversal, preserving pipeline programmability. *)
 
-type stored = {
-  rule : Ltm_rule.t;
-  key : int;  (** Unique within the table. *)
+(** An entry's recency clocks, in an all-float record (stored flat, so a
+    write boxes no float). *)
+type clock = {
   mutable last_used : float;
   mutable last_hit : float;
       (** Last time a walk {e completed} through this entry or an install
@@ -17,6 +17,12 @@ type stored = {
           every miss) from entries still carrying full traversals.
           [last_used] keeps the touch-on-match semantics and drives idle
           expiry. *)
+}
+
+type stored = {
+  rule : Ltm_rule.t;
+  key : int;  (** Unique within the table. *)
+  clock : clock;
   mutable shares : int;
       (** How many distinct installations resolved to this entry (1 at
           creation; +1 per deduplicated reuse) — the sharing statistic of

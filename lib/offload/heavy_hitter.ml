@@ -1,4 +1,5 @@
 module Flow = Gf_flow.Flow
+module Int_tbl = Gf_util.Int_tbl
 
 (* Stream-summary layout: rows [0, size) of the flat arrays hold the tracked
    entries sorted by count descending.  [index] maps a tracked flow to its
@@ -12,7 +13,7 @@ type t = {
   mutable counts : int array;
   mutable errs : int array;
   index : int Flow.Tbl.t;
-  boundary : (int, int) Hashtbl.t;
+  boundary : int Int_tbl.t;
   mutable size : int;
   mutable observed : int;
 }
@@ -25,7 +26,7 @@ let create ~k =
     counts = Array.make k 0;
     errs = Array.make k 0;
     index = Flow.Tbl.create (2 * k);
-    boundary = Hashtbl.create (2 * k);
+    boundary = Int_tbl.create (2 * k);
     size = 0;
     observed = 0;
   }
@@ -38,7 +39,7 @@ let observed t = t.observed
    maintaining the sorted order and the boundary map. *)
 let bump t i =
   let c = t.counts.(i) in
-  let j = match Hashtbl.find_opt t.boundary c with Some j -> j | None -> i in
+  let j = match Int_tbl.find_opt t.boundary c with Some j -> j | None -> i in
   if j <> i then begin
     let fi = t.flows.(i) and fj = t.flows.(j) in
     t.flows.(i) <- fj;
@@ -52,13 +53,13 @@ let bump t i =
   end;
   (* shrink (or drop) the run of [c], which now starts one row later *)
   if j + 1 < t.size && t.counts.(j + 1) = c then
-    Hashtbl.replace t.boundary c (j + 1)
-  else Hashtbl.remove t.boundary c;
+    Int_tbl.replace t.boundary c (j + 1)
+  else Int_tbl.remove t.boundary c;
   t.counts.(j) <- c + 1;
   (* row [j] is now the rightmost of the (c+1)-run; it only becomes the
      boundary if no (c+1)-run existed before *)
-  if not (Hashtbl.mem t.boundary (c + 1)) then
-    Hashtbl.replace t.boundary (c + 1) j
+  if not (Int_tbl.mem t.boundary (c + 1)) then
+    Int_tbl.replace t.boundary (c + 1) j
 
 let observe t flow =
   t.observed <- t.observed + 1;
@@ -71,7 +72,7 @@ let observe t flow =
         t.counts.(i) <- 0;
         t.errs.(i) <- 0;
         Flow.Tbl.replace t.index flow i;
-        if not (Hashtbl.mem t.boundary 0) then Hashtbl.replace t.boundary 0 i;
+        if not (Int_tbl.mem t.boundary 0) then Int_tbl.replace t.boundary 0 i;
         t.size <- t.size + 1;
         bump t i
       end
@@ -101,9 +102,9 @@ let guaranteed t flow =
 let hot t ~threshold flow = guaranteed t flow >= threshold
 
 let rebuild_boundary t =
-  Hashtbl.reset t.boundary;
+  Int_tbl.reset t.boundary;
   for i = t.size - 1 downto 0 do
-    Hashtbl.replace t.boundary t.counts.(i) i
+    Int_tbl.replace t.boundary t.counts.(i) i
   done
 
 let decay t =
@@ -169,10 +170,10 @@ let check_invariants t =
   for i = t.size - 1 downto 0 do
     Hashtbl.replace runs t.counts.(i) i
   done;
-  if Hashtbl.length t.boundary <> Hashtbl.length runs then ok := false;
+  if Int_tbl.length t.boundary <> Hashtbl.length runs then ok := false;
   Hashtbl.iter
     (fun c leftmost ->
-      match Hashtbl.find_opt t.boundary c with
+      match Int_tbl.find_opt t.boundary c with
       | Some j when j = leftmost -> ()
       | _ -> ok := false)
     runs;

@@ -91,10 +91,10 @@ val lookup_memo :
     Exact-match levels are already one probe and just look up.  Requires
     that a given [flow_id] is always presented with the same flow value. *)
 
-val prepare_replay : t -> flow_id:int -> (now:float -> int option) option
+val prepare_replay : t -> flow_id:int -> (now:float -> int) option
 (** Compiled per-flow hit replay: after [lookup_memo] returned a hit for
     [flow_id], a closure applying just that hit's per-packet side effects
-    and returning its work, re-validating on every call — [None] once the
+    and returning its work, re-validating on every call — -1 once the
     memo is stale.  Exact-match levels keep no memo and return [None]
     outright.  See {!Gf_cache.Megaflow.prepare_replay}. *)
 

@@ -264,9 +264,9 @@ type outcome = Hw_hit | Sw_hit | Slowpath
    once on the memoised walk and replayed with plain mutations; only the
    backend's own validity check ([p_replay], see
    [Cache_level.prepare_replay]) runs per packet, returning the exact
-   lookup work or [None] once the memoised entry is stale. *)
+   lookup work or -1 once the memoised entry is stale. *)
 type pmemo = {
-  p_replay : now:float -> int option;
+  p_replay : now:float -> int;
   p_lat : float;  (* constant hardware hit latency, us *)
   p_gidx : int;  (* precomputed bucket of [p_lat] in the global histogram *)
   p_lidx : int;  (* ... and in level 0's histogram *)
@@ -1004,7 +1004,6 @@ let walk t ~memo ~now ~flow_id flow =
                   Latency.upcall_us +. Latency.sw_base_us
                   +. d.Cache_level.hit_us ~work )
           in
-          lm.Metrics.latency_us <- lm.Metrics.latency_us +. lat;
           Histogram.record lm.Metrics.latency_hist lat;
           note t Recorder.Hit ~level:i ~packet:(m.Metrics.packets - 1) ~time:now ~lat
             ~count:1;
@@ -1049,43 +1048,44 @@ let process_memo t ~now ~flow_id flow =
     && now -. t.last_expire < t.cfg.expire_every
   then begin
     match t.replay_tbl.(flow_id) with
-    | Some pm -> (
-        match pm.p_replay ~now with
-        | Some work ->
-            let m = t.metrics in
-            m.Metrics.packets <- m.Metrics.packets + 1;
-            (match t.tracer with
-            | Some tr ->
-                tracer_tick tr;
-                if tr.Tracer.active then
-                  trace_probe t tr ~level:0 ~now ~work ~cpw:pm.p_cpw
-                    ~depth:pm.p_depth Attribution.outcome_hit
-            | None -> ());
-            (* Inlined [fs_touch ~level:0] — [flow_id >= 0] is checked at
-               entry, so one bounds test suffices. *)
-            if flow_id < t.fs_cap then Array.unsafe_set t.fs_seen0 flow_id now
-            else fs_touch t ~level:0 ~now flow_id;
-            (match t.hh with Some hh -> Heavy_hitter.observe hh flow | None -> ());
-            let lm0 = t.level_metrics.(0) in
-            lm0.Metrics.work <- lm0.Metrics.work + work;
-            m.Metrics.cycles_sw_search <-
-              m.Metrics.cycles_sw_search + (work * pm.p_cpw);
-            lm0.Metrics.hits <- lm0.Metrics.hits + 1;
-            m.Metrics.hw_hits <- m.Metrics.hw_hits + 1;
-            lm0.Metrics.latency_us <- lm0.Metrics.latency_us +. pm.p_lat;
-            Histogram.record_at lm0.Metrics.latency_hist pm.p_lidx pm.p_lat;
-            note t Recorder.Hit ~level:0 ~packet:(m.Metrics.packets - 1) ~time:now
-              ~lat:pm.p_lat ~count:1;
-            if pm.p_is_drop then m.Metrics.drops <- m.Metrics.drops + 1;
-            Gf_util.Stats.Acc.add m.Metrics.latency pm.p_lat;
-            Histogram.record_at m.Metrics.latency_hist pm.p_gidx pm.p_lat;
-            pm.p_result
-        | None ->
-            (* Entry left the level (evicted, replaced): drop the stale
-               compilation and walk; a fresh one is compiled on the next
-               top-level hit. *)
-            t.replay_tbl.(flow_id) <- None;
-            walk t ~memo:true ~now ~flow_id flow)
+    | Some pm ->
+        let work = pm.p_replay ~now in
+        if work >= 0 then begin
+          let m = t.metrics in
+          m.Metrics.packets <- m.Metrics.packets + 1;
+          (match t.tracer with
+          | Some tr ->
+              tracer_tick tr;
+              if tr.Tracer.active then
+                trace_probe t tr ~level:0 ~now ~work ~cpw:pm.p_cpw
+                  ~depth:pm.p_depth Attribution.outcome_hit
+          | None -> ());
+          (* Inlined [fs_touch ~level:0] — [flow_id >= 0] is checked at
+             entry, so one bounds test suffices. *)
+          if flow_id < t.fs_cap then Array.unsafe_set t.fs_seen0 flow_id now
+          else fs_touch t ~level:0 ~now flow_id;
+          (match t.hh with Some hh -> Heavy_hitter.observe hh flow | None -> ());
+          let lm0 = t.level_metrics.(0) in
+          lm0.Metrics.work <- lm0.Metrics.work + work;
+          m.Metrics.cycles_sw_search <-
+            m.Metrics.cycles_sw_search + (work * pm.p_cpw);
+          lm0.Metrics.hits <- lm0.Metrics.hits + 1;
+          m.Metrics.hw_hits <- m.Metrics.hw_hits + 1;
+          Histogram.record_at lm0.Metrics.latency_hist pm.p_lidx pm.p_lat;
+          note t Recorder.Hit ~level:0 ~packet:(m.Metrics.packets - 1) ~time:now
+            ~lat:pm.p_lat ~count:1;
+          if pm.p_is_drop then m.Metrics.drops <- m.Metrics.drops + 1;
+          Gf_util.Stats.Acc.add m.Metrics.latency pm.p_lat;
+          Histogram.record_at m.Metrics.latency_hist pm.p_gidx pm.p_lat;
+          pm.p_result
+        end
+        else begin
+          (* Entry left the level (evicted, replaced): drop the stale
+             compilation and walk; a fresh one is compiled on the next
+             top-level hit. *)
+          t.replay_tbl.(flow_id) <- None;
+          walk t ~memo:true ~now ~flow_id flow
+        end
     | None -> walk t ~memo:true ~now ~flow_id flow
   end
   else walk t ~memo:true ~now ~flow_id flow

@@ -58,7 +58,6 @@ type level = {
       (* entries evicted by a revalidation sweep; also included in
          [evictions] *)
   mutable work : int;
-  mutable latency_us : float;
   mutable occupancy_peak : int;
   mutable occupancy_final : int;
   latency_hist : Histogram.t;  (* per-hit latency at this level *)
@@ -80,7 +79,6 @@ let level_create name =
     promotions = 0;
     revalidations = 0;
     work = 0;
-    latency_us = 0.0;
     occupancy_peak = 0;
     occupancy_final = 0;
     latency_hist = Gf_nic.Latency.latency_histogram ();
@@ -185,7 +183,6 @@ let merge_level ~into:(into : level) (src : level) =
   into.promotions <- into.promotions + src.promotions;
   into.revalidations <- into.revalidations + src.revalidations;
   into.work <- into.work + src.work;
-  into.latency_us <- into.latency_us +. src.latency_us;
   into.occupancy_peak <- into.occupancy_peak + src.occupancy_peak;
   into.occupancy_final <- into.occupancy_final + src.occupancy_final
 

@@ -41,13 +41,13 @@ type level = {
       (** entries evicted by a revalidation sweep; also included in
           [evictions] *)
   mutable work : int;  (** lookup work units spent at this level *)
-  mutable latency_us : float;  (** total latency attributed to hits here *)
   mutable occupancy_peak : int;
   mutable occupancy_final : int;
   latency_hist : Gf_telemetry.Histogram.t;
       (** Per-hit latency distribution at this level.  Always on: recording
           is allocation-free, and it is what gives {!pp_levels} and the
-          telemetry sampler per-level p50/p99. *)
+          telemetry sampler per-level p50/p99.  The level's total hit
+          latency is [Histogram.sum latency_hist]. *)
 }
 
 type t = {

@@ -1,6 +1,10 @@
 module Acc = struct
+  (* Every field is a float, so OCaml stores the record flat: an [add] is
+     plain stores, with no float box and no write barrier.  The count is a
+     float too; counts below 2^53 are exact, so every mean and variance is
+     the one an int count gives. *)
   type t = {
-    mutable count : int;
+    mutable count : float;
     mutable total : float;
     mutable mean : float;
     mutable m2 : float;
@@ -9,14 +13,14 @@ module Acc = struct
   }
 
   let create () =
-    { count = 0; total = 0.0; mean = 0.0; m2 = 0.0; min = infinity; max = neg_infinity }
+    { count = 0.0; total = 0.0; mean = 0.0; m2 = 0.0; min = infinity; max = neg_infinity }
 
   (* Welford's online algorithm keeps the variance numerically stable. *)
   let add t x =
-    t.count <- t.count + 1;
+    t.count <- t.count +. 1.0;
     t.total <- t.total +. x;
     let delta = x -. t.mean in
-    t.mean <- t.mean +. (delta /. float_of_int t.count);
+    t.mean <- t.mean +. (delta /. t.count);
     t.m2 <- t.m2 +. (delta *. (x -. t.mean));
     if x < t.min then t.min <- x;
     if x > t.max then t.max <- x
@@ -25,8 +29,8 @@ module Acc = struct
      give the same mean/variance as feeding all samples to one accumulator
      (up to float rounding). *)
   let merge ~into src =
-    if src.count > 0 then
-      if into.count = 0 then begin
+    if src.count > 0.0 then
+      if into.count = 0.0 then begin
         into.count <- src.count;
         into.total <- src.total;
         into.mean <- src.mean;
@@ -35,23 +39,23 @@ module Acc = struct
         into.max <- src.max
       end
       else begin
-        let na = float_of_int into.count and nb = float_of_int src.count in
+        let na = into.count and nb = src.count in
         let n = na +. nb in
         let delta = src.mean -. into.mean in
         into.mean <- into.mean +. (delta *. nb /. n);
         into.m2 <- into.m2 +. src.m2 +. (delta *. delta *. na *. nb /. n);
-        into.count <- into.count + src.count;
+        into.count <- n;
         into.total <- into.total +. src.total;
         if src.min < into.min then into.min <- src.min;
         if src.max > into.max then into.max <- src.max
       end
 
-  let count t = t.count
+  let count t = int_of_float t.count
   let total t = t.total
-  let mean t = if t.count = 0 then nan else t.mean
-  let variance t = if t.count < 2 then nan else t.m2 /. float_of_int (t.count - 1)
-  let min t = if t.count = 0 then nan else t.min
-  let max t = if t.count = 0 then nan else t.max
+  let mean t = if t.count = 0.0 then nan else t.mean
+  let variance t = if t.count < 2.0 then nan else t.m2 /. (t.count -. 1.0)
+  let min t = if t.count = 0.0 then nan else t.min
+  let max t = if t.count = 0.0 then nan else t.max
 end
 
 (* NaN samples poison every downstream aggregate (and order arbitrarily

@@ -161,6 +161,11 @@ let stream_of_trace t =
   in
   { fill; stream_unique_flows = t.unique_flows; stream_duration = t.duration }
 
+(* A running clock in an all-float record, stored flat: advancing it
+   boxes no float and runs no write barrier (a captured [float ref]
+   would do both on every packet). *)
+type clock = { mutable now : float }
+
 (* Steady-state traffic: every packet picks its flow Zipf-independently, so
    the popular-flow working set is stable for the whole stream (no flow
    births/deaths).  Packets are generated batch-at-a-time straight into the
@@ -173,16 +178,16 @@ let steady ?(duration = 60.0) ?(zipf_s = 1.1) ~packets ~seed ~flows () =
     invalid_arg "Trace.steady: needs flows and packets >= 0";
   let zipf = Zipf.create ~n ~s:zipf_s in
   let mean_gap = duration /. float_of_int (Stdlib.max 1 packets) in
-  let time = ref 0.0 in
+  let clock = { now = 0.0 } in
   let remaining = ref packets in
   let fill ~times ~flow_ids ~flows:out ~max =
     let k = Stdlib.min max !remaining in
     for i = 0 to k - 1 do
       let fid = Zipf.sample zipf rng in
-      times.(i) <- !time;
+      times.(i) <- clock.now;
       flow_ids.(i) <- fid;
       out.(i) <- flows.(fid);
-      time := !time +. Rng.exponential rng ~mean:mean_gap
+      clock.now <- clock.now +. Rng.exponential rng ~mean:mean_gap
     done;
     remaining := !remaining - k;
     k

@@ -200,21 +200,18 @@ let install t ~now flow hit =
   else begin
     let b1 = bucket1 t flow in
     let b2 = alt_bucket t flow b1 in
-    let over = t.size >= t.capacity in
-    if over && t.policy = Evict.Reject then Install.Rejected { pressure_evicted = 0 }
+    if t.size >= t.capacity && t.policy = Evict.Reject then
+      Install.Rejected { pressure_evicted = 0 }
     else begin
-      let pressure =
-        if over then begin
-          let v = pick_victim t b1 b2 in
-          let v = if v >= 0 then v else table_victim t in
-          if v >= 0 then begin
-            clear_slot t v;
-            1
-          end
-          else 0
-        end
-        else 0
-      in
+      (* evict down to one below the bound (several victims only after
+         the bound shrank below occupancy) *)
+      let pressure = ref 0 in
+      while t.size >= t.capacity do
+        let v = pick_victim t b1 b2 in
+        clear_slot t (if v >= 0 then v else table_victim t);
+        incr pressure
+      done;
+      let pressure = !pressure in
       let s = empty_in_bucket t b1 in
       let s = if s >= 0 then s else empty_in_bucket t b2 in
       if s >= 0 then begin

@@ -1,4 +1,5 @@
-(* Tests for gigaflow.cache: Microflow and Megaflow. *)
+(* Tests for gigaflow.cache: Microflow and Megaflow, and the shrunk-bound
+   property Microflow shares with the cuckoo table. *)
 
 open Helpers
 module Field = Gf_flow.Field
@@ -9,6 +10,8 @@ module Executor = Gf_pipeline.Executor
 module Pipeline = Gf_pipeline.Pipeline
 module Microflow = Gf_cache.Microflow
 module Megaflow = Gf_cache.Megaflow
+module Cuckoo = Gf_cache.Cuckoo
+module Evict = Gf_cache.Evict
 module Install = Gf_cache.Install
 
 let a_hit = { Hit.terminal = Action.Output 1; out_flow = Flow.zero }
@@ -431,8 +434,85 @@ let suite =
     ("megaflow tss/nm agree", `Quick, test_megaflow_search_algos_agree);
   ]
 
+(* An exact-match cache as the shrunk-bound property drives it. *)
+type exact = {
+  lookup : now:float -> Flow.t -> Hit.t option;
+  install : now:float -> Flow.t -> Install.t;
+  occupancy : unit -> int;
+  set_capacity : int -> unit;
+}
+
+let microflow ~policy ~capacity =
+  let c = Microflow.create ~policy ~capacity () in
+  {
+    lookup = Microflow.lookup c;
+    install = (fun ~now f -> Microflow.install c ~now f a_hit);
+    occupancy = (fun () -> Microflow.occupancy c);
+    set_capacity = Microflow.set_capacity c;
+  }
+
+let cuckoo ~policy ~capacity =
+  let c = Cuckoo.create ~policy ~capacity () in
+  {
+    lookup = Cuckoo.lookup c;
+    install = (fun ~now f -> Cuckoo.install c ~now f a_hit);
+    occupancy = (fun () -> Cuckoo.occupancy c);
+    set_capacity = Cuckoo.set_capacity c;
+  }
+
+(* Fill, shrink the bound below occupancy, then churn installs and
+   lookups over a key universe three times the fill.  Under an evicting
+   policy the first install of a new key evicts down to the bound, and
+   from then on occupancy stays at or below it after every install;
+   under [Reject] a new key is refused while the cache is at or over its
+   bound.  Every install changes occupancy by its fresh entry (none for a
+   present key) minus the evictions it reports. *)
+let prop_shrunk_bound_restored =
+  QCheck2.Test.make ~name:"shrunk bound restored by the next install" ~count:200
+    QCheck2.Gen.(
+      quad (oneofl [ ("microflow", microflow); ("cuckoo", cuckoo) ]) (oneofl Evict.all)
+        (pair (8 -- 64) (1 -- 8)) (0 -- 1_000_000))
+    (fun ((name, make), policy, (fill, bound), seed) ->
+      let rng = Gf_util.Rng.create seed in
+      let key i = Flow.make [ (Field.Vlan, i) ] in
+      let c = make ~policy ~capacity:fill in
+      for i = 1 to fill do
+        ignore (c.install ~now:(float_of_int i) (key i) : Install.t)
+      done;
+      c.set_capacity bound;
+      let fail fmt =
+        QCheck2.Test.fail_reportf ("%s %s fill %d bound %d seed %d: " ^^ fmt) name
+          (Evict.to_string policy) fill bound seed
+      in
+      let restored = ref false in
+      for i = 1 to 300 do
+        let now = float_of_int (fill + i) in
+        let f = key (1 + Gf_util.Rng.int rng (3 * fill)) in
+        if Gf_util.Rng.int rng 3 = 0 then ignore (c.lookup ~now f : Hit.t option)
+        else begin
+          let before = c.occupancy () in
+          let fresh = if c.lookup ~now f = None then 1 else 0 in
+          let outcome = c.install ~now f in
+          let after = c.occupancy () in
+          (match outcome with
+          | Install.Installed { pressure_evicted; _ } ->
+              if after <> before + fresh - pressure_evicted then
+                fail "occupancy %d -> %d, %d evicted" before after pressure_evicted;
+              if fresh = 1 && policy = Evict.Reject && before >= bound then
+                fail "new key admitted at occupancy %d" before
+          | Install.Rejected { pressure_evicted } ->
+              if after <> before - pressure_evicted then
+                fail "rejected: occupancy %d -> %d" before after;
+              if policy <> Evict.Reject then fail "rejected under an evicting policy");
+          if fresh = 1 && policy <> Evict.Reject then restored := true;
+          if !restored && after > bound then fail "occupancy %d over the bound" after
+        end
+      done;
+      true)
+
 let props =
   [
+    prop_shrunk_bound_restored;
     prop_megaflow_consistent;
     prop_megaflow_revalidate_sound;
     prop_megaflow_invariants_under_churn;

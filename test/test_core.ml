@@ -614,8 +614,8 @@ let ref_pick_victim ~policy ~rng cache ~lo ~hi =
   | (Gf_cache.Evict.Lru | Gf_cache.Evict.Priority_aware), _ ->
       let better (p, (s : Ltm_table.stored)) (p', (s' : Ltm_table.stored)) =
         let lru () =
-          s.Ltm_table.last_hit < s'.Ltm_table.last_hit
-          || (s.Ltm_table.last_hit = s'.Ltm_table.last_hit
+          s.Ltm_table.clock.last_hit < s'.Ltm_table.clock.last_hit
+          || (s.Ltm_table.clock.last_hit = s'.Ltm_table.clock.last_hit
              && (p, s.Ltm_table.key) < (p', s'.Ltm_table.key))
         in
         match policy with
@@ -971,7 +971,7 @@ let test_ltm_eviction_breaks_chain_safely () =
   (* Age only the second segment: touch the first, then expire. *)
   Ltm_cache.iter_rules cache (fun ~table:_ stored ->
       if stored.Ltm_table.rule.Ltm_rule.tag_in = 0 then
-        stored.Ltm_table.last_used <- 100.0);
+        stored.Ltm_table.clock.last_used <- 100.0);
   Alcotest.(check int) "one evicted" 1 (Ltm_cache.expire cache ~now:100.0 ~max_idle:10.0);
   Alcotest.(check bool) "dangling chain is a miss, not a wrong answer" true
     (fst (Ltm_cache.lookup cache ~now:101.0 ~entry_tag:0 flow) = None)

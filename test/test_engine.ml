@@ -111,7 +111,7 @@ let strong_fingerprint (m : Metrics.t) =
             string_of_int l.Metrics.pressure_evictions;
             string_of_int l.Metrics.deferred;
             string_of_int l.Metrics.demotions;
-            string_of_int l.Metrics.work; f l.Metrics.latency_us;
+            string_of_int l.Metrics.work; f (Histogram.sum l.Metrics.latency_hist);
             string_of_int l.Metrics.occupancy_peak;
             string_of_int l.Metrics.occupancy_final;
             string_of_int (Histogram.count l.Metrics.latency_hist);

@@ -2,6 +2,7 @@ let () =
   Alcotest.run "gigaflow"
     [
       ("util", Test_util.suite);
+      Helpers.qsuite "util:props" Test_util.props;
       ("flow", Test_flow.suite);
       Helpers.qsuite "flow:props" Test_flow.props;
       ("classifier", Test_classifier.suite);
