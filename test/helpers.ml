@@ -178,3 +178,12 @@ let raises_invalid name f =
 
 let qsuite name tests =
   (name, List.map (QCheck_alcotest.to_alcotest ~long:false) tests)
+
+(* Minor words [f ()] allocates, net of the cost of the [Gc.minor_words]
+   reads themselves, measured back to back. *)
+let minor_words f =
+  let r0 = Gc.minor_words () in
+  let r1 = Gc.minor_words () in
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before -. (r1 -. r0)
