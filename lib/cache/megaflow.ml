@@ -17,27 +17,9 @@ type payload = {
   version : int;
   clock : clock;
   mutable live : bool;
-      (* flipped to false when the entry leaves the table, so memoised
-         lookups holding the entry can self-invalidate in O(1) without a
-         global generation sweep (see [lookup_memo]) *)
-}
-
-(* Per-flow lookup memo (see [lookup_memo]).  A memoised {e hit} is valid
-   while its entry is still in the table ([payload.live]): entries are
-   pairwise disjoint, so the memoised entry stays the unique match no
-   matter what else is installed, and the ranked-TSS replay recomputes the
-   probe count positionally so it tracks rank drift and tuple churn
-   exactly.  (Stateless search algorithms replay [m_work] verbatim, so
-   they additionally require [generation] unchanged.)  A memoised {e miss}
-   is valid only while [generation] is unchanged — miss work probes the
-   whole entry set, so any structural change stales it.  Touch-only
-   mutations (last-used refreshes, TSS rank promotions) never invalidate:
-   replay reapplies them exactly. *)
-type memo = {
-  mutable m_gen : int;
-  mutable m_entry : payload Entry.t option;
-  mutable m_hit : Hit.t option;
-  mutable m_work : int;
+      (* flipped to false when the entry leaves the table, so a replay
+         holding the entry can self-invalidate in O(1) without a global
+         generation sweep (see [lookup_replay]) *)
 }
 
 type t = {
@@ -48,10 +30,7 @@ type t = {
   by_fmatch : int Fmatch.Tbl.t; (* match -> classifier key *)
   by_key : (int, Fmatch.t * payload) Hashtbl.t;
   mutable next_key : int;
-  memo_tbl : memo Gf_util.Int_tbl.t; (* flow id -> last lookup *)
   mutable generation : int; (* bumped on any structural entry-set change *)
-  stable_replay : bool;
-      (* hit replays stay exact under entry-set churn (ranked TSS walk) *)
 }
 
 (* Indexes start small and grow with occupancy, not with the admission
@@ -71,9 +50,7 @@ let create ?(search = `Tss) ?(policy = Evict.Reject) ?(rng_seed = 0x3F1A)
     by_fmatch = Fmatch.Tbl.create (index_size capacity);
     by_key = Hashtbl.create (index_size capacity);
     next_key = 0;
-    memo_tbl = Gf_util.Int_tbl.create 256;
     generation = 0;
-    stable_replay = (search = `Tss);
   }
 
 let capacity t = t.capacity
@@ -93,84 +70,49 @@ let occupancy t = Hashtbl.length t.by_key
    [Flow.set] copy per field — this runs on every cache hit. *)
 let apply_commit commit flow = Flow.update flow commit
 
+let hit_of payload ~now flow =
+  payload.clock.last_used <- now;
+  Some { Hit.terminal = payload.terminal; out_flow = apply_commit payload.commit flow }
+
 let lookup t ~now flow =
   let result, work = Searcher.lookup_disjoint t.searcher flow in
   match result with
-  | Some entry ->
-      let payload = entry.Entry.payload in
-      payload.clock.last_used <- now;
-      let out_flow = apply_commit payload.commit flow in
-      (Some { Hit.terminal = payload.terminal; out_flow }, work)
+  | Some entry -> (hit_of entry.Entry.payload ~now flow, work)
   | None -> (None, work)
 
-(* Memoised lookup keyed by trace flow id.  A repeat packet of a known
-   flow replays the previous result: same hit record, same touch side
-   effects (last-used refresh, TSS rank promotion — probe work is
-   recomputed from the tuple's current rank so it matches what a live
-   ranked walk would report).  Hit memos stay valid across installs and
-   unrelated evictions (entry [live] flag + positional replay); miss memos
-   and stateless-search hit memos need the entry set unchanged
-   ([generation] guard).  Observably identical to {!lookup}; callers must
-   present the same [flow] value for a given [flow_id]. *)
-let lookup_memo t ~now ~flow_id flow =
-  match Gf_util.Int_tbl.find_opt t.memo_tbl flow_id with
-  | Some ({ m_entry = Some entry; _ } as m)
-    when entry.Entry.payload.live && (t.stable_replay || m.m_gen = t.generation)
-    ->
+(* [lookup] plus a replay of its per-packet effects.  A hit replays while
+   its entry is [live]: entries are pairwise disjoint, so it stays the
+   unique match whatever else is installed or evicted, and the ranked-TSS
+   positional walk recomputes the probe count exactly.  Stateless search
+   replays the hit's work verbatim, so it also needs [generation]
+   unchanged.  A miss probes the whole entry set, so it replays while
+   [generation] is unchanged.  Touch-only mutations (last-used refreshes,
+   rank promotions) never stale a replay: it reapplies them. *)
+let lookup_replay t ~now flow =
+  let result, work = Searcher.lookup_disjoint t.searcher flow in
+  let gen = t.generation in
+  match result with
+  | Some entry ->
       let payload = entry.Entry.payload in
-      payload.clock.last_used <- now;
-      (m.m_hit, Searcher.replay_disjoint t.searcher entry ~prev_work:m.m_work)
-  | Some ({ m_entry = None; _ } as m) when m.m_gen = t.generation ->
-      (None, m.m_work)
-  | memo ->
-      let result, work = Searcher.lookup_disjoint t.searcher flow in
-      let hit =
-        match result with
-        | Some entry ->
-            let payload = entry.Entry.payload in
-            payload.clock.last_used <- now;
-            Some
-              {
-                Hit.terminal = payload.terminal;
-                out_flow = apply_commit payload.commit flow;
-              }
-        | None -> None
+      let replay =
+        match Searcher.prepare_replay t.searcher entry with
+        | Some probes ->
+            fun ~now ->
+              if payload.live then begin
+                payload.clock.last_used <- now;
+                probes ()
+              end
+              else -1
+        | None ->
+            fun ~now ->
+              if payload.live && gen = t.generation then begin
+                payload.clock.last_used <- now;
+                work
+              end
+              else -1
       in
-      (match memo with
-      | Some m ->
-          m.m_gen <- t.generation;
-          m.m_entry <- result;
-          m.m_hit <- hit;
-          m.m_work <- work
-      | None ->
-          Gf_util.Int_tbl.replace t.memo_tbl flow_id
-            { m_gen = t.generation; m_entry = result; m_hit = hit; m_work = work });
-      (hit, work)
-
-(* Compiled hit replay for the datapath's per-flow fast path: after
-   {!lookup_memo} stored a hit for [flow_id], return a closure performing
-   just that hit's per-packet side effects (touch, ranked-walk work
-   + promotion) with every lookup hoisted out — no memo-table find, no
-   mask hash.  The closure re-validates on each call (entry unchanged and
-   still live, plus the generation guard for stateless search) and returns
-   -1 once stale, after which the caller must fall back to
-   {!lookup_memo} and compile a fresh replay. *)
-let prepare_replay t ~flow_id =
-  match Gf_util.Int_tbl.find_opt t.memo_tbl flow_id with
-  | Some ({ m_entry = Some entry as entry0; _ } as m) ->
-      let compiled = Searcher.prepare_replay t.searcher entry in
-      let payload = entry.Entry.payload in
-      Some
-        (fun ~now ->
-          if
-            m.m_entry == entry0 && payload.live
-            && (t.stable_replay || m.m_gen = t.generation)
-          then begin
-            payload.clock.last_used <- now;
-            match compiled with Some f -> f () | None -> m.m_work
-          end
-          else -1)
-  | Some { m_entry = None; _ } | None -> None
+      (hit_of payload ~now flow, work, replay)
+  | None -> (None, work, fun ~now:_ -> if gen = t.generation then work else -1)
 
 (* Collapse a traversal into (match, commit, terminal). *)
 let collapse traversal =
@@ -276,7 +218,7 @@ let install t ~now ~version traversal =
         Fmatch.Tbl.replace t.by_fmatch fmatch key;
         Hashtbl.replace t.by_key key (fmatch, payload);
         (* Entry set changed (insert, plus any pressure evictions above):
-           invalidate memoised lookups. *)
+           stale the generation-guarded replays. *)
         t.generation <- t.generation + 1;
         Install.Installed { fresh = 1; shared = 0; pressure_evicted = !pressure }
       end
@@ -295,8 +237,8 @@ let expire t ~now ~max_idle =
 (* Admission-sweep demotion: drop entries whose representative flow went
    cold according to the caller's hotness predicate (heavy-hitter sketch),
    freeing hardware slots for the current hot set.  Same machinery as
-   {!expire}: removed entries flip [live] and bump the generation so memos
-   and compiled replays self-invalidate. *)
+   {!expire}: removed entries flip [live] and bump the generation so
+   replays self-invalidate. *)
 let demote t ~is_hot =
   let cold =
     Hashtbl.fold

@@ -48,30 +48,16 @@ val check_invariants : t -> bool
 val lookup : t -> now:float -> Gf_flow.Flow.t -> Hit.t option * int
 (** Result and classifier work units. Refreshes last-used on hit. *)
 
-val lookup_memo : t -> now:float -> flow_id:int -> Gf_flow.Flow.t -> Hit.t option * int
-(** Observably identical to {!lookup}, but repeat packets of a known flow
-    replay the memoised result, skipping the classifier search.  A hit
-    memo stays valid while its entry is still cached — entries are
-    pairwise disjoint, so it remains the unique match under any other
-    install or eviction, and the ranked-TSS probe count is recomputed
-    positionally; miss memos (and hit memos under stateless search, whose
-    work cannot be recomputed) additionally require that no install or
-    eviction has changed the entry set (a generation counter guards
-    this).  Touch side effects — last-used refresh, TSS rank
-    promotion and its drifting probe count — are reapplied exactly.
-    Requires that a given [flow_id] is always presented with the same
-    [flow] value (true of every {!Gf_workload.Trace} generator). *)
-
-val prepare_replay : t -> flow_id:int -> (now:float -> int) option
-(** Compiled per-flow hit replay for the batched engine's fast path:
-    after {!lookup_memo} returned a hit for [flow_id], a closure that
-    performs exactly that hit's per-packet side effects (last-used
-    refresh, ranked-walk probe count + promotion) with the memo
-    find and mask hash hoisted out.  Each call re-validates and returns
-    the probe work (>= 0), or -1 once the memo is stale (entry evicted or
-    replaced) — the caller must then fall back to {!lookup_memo} and
-    compile a fresh replay.  A call allocates nothing.  [None] if the
-    flow's memo is absent or a miss. *)
+val lookup_replay :
+  t -> now:float -> Gf_flow.Flow.t -> Hit.t option * int * (now:float -> int)
+(** {!lookup}, plus a closure that replays that lookup's per-packet
+    effects — last-used refresh, TSS rank promotion — and returns the work
+    a live lookup of the same flow would report now, or -1 once stale
+    (and forever after).  A hit replays while its entry is still cached;
+    under stateless search ([`Linear], [`Nuevomatch]) it also needs the
+    entry set unchanged since the lookup.  A miss replays while the entry
+    set is unchanged.  A call allocates nothing.  The cache keeps no
+    per-flow state: holding the closure is the caller's memo. *)
 
 val install : t -> now:float -> version:int -> Gf_pipeline.Traversal.t -> Install.t
 (** Collapse the traversal and insert.  [Installed] with [fresh = 1] and

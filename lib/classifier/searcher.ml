@@ -17,7 +17,6 @@ type 'a ops = {
   size : unit -> int;
   lookup : Gf_flow.Flow.t -> 'a Entry.t option * int;
   lookup_disjoint : Gf_flow.Flow.t -> 'a Entry.t option * int;
-  replay_disjoint : 'a Entry.t -> prev_work:int -> int;
   prepare_replay : 'a Entry.t -> (unit -> int) option;
 }
 
@@ -31,12 +30,8 @@ let wrap (type p) (module C : Classifier_intf.S) : p ops =
     size = (fun () -> C.size c);
     lookup = C.lookup c;
     lookup_disjoint = C.lookup c;
-    (* Stateless search: with the entry set unchanged, a fresh lookup
-       reports the same work as the memoised one and has no side effect
-       to reapply. *)
-    replay_disjoint = (fun _ ~prev_work -> prev_work);
-    (* No per-entry state to compile: callers fall back to the memoised
-       work value (guarded by their generation check). *)
+    (* Stateless search: a hit's work is the same only while the entry set
+       is unchanged, which callers guard themselves. *)
     prepare_replay = (fun _ -> None);
   }
 
@@ -50,9 +45,6 @@ let wrap_tss (type p) () : p ops =
     size = (fun () -> Tss.size c);
     lookup = Tss.lookup c;
     lookup_disjoint = Tss.lookup_first c;
-    replay_disjoint =
-      (fun e ~prev_work ->
-        match Tss.replay_first c e with Some probes -> probes | None -> prev_work);
     prepare_replay = (fun e -> Tss.prepare_first c e);
   }
 
@@ -71,5 +63,4 @@ let remove t key = t.ops.remove key
 let size t = t.ops.size ()
 let lookup t flow = t.ops.lookup flow
 let lookup_disjoint t flow = t.ops.lookup_disjoint flow
-let replay_disjoint t entry ~prev_work = t.ops.replay_disjoint entry ~prev_work
 let prepare_replay t entry = t.ops.prepare_replay entry

@@ -23,18 +23,10 @@ val lookup_disjoint : 'a t -> Gf_flow.Flow.t -> 'a Entry.t option * int
     first-match ranked walk for TSS (see {!Tss.lookup_first}); other
     algorithms fall back to {!lookup}. *)
 
-val replay_disjoint : 'a t -> 'a Entry.t -> prev_work:int -> int
-(** Replay a memoised {!lookup_disjoint} hit on [entry]: the work a live
-    lookup would report now, with any self-organising side effect (TSS
-    rank promotion) reapplied.  Stateless algorithms return [prev_work]
-    unchanged, which is only sound while the entry set is structurally
-    unchanged; the TSS walk is exact under churn as long as [entry] is
-    still stored (see {!Tss.replay_first}). *)
-
 val prepare_replay : 'a t -> 'a Entry.t -> (unit -> int) option
-(** Compiled {!replay_disjoint}: per-entry setup hoisted out of the
-    per-packet path (TSS resolves the entry's tuple once; see
-    {!Tss.prepare_first}).  [None] for stateless algorithms — callers
-    fall back to the memoised work value under their own generation
-    guard.  The closure is valid only while [entry] remains stored. *)
-
+(** Replay of a {!lookup_disjoint} hit on [entry] that stays exact under
+    entry-set churn: the TSS positional walk ({!Tss.prepare_first}), which
+    returns the probes a live lookup would report now and reapplies the
+    rank promotion.  Valid only while [entry] remains stored.  [None] for
+    the stateless algorithms, whose hit work the caller may replay only
+    while the entry set is unchanged. *)

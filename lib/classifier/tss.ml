@@ -249,30 +249,18 @@ let rec rank_pos tuple node probes =
   | None -> -1
   | Some tu -> if tu == tuple then probes + 1 else rank_pos tuple tu.rank_next (probes + 1)
 
-(* Replay support for memoised first-match lookups: recompute the probe
-   count a live [lookup_first] would pay {e right now} to reach [entry]'s
-   tuple (its rank position changes as other flows promote their tuples),
-   and apply the same promotion side effect — without re-masking the flow
-   or re-probing any bucket.  Sound whenever [entry] is still present and
+(* Compiled replay of a first-match hit on [entry]: locate the entry's
+   tuple once (one mask hash), and return a closure that recomputes the
+   probe count a live [lookup_first] would pay {e right now} to reach that
+   tuple (its rank position drifts as other flows promote their tuples)
+   and applies the same promotion — without re-masking the flow or
+   re-probing any bucket.  Sound whenever [entry] is still stored and
    entries are pairwise disjoint, even across unrelated inserts/removals:
    the positional walk counts exactly the tuples a live walk would probe
-   before the (unique) match (see [Megaflow.lookup_memo]). *)
-let replay_first t (entry : 'a Entry.t) =
-  match Mask.Tbl.find_opt t.tuples (Fmatch.mask entry.Entry.fmatch) with
-  | None -> None
-  | Some tuple ->
-      let probes = rank_pos tuple t.rank_head 0 in
-      if probes < 0 then None
-      else begin
-        rank_promote t tuple;
-        Some probes
-      end
-
-(* Compiled form of [replay_first]: locate the entry's tuple once (one mask
-   hash), and return a closure that does only the positional walk and the
-   promotion.  The captured tuple object stays the entry's container for as
-   long as the entry is in the classifier (entries never migrate between
-   tuples), so callers may hold the closure until the entry is removed. *)
+   before the (unique) match.  The captured tuple stays the entry's
+   container for as long as the entry is in the classifier (entries never
+   migrate between tuples), so callers may hold the closure until the
+   entry is removed. *)
 let prepare_first t (entry : 'a Entry.t) =
   match Mask.Tbl.find_opt t.tuples (Fmatch.mask entry.Entry.fmatch) with
   | None -> None

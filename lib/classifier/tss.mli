@@ -20,19 +20,13 @@ val lookup_first : 'a t -> Gf_flow.Flow.t -> 'a Entry.t option * int
     reproduces the slowpath decision; property-tested).  Misses still probe
     every tuple. *)
 
-val replay_first : 'a t -> 'a Entry.t -> int option
-(** Replay a memoised {!lookup_first} hit on [entry]: return the probe
-    count a live ranked walk would report now (the entry's tuple rank
-    position, which drifts as other flows promote their tuples) and
-    promote the tuple, without re-masking or re-probing buckets.  [None]
-    if the entry's tuple is gone.  Sound whenever [entry] is still stored
-    and entries are pairwise disjoint, even across unrelated
-    inserts/removals: the positional walk counts exactly the tuples a
-    live walk would probe before the unique match. *)
-
 val prepare_first : 'a t -> 'a Entry.t -> (unit -> int) option
-(** Compiled {!replay_first}: resolve the entry's tuple once, returning a
-    closure that performs only the positional walk and promotion (no mask
-    hash per call).  The closure stays valid exactly as long as [entry]
-    remains stored; callers must stop using it once the entry is removed
-    (it raises if the tuple has left the rank list). *)
+(** Compiled replay of a {!lookup_first} hit on [entry]: resolve the
+    entry's tuple once, returning a closure that reports the probe count a
+    live ranked walk would report now (the tuple's rank position, which
+    drifts as other flows promote their tuples) and promotes the tuple,
+    without re-masking or re-probing buckets.  Sound while [entry] is
+    still stored and entries are pairwise disjoint, even across unrelated
+    inserts/removals; callers must stop using it once the entry is removed
+    (it raises if the tuple has left the rank list).  [None] if the
+    entry's tuple is absent. *)

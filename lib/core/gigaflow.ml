@@ -104,11 +104,6 @@ let in_fallback t = t.adaptive.fallback
 let lookup t ~now ~pipeline flow =
   Ltm_cache.lookup t.cache ~now ~entry_tag:(Pipeline.entry pipeline) flow
 
-let lookup_memo t ~now ~pipeline ~flow_id flow =
-  Ltm_cache.lookup_memo t.cache ~now ~entry_tag:(Pipeline.entry pipeline) ~flow_id flow
-
-let prepare_replay t ~flow_id = Ltm_cache.prepare_replay t.cache ~flow_id
-
 type install_outcome = {
   install : Install.t;
   segments : Partitioner.segment list;
@@ -205,6 +200,5 @@ let handle_miss t ~now ~pipeline flow =
         }
 
 let expire t ~now = Ltm_cache.expire t.cache ~now ~max_idle:t.config.Config.max_idle
-let demote t ~is_hot = Ltm_cache.demote t.cache ~is_hot
 
 let revalidate t pipeline = Ltm_cache.revalidate t.cache pipeline

@@ -54,20 +54,6 @@ val lookup :
   Gf_cache.Hit.t option * int
 (** LTM cache lookup (the entry tag is the pipeline's entry table). *)
 
-val lookup_memo :
-  t ->
-  now:float ->
-  pipeline:Gf_pipeline.Pipeline.t ->
-  flow_id:int ->
-  Gf_flow.Flow.t ->
-  Gf_cache.Hit.t option * int
-(** {!Ltm_cache.lookup_memo} with the pipeline's entry tag: observably
-    identical to {!lookup}, with repeat flows replayed from the per-flow
-    memo while the cache's entry set is unchanged. *)
-
-val prepare_replay : t -> flow_id:int -> (now:float -> int) option
-(** {!Ltm_cache.prepare_replay} on the underlying LTM cache. *)
-
 type install_outcome = {
   install : Gf_cache.Install.t;
   segments : Partitioner.segment list;
@@ -94,9 +80,6 @@ val handle_miss :
 
 val expire : t -> now:float -> int
 (** Max-idle eviction using the configured idle budget. *)
-
-val demote : t -> is_hot:(Gf_flow.Flow.t -> bool) -> int
-(** See {!Ltm_cache.demote}. *)
 
 val revalidate : t -> Gf_pipeline.Pipeline.t -> int * int
 (** See {!Ltm_cache.revalidate}. *)

@@ -3,24 +3,10 @@ module Flow = Gf_flow.Flow
 module Evict = Gf_cache.Evict
 module Install = Gf_cache.Install
 
-(* Per-flow lookup memo (see [lookup_memo]): result, work and the matched
-   entries (the walk's touch set) of the last lookup for a flow id, valid
-   while [generation] is unchanged — i.e. while no install/eviction has
-   changed any table's entry set.  Touch-only mutations (last-used /
-   last-hit refreshes, share counts) deliberately do not invalidate:
-   replay reapplies them exactly. *)
-type memo = {
-  mutable m_gen : int;
-  mutable m_result : Gf_cache.Hit.t option;
-  mutable m_work : int;
-  mutable m_touched : Ltm_table.stored list; (* reverse match order, as walked *)
-}
-
 type t = {
   mutable config : Config.t;
   rng : Gf_util.Rng.t;
   tables : Ltm_table.t array;
-  memo_tbl : memo Gf_util.Int_tbl.t; (* flow id -> last lookup *)
   mutable generation : int; (* bumped on any structural entry-set change *)
   mutable last_depth : int;
       (* tables matched by the most recent lookup: the tag-chain reuse
@@ -41,7 +27,6 @@ let create ?(rng_seed = 0x61F) config =
     tables =
       Array.init config.Config.tables (fun _ ->
           Ltm_table.create ~capacity:config.Config.table_capacity);
-    memo_tbl = Gf_util.Int_tbl.create 256;
     generation = 0;
     last_depth = 0;
   }
@@ -105,50 +90,25 @@ let lookup t ~now ~entry_tag flow =
   let result, work, _ = lookup_core t ~now ~entry_tag flow in
   (result, work)
 
-(* Memoised lookup keyed by trace flow id.  While no install/eviction has
-   changed any table's entry set (generation guard), a repeat packet of a
-   known flow replays the previous walk: same result and work (tag gating
-   and priority scans are deterministic over a fixed entry set), same
-   touch side effects on the matched entries.  Observably identical to
-   {!lookup}; callers must present the same [flow] value for a given
-   [flow_id]. *)
-let lookup_memo t ~now ~entry_tag ~flow_id flow =
-  match Gf_util.Int_tbl.find_opt t.memo_tbl flow_id with
-  | Some m when m.m_gen = t.generation ->
-      touch ~now ~completed:(Option.is_some m.m_result) m.m_touched;
-      t.last_depth <- List.length m.m_touched;
-      (m.m_result, m.m_work)
-  | memo ->
-      let result, work, touched = lookup_core t ~now ~entry_tag flow in
-      (match memo with
-      | Some m ->
-          m.m_gen <- t.generation;
-          m.m_result <- result;
-          m.m_work <- work;
-          m.m_touched <- touched
-      | None ->
-          Gf_util.Int_tbl.replace t.memo_tbl flow_id
-            { m_gen = t.generation; m_result = result; m_work = work; m_touched = touched });
-      (result, work)
-
-(* Compiled hit replay for the datapath's per-flow fast path: after
-   {!lookup_memo} stored a hit for [flow_id], a closure performing just
-   that hit's per-packet side effects (touch the matched entries)
-   with the memo find hoisted out.  The LTM walk's work and touch set
-   depend on every table's contents (tag gating, priority scan order), so
-   validity is the generation guard plus the memo still holding the same
-   result; -1 once stale. *)
-let prepare_replay t ~flow_id =
-  match Gf_util.Int_tbl.find_opt t.memo_tbl flow_id with
-  | Some ({ m_result = Some _ as result0; _ } as m) ->
-      Some
-        (fun ~now ->
-          if m.m_gen = t.generation && m.m_result == result0 then begin
-            touch ~now ~completed:true m.m_touched;
-            m.m_work
-          end
-          else -1)
-  | Some { m_result = None; _ } | None -> None
+(* [lookup] plus a replay of its per-packet effects.  The walk's result,
+   work and touch set depend on every table's contents (tag gating,
+   priority scan order), so a replay — hit or miss — is valid while
+   [generation] is unchanged, i.e. while no install or eviction has changed
+   any table's entry set.  Touch-only mutations (recency refreshes, share
+   counts) never stale it: it reapplies the touches and the depth. *)
+let lookup_replay t ~now ~entry_tag flow =
+  let result, work, matched = lookup_core t ~now ~entry_tag flow in
+  let gen = t.generation and depth = t.last_depth in
+  let completed = Option.is_some result in
+  ( result,
+    work,
+    fun ~now ->
+      if gen = t.generation then begin
+        touch ~now ~completed matched;
+        t.last_depth <- depth;
+        work
+      end
+      else -1 )
 
 (* Placement planning: segments must land in strictly increasing table
    positions; segment i (0-based, m total) must sit at a position p with
@@ -320,7 +280,7 @@ let install t ~now rules =
               incr fresh)
         placements;
       (* Reuse-only installs touch recency/shares but change no entry set:
-         memoised lookups stay valid. *)
+         replays stay valid. *)
       if !fresh > 0 || !pressure > 0 then t.generation <- t.generation + 1;
       Install.Installed { fresh = !fresh; shared = !shared; pressure_evicted = !pressure }
 
@@ -331,30 +291,6 @@ let expire t ~now ~max_idle =
       let victims =
         Ltm_table.fold table ~init:[] ~f:(fun acc stored ->
             if now -. stored.Ltm_table.clock.last_used > max_idle then stored :: acc else acc)
-      in
-      List.iter (Ltm_table.remove table) victims;
-      total := !total + List.length victims)
-    t.tables;
-  if !total > 0 then t.generation <- t.generation + 1;
-  !total
-
-(* Admission re-partition sweep: evict stored rules whose originating flow
-   went cold under the caller's hotness predicate.  Shared rules (shares >
-   0) are kept — their single recorded parent flow is not representative
-   of every traversal reusing them.  Like {!expire}, no tag-chain-safety
-   filter is needed: evicting a predecessor just dead-ends its consumers
-   to the slowpath. *)
-let demote t ~is_hot =
-  let total = ref 0 in
-  Array.iter
-    (fun table ->
-      let victims =
-        Ltm_table.fold table ~init:[] ~f:(fun acc stored ->
-            if
-              stored.Ltm_table.shares = 0
-              && not (is_hot stored.Ltm_table.rule.Ltm_rule.origin.Ltm_rule.parent_flow)
-            then stored :: acc
-            else acc)
       in
       List.iter (Ltm_table.remove table) victims;
       total := !total + List.length victims)

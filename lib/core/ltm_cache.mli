@@ -23,7 +23,7 @@ val set_policy : t -> Gf_cache.Evict.policy -> unit
     and the rest of the config are untouched. *)
 
 val last_depth : t -> int
-(** Tables matched by the most recent {!lookup} / {!lookup_memo}: the
+(** Tables matched by the most recent {!lookup} or replay: the
     tag-chain reuse depth on a hit, the partial-prefix progress on a miss
     (non-zero means the chain dead-ended — a tag-chain stall).  Read by
     the traversal tracer and to resolve miss causes; never feeds back
@@ -43,30 +43,18 @@ val lookup :
 (** [entry_tag] is the pipeline's entry table id.  Returns the hit (if the
     walk completed) and total work units. Touches matched entries. *)
 
-val lookup_memo :
+val lookup_replay :
   t ->
   now:float ->
   entry_tag:int ->
-  flow_id:int ->
   Gf_flow.Flow.t ->
-  Gf_cache.Hit.t option * int
-(** Observably identical to {!lookup}, but repeat packets of a known flow
-    replay the memoised walk — result, work and the recency touches on the
-    matched entries — while no install or eviction has changed any table's
-    entry set (a generation counter guards validity).  Requires that a
-    given [flow_id] is always presented with the same [flow] value (true
-    of every {!Gf_workload.Trace} generator). *)
-
-val prepare_replay : t -> flow_id:int -> (now:float -> int) option
-(** Compiled per-flow hit replay for the batched engine's fast path:
-    after {!lookup_memo} returned a hit for [flow_id], a closure that
-    performs exactly that hit's per-packet side effects (recency touches
-    on the matched entries) with the memo find hoisted out.  Each
-    call re-validates (generation unchanged and the memo still holding
-    the same result) and returns the walk work (>= 0), or -1 once stale —
-    the caller falls back to {!lookup_memo} and compiles a fresh replay.
-    A call allocates nothing.
-    [None] if the flow's memo is absent or a miss. *)
+  Gf_cache.Hit.t option * int * (now:float -> int)
+(** {!lookup}, plus a closure that replays that walk's per-packet effects
+    — the recency touches on the matched entries and {!last_depth} — and
+    returns its work, or -1 once stale (and forever after).  Hit or miss,
+    a walk replays while no install or eviction has changed any table's
+    entry set since the lookup.  A call allocates nothing.  The cache
+    keeps no per-flow state: holding the closure is the caller's memo. *)
 
 val install : t -> now:float -> Ltm_rule.t list -> Gf_cache.Install.t
 (** Install the rules of one partitioned traversal, in segment order.  Each
@@ -106,12 +94,6 @@ val stranded : t -> entry_tags:int list -> int
 val expire : t -> now:float -> max_idle:float -> int
 (** Evict entries idle longer than [max_idle]; returns how many.  This is
     the selective sub-traversal eviction of paper section 4.3.2. *)
-
-val demote : t -> is_hot:(Gf_flow.Flow.t -> bool) -> int
-(** Admission re-partition sweep: evict unshared stored rules whose
-    originating parent flow fails [is_hot] (shared rules are kept — one
-    recorded parent is not representative of every traversal reusing
-    them).  Returns how many rules were demoted. *)
 
 val revalidate : t -> Gf_pipeline.Pipeline.t -> int * int
 (** Re-trace every entry's parent flow from its tagged vSwitch table for the

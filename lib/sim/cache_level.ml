@@ -49,7 +49,15 @@ type backend =
   | Cuckoo of Cuckoo.t
   | Ltm of Gigaflow.t * Pipeline.t
 
-type t = { descriptor : descriptor; backend : backend }
+(* The per-flow memo of a memoising level: the last lookup's hit and the
+   backend's replay of that lookup. *)
+type memo = { mutable hit : Gf_cache.Hit.t option; mutable replay : now:float -> int }
+
+type t = {
+  descriptor : descriptor;
+  backend : backend;
+  memo : memo Gf_util.Int_tbl.t; (* flow id -> memo; empty on exact-match levels *)
+}
 
 let descriptor t = t.descriptor
 let backend t = t.backend
@@ -63,19 +71,40 @@ let lookup t ~now flow =
   | Megaflow mf -> Megaflow.lookup mf ~now flow
   | Ltm (gf, pipeline) -> Gigaflow.lookup gf ~now ~pipeline flow
 
+let lookup_replay t ~now flow =
+  match t.backend with
+  | Megaflow mf -> Megaflow.lookup_replay mf ~now flow
+  | Ltm (gf, pipeline) ->
+      Ltm_cache.lookup_replay (Gigaflow.cache gf) ~now ~entry_tag:(Pipeline.entry pipeline)
+        flow
+  | Emc _ | Cuckoo _ -> invalid_arg "Cache_level.lookup_replay: exact-match level"
+
 (* Exact-match lookups are already one bounded probe: nothing to
-   amortise, so they keep no memo. *)
+   amortise, so they keep no memo.  Elsewhere a known flow runs its stored
+   replay; a stale one (-1) is refilled from a fresh lookup. *)
 let lookup_memo t ~now ~flow_id flow =
   match t.backend with
   | Emc _ | Cuckoo _ -> lookup t ~now flow
-  | Megaflow mf -> Megaflow.lookup_memo mf ~now ~flow_id flow
-  | Ltm (gf, pipeline) -> Gigaflow.lookup_memo gf ~now ~pipeline ~flow_id flow
+  | Megaflow _ | Ltm _ -> (
+      match Gf_util.Int_tbl.find_opt t.memo flow_id with
+      | Some m ->
+          let work = m.replay ~now in
+          if work >= 0 then (m.hit, work)
+          else begin
+            let hit, work, replay = lookup_replay t ~now flow in
+            m.hit <- hit;
+            m.replay <- replay;
+            (hit, work)
+          end
+      | None ->
+          let hit, work, replay = lookup_replay t ~now flow in
+          Gf_util.Int_tbl.replace t.memo flow_id { hit; replay };
+          (hit, work))
 
-let prepare_replay t ~flow_id =
-  match t.backend with
-  | Emc _ | Cuckoo _ -> None
-  | Megaflow mf -> Megaflow.prepare_replay mf ~flow_id
-  | Ltm (gf, _) -> Gigaflow.prepare_replay gf ~flow_id
+let hit_replay t ~flow_id =
+  match Gf_util.Int_tbl.find_opt t.memo flow_id with
+  | Some { hit = Some _; replay } -> Some replay
+  | Some { hit = None; _ } | None -> None
 
 (* One install outcome to the report's counts; the LTM's partition and
    rule-generation work is added by the caller. *)
@@ -130,9 +159,8 @@ let expire t ~now =
 
 let demote t ~is_hot =
   match t.backend with
-  | Emc _ | Cuckoo _ -> 0
   | Megaflow mf -> Megaflow.demote mf ~is_hot
-  | Ltm (gf, _) -> Gigaflow.demote gf ~is_hot
+  | Emc _ | Cuckoo _ | Ltm _ -> 0
 
 (* Exact-match entries carry no dependency information: the only safe
    response to a pipeline change is a flush (OVS does the same). *)
@@ -278,4 +306,4 @@ let build ?name ~default_max_idle ~pipeline spec =
       cycles_per_work = (match spec with Sw_megaflow _ -> Latency.probe_cycles | _ -> 0);
     }
   in
-  { descriptor; backend }
+  { descriptor; backend; memo = Gf_util.Int_tbl.create 256 }

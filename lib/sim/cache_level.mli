@@ -85,18 +85,21 @@ val lookup : t -> now:float -> Gf_flow.Flow.t -> Gf_cache.Hit.t option * int
 
 val lookup_memo :
   t -> now:float -> flow_id:int -> Gf_flow.Flow.t -> Gf_cache.Hit.t option * int
-(** Observably identical to [lookup], but the Megaflow and the LTM replay
-    memoised per-flow results while their entry set is unchanged (the
-    batched engine's sub-traversal replay; see {!Datapath.process_memo}).
+(** Observably identical to [lookup], through this level's per-flow memo
+    (the batched engine's replay; see {!Datapath.process_memo}).  The
+    caches keep no per-flow state: on the Megaflow and the LTM the level
+    keeps, per flow id, the last lookup's hit and the backend's replay of
+    it ({!Gf_cache.Megaflow.lookup_replay},
+    {!Gf_core.Ltm_cache.lookup_replay}).  A repeat flow runs the replay
+    and, once it is stale, refills the memo from a fresh lookup.
     Exact-match levels are already one probe and just look up.  Requires
     that a given [flow_id] is always presented with the same flow value. *)
 
-val prepare_replay : t -> flow_id:int -> (now:float -> int) option
-(** Compiled per-flow hit replay: after [lookup_memo] returned a hit for
-    [flow_id], a closure applying just that hit's per-packet side effects
-    and returning its work, re-validating on every call — -1 once the
-    memo is stale.  Exact-match levels keep no memo and return [None]
-    outright.  See {!Gf_cache.Megaflow.prepare_replay}. *)
+val hit_replay : t -> flow_id:int -> (now:float -> int) option
+(** The memoised replay of [flow_id]'s last [lookup_memo], if that lookup
+    hit: a closure applying just that hit's per-packet effects and
+    returning its work, re-validating on every call — -1 once stale.
+    [None] after a miss, and always on exact-match levels. *)
 
 val install_from_traversal :
   t -> now:float -> version:int -> Gf_pipeline.Traversal.t -> install_report
@@ -113,10 +116,12 @@ val expire : t -> now:float -> int
 (** Evict entries idle longer than the descriptor's [max_idle]. *)
 
 val demote : t -> is_hot:(Gf_flow.Flow.t -> bool) -> int
-(** Admission re-partition sweep: evict entries whose representative
-    flows fail [is_hot], freeing slots for the current heavy hitters.
-    Exact-match levels return 0 (their entries age out via [expire]).  See
-    {!Gf_cache.Megaflow.demote} / {!Gf_core.Ltm_cache.demote}. *)
+(** Admission re-partition sweep: on a Megaflow level, evict entries whose
+    representative flows fail [is_hot], freeing slots for the current
+    heavy hitters ({!Gf_cache.Megaflow.demote}).  Every other level
+    returns 0: exact-match entries age out via [expire], and the LTM has
+    no demotion (a rule shared by several traversals has no single
+    representative flow to test). *)
 
 val revalidate : t -> Gf_pipeline.Pipeline.t -> int * int
 (** Re-check entries against a (possibly updated) pipeline; returns

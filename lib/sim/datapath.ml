@@ -262,9 +262,10 @@ type outcome = Hw_hit | Sw_hit | Slowpath
    the latency (hardware hit cost ignores work), both histogram bucket
    indices, the drop decision and the returned triple.  They are computed
    once on the memoised walk and replayed with plain mutations; only the
-   backend's own validity check ([p_replay], see
-   [Cache_level.prepare_replay]) runs per packet, returning the exact
-   lookup work or -1 once the memoised entry is stale. *)
+   level-0 memo's replay ([p_replay], the backend's [lookup_replay]
+   closure that [Cache_level.hit_replay] hands over) runs per packet,
+   applying the hit's touches and returning the exact lookup work, or -1
+   once stale. *)
 type pmemo = {
   p_replay : now:float -> int;
   p_lat : float;  (* constant hardware hit latency, us *)
@@ -905,7 +906,7 @@ let ensure_replay_slot t flow_id =
    path. *)
 let compile_replay t ~flow_id ((_, terminal, latency) as result) =
   let level = t.levels.(0) in
-  match Cache_level.prepare_replay level ~flow_id with
+  match Cache_level.hit_replay level ~flow_id with
   | Some p_replay ->
       ensure_replay_slot t flow_id;
       t.replay_tbl.(flow_id) <-
@@ -924,11 +925,12 @@ let compile_replay t ~flow_id ((_, terminal, latency) as result) =
 
 (* The per-packet hierarchy walk: first hit wins, misses fall through, a
    full miss runs the slowpath.  [memo] selects the amortised flavour the
-   batched engine runs — level lookups through per-flow memos
-   ([Cache_level.lookup_memo]), memoised slowpath traversals, and a
-   compiled [pmemo] for a level-0 hardware hit — with identical
-   observable effects.  Every per-flow memo is keyed by [flow_id], so it
-   engages only for a known flow ([flow_id >= 0]).  Either way the
+   batched engine runs — level lookups through each level's per-flow memo
+   ([Cache_level.lookup_memo], which replays the backend's last lookup),
+   memoised slowpath traversals, and a compiled [pmemo] for a level-0
+   hardware hit — with identical observable effects.  Every per-flow memo
+   is keyed by [flow_id], so it engages only for a known flow
+   ([flow_id >= 0]).  Either way the
    occupancy-peak scan runs only when something mutated (expiry sweep,
    promotion, slowpath install): a pure-hit packet cannot raise a peak. *)
 let walk t ~memo ~now ~flow_id flow =

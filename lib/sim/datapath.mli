@@ -267,8 +267,9 @@ val process_memo :
     counters, same latency accumulation and histograms, same telemetry
     events, same occupancy peaks — but amortised for repeat flows.  It is
     the same hierarchy walk with the per-flow memo on: level lookups go
-    through per-flow memos that replay the stored result (and its touch
-    side effects) while the level's entry set is unchanged; repeat
+    through each level's per-flow memo ({!Cache_level.lookup_memo}),
+    which replays the stored result and its touch side effects while the
+    backend's validity rule holds; repeat
     slowpaths replay the memoised pipeline traversal (install offers and
     adaptive-profile updates stay live); and a repeat hardware hit at the
     top level replays a compiled constant effect.  Requires that a given

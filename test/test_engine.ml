@@ -184,6 +184,15 @@ let test_engine_matches_sequential () =
       ( "gf_sw lru",
         Datapath.with_policy Gf_cache.Evict.Lru
           (Datapath.gf_sw ~gf:(Gf_core.Config.v ~tables:4 ~table_capacity:32 ()) ()) );
+      (* Stateless software search: its hit replay also needs the entry
+         set unchanged, which only churn exercises. *)
+      ( "gf_sw lru nuevomatch",
+        Datapath.with_sw_search `Nuevomatch
+          (Datapath.with_policy Gf_cache.Evict.Lru
+             (Datapath.gf_sw ~gf:(Gf_core.Config.v ~tables:4 ~table_capacity:32 ()) ())) );
+      ( "mf_sw lru linear",
+        Datapath.with_sw_search `Linear
+          (Datapath.with_policy Gf_cache.Evict.Lru (Datapath.mf_sw ~mf_capacity:64 ())) );
     ]
 
 let test_engine_batch_size_invariant () =
