@@ -4,29 +4,16 @@ type t = { cores : int; loads : int array }
    hash works as long as it is flow-stable. *)
 let rss_hash flow_id = flow_id * 0x9E3779B1 land max_int
 
-let of_loads loads =
-  if Array.length loads = 0 then invalid_arg "Multicore.of_loads: no cores";
-  { cores = Array.length loads; loads = Array.copy loads }
-
-let distribute ~cores flow_cycles =
+let distribute ~cores census =
   if cores <= 0 then invalid_arg "Multicore.distribute: cores must be > 0";
   let loads = Array.make cores 0 in
   Hashtbl.iter
     (fun flow_id cycles ->
       let core = rss_hash flow_id mod cores in
       loads.(core) <- loads.(core) + cycles)
-    flow_cycles;
+    census;
   { cores; loads }
 
 let max_load t = Array.fold_left max 0 t.loads
 
 let total_load t = Array.fold_left ( + ) 0 t.loads
-
-let imbalance t =
-  let total = total_load t in
-  if total = 0 then 1.0
-  else
-    float_of_int (max_load t) /. (float_of_int total /. float_of_int t.cores)
-
-let speedup ~baseline t =
-  float_of_int (max_load baseline) /. float_of_int (max 1 (max_load t))
