@@ -32,6 +32,12 @@ type 'a t = {
   mutable order_head : 'a tuple option; (* max_priority desc *)
   mutable rank_head : 'a tuple option; (* hit-frequency order (first-match mode) *)
   mutable rank_tail : 'a tuple option;
+  mutable maxima : int array;
+      (* [max_priority] of each tuple in priority order, in [0, maxima_len):
+         what [probes_for] searches.  Rebuilt in place when [maxima_stale];
+         grown by [insert] *)
+  mutable maxima_len : int;
+  mutable maxima_stale : bool; (* set by every change to the priority order *)
 }
 
 let algorithm = "tss"
@@ -43,6 +49,9 @@ let create () =
     order_head = None;
     rank_head = None;
     rank_tail = None;
+    maxima = [||];
+    maxima_len = 0;
+    maxima_stale = false;
   }
 
 (* Link [tu] in before the first tuple at or below its max_priority. *)
@@ -50,6 +59,7 @@ let rec order_place_from t tu prev next =
   match next with
   | Some n when n.max_priority > tu.max_priority -> order_place_from t tu next n.order_next
   | _ ->
+      t.maxima_stale <- true;
       tu.order_prev <- prev;
       tu.order_next <- next;
       (match next with Some n -> n.order_prev <- Some tu | None -> ());
@@ -58,6 +68,7 @@ let rec order_place_from t tu prev next =
 let order_place t tu = order_place_from t tu None t.order_head
 
 let order_unlink t tu =
+  t.maxima_stale <- true;
   (match tu.order_prev with
   | Some p -> p.order_next <- tu.order_next
   | None -> t.order_head <- tu.order_next);
@@ -135,6 +146,8 @@ let insert t entry =
           }
         in
         Mask.Tbl.add t.tuples mask tu;
+        let n = Mask.Tbl.length t.tuples in
+        if n > Array.length t.maxima then t.maxima <- Array.make (max 8 (2 * n)) 0;
         order_place t tu;
         rank_append t tu;
         tu
@@ -272,6 +285,36 @@ let prepare_first t (entry : 'a Entry.t) =
           rank_promote t tuple;
           probes)
 
+(* Copy the priority order's maxima into [t.maxima], which [insert] keeps
+   at least as long as the tuple count. *)
+let rec fill_maxima a i = function
+  | None -> ()
+  | Some tu ->
+      Array.unsafe_set a i tu.max_priority;
+      fill_maxima a (i + 1) tu.order_next
+
+let refresh_maxima t =
+  fill_maxima t.maxima 0 t.order_head;
+  t.maxima_len <- Mask.Tbl.length t.tuples;
+  t.maxima_stale <- false
+
+(* A [lookup] probes the tuples in descending [max_priority] order until
+   one sits strictly below the best match so far.  So a lookup whose
+   winner has priority [p] probes exactly the tuples whose maximum is at
+   least [p]: every such tuple is reached before the winner's own tuple
+   stops the scan (the best so far never exceeds [p]), and the winner's
+   tuple comes before every tuple below [p].  A miss probes them all
+   ([p = min_int]).  Binary search over the descending maxima. *)
+let probes_for t p =
+  if t.maxima_stale then refresh_maxima t;
+  let a = t.maxima in
+  let lo = ref 0 and hi = ref t.maxima_len in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if Array.unsafe_get a mid >= p then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
 let entries t = Hashtbl.fold (fun _ e acc -> e :: acc) t.by_key []
 
 let clear t =
@@ -279,6 +322,8 @@ let clear t =
   Mask.Tbl.reset t.tuples;
   t.order_head <- None;
   t.rank_head <- None;
-  t.rank_tail <- None
+  t.rank_tail <- None;
+  t.maxima_len <- 0;
+  t.maxima_stale <- false
 
 let tuple_count t = Mask.Tbl.length t.tuples

@@ -12,6 +12,14 @@ include Classifier_intf.S
 val tuple_count : 'a t -> int
 (** Number of distinct masks currently stored. *)
 
+val probes_for : 'a t -> int -> int
+(** [probes_for t p] is the work {!lookup} reports now for a flow whose
+    winner has priority [p] — the tuples whose max priority is at least
+    [p] — or, with [p = min_int], for a flow that matches nothing (every
+    tuple).  It re-probes no bucket: a binary search over the tuple maxima
+    in priority order, an array rebuilt in place only after that order or
+    a maximum has changed.  Allocates nothing. *)
+
 val lookup_first : 'a t -> Gf_flow.Flow.t -> 'a Entry.t option * int
 (** First-match walk over hit-frequency-ranked tuples (a matching tuple is
     promoted to the front, like OVS's ranked subtables).  {b Only} correct

@@ -66,6 +66,27 @@ let rec walk tables ~now i tag flow work matched =
         | Ltm_rule.Next_tag tag -> walk tables ~now (i + 1) tag flow work matched)
   end
 
+(* [walk] recording a [Ltm_table.visit] per table visited instead of the
+   matched entries, for [lookup_replay].  Kept apart from [walk]: the
+   visits would cost the walker, which holds no replay, half again its
+   allocation per lookup. *)
+let rec walk_visits tables ~now i tag flow work visits =
+  if i >= Array.length tables then (None, work, visits)
+  else begin
+    let v, w = Ltm_table.lookup_visit tables.(i) ~tag flow in
+    let work = work + w and visits = v :: visits in
+    match Ltm_table.winner v with
+    | None -> walk_visits tables ~now (i + 1) tag flow work visits
+    | Some s -> (
+        s.Ltm_table.clock.last_used <- now;
+        let rule = s.Ltm_table.rule in
+        let flow = Flow.update flow rule.Ltm_rule.commit in
+        match rule.Ltm_rule.next with
+        | Ltm_rule.Done terminal ->
+            (Some { Gf_cache.Hit.terminal; out_flow = flow }, work, visits)
+        | Ltm_rule.Next_tag tag -> walk_visits tables ~now (i + 1) tag flow work visits)
+  end
+
 (* Touch the matched entries of a walk: [last_used] always, [last_hit]
    only when the walk [completed].  A top-level loop, so a replayed hit
    allocates no closure. *)
@@ -76,39 +97,62 @@ let rec touch ~now ~completed = function
       if completed then s.clock.last_hit <- now;
       touch ~now ~completed rest
 
-let lookup_core t ~now ~entry_tag flow =
-  let result, work, matched_entries = walk t.tables ~now 0 entry_tag flow 0 [] in
-  (* Completion recency: only full traversals refresh [last_hit], so a dead
-     chain prefix that every miss still touches goes cold in the eyes of
-     the replacement policies (it keeps its [last_used] touches for idle
-     expiry, preserving legacy expiry behaviour). *)
-  if Option.is_some result then touch ~now ~completed:true matched_entries;
-  t.last_depth <- List.length matched_entries;
-  (result, work, matched_entries)
+(* The effects of a walk's matched entries.  Completion recency: only full
+   traversals refresh [last_hit], so a dead chain prefix that every miss
+   still touches goes cold in the eyes of the replacement policies (it
+   keeps its [last_used] touches for idle expiry, preserving legacy expiry
+   behaviour). *)
+let walked t ~now result matched =
+  if Option.is_some result then touch ~now ~completed:true matched;
+  t.last_depth <- List.length matched
 
 let lookup t ~now ~entry_tag flow =
-  let result, work, _ = lookup_core t ~now ~entry_tag flow in
+  let result, work, matched = walk t.tables ~now 0 entry_tag flow 0 [] in
+  walked t ~now result matched;
   (result, work)
 
-(* [lookup] plus a replay of its per-packet effects.  The walk's result,
-   work and touch set depend on every table's contents (tag gating,
-   priority scan order), so a replay — hit or miss — is valid while
-   [generation] is unchanged, i.e. while no install or eviction has changed
-   any table's entry set.  Touch-only mutations (recency refreshes, share
-   counts) never stale it: it reapplies the touches and the depth. *)
+(* The summed [Ltm_table.revisit] work of [visits], or -1 if any fails.
+   A top-level loop, so a re-check allocates no closure. *)
+let rec revisit_all work = function
+  | [] -> work
+  | v :: rest ->
+      let w = Ltm_table.revisit v in
+      if w < 0 then -1 else revisit_all (work + w) rest
+
+(* The replay's state: the generation its work is known at, that work,
+   and whether a re-check has failed. *)
+type replay = { mutable gen : int; mutable work : int; mutable dead : bool }
+
+(* [lookup] plus a replay of its per-packet effects.  While [generation]
+   is unchanged no table's entry set has changed, so the replay reapplies
+   the touches and the depth and returns the recorded work.  Once it has
+   moved, the replay re-checks each visited table ([Ltm_table.revisit]):
+   if every winner still holds, the walk's hit, matched entries and depth
+   are what a fresh walk would give, and only the work is recounted.
+   Touch-only mutations (recency refreshes, share counts) never matter. *)
 let lookup_replay t ~now ~entry_tag flow =
-  let result, work, matched = lookup_core t ~now ~entry_tag flow in
-  let gen = t.generation and depth = t.last_depth in
-  let completed = Option.is_some result in
+  let result, work, visits = walk_visits t.tables ~now 0 entry_tag flow 0 [] in
+  let matched = List.filter_map Ltm_table.winner visits in
+  walked t ~now result matched;
+  let completed = Option.is_some result and depth = t.last_depth in
+  let r = { gen = t.generation; work; dead = false } in
   ( result,
     work,
     fun ~now ->
-      if gen = t.generation then begin
+      if r.gen <> t.generation && not r.dead then begin
+        let w = revisit_all 0 visits in
+        if w < 0 then r.dead <- true
+        else begin
+          r.gen <- t.generation;
+          r.work <- w
+        end
+      end;
+      if r.dead then -1
+      else begin
         touch ~now ~completed matched;
         t.last_depth <- depth;
-        work
-      end
-      else -1 )
+        r.work
+      end )
 
 (* Placement planning: segments must land in strictly increasing table
    positions; segment i (0-based, m total) must sit at a position p with

@@ -51,10 +51,24 @@ val lookup_replay :
   Gf_cache.Hit.t option * int * (now:float -> int)
 (** {!lookup}, plus a closure that replays that walk's per-packet effects
     — the recency touches on the matched entries and {!last_depth} — and
-    returns its work, or -1 once stale (and forever after).  Hit or miss,
-    a walk replays while no install or eviction has changed any table's
-    entry set since the lookup.  A call allocates nothing.  The cache
-    keeps no per-flow state: holding the closure is the caller's memo. *)
+    returns its work, or -1 once stale (and forever after).  The cache
+    keeps no per-flow state: holding the closure is the caller's memo.
+
+    {b Validity.}  While no install, eviction or expiry has changed any
+    table's entry set since the replay last ran, it holds as it is.  Once
+    one has, it still holds if, for every table the walk visited:
+    - the entry the walk matched there, if any, is still stored; and
+    - no entry inserted into the classifier of the tag the walk probed
+      there since then matches the flow as it reached that table and beats
+      the matched entry ({!Gf_classifier.Entry.better}); with no match,
+      any matching insert counts.  A tag with no classifier then counts
+      every insert into the classifier it has now.
+    Then the walk's hit, matched entries and depth are exactly a fresh
+    {!lookup}'s, and its work is recounted from the visited classifiers'
+    tuple maxima ({!Gf_classifier.Tss.probes_for}).  Each tag's classifier
+    logs its last 256 inserts; a replay further behind than that is
+    stale.  A call allocates nothing, re-check included (bar the one-off
+    noted at {!Ltm_table.revisit}). *)
 
 val install : t -> now:float -> Ltm_rule.t list -> Gf_cache.Install.t
 (** Install the rules of one partitioned traversal, in segment order.  Each

@@ -33,6 +33,7 @@ type stored = {
       (** Cached tag-chain safety verdict of the replacement pass
           ({!Ltm_cache.pick_victim}), valid while the stamp it was computed
           at holds; [safe_stamp = -1] until first computed. *)
+  mutable live : bool;  (** Set by {!insert}; {!remove} clears it for good. *)
 }
 
 type t
@@ -44,6 +45,30 @@ val is_full : t -> bool
 val lookup : t -> tag:int -> Gf_flow.Flow.t -> stored option * int
 (** Longest-traversal match among entries with the given tag; ties go to the
     oldest entry (lowest key).  Returns the classifier work units. *)
+
+type visit
+(** One {!lookup} together with what its outcome depended on: the tag's
+    classifier ([None] if the tag had none), that classifier's insert
+    count, the flow as it reached the table and the entry it matched. *)
+
+val lookup_visit : t -> tag:int -> Gf_flow.Flow.t -> visit * int
+(** {!lookup}, recorded for {!revisit}. *)
+
+val winner : visit -> stored option
+
+val revisit : visit -> int
+(** The work a {!lookup} of the visit's tag and flow reports now, if its
+    winner is still the visit's; -1 if that may have changed.  The winner
+    holds while it is still stored ({!stored.live}) and no entry inserted
+    into the tag's classifier since the visit matches the flow and beats
+    the winner ([Gf_classifier.Entry.better]; with no winner, any match
+    beats it) — removing other entries cannot change it.  Each tag's
+    classifier logs its last 256 inserts, so a visit more than 256 inserts
+    behind reports -1.  The work is recounted
+    ({!Gf_classifier.Tss.probes_for}), not re-probed.  A visit that holds
+    moves up to the current insert count, so the next call checks only
+    later inserts.  Allocates nothing, save once when the tag's classifier
+    first appears after the visit. *)
 
 val consumes : t -> int -> bool
 (** [consumes t tag] iff some entry of [t] matches on [tag] (its [tag_in]).

@@ -57,6 +57,7 @@ type t = {
   descriptor : descriptor;
   backend : backend;
   memo : memo Gf_util.Int_tbl.t; (* flow id -> memo; empty on exact-match levels *)
+  mutable last : memo; (* the memo the latest [lookup_memo] ran or filled *)
 }
 
 let descriptor t = t.descriptor
@@ -88,6 +89,7 @@ let lookup_memo t ~now ~flow_id flow =
   | Megaflow _ | Ltm _ -> (
       match Gf_util.Int_tbl.find_opt t.memo flow_id with
       | Some m ->
+          t.last <- m;
           let work = m.replay ~now in
           if work >= 0 then (m.hit, work)
           else begin
@@ -98,13 +100,13 @@ let lookup_memo t ~now ~flow_id flow =
           end
       | None ->
           let hit, work, replay = lookup_replay t ~now flow in
-          Gf_util.Int_tbl.replace t.memo flow_id { hit; replay };
+          let m = { hit; replay } in
+          Gf_util.Int_tbl.replace t.memo flow_id m;
+          t.last <- m;
           (hit, work))
 
-let hit_replay t ~flow_id =
-  match Gf_util.Int_tbl.find_opt t.memo flow_id with
-  | Some { hit = Some _; replay } -> Some replay
-  | Some { hit = None; _ } | None -> None
+let last_hit_replay t =
+  match t.last with { hit = Some _; replay } -> Some replay | { hit = None; _ } -> None
 
 (* One install outcome to the report's counts; the LTM's partition and
    rule-generation work is added by the caller. *)
@@ -306,4 +308,9 @@ let build ?name ~default_max_idle ~pipeline spec =
       cycles_per_work = (match spec with Sw_megaflow _ -> Latency.probe_cycles | _ -> 0);
     }
   in
-  { descriptor; backend; memo = Gf_util.Int_tbl.create 256 }
+  {
+    descriptor;
+    backend;
+    memo = Gf_util.Int_tbl.create 256;
+    last = { hit = None; replay = (fun ~now:_ -> -1) };
+  }

@@ -95,11 +95,12 @@ val lookup_memo :
     Exact-match levels are already one probe and just look up.  Requires
     that a given [flow_id] is always presented with the same flow value. *)
 
-val hit_replay : t -> flow_id:int -> (now:float -> int) option
-(** The memoised replay of [flow_id]'s last [lookup_memo], if that lookup
+val last_hit_replay : t -> (now:float -> int) option
+(** The replay the latest {!lookup_memo} ran or refilled, if that lookup
     hit: a closure applying just that hit's per-packet effects and
     returning its work, re-validating on every call — -1 once stale.
-    [None] after a miss, and always on exact-match levels. *)
+    [None] after a miss and before any memoised lookup; exact-match levels
+    never set it.  No flow-id probe. *)
 
 val install_from_traversal :
   t -> now:float -> version:int -> Gf_pipeline.Traversal.t -> install_report

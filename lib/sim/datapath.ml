@@ -263,7 +263,7 @@ type outcome = Hw_hit | Sw_hit | Slowpath
    indices, the drop decision and the returned triple.  They are computed
    once on the memoised walk and replayed with plain mutations; only the
    level-0 memo's replay ([p_replay], the backend's [lookup_replay]
-   closure that [Cache_level.hit_replay] hands over) runs per packet,
+   closure that [Cache_level.last_hit_replay] hands over) runs per packet,
    applying the hit's touches and returning the exact lookup work, or -1
    once stale. *)
 type pmemo = {
@@ -903,10 +903,10 @@ let ensure_replay_slot t flow_id =
 
 (* A hardware hit at the top level has constant per-packet effects:
    compile them so this flow's next packets take [process_memo]'s fast
-   path. *)
+   path.  The level's latest memoised lookup was this flow's. *)
 let compile_replay t ~flow_id ((_, terminal, latency) as result) =
   let level = t.levels.(0) in
-  match Cache_level.hit_replay level ~flow_id with
+  match Cache_level.last_hit_replay level with
   | Some p_replay ->
       ensure_replay_slot t flow_id;
       t.replay_tbl.(flow_id) <-

@@ -1,8 +1,8 @@
 type t = { cores : int; loads : int array }
 
-(* The same multiplicative hash NICs use for RSS-style spreading; any fixed
-   hash works as long as it is flow-stable. *)
-let rss_hash flow_id = flow_id * 0x9E3779B1 land max_int
+(* Any fixed hash works as long as it is flow-stable and its low bits
+   depend on every bit of the id: callers reduce it [mod cores]. *)
+let rss_hash flow_id = Gf_util.Bitops.mix flow_id
 
 let distribute ~cores census =
   if cores <= 0 then invalid_arg "Multicore.distribute: cores must be > 0";

@@ -12,7 +12,9 @@ type t = {
 }
 
 val rss_hash : int -> int
-(** The flow-stable multiplicative hash used to spread flows over cores;
+(** The flow-stable hash used to spread flows over cores
+    ({!Gf_util.Bitops.mix}: its low bits, which [mod cores] keeps, depend
+    on every bit of the flow id);
     also the sharding function of {!Parallel.shard} and the engine's
     demux, so the static model and both replay drivers agree on flow
     placement by construction. *)

@@ -131,7 +131,8 @@ let ref_tss_lookup (entries : int Entry.t list) flow =
 (* Random insert/remove sequences over a few shared masks: priority ties,
    removal of a tuple's max-priority entry, and deletion of a tuple's last
    entry.  The incrementally kept tuple order must give
-   the same winner and probe count as a full re-sort. *)
+   the same winner and probe count as a full re-sort, and [probes_for]
+   the winner's priority must recount that probe count. *)
 let prop_tss_order_incremental =
   QCheck2.Test.make ~name:"tss incremental order = full re-sort" ~count:60
     QCheck2.Gen.(int_range 0 100_000)
@@ -195,7 +196,13 @@ let prop_tss_order_incremental =
             in
             let got, got_probes = Tss.lookup t flow in
             let want, want_probes = ref_tss_lookup es flow in
-            if winner_key got <> winner_key want || got_probes <> want_probes then ok := false
+            let recounted =
+              Tss.probes_for t (match got with Some e -> e.Entry.priority | None -> min_int)
+            in
+            if
+              winner_key got <> winner_key want || got_probes <> want_probes
+              || recounted <> got_probes
+            then ok := false
           done
         end
       done;

@@ -728,6 +728,247 @@ let prop_ltm_install_outcomes_account_every_entry =
       done;
       !ok)
 
+(* ----------------------- Ltm_cache replays ----------------------- *)
+
+(* The (table, key) of every entry whose [last_used], and of every entry
+   whose [last_hit], reads [now]: what a walk at a fresh time stamped. *)
+let stamped cache ~now =
+  let used = ref [] and hit = ref [] in
+  Ltm_cache.iter_rules cache (fun ~table s ->
+      let id = (table, s.Ltm_table.key) in
+      if s.Ltm_table.clock.last_used = now then used := id :: !used;
+      if s.Ltm_table.clock.last_hit = now then hit := id :: !hit);
+  (List.sort compare !used, List.sort compare !hit)
+
+let same_hit a b =
+  Option.equal
+    (fun (a : Hit.t) (b : Hit.t) ->
+      Action.terminal_equal a.terminal b.terminal && Flow.equal a.out_flow b.out_flow)
+    a b
+
+(* Whether a replay run at [now] did exactly what a fresh [lookup] does
+   next, at [now']: same hit, work, depth and stamped entries. *)
+let replay_agrees cache ~entry_tag flow (hit, replay) ~now ~now' =
+  let work = replay ~now in
+  work >= 0
+  &&
+  let depth = Ltm_cache.last_depth cache and stamps = stamped cache ~now in
+  let hit', work' = Ltm_cache.lookup cache ~now:now' ~entry_tag flow in
+  same_hit hit hit' && work = work'
+  && depth = Ltm_cache.last_depth cache
+  && stamps = stamped cache ~now:now'
+
+let replay_of cache ~now ~entry_tag flow =
+  let hit, _, replay = Ltm_cache.lookup_replay cache ~now ~entry_tag flow in
+  (hit, replay)
+
+let vlan v = Fmatch.of_fields [ (Field.Vlan, v) ]
+
+(* A hit held across inserts into the tag its walk probed: a lower-priority
+   match or a non-matching entry leaves it valid, with the work recounted
+   over the new tuple; a higher-priority match stales it for good. *)
+let test_ltm_replay_beaten_by_insert () =
+  let cache = Ltm_cache.create (Config.v ~tables:1 ~table_capacity:8 ()) in
+  let install now rule = ignore (Ltm_cache.install cache ~now [ rule ]) in
+  install 0.0 (mk_rule ~priority:2 ~next:(Ltm_rule.Done (Action.Output 1)) (vlan 1));
+  let flow = Flow.make [ (Field.Vlan, 1); (Field.In_port, 3) ] in
+  let held = replay_of cache ~now:1.0 ~entry_tag:0 flow in
+  install 2.0
+    (mk_rule ~priority:1 ~next:(Ltm_rule.Done (Action.Output 2))
+       (Fmatch.of_fields [ (Field.Vlan, 1); (Field.In_port, 3) ]));
+  install 3.0 (mk_rule ~priority:3 ~next:(Ltm_rule.Done (Action.Output 3)) (vlan 2));
+  Alcotest.(check bool) "lower and non-matching inserts: still the fresh walk" true
+    (replay_agrees cache ~entry_tag:0 flow held ~now:4.0 ~now':5.0);
+  install 6.0
+    (mk_rule ~priority:3 ~next:(Ltm_rule.Done (Action.Output 4))
+       (Fmatch.of_fields [ (Field.In_port, 3) ]));
+  Alcotest.(check int) "a better match stales it" (-1) ((snd held) ~now:7.0);
+  install 8.0 (mk_rule ~priority:1 ~next:(Ltm_rule.Done Action.Drop) (vlan 3));
+  Alcotest.(check int) "and it stays stale" (-1) ((snd held) ~now:9.0)
+
+(* A walk that found no classifier for its tag counts every insert into
+   the one that appears later. *)
+let test_ltm_replay_classifier_appears () =
+  let cache = Ltm_cache.create (Config.v ~tables:2 ~table_capacity:8 ()) in
+  let head = mk_rule ~tag_in:0 ~priority:2 ~next:(Ltm_rule.Next_tag 7) (vlan 1) in
+  ignore (Ltm_cache.install cache ~now:0.0 [ head ]);
+  let flow = Flow.make [ (Field.Vlan, 1) ] and other = Flow.make [ (Field.Vlan, 2) ] in
+  let held = replay_of cache ~now:1.0 ~entry_tag:0 flow in
+  Alcotest.(check int) "a stalled prefix" 1 (Ltm_cache.last_depth cache);
+  let held_other = replay_of cache ~now:1.0 ~entry_tag:7 other in
+  (* [head] is reused in table 0; the tail creates table 1's tag-7 classifier. *)
+  (match
+     Ltm_cache.install cache ~now:2.0
+       [ head; mk_rule ~tag_in:7 ~priority:1 ~next:(Ltm_rule.Done Action.Drop) (vlan 1) ]
+   with
+  | Install.Installed { fresh = 1; shared = 1; _ } -> ()
+  | _ -> Alcotest.fail "expected the tail in table 1");
+  Alcotest.(check int) "the new classifier matches: stale" (-1) ((snd held) ~now:3.0);
+  Alcotest.(check bool) "a miss it does not match still holds" true
+    (replay_agrees cache ~entry_tag:7 other held_other ~now:4.0 ~now':5.0)
+
+(* Each tag's classifier logs its last 256 inserts: a replay 256 inserts
+   behind re-checks them, one 257 behind is stale. *)
+let test_ltm_replay_gap_beyond_log () =
+  let cache = Ltm_cache.create (Config.v ~tables:1 ~table_capacity:1024 ()) in
+  ignore
+    (Ltm_cache.install cache ~now:0.0
+       [ mk_rule ~priority:2 ~next:(Ltm_rule.Done Action.Drop) (vlan 1) ]);
+  let flow = Flow.make [ (Field.Vlan, 1) ] in
+  let held = replay_of cache ~now:1.0 ~entry_tag:0 flow in
+  let port = ref 0 in
+  let unrelated n =
+    for _ = 1 to n do
+      incr port;
+      ignore
+        (Ltm_cache.install cache ~now:2.0
+           [
+             mk_rule ~priority:1 ~next:(Ltm_rule.Done Action.Drop)
+               (Fmatch.of_fields [ (Field.Vlan, 2); (Field.In_port, !port) ]);
+           ])
+    done
+  in
+  unrelated 256;
+  Alcotest.(check bool) "256 behind: re-checked" true
+    (replay_agrees cache ~entry_tag:0 flow held ~now:3.0 ~now':4.0);
+  unrelated 257;
+  Alcotest.(check int) "257 behind: stale" (-1) ((snd held) ~now:5.0);
+  Alcotest.(check bool) "a fresh walk still hits" true
+    (fst (Ltm_cache.lookup cache ~now:6.0 ~entry_tag:0 flow) <> None)
+
+(* A chained hit re-checked after an install into another tag, or into its
+   own tag's tuple with a value it does not match, allocates nothing. *)
+let test_ltm_replay_revalidation_allocation_free () =
+  let cache = Ltm_cache.create (Config.v ~tables:2 ~table_capacity:8 ()) in
+  ignore
+    (Ltm_cache.install cache ~now:0.0
+       [
+         mk_rule ~tag_in:0 ~priority:2 ~next:(Ltm_rule.Next_tag 5) (vlan 1);
+         mk_rule ~tag_in:5 ~priority:1 ~next:(Ltm_rule.Done Action.Drop) (vlan 1);
+       ]);
+  let flow = Flow.make [ (Field.Vlan, 1) ] in
+  let _, replay = replay_of cache ~now:1.0 ~entry_tag:0 flow in
+  List.iter
+    (fun (what, rule) ->
+      (match Ltm_cache.install cache ~now:2.0 [ rule ] with
+      | Install.Installed { fresh = 1; _ } -> ()
+      | _ -> Alcotest.fail "unrelated install");
+      let work = ref (-1) in
+      let words = minor_words (fun () -> work := replay ~now:3.0) in
+      Alcotest.(check bool) (what ^ ": still valid") true (!work > 0);
+      Alcotest.(check (float 0.)) (what ^ ": minor words") 0. words)
+    [
+      ("other tag", mk_rule ~tag_in:3 ~next:(Ltm_rule.Done Action.Drop) (vlan 1));
+      ("same tuple", mk_rule ~tag_in:0 ~next:(Ltm_rule.Done Action.Drop) (vlan 2));
+    ]
+
+(* Random LTM churn — chained installs over a small tag pool, matches of
+   three shapes with overlapping priorities, rewrites that change what a
+   later table sees, LRU pressure evictions, idle expiry and bursts long
+   enough to outrun a tag's insert log — while each of eight flows holds
+   its last [lookup_replay] across all of it.  Every replay that answers
+   must do exactly what a fresh [lookup] of the same state does.  Returns
+   whether they all agreed, with the replays that held across a change
+   and the replays that went stale. *)
+let ltm_replay_trial seed =
+  let rng = Gf_util.Rng.create seed in
+  let k = 2 + Gf_util.Rng.int rng 3 and cap = 2 + Gf_util.Rng.int rng 6 in
+  let cache =
+    Ltm_cache.create ~rng_seed:seed
+      (Config.v ~tables:k ~table_capacity:cap ~policy:Gf_cache.Evict.Lru ())
+  in
+  let tag () = Gf_util.Rng.int rng 3 in
+  let fm () =
+    match Gf_util.Rng.int rng 4 with
+    | 0 -> Fmatch.of_fields [ (Field.In_port, Gf_util.Rng.int rng 2) ]
+    | 1 | 2 -> vlan (Gf_util.Rng.int rng 4)
+    | _ ->
+        Fmatch.of_fields
+          [ (Field.Vlan, Gf_util.Rng.int rng 4); (Field.In_port, Gf_util.Rng.int rng 2) ]
+  in
+  let commit () =
+    if Gf_util.Rng.int rng 4 = 0 then [ (Field.Vlan, Gf_util.Rng.int rng 4) ] else []
+  in
+  let chain () =
+    let m = 1 + Gf_util.Rng.int rng k in
+    let rec go i tag_in =
+      let priority = 1 + Gf_util.Rng.int rng 3 and commit = commit () in
+      if i = m - 1 then
+        [ mk_rule ~tag_in ~priority ~commit ~next:(Ltm_rule.Done (Action.Output i)) (fm ()) ]
+      else
+        let next = tag () in
+        mk_rule ~tag_in ~priority ~commit ~next:(Ltm_rule.Next_tag next) (fm ())
+        :: go (i + 1) next
+    in
+    go 0 (tag ())
+  in
+  let flows =
+    Array.init 8 (fun i -> Flow.make [ (Field.Vlan, i mod 4); (Field.In_port, i / 4) ])
+  in
+  let entry_tags = Array.init 8 (fun _ -> tag ()) in
+  let held = Array.make 8 None in
+  let clock = ref 0.0 and changes = ref 0 in
+  let tick () =
+    clock := !clock +. 1.0;
+    !clock
+  in
+  let install () =
+    match Ltm_cache.install cache ~now:(tick ()) (chain ()) with
+    | Install.Installed { fresh = 0; pressure_evicted = 0; _ }
+    | Install.Rejected { pressure_evicted = 0 } ->
+        ()
+    | Install.Installed _ | Install.Rejected _ -> incr changes
+  in
+  let ok = ref true and held_across = ref 0 and stale = ref 0 in
+  for _ = 1 to 120 do
+    match Gf_util.Rng.int rng 20 with
+    | n when n < 6 -> install ()
+    | 6 ->
+        for _ = 1 to 300 do
+          install ()
+        done
+    | 7 | 8 ->
+        if Ltm_cache.expire cache ~now:(tick ()) ~max_idle:(float_of_int (4 + Gf_util.Rng.int rng 20)) > 0
+        then incr changes
+    | _ -> (
+        let i = Gf_util.Rng.int rng 8 in
+        let entry_tag = entry_tags.(i) and flow = flows.(i) in
+        let now = tick () in
+        match held.(i) with
+        | Some (h, since) ->
+            if (snd h) ~now >= 0 then begin
+              if !changes > since then incr held_across;
+              held.(i) <- Some (h, !changes);
+              if not (replay_agrees cache ~entry_tag flow h ~now:(tick ()) ~now':(tick ())) then
+                ok := false
+            end
+            else begin
+              incr stale;
+              held.(i) <- None
+            end
+        | None -> held.(i) <- Some (replay_of cache ~now ~entry_tag flow, !changes))
+  done;
+  (!ok, !held_across, !stale)
+
+let prop_ltm_replay_matches_fresh_lookup =
+  QCheck2.Test.make ~name:"ltm replay = fresh lookup under churn" ~count:60
+    QCheck2.Gen.(int_range 0 100_000)
+    (fun seed ->
+      let ok, _, _ = ltm_replay_trial seed in
+      ok)
+
+(* The property reaches both outcomes of a re-check. *)
+let test_ltm_replay_trial_covers_both_outcomes () =
+  let held_across = ref 0 and stale = ref 0 in
+  for seed = 1 to 20 do
+    let ok, h, s = ltm_replay_trial seed in
+    if not ok then Alcotest.failf "seed %d: a replay disagreed with a fresh lookup" seed;
+    held_across := !held_across + h;
+    stale := !stale + s
+  done;
+  Alcotest.(check bool) (Printf.sprintf "held across changes (%d)" !held_across) true (!held_across > 0);
+  Alcotest.(check bool) (Printf.sprintf "went stale (%d)" !stale) true (!stale > 0)
+
 (* --------------- End-to-end consistency (the big one) --------------- *)
 
 let gigaflow_consistency ?(unwildcard = `Minimal) ~scheme seed =
@@ -1158,6 +1399,11 @@ let suite =
     ("ltm eviction respects tag chains", `Quick, test_ltm_cache_eviction_respects_tag_chains);
     ("ltm priority-aware victim choice", `Quick, test_ltm_cache_priority_aware_evicts_short);
     ("ltm reject counters unchanged", `Quick, test_ltm_cache_reject_counters_unchanged);
+    ("ltm replay beaten by an insert", `Quick, test_ltm_replay_beaten_by_insert);
+    ("ltm replay: classifier appears later", `Quick, test_ltm_replay_classifier_appears);
+    ("ltm replay: gap beyond the insert log", `Quick, test_ltm_replay_gap_beyond_log);
+    ("ltm replay re-check allocation-free", `Quick, test_ltm_replay_revalidation_allocation_free);
+    ("ltm replay trial covers both outcomes", `Quick, test_ltm_replay_trial_covers_both_outcomes);
     ("coverage cross product", `Quick, test_coverage_cross_product);
     ("gigaflow revalidation", `Quick, test_gigaflow_revalidation);
     ("revalidation cheaper than megaflow", `Quick, test_revalidation_cheaper_than_megaflow);
@@ -1186,4 +1432,5 @@ let props =
     prop_ltm_no_stranding_under_churn;
     prop_ltm_victim_matches_reference;
     prop_ltm_install_outcomes_account_every_entry;
+    prop_ltm_replay_matches_fresh_lookup;
   ]

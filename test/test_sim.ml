@@ -129,6 +129,62 @@ let test_lru_beats_reject_on_churn () =
        ~gf:(Gf_core.Config.v ~tables:4 ~table_capacity:64 ())
        ~max_idle:1e6 ())
 
+(* The LTM half of the engine's per-flow memo on a small churn trace, in
+   the shape of [gf_sw]: each flow holds its last
+   [Ltm_cache.lookup_replay]; an LTM miss of a flow seen before is a
+   software hit (that tier seldom misses a repeat flow), and any other
+   miss runs the slowpath and installs its traversal under LRU pressure;
+   the idle sweep runs each second.  Nearly every install changes some
+   table, so nearly every replay finds the LTM changed since it last ran;
+   re-checking the classifiers it visited, under 5% must re-walk — about
+   as many as the slowpaths, whose next packet meets its own install. *)
+let test_ltm_replays_survive_churn () =
+  let w =
+    Pipebench.make_churn ~profile:small_profile ~combos:2048 ~unique_flows:4000 ~active:256
+      ~turnover:0.25 ~epochs:20 ~packets_per_epoch:4096
+      ~info:(Option.get (Catalog.find "PSC"))
+      ~locality:Ruleset.Low ~seed:77 ()
+  in
+  let pipeline = Pipebench.pipeline w in
+  let gf =
+    Gf_core.Gigaflow.create
+      (Gf_core.Config.v ~tables:4 ~table_capacity:128 ~policy:Gf_cache.Evict.Lru ())
+  in
+  let cache = Gf_core.Gigaflow.cache gf and entry_tag = Gf_pipeline.Pipeline.entry pipeline in
+  let memo = Hashtbl.create 1024 in
+  let replays = ref 0 and rewalks = ref 0 and slowpaths = ref 0 and last_sweep = ref 0.0 in
+  Array.iter
+    (fun (pkt : Trace.packet) ->
+      let now = pkt.Trace.time and flow_id = pkt.Trace.flow_id in
+      if now -. !last_sweep >= 1.0 then begin
+        ignore (Gf_core.Gigaflow.expire gf ~now);
+        last_sweep := now
+      end;
+      let walk () =
+        let hit, _, replay = Gf_core.Ltm_cache.lookup_replay cache ~now ~entry_tag pkt.Trace.flow in
+        Hashtbl.replace memo flow_id replay;
+        hit
+      in
+      match Hashtbl.find_opt memo flow_id with
+      | None ->
+          if walk () = None then begin
+            incr slowpaths;
+            ignore (Gf_core.Gigaflow.handle_miss gf ~now ~pipeline pkt.Trace.flow)
+          end
+      | Some replay ->
+          incr replays;
+          if replay ~now < 0 then begin
+            incr rewalks;
+            ignore (walk ())
+          end)
+    w.Pipebench.trace.Trace.packets;
+  let share = float_of_int !rewalks /. float_of_int !replays in
+  Alcotest.(check bool) (Printf.sprintf "some replays (%d)" !replays) true (!replays > 50_000);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d of %d replays re-walk (%.2f%%; %d slowpaths)" !rewalks !replays
+       (100. *. share) !slowpaths)
+    true (share < 0.05)
+
 let test_pressure_eviction_accounting () =
   let w = churn_workload () in
   let base =
@@ -250,6 +306,20 @@ let test_multicore_distribution () =
     (s > 3.0 && s <= 4.2);
   Alcotest.(check bool) "balanced" true
     (float_of_int (4 * max4) < 1.2 *. float_of_int (Gf_sim.Multicore.total_load four))
+
+(* Flow ids that share their low bits must still spread: a hash whose low
+   bits are the id's own would put every multiple of 4 on core 0. *)
+let test_rss_hash_spreads_strided_ids () =
+  let cores = Array.make 4 0 in
+  for i = 0 to 255 do
+    let core = Gf_sim.Multicore.rss_hash (4 * i) mod 4 in
+    cores.(core) <- cores.(core) + 1
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "multiples of 4 on more than one of 4 cores (%d %d %d %d)" cores.(0)
+       cores.(1) cores.(2) cores.(3))
+    true
+    (Array.fold_left (fun used n -> if n > 0 then used + 1 else used) 0 cores > 1)
 
 let test_multicore_distribute_rejects_no_cores () =
   let census = Hashtbl.create 1 in
@@ -879,6 +949,7 @@ let suite =
     ("gigaflow beats megaflow under pressure", `Slow, test_gigaflow_beats_megaflow_under_pressure);
     ("lru beats reject on churn", `Quick, test_lru_beats_reject_on_churn);
     ("pressure eviction accounting", `Quick, test_pressure_eviction_accounting);
+    ("ltm replays survive churn", `Quick, test_ltm_replays_survive_churn);
     ("software cache absorbs misses", `Quick, test_sw_cache_absorbs_misses);
     ("expiry bounds occupancy", `Quick, test_expiry_keeps_occupancy_bounded);
     ("run callbacks", `Quick, test_miss_sink_and_on_packet);
@@ -886,6 +957,7 @@ let suite =
     ("resources model", `Quick, test_resources_model);
     ("multicore distribution", `Quick, test_multicore_distribution);
     ("multicore distribute rejects 0 cores", `Quick, test_multicore_distribute_rejects_no_cores);
+    ("rss hash spreads strided flow ids", `Quick, test_rss_hash_spreads_strided_ids);
     ("metrics merge", `Quick, test_metrics_merge);
     ("parallel shard partition", `Quick, test_parallel_shard_partition);
     ("parallel 1-domain = plain datapath", `Slow, test_parallel_single_domain_matches_datapath);
