@@ -1,15 +1,21 @@
 (** Space-saving (Misra–Gries / "stream-summary") top-K heavy-hitter sketch
     over flow keys.
 
-    Tracks at most [k] flows.  Every observation is O(1): the tracked
-    entries live in a flat array kept sorted by count (descending), and a
-    count → leftmost-index map lets an increment move an entry across its
-    equal-count run with a single swap.  When an untracked flow arrives and
-    the sketch is full, the minimum entry is replaced and its count is
-    inherited as the newcomer's error bound — the classic space-saving
-    guarantee: [count f] over-estimates the true frequency by at most
-    [err f], so [count f - err f] (the {e guaranteed} count) never
-    over-estimates.
+    Tracks at most [k] flows in a flat array kept sorted by count
+    (descending).  When an untracked flow arrives and the sketch is full,
+    the minimum entry is replaced and its count is inherited as the
+    newcomer's error bound — the classic space-saving guarantee: [count f]
+    over-estimates the true frequency by at most [err f], so
+    [count f - err f] (the {e guaranteed} count) never over-estimates.
+
+    Cost model: {!observe} hashes the flow once ({!Gf_flow.Flow.hash}) and
+    finds its row through an open-addressing index keyed by that hash;
+    rows carry their slot, so a row move re-points the index without
+    rehashing.  An increment moves the entry to the head of its equal-count
+    run with one swap: O(1) inside the minimum-count run (every newcomer
+    and every replacement lands there) and for an entry alone in its run
+    (typically an elephant), O(log k) elsewhere (a binary search of the
+    sorted counts).  Steady-state observation allocates nothing.
 
     Determinism: observations are pure state-machine transitions (no RNG,
     no wall clock), so the per-worker sketches the engine keeps over
@@ -31,7 +37,14 @@ val observed : t -> int
 (** Total observations since creation (not reset by {!decay}). *)
 
 val observe : t -> Gf_flow.Flow.t -> unit
-(** Count one packet for [flow].  O(1). *)
+(** Count one packet for [flow]: one hash, no allocation; O(1) in the
+    minimum-count run or for an entry alone in its run, O(log k)
+    otherwise. *)
+
+val last_guaranteed : t -> int
+(** {!guaranteed} of the flow the latest {!observe} counted, as it stood
+    right after that observation — the admission test for the packet being
+    processed, without a second hash.  0 before any observation. *)
 
 val count : t -> Gf_flow.Flow.t -> int
 (** Estimated frequency (upper bound); 0 if untracked. *)
@@ -63,9 +76,11 @@ val retarget : t -> k:int -> unit
 
 val check_invariants : t -> bool
 (** Structural self-check (test hook): rows [0, size) sorted by count
-    descending with [0 <= err <= count], [index] is exactly the live
-    flow→row map, and [boundary] maps each live count to the leftmost row
-    of its run and nothing else.  O(k). *)
+    descending with [1 <= count] and [0 <= err <= count]; the cached head
+    of the minimum-count run is that run's leftmost row; the row index
+    holds exactly the live rows, each in a slot with its flow's hash that
+    the flow's probe sequence reaches without crossing an empty slot, and
+    the slot count is a power of two of at least [2k].  O(k). *)
 
 val top : t -> n:int -> (Gf_flow.Flow.t * int * int) list
 (** [(flow, count, err)] for the [n] highest-count entries, count

@@ -309,6 +309,14 @@ type t = {
          bit-for-bit.  Mutable only for [set_admission] transitions to and
          from [Admit_all]; retuning K retargets the sketch in place. *)
   mutable hh_threshold : int;
+  mutable hh_hot : bool;
+      (* The per-packet hot bit: whether the packet being walked belongs
+         to a flow the sketch calls hot, latched by [observe_hh] right
+         after the packet's observation.  Nothing changes the sketch or
+         the threshold until the next packet, so the three admission
+         reads of one walk (miss cause, install gate, promotion) share
+         this one test instead of re-hashing the flow.  Meaningful only
+         while [hh] is [Some]. *)
   hh_attempted : unit Flow.Tbl.t;
       (* Flows already offered a hardware promotion this sweep interval —
          rate-limits the promotion path to once per flow per sweep; cleared
@@ -401,6 +409,7 @@ let create ?telemetry cfg pipeline =
     replay_tbl = Array.make 1024 None;
     hh;
     hh_threshold;
+    hh_hot = false;
     hh_attempted = Flow.Tbl.create 64;
     tracer;
     level_is_ltm =
@@ -636,7 +645,7 @@ let span_cycles ~cpw ~work = work * (if cpw > 0 then cpw else Latency.probe_cycl
    outlived the level's idle budget, to admission demotion if the sketch
    stopped calling it hot (hardware under heavy-hitter admission), else to
    capacity pressure. *)
-let miss_cause t ~level:i ~now ~depth ~flow fid =
+let miss_cause t ~level:i ~now ~depth fid =
   if depth > 0 then Metrics.Tag_chain_stall
   else if fid < 0 || fid >= t.fs_cap then Metrics.Cold
   else
@@ -650,9 +659,7 @@ let miss_cause t ~level:i ~now ~depth ~flow fid =
           Metrics.Expired
         else
           match t.hh with
-          | Some hh
-            when t.level_is_hw.(i)
-                 && not (Heavy_hitter.hot hh ~threshold:t.hh_threshold flow) ->
+          | Some _ when t.level_is_hw.(i) && not t.hh_hot ->
               Metrics.Deferred_admission
           | Some _ | None -> Metrics.Pressure_evicted)
 
@@ -744,13 +751,11 @@ let slowpath_installs t ~now ~flow_id execute_result =
          install-on-miss levels — it lands in the software tier and earns a
          slot through the promotion path once its count clears the
          threshold.  The guaranteed count (count - err) is used, so a mouse
-         that inherited a large victim count is not admitted. *)
-      let admit_hw =
-        match t.hh with
-        | None -> true
-        | Some hh ->
-            Heavy_hitter.hot hh ~threshold:t.hh_threshold traversal.Traversal.input
-      in
+         that inherited a large victim count is not admitted.  The test is
+         the packet's hot bit: the traversal's input is this packet's flow
+         (a flow id always names the same flow, so a memoised traversal's
+         input is too). *)
+      let admit_hw = match t.hh with None -> true | Some _ -> t.hh_hot in
       let installs = ref 0 and partition_work = ref 0 and rulegen_work = ref 0 in
       for i = 0 to Array.length t.levels - 1 do
         if (not admit_hw) && hw_install_on_miss t i then begin
@@ -842,9 +847,9 @@ let hh_offer_hw t ~memo ~now ~flow_id flow =
    residence, at most once per flow per sweep interval. *)
 let maybe_promote_hot t ~memo ~now ~flow_id flow tier =
   match t.hh with
-  | Some hh
+  | Some _
     when tier = Cache_level.Software
-         && Heavy_hitter.hot hh ~threshold:t.hh_threshold flow
+         && t.hh_hot
          && not (Flow.Tbl.mem t.hh_attempted flow) ->
       Flow.Tbl.replace t.hh_attempted flow ();
       hh_offer_hw t ~memo ~now ~flow_id flow
@@ -887,6 +892,11 @@ let promote_above t ~now ~flow_id flow h i =
     end
   done;
   !promoted
+
+(* Count the packet in the sketch and latch its hot bit ([hh_hot]). *)
+let observe_hh t hh flow =
+  Heavy_hitter.observe hh flow;
+  t.hh_hot <- Heavy_hitter.last_guaranteed hh >= t.hh_threshold
 
 (* Grow [replay_tbl] (doubling) until [flow_id] indexes it. *)
 let ensure_replay_slot t flow_id =
@@ -942,7 +952,7 @@ let walk t ~memo ~now ~flow_id flow =
   (match t.tracer with
   | Some tr -> tracer_tick tr
   | None -> ());
-  (match t.hh with Some hh -> Heavy_hitter.observe hh flow | None -> ());
+  (match t.hh with Some hh -> observe_hh t hh flow | None -> ());
   let n = Array.length t.levels in
   let mutated = ref expired in
   let rec go i =
@@ -970,7 +980,7 @@ let walk t ~memo ~now ~flow_id flow =
           let depth =
             if t.level_is_ltm.(i) then Cache_level.last_depth level else 0
           in
-          Metrics.record_miss lm (miss_cause t ~level:i ~now ~depth ~flow flow_id);
+          Metrics.record_miss lm (miss_cause t ~level:i ~now ~depth flow_id);
           (match t.tracer with
           | Some tr when tr.Tracer.active ->
               trace_probe t tr ~level:i ~now ~work
@@ -1066,7 +1076,7 @@ let process_memo t ~now ~flow_id flow =
              entry, so one bounds test suffices. *)
           if flow_id < t.fs_cap then Array.unsafe_set t.fs_seen0 flow_id now
           else fs_touch t ~level:0 ~now flow_id;
-          (match t.hh with Some hh -> Heavy_hitter.observe hh flow | None -> ());
+          (match t.hh with Some hh -> observe_hh t hh flow | None -> ());
           let lm0 = t.level_metrics.(0) in
           lm0.Metrics.work <- lm0.Metrics.work + work;
           m.Metrics.cycles_sw_search <-

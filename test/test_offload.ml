@@ -351,9 +351,10 @@ let test_hh_retarget_preserves_hot_set () =
   | () -> Alcotest.fail "retarget accepted k=0"
 
 (* Structural invariant under arbitrary interleavings of every mutation
-   the sketch supports — observe, decay, retarget: the boundary
-   index must keep mapping each live count to the leftmost row of its
-   run (the O(1) bump-by-swap precondition). *)
+   the sketch supports — observe, decay, retarget: the row index must
+   keep finding every live row, and the cached head of the minimum-count
+   run must stay that run's leftmost row (the O(1) bump-by-swap
+   precondition). *)
 let prop_hh_invariants_under_interleaving =
   QCheck2.Test.make
     ~name:"sketch invariants hold under observe/decay/retarget" ~count:80
@@ -375,6 +376,74 @@ let prop_hh_invariants_under_interleaving =
         if not (Heavy_hitter.check_invariants t) then ok := false
       done;
       !ok)
+
+(* The sketch against the one it replaced ([Hh_ref], a [Flow.Tbl] row
+   index and an [Int_tbl] run-boundary map): random streams over a
+   universe of a few times k, so index collisions, replacements and
+   backward-shift deletes all occur, with decay and shrinking or growing
+   retargets interleaved.  After every operation the two must agree on
+   every flow's count and guaranteed count, on size, observed and the
+   whole top-k, and the new sketch must pass its self-check. *)
+let prop_hh_matches_reference =
+  QCheck2.Test.make ~name:"sketch = Flow.Tbl/Int_tbl reference" ~count:200
+    QCheck2.Gen.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Gf_util.Rng.create seed in
+      let k = 1 + Gf_util.Rng.int rng 16 in
+      let universe = 2 + Gf_util.Rng.int rng ((3 * k) + 8) in
+      let t = Heavy_hitter.create ~k and r = Hh_ref.create ~k in
+      let agree what a b =
+        if a <> b then QCheck2.Test.fail_reportf "seed %d: %s differs" seed what
+      in
+      for step = 1 to 400 do
+        (match Gf_util.Rng.int rng 40 with
+        | 0 ->
+            Heavy_hitter.decay t;
+            Hh_ref.decay r
+        | 1 ->
+            let k = 1 + Gf_util.Rng.int rng 16 in
+            Heavy_hitter.retarget t ~k;
+            Hh_ref.retarget r ~k
+        | _ ->
+            let f = flow (1 + Gf_util.Rng.int rng universe) in
+            Heavy_hitter.observe t f;
+            Hh_ref.observe r f;
+            agree "last_guaranteed" (Heavy_hitter.last_guaranteed t) (Hh_ref.guaranteed r f));
+        let k = Hh_ref.k r in
+        agree "k" (Heavy_hitter.k t) k;
+        agree "size" (Heavy_hitter.size t) (Hh_ref.size r);
+        agree "observed" (Heavy_hitter.observed t) (Hh_ref.observed r);
+        agree "top" (Heavy_hitter.top t ~n:k) (Hh_ref.top r ~n:k);
+        for i = 1 to universe do
+          agree "count" (Heavy_hitter.count t (flow i)) (Hh_ref.count r (flow i));
+          agree "guaranteed" (Heavy_hitter.guaranteed t (flow i))
+            (Hh_ref.guaranteed r (flow i))
+        done;
+        if not (Heavy_hitter.check_invariants t) then
+          QCheck2.Test.fail_reportf "seed %d: invariants broken at step %d" seed step
+      done;
+      true)
+
+(* [observe] allocates nothing once warm, on every path: bumps inside and
+   outside the minimum-count run and replacements of the minimum (a
+   skewed 4096-packet stream over 64 flows at k = 16). *)
+let test_hh_observe_allocation_free () =
+  let t = Heavy_hitter.create ~k:16 in
+  let rng = Gf_util.Rng.create 29 in
+  let stream =
+    Array.init 4096 (fun _ ->
+        let r = Gf_util.Rng.int rng 64 in
+        flow (if r < 48 then 1 + (r land 7) else 1 + Gf_util.Rng.int rng 64))
+  in
+  Array.iter (Heavy_hitter.observe t) stream;
+  let words =
+    Helpers.minor_words (fun () ->
+        for i = 0 to 9_999 do
+          Heavy_hitter.observe t stream.(i land 4095)
+        done)
+  in
+  Alcotest.(check (float 0.)) "minor words" 0. words;
+  Alcotest.(check bool) "invariants" true (Heavy_hitter.check_invariants t)
 
 (* --------------------------- end-to-end ----------------------------- *)
 
@@ -420,7 +489,7 @@ let test_admission_walker_engine_agree () =
   let fp (m : Metrics.t) =
     ( m.Metrics.packets, m.Metrics.hw_hits, m.Metrics.sw_hits,
       m.Metrics.slowpaths, m.Metrics.hw_installs, m.Metrics.hw_deferred,
-      m.Metrics.hw_demotions, m.Metrics.hw_evictions )
+      m.Metrics.hw_demotions, m.Metrics.hw_evictions, Metrics.miss_causes m )
   in
   Alcotest.(check bool)
     "walker = engine under admission" true
@@ -445,6 +514,8 @@ let suite =
     Alcotest.test_case "cuckoo create cost" `Quick test_cuckoo_create_cost;
     Alcotest.test_case "sketch retarget preserves hot set" `Quick
       test_hh_retarget_preserves_hot_set;
+    Alcotest.test_case "sketch observe allocation-free" `Quick
+      test_hh_observe_allocation_free;
     Alcotest.test_case "hh admission beats reject + lru" `Slow
       test_admission_beats_reject;
     Alcotest.test_case "walker = engine under admission" `Slow
@@ -453,6 +524,6 @@ let suite =
 
 let props =
   [
-    prop_hh_bounds; prop_hh_invariants_under_interleaving;
+    prop_hh_bounds; prop_hh_invariants_under_interleaving; prop_hh_matches_reference;
     prop_cuckoo_churn; prop_cuckoo_matches_reference;
   ]
