@@ -86,12 +86,14 @@ fi
 # The same agreement under heavy-hitter admission: the drifting-skew
 # gf_sw_hh run defers every cold slowpath and promotes the flows that get
 # hot, so the deferral and promotion paths run through both the walker
-# (memo off) and the engine's memoised walk.
+# (memo off) and the engine's memoised walk; the software-cache hits and
+# deferred installs rows read those two paths directly.
 ADM="-p PSC --flows 20000 --combos 8192 --seed 77 --trace drift --hierarchy gf_sw_hh"
 dune exec --no-build -- gigaflow-sim run $ADM > "$TDIR/adm_walker.out"
 dune exec --no-build -- gigaflow-sim run $ADM --engine batched --domains 1 \
   > "$TDIR/adm_batched.out"
-for metric in 'packets' 'SmartNIC hit rate' 'slowpath executions' 'installs' 'mean latency'; do
+for metric in 'packets' 'SmartNIC hit rate' 'software-cache hits' 'slowpath executions' \
+  'installs' 'deferred installs' 'mean latency'; do
   w=$(grep -F "| $metric " "$TDIR/adm_walker.out")
   b=$(grep -F "| $metric " "$TDIR/adm_batched.out")
   test -n "$w" && test "$w" = "$b" || {

@@ -26,97 +26,47 @@ type config = {
          space-saving sketch and re-partitions on the expiry sweep. *)
 }
 
-let default_emc_capacity = 8192 (* OVS's EMC default entry count *)
 let default_mf_capacity = 32_768
-let default_sw_capacity = 1_000_000
-let default_max_idle = 10.0
-let default_expire_every = 1.0
 
-let emc_spec capacity = Cache_level.Emc { capacity; max_idle = None; evict = None }
+(* The host levels every preset shares: OVS's EMC at its default 8,192
+   entries, and the software wildcard cache (TSS search) or the cuckoo
+   exact-match tail at 1M entries. *)
+let emc = Cache_level.Emc { capacity = 8192; max_idle = None; evict = None }
 
-let nic_mf_spec capacity =
-  Cache_level.Nic_megaflow { capacity; max_idle = None; evict = None }
+let sw_mf =
+  Cache_level.Sw_megaflow
+    { search = `Tss; capacity = 1_000_000; max_idle = None; evict = None }
 
-let sw_mf_spec search capacity =
-  Cache_level.Sw_megaflow { search; capacity; max_idle = None; evict = None }
+let sw_ck = Cache_level.Sw_cuckoo { capacity = 1_000_000; max_idle = None; evict = None }
 
-let gf_spec gf = Cache_level.Gf_ltm { gf; max_idle = None }
+let nic_mf capacity = Cache_level.Nic_megaflow { capacity; max_idle = None; evict = None }
+let gf_ltm gf = Cache_level.Gf_ltm { gf; max_idle = None }
 
 (* Preset hierarchies.  Names list the levels OVS-style (host hierarchy
    around the NIC cache); the [levels] list is the walk order — the NIC
    cache always comes first because packets hit it before ever reaching
-   host software. *)
+   host software.  Every other knob is a combinator below. *)
 
-let emc_mf_sw ?(emc_capacity = default_emc_capacity)
-    ?(mf_capacity = default_mf_capacity) ?(sw_search = `Tss)
-    ?(sw_capacity = default_sw_capacity) ?(max_idle = default_max_idle)
-    ?(expire_every = default_expire_every)
-    ?(admission = Heavy_hitter.Admit_all) () =
-  {
-    name = "emc_mf_sw";
-    levels =
-      [ nic_mf_spec mf_capacity; emc_spec emc_capacity; sw_mf_spec sw_search sw_capacity ];
-    max_idle;
-    expire_every;
-    admission;
-  }
+(* A 10 s idle budget, swept every second. *)
+let hierarchy ?(admission = Heavy_hitter.Admit_all) name levels =
+  { name; levels; max_idle = 10.0; expire_every = 1.0; admission }
 
-let emc_gf_sw ?(gf = Gf_core.Config.default) ?(emc_capacity = default_emc_capacity)
-    ?(sw_search = `Tss) ?(sw_capacity = default_sw_capacity)
-    ?(max_idle = default_max_idle) ?(expire_every = default_expire_every)
-    ?(admission = Heavy_hitter.Admit_all) () =
-  {
-    name = "emc_gf_sw";
-    levels = [ gf_spec gf; emc_spec emc_capacity; sw_mf_spec sw_search sw_capacity ];
-    max_idle;
-    expire_every;
-    admission;
-  }
+let emc_mf_sw ?(mf_capacity = default_mf_capacity) () =
+  hierarchy "emc_mf_sw" [ nic_mf mf_capacity; emc; sw_mf ]
 
-let mf_sw ?(mf_capacity = default_mf_capacity) ?(sw_search = `Tss)
-    ?(sw_capacity = default_sw_capacity) ?(max_idle = default_max_idle)
-    ?(expire_every = default_expire_every)
-    ?(admission = Heavy_hitter.Admit_all) () =
-  {
-    name = "mf_sw";
-    levels = [ nic_mf_spec mf_capacity; sw_mf_spec sw_search sw_capacity ];
-    max_idle;
-    expire_every;
-    admission;
-  }
+let emc_gf_sw ?(gf = Gf_core.Config.default) () =
+  hierarchy "emc_gf_sw" [ gf_ltm gf; emc; sw_mf ]
+
+let mf_sw ?(mf_capacity = default_mf_capacity) () =
+  hierarchy "mf_sw" [ nic_mf mf_capacity; sw_mf ]
 
 (* The paper-faithful hybrid (Fig. 2b without the EMC): Gigaflow LTM on the
    NIC backed by the software Megaflow. *)
-let gf_sw ?(gf = Gf_core.Config.default) ?(sw_search = `Tss)
-    ?(sw_capacity = default_sw_capacity) ?(max_idle = default_max_idle)
-    ?(expire_every = default_expire_every)
-    ?(admission = Heavy_hitter.Admit_all) () =
-  {
-    name = "gf_sw";
-    levels = [ gf_spec gf; sw_mf_spec sw_search sw_capacity ];
-    max_idle;
-    expire_every;
-    admission;
-  }
+let gf_sw ?(gf = Gf_core.Config.default) () = hierarchy "gf_sw" [ gf_ltm gf; sw_mf ]
+let gf_only ?(gf = Gf_core.Config.default) () = hierarchy "gf_only" [ gf_ltm gf ]
 
-let gf_only ?(gf = Gf_core.Config.default) ?(max_idle = default_max_idle)
-    ?(expire_every = default_expire_every)
-    ?(admission = Heavy_hitter.Admit_all) () =
-  { name = "gf_only"; levels = [ gf_spec gf ]; max_idle; expire_every; admission }
-
-let mf_only ?(mf_capacity = default_mf_capacity) ?(max_idle = default_max_idle)
-    ?(expire_every = default_expire_every)
-    ?(admission = Heavy_hitter.Admit_all) () =
-  {
-    name = "mf_only";
-    levels = [ nic_mf_spec mf_capacity ];
-    max_idle;
-    expire_every;
-    admission;
-  }
-
-let sw_ck_spec capacity =
-  Cache_level.Sw_cuckoo { capacity; max_idle = None; evict = None }
+let mf_only ?(mf_capacity = default_mf_capacity) () =
+  hierarchy "mf_only" [ nic_mf mf_capacity ]
 
 let default_admission =
   Heavy_hitter.Heavy_hitter
@@ -126,27 +76,11 @@ let default_admission =
    space-saving sketch says are hot; everything else lives in the cuckoo
    exact-match software table (two probes per lookup, no classifier
    search).  The paper-faithful hierarchies above keep [Admit_all]. *)
-let mf_sw_hh ?(mf_capacity = default_mf_capacity)
-    ?(sw_capacity = default_sw_capacity) ?(max_idle = default_max_idle)
-    ?(expire_every = default_expire_every) ?(admission = default_admission) () =
-  {
-    name = "mf_sw_hh";
-    levels = [ nic_mf_spec mf_capacity; sw_ck_spec sw_capacity ];
-    max_idle;
-    expire_every;
-    admission;
-  }
+let mf_sw_hh ?(mf_capacity = default_mf_capacity) () =
+  hierarchy ~admission:default_admission "mf_sw_hh" [ nic_mf mf_capacity; sw_ck ]
 
-let gf_sw_hh ?(gf = Gf_core.Config.default) ?(sw_capacity = default_sw_capacity)
-    ?(max_idle = default_max_idle) ?(expire_every = default_expire_every)
-    ?(admission = default_admission) () =
-  {
-    name = "gf_sw_hh";
-    levels = [ gf_spec gf; sw_ck_spec sw_capacity ];
-    max_idle;
-    expire_every;
-    admission;
-  }
+let gf_sw_hh ?(gf = Gf_core.Config.default) () =
+  hierarchy ~admission:default_admission "gf_sw_hh" [ gf_ltm gf; sw_ck ]
 
 let preset_names =
   [
@@ -258,22 +192,17 @@ type outcome = Hw_hit | Sw_hit | Slowpath
 
 (* Compiled per-flow replay of a level-0 hardware hit, used only by
    [process_memo].  For a repeat flow whose hit stays at the top
-   (hardware) level, every per-packet effect is a constant of the flow:
-   the latency (hardware hit cost ignores work), both histogram bucket
-   indices, the drop decision and the returned triple.  They are computed
-   once on the memoised walk and replayed with plain mutations; only the
-   level-0 memo's replay ([p_replay], the backend's [lookup_replay]
-   closure that [Cache_level.last_hit_replay] hands over) runs per packet,
-   applying the hit's touches and returning the exact lookup work, or -1
-   once stale. *)
+   (hardware) level, every per-packet effect is a constant: the latency
+   and its histogram buckets are the level's ([top_*] in [t]: hardware hit
+   cost ignores work), and the rest are facts of the flow, computed once
+   on the memoised walk.  Only the level-0 memo's replay ([p_replay], the
+   backend's [lookup_replay] closure that [Cache_level.last_hit_replay]
+   hands over) runs per packet, applying the hit's touches and returning
+   the exact lookup work, or -1 once stale. *)
 type pmemo = {
   p_replay : now:float -> int;
-  p_lat : float;  (* constant hardware hit latency, us *)
-  p_gidx : int;  (* precomputed bucket of [p_lat] in the global histogram *)
-  p_lidx : int;  (* ... and in level 0's histogram *)
-  p_cpw : int;  (* level 0 [cycles_per_work] *)
-  p_is_drop : bool;
   p_depth : int;  (* tag-chain reuse depth of the compiled hit (tracer) *)
+  p_is_drop : bool;
   p_result : outcome * Action.terminal option * float;
 }
 
@@ -295,14 +224,16 @@ type t = {
       (* The telemetry's flight recorder, resolved once here: [Some] iff
          telemetry is attached with event tracing on.  Every emission site
          offers its event through [note]. *)
-  traversal_memo : (Traversal.t, Executor.error) result Gf_util.Int_tbl.t;
-      (* flow id -> memoised [Executor.execute] result, used only by the
-         memoised walk ([process_memo]).  [Executor.execute] is observably
-         pure over a fixed pipeline, so the memo is valid for a whole run;
-         a pipeline update ([revalidate]) resets it. *)
   mutable replay_tbl : pmemo option array;
-      (* flow id -> compiled level-0 replay, grown on demand.  Entries
-         self-invalidate through [p_replay]; [revalidate] clears the lot. *)
+      (* flow id -> compiled level-0 replay, grown on demand by the
+         memoised walk only.  Entries self-invalidate through [p_replay];
+         [revalidate] clears the lot. *)
+  top_lat : float;
+      (* Level 0's hit latency, us, when it is a hardware level (the only
+         case [replay_tbl] is filled) ... *)
+  top_gidx : int;  (* ... its bucket in the global latency histogram ... *)
+  top_lidx : int;  (* ... and in level 0's *)
+  top_cpw : int;  (* level 0 [cycles_per_work] *)
   mutable hh : Heavy_hitter.t option;
       (* [Some] iff [cfg.admission] is [Heavy_hitter _]; observed once per
          packet on every packet path so walker and batched replay agree
@@ -329,20 +260,16 @@ type t = {
   level_is_ltm : bool array;  (* walk order: level is the Gigaflow LTM *)
   level_is_hw : bool array;
   level_max_idle : float array;  (* descriptor idle budgets, for Expired *)
-  mutable reval_gen : int;
-      (* bumped by [revalidate]; flow-state install generations older
-         than it resolve misses to [Revalidation] *)
   (* Per-level, per-flow admission history, read to resolve each miss's
-     [Metrics.cause]: what happened to this flow at this level last,
-     when it was last seen there, and under which revalidation
-     generation it installed.
+     [Metrics.cause]: what happened to this flow at this level last, and
+     when it was last seen there.
      Flat arrays indexed by flow id with doubling growth (they saturate
      at the trace's flow count, keeping the soak test's heap flat). *)
   mutable fs_cap : int;
   fs_state : Bytes.t array;
       (* '\000' never installed, '\001' installed, '\002' admission-
-         deferred, '\003' install-rejected *)
-  fs_gen : int array array;
+         deferred, '\003' install-rejected, '\004' installed before the
+         last [revalidate] and neither installed nor marked since *)
   fs_seen : float array array;
   mutable fs_seen0 : float array;
       (* alias of [fs_seen.(0)], re-pointed on growth: the memo fast
@@ -396,6 +323,12 @@ let create ?telemetry cfg pipeline =
   let n_levels = Array.length levels in
   let fs_cap = 1024 in
   let fs_seen = Array.init n_levels (fun _ -> Array.make fs_cap neg_infinity) in
+  let top_lat, top_cpw =
+    if n_levels = 0 then (0.0, 0)
+    else
+      let d = Cache_level.descriptor levels.(0) in
+      (d.Cache_level.hit_us ~work:0, d.Cache_level.cycles_per_work)
+  in
   {
     cfg;
     pipeline;
@@ -405,8 +338,13 @@ let create ?telemetry cfg pipeline =
     last_expire = 0.0;
     telemetry;
     recorder = Option.bind telemetry Telemetry.recorder;
-    traversal_memo = Gf_util.Int_tbl.create 256;
     replay_tbl = Array.make 1024 None;
+    top_lat;
+    top_gidx = Histogram.index metrics.Metrics.latency_hist top_lat;
+    top_lidx =
+      (if n_levels = 0 then 0
+       else Histogram.index level_metrics.(0).Metrics.latency_hist top_lat);
+    top_cpw;
     hh;
     hh_threshold;
     hh_hot = false;
@@ -423,10 +361,8 @@ let create ?telemetry cfg pipeline =
       Array.map (fun l -> Cache_level.tier l = Cache_level.Hardware) levels;
     level_max_idle =
       Array.map (fun l -> (Cache_level.descriptor l).Cache_level.max_idle) levels;
-    reval_gen = 0;
     fs_cap;
     fs_state = Array.init n_levels (fun _ -> Bytes.make fs_cap '\000');
-    fs_gen = Array.init n_levels (fun _ -> Array.make fs_cap 0);
     fs_seen;
     fs_seen0 = (if n_levels > 0 then fs_seen.(0) else [||]);
   }
@@ -553,12 +489,17 @@ let maybe_expire t ~now =
 
 (* Unified revalidation sweep (pipeline updated): every level re-checks its
    entries; evictions are accounted per level.  Returns (evicted, work). *)
-let revalidate t =
-  (* The pipeline (possibly) changed: memoised slowpath traversals and
-     compiled replays are stale. *)
-  Gf_util.Int_tbl.reset t.traversal_memo;
+let revalidate t ~now =
+  (* The pipeline (possibly) changed: compiled replays are stale, and a
+     flow installed before now misses to [Revalidation] until it installs
+     or is marked again. *)
   Array.fill t.replay_tbl 0 (Array.length t.replay_tbl) None;
-  t.reval_gen <- t.reval_gen + 1;
+  Array.iter
+    (fun st ->
+      for fid = 0 to Bytes.length st - 1 do
+        if Bytes.unsafe_get st fid = '\001' then Bytes.unsafe_set st fid '\004'
+      done)
+    t.fs_state;
   let total_evicted = ref 0 and total_work = ref 0 in
   Array.iteri
     (fun i level ->
@@ -570,34 +511,32 @@ let revalidate t =
         t.metrics.Metrics.hw_evictions <- t.metrics.Metrics.hw_evictions + evicted;
       total_evicted := !total_evicted + evicted;
       total_work := !total_work + work;
-      note t Recorder.Revalidate ~level:i ~packet:t.metrics.Metrics.packets ~time:0.0
+      note t Recorder.Revalidate ~level:i ~packet:t.metrics.Metrics.packets ~time:now
         ~lat:0.0 ~count:evicted)
     t.levels;
   (!total_evicted, !total_work)
 
 (* --------------------------- miss attribution -------------------------- *)
 
-(* Grow the per-flow admission-history arrays (doubling) until [fid]
-   indexes them. *)
+(* Every flow-id-indexed array grows by doubling, from 1,024 slots: the
+   length to which an array of length [n] grows so that [fid] indexes it. *)
+let grown_length n fid =
+  let n' = ref (max 1024 (2 * n)) in
+  while fid >= !n' do
+    n' := 2 * !n'
+  done;
+  !n'
+
+(* Grow the per-flow admission-history arrays until [fid] indexes them. *)
 let ensure_flow_slot t fid =
   if fid >= t.fs_cap then begin
-    let cap = ref (max 1024 (2 * t.fs_cap)) in
-    while fid >= !cap do
-      cap := 2 * !cap
-    done;
-    let cap = !cap in
+    let cap = grown_length t.fs_cap fid in
     Array.iteri
       (fun i b ->
         let b' = Bytes.make cap '\000' in
         Bytes.blit b 0 b' 0 t.fs_cap;
         t.fs_state.(i) <- b')
       t.fs_state;
-    Array.iteri
-      (fun i g ->
-        let g' = Array.make cap 0 in
-        Array.blit g 0 g' 0 t.fs_cap;
-        t.fs_gen.(i) <- g')
-      t.fs_gen;
     Array.iteri
       (fun i s ->
         let s' = Array.make cap neg_infinity in
@@ -619,7 +558,6 @@ let fs_install t ~level:i ~now fid =
   if fid >= 0 then begin
     ensure_flow_slot t fid;
     Bytes.unsafe_set t.fs_state.(i) fid '\001';
-    t.fs_gen.(i).(fid) <- t.reval_gen;
     t.fs_seen.(i).(fid) <- now
   end
 
@@ -653,9 +591,9 @@ let miss_cause t ~level:i ~now ~depth fid =
     | '\000' -> Metrics.Cold
     | '\002' -> Metrics.Deferred_admission
     | '\003' -> Metrics.Pressure_evicted
+    | '\004' -> Metrics.Revalidation
     | _ -> (
-        if t.fs_gen.(i).(fid) < t.reval_gen then Metrics.Revalidation
-        else if now -. t.fs_seen.(i).(fid) > t.level_max_idle.(i) then
+        if now -. t.fs_seen.(i).(fid) > t.level_max_idle.(i) then
           Metrics.Expired
         else
           match t.hh with
@@ -684,21 +622,6 @@ let trace_probe t tr ~level:i ~now ~work ~cpw ~depth outcome =
     ~outcome
 
 (* ------------------------------ slowpath ------------------------------ *)
-
-(* The slowpath pipeline execute.  With [memo] (only ever set for a known
-   flow id) the result is memoised per flow: [Executor.execute] is
-   observably pure over a fixed pipeline, so repeat slowpaths and
-   promotions of a flow replay its traversal while every install offer
-   and all accounting stay live. *)
-let traversal t ~memo ~flow_id flow =
-  if memo then (
-    match Gf_util.Int_tbl.find_opt t.traversal_memo flow_id with
-    | Some r -> r
-    | None ->
-        let r = Executor.execute t.pipeline flow in
-        Gf_util.Int_tbl.replace t.traversal_memo flow_id r;
-        r)
-  else Executor.execute t.pipeline flow
 
 (* Offer a traversal to level [i] and account the report: the level's
    [Metrics] (and the hardware aggregates), the per-flow admission
@@ -738,43 +661,63 @@ let hw_install_on_miss t i =
   && (Cache_level.descriptor t.levels.(i)).Cache_level.policy
      = Cache_level.Install_on_miss
 
-(* Full slowpath: offer the executed traversal to every level's install
-   policy.  Returns (terminal option, service latency us). *)
-let slowpath_installs t ~now ~flow_id execute_result =
+(* Offer a slowpath traversal to the levels that take it: every level on a
+   slowpath, only the hardware install-on-miss levels on a promotion.
+   Heavy-hitter admission: hardware slots are scarce, so on a slowpath a
+   flow the sketch does not (yet) consider hot is not offered to hardware
+   install-on-miss levels — it lands in the software tier and earns a
+   slot through the promotion path once its count clears the threshold.
+   The guaranteed count (count - err) is used, so a mouse that inherited a
+   large victim count is not admitted.  The test is the packet's hot bit:
+   the traversal's input is this packet's flow.  Charges the partition and
+   rule-generation cycles; returns the partition work, the rule-generation
+   work, the hardware entries written and whether any cache mutated. *)
+let offer_traversal t ~now ~flow_id ~promotion traversal =
   let m = t.metrics in
-  match execute_result with
+  let version = Pipeline.version t.pipeline in
+  let defer_hw =
+    (not promotion) && match t.hh with None -> false | Some _ -> not t.hh_hot
+  in
+  let hw_fresh = ref 0 and partition_work = ref 0 and rulegen_work = ref 0 in
+  let mutated = ref false in
+  for i = 0 to Array.length t.levels - 1 do
+    let hw_level = hw_install_on_miss t i in
+    if defer_hw && hw_level then begin
+      let lm = t.level_metrics.(i) in
+      lm.Metrics.deferred <- lm.Metrics.deferred + 1;
+      m.Metrics.hw_deferred <- m.Metrics.hw_deferred + 1;
+      fs_mark t ~level:i flow_id '\002';
+      note t Recorder.Defer ~level:i ~packet:(m.Metrics.packets - 1) ~time:now
+        ~lat:0.0 ~count:1
+    end
+    else if hw_level || not promotion then begin
+      let r = install_at t ~now ~flow_id ~version i traversal in
+      partition_work := !partition_work + r.Cache_level.partition_work;
+      rulegen_work := !rulegen_work + r.Cache_level.rulegen_work;
+      (* PCIe table writes: only NIC-resident levels pay per-install
+         latency. *)
+      if t.level_is_hw.(i) then hw_fresh := !hw_fresh + r.Cache_level.fresh;
+      if r.Cache_level.fresh > 0 || r.Cache_level.pressure_evicted > 0 then
+        mutated := true
+    end
+  done;
+  m.Metrics.cycles_partition <-
+    m.Metrics.cycles_partition + Latency.cycles_partition ~partition_work:!partition_work;
+  m.Metrics.cycles_rulegen <-
+    m.Metrics.cycles_rulegen + Latency.cycles_rulegen ~rulegen_work:!rulegen_work;
+  (!partition_work, !rulegen_work, !hw_fresh, !mutated)
+
+(* Full slowpath: execute the pipeline and offer the traversal to every
+   level's install policy.  Returns (terminal option, service latency
+   us). *)
+let slowpath t ~now ~flow_id flow =
+  let m = t.metrics in
+  match Executor.execute t.pipeline flow with
   | Error _ -> (None, Latency.upcall_us)
   | Ok traversal ->
-      let version = Pipeline.version t.pipeline in
-      (* Heavy-hitter admission: hardware slots are scarce, so a flow the
-         sketch does not (yet) consider hot is not offered to hardware
-         install-on-miss levels — it lands in the software tier and earns a
-         slot through the promotion path once its count clears the
-         threshold.  The guaranteed count (count - err) is used, so a mouse
-         that inherited a large victim count is not admitted.  The test is
-         the packet's hot bit: the traversal's input is this packet's flow
-         (a flow id always names the same flow, so a memoised traversal's
-         input is too). *)
-      let admit_hw = match t.hh with None -> true | Some _ -> t.hh_hot in
-      let installs = ref 0 and partition_work = ref 0 and rulegen_work = ref 0 in
-      for i = 0 to Array.length t.levels - 1 do
-        if (not admit_hw) && hw_install_on_miss t i then begin
-          let lm = t.level_metrics.(i) in
-          lm.Metrics.deferred <- lm.Metrics.deferred + 1;
-          m.Metrics.hw_deferred <- m.Metrics.hw_deferred + 1;
-          fs_mark t ~level:i flow_id '\002';
-          note t Recorder.Defer ~level:i ~packet:(m.Metrics.packets - 1) ~time:now
-            ~lat:0.0 ~count:1
-        end
-        else begin
-          let r = install_at t ~now ~flow_id ~version i traversal in
-          partition_work := !partition_work + r.Cache_level.partition_work;
-          rulegen_work := !rulegen_work + r.Cache_level.rulegen_work;
-          (* PCIe table writes: only NIC-resident levels pay per-install
-             latency. *)
-          if t.level_is_hw.(i) then installs := !installs + r.Cache_level.fresh
-        end
-      done;
+      let partition_work, rulegen_work, installs, _ =
+        offer_traversal t ~now ~flow_id ~promotion:false traversal
+      in
       (* Sampled packets attribute the slowpath table-by-table: one span
          per traversal step, costed at that step's share of the userspace
          lookup cycles (the per-step costs sum to the charged total). *)
@@ -797,62 +740,37 @@ let slowpath_installs t ~now ~flow_id execute_result =
           (fun acc s -> acc + s.Traversal.probes)
           0 traversal.Traversal.steps
       in
-      let cu = Latency.cycles_userspace ~pipeline_lookups ~tuple_probes in
-      let cp = Latency.cycles_partition ~partition_work:!partition_work in
-      let cr = Latency.cycles_rulegen ~rulegen_work:!rulegen_work in
-      m.Metrics.cycles_userspace <- m.Metrics.cycles_userspace + cu;
-      m.Metrics.cycles_partition <- m.Metrics.cycles_partition + cp;
-      m.Metrics.cycles_rulegen <- m.Metrics.cycles_rulegen + cr;
+      m.Metrics.cycles_userspace <-
+        m.Metrics.cycles_userspace
+        + Latency.cycles_userspace ~pipeline_lookups ~tuple_probes;
       let lat =
-        Latency.slowpath_us ~pipeline_lookups ~tuple_probes
-          ~partition_work:!partition_work ~rulegen_work:!rulegen_work
-          ~installs:!installs
+        Latency.slowpath_us ~pipeline_lookups ~tuple_probes ~partition_work
+          ~rulegen_work ~installs
       in
       (Some traversal.Traversal.terminal, lat)
-
-(* Asynchronous hardware promotion of a flow that got hot while living in
-   the software tier: offer its slowpath traversal to the hardware-tier
-   install-on-miss levels only.  Models the revalidator thread pushing a
-   proven elephant down to the NIC off the packet path — install,
-   partition and rule-generation accounting is real (the work happens),
-   but no packet latency is charged.  Returns [true] iff any cache
-   mutated. *)
-let hh_offer_hw t ~memo ~now ~flow_id flow =
-  match traversal t ~memo ~flow_id flow with
-  | Error _ -> false
-  | Ok traversal ->
-      let m = t.metrics in
-      let version = Pipeline.version t.pipeline in
-      let mutated = ref false in
-      let partition_work = ref 0 and rulegen_work = ref 0 in
-      for i = 0 to Array.length t.levels - 1 do
-        if hw_install_on_miss t i then begin
-          let r = install_at t ~now ~flow_id ~version i traversal in
-          partition_work := !partition_work + r.Cache_level.partition_work;
-          rulegen_work := !rulegen_work + r.Cache_level.rulegen_work;
-          if r.Cache_level.fresh > 0 || r.Cache_level.pressure_evicted > 0 then
-            mutated := true
-        end
-      done;
-      m.Metrics.cycles_partition <-
-        m.Metrics.cycles_partition
-        + Latency.cycles_partition ~partition_work:!partition_work;
-      m.Metrics.cycles_rulegen <-
-        m.Metrics.cycles_rulegen + Latency.cycles_rulegen ~rulegen_work:!rulegen_work;
-      !mutated
 
 (* Promotion trigger: a software-tier hit of a flow the sketch now calls
    hot means an elephant is stuck below the hardware line (its install
    was deferred while cold, or it was demoted) — offer it hardware
-   residence, at most once per flow per sweep interval. *)
-let maybe_promote_hot t ~memo ~now ~flow_id flow tier =
+   residence, at most once per flow per sweep interval.  Models the
+   revalidator thread pushing a proven elephant down to the NIC off the
+   packet path: install, partition and rule-generation accounting is real
+   (the work happens), but no packet latency is charged.  Returns [true]
+   iff any cache mutated. *)
+let maybe_promote_hot t ~now ~flow_id flow tier =
   match t.hh with
   | Some _
     when tier = Cache_level.Software
          && t.hh_hot
-         && not (Flow.Tbl.mem t.hh_attempted flow) ->
+         && not (Flow.Tbl.mem t.hh_attempted flow) -> (
       Flow.Tbl.replace t.hh_attempted flow ();
-      hh_offer_hw t ~memo ~now ~flow_id flow
+      match Executor.execute t.pipeline flow with
+      | Error _ -> false
+      | Ok traversal ->
+          let _, _, _, mutated =
+            offer_traversal t ~now ~flow_id ~promotion:true traversal
+          in
+          mutated)
   | Some _ | None -> false
 
 (* Let the promote-on-hit levels shallower than a hit at level [i] (the
@@ -898,37 +816,25 @@ let observe_hh t hh flow =
   Heavy_hitter.observe hh flow;
   t.hh_hot <- Heavy_hitter.last_guaranteed hh >= t.hh_threshold
 
-(* Grow [replay_tbl] (doubling) until [flow_id] indexes it. *)
-let ensure_replay_slot t flow_id =
-  let n = Array.length t.replay_tbl in
-  if flow_id >= n then begin
-    let n' = ref (max 1024 (2 * n)) in
-    while flow_id >= !n' do
-      n' := 2 * !n'
-    done;
-    let a = Array.make !n' None in
-    Array.blit t.replay_tbl 0 a 0 n;
-    t.replay_tbl <- a
-  end
-
 (* A hardware hit at the top level has constant per-packet effects:
    compile them so this flow's next packets take [process_memo]'s fast
    path.  The level's latest memoised lookup was this flow's. *)
-let compile_replay t ~flow_id ((_, terminal, latency) as result) =
+let compile_replay t ~flow_id ((_, terminal, _) as result) =
   let level = t.levels.(0) in
   match Cache_level.last_hit_replay level with
   | Some p_replay ->
-      ensure_replay_slot t flow_id;
+      let n = Array.length t.replay_tbl in
+      if flow_id >= n then begin
+        let a = Array.make (grown_length n flow_id) None in
+        Array.blit t.replay_tbl 0 a 0 n;
+        t.replay_tbl <- a
+      end;
       t.replay_tbl.(flow_id) <-
         Some
           {
             p_replay;
-            p_lat = latency;
-            p_gidx = Histogram.index t.metrics.Metrics.latency_hist latency;
-            p_lidx = Histogram.index t.level_metrics.(0).Metrics.latency_hist latency;
-            p_cpw = (Cache_level.descriptor level).Cache_level.cycles_per_work;
-            p_is_drop = (terminal = Some Action.Drop);
             p_depth = (if t.level_is_ltm.(0) then Cache_level.last_depth level else 1);
+            p_is_drop = (terminal = Some Action.Drop);
             p_result = result;
           }
   | None -> ()
@@ -936,13 +842,13 @@ let compile_replay t ~flow_id ((_, terminal, latency) as result) =
 (* The per-packet hierarchy walk: first hit wins, misses fall through, a
    full miss runs the slowpath.  [memo] selects the amortised flavour the
    batched engine runs — level lookups through each level's per-flow memo
-   ([Cache_level.lookup_memo], which replays the backend's last lookup),
-   memoised slowpath traversals, and a compiled [pmemo] for a level-0
-   hardware hit — with identical observable effects.  Every per-flow memo
-   is keyed by [flow_id], so it engages only for a known flow
-   ([flow_id >= 0]).  Either way the
-   occupancy-peak scan runs only when something mutated (expiry sweep,
-   promotion, slowpath install): a pure-hit packet cannot raise a peak. *)
+   ([Cache_level.lookup_memo], which replays the backend's last lookup)
+   and a compiled [pmemo] for a level-0 hardware hit — with identical
+   observable effects; a slowpath executes the pipeline either way.
+   Every per-flow memo is keyed by [flow_id], so it engages only for a
+   known flow ([flow_id >= 0]).  Either way the occupancy-peak scan runs
+   only when something mutated (expiry sweep, promotion, slowpath
+   install): a pure-hit packet cannot raise a peak. *)
 let walk t ~memo ~now ~flow_id flow =
   let memo = memo && flow_id >= 0 in
   let m = t.metrics in
@@ -959,9 +865,7 @@ let walk t ~memo ~now ~flow_id flow =
     if i >= n then begin
       m.Metrics.slowpaths <- m.Metrics.slowpaths + 1;
       mutated := true;
-      let terminal, service_us =
-        slowpath_installs t ~now ~flow_id (traversal t ~memo ~flow_id flow)
-      in
+      let terminal, service_us = slowpath t ~now ~flow_id flow in
       (Slowpath, terminal, Latency.upcall_us +. Latency.sw_base_us +. service_us, -1)
     end
     else begin
@@ -1003,7 +907,7 @@ let walk t ~memo ~now ~flow_id flow =
                 Attribution.outcome_hit
           | Some _ | None -> ());
           if promote_above t ~now ~flow_id flow h i then mutated := true;
-          if maybe_promote_hot t ~memo ~now ~flow_id flow d.Cache_level.tier then
+          if maybe_promote_hot t ~now ~flow_id flow d.Cache_level.tier then
             mutated := true;
           let outcome, lat =
             match d.Cache_level.tier with
@@ -1069,7 +973,7 @@ let process_memo t ~now ~flow_id flow =
           | Some tr ->
               tracer_tick tr;
               if tr.Tracer.active then
-                trace_probe t tr ~level:0 ~now ~work ~cpw:pm.p_cpw
+                trace_probe t tr ~level:0 ~now ~work ~cpw:t.top_cpw
                   ~depth:pm.p_depth Attribution.outcome_hit
           | None -> ());
           (* Inlined [fs_touch ~level:0] — [flow_id >= 0] is checked at
@@ -1080,15 +984,15 @@ let process_memo t ~now ~flow_id flow =
           let lm0 = t.level_metrics.(0) in
           lm0.Metrics.work <- lm0.Metrics.work + work;
           m.Metrics.cycles_sw_search <-
-            m.Metrics.cycles_sw_search + (work * pm.p_cpw);
+            m.Metrics.cycles_sw_search + (work * t.top_cpw);
           lm0.Metrics.hits <- lm0.Metrics.hits + 1;
           m.Metrics.hw_hits <- m.Metrics.hw_hits + 1;
-          Histogram.record_at lm0.Metrics.latency_hist pm.p_lidx pm.p_lat;
+          Histogram.record_at lm0.Metrics.latency_hist t.top_lidx t.top_lat;
           note t Recorder.Hit ~level:0 ~packet:(m.Metrics.packets - 1) ~time:now
-            ~lat:pm.p_lat ~count:1;
+            ~lat:t.top_lat ~count:1;
           if pm.p_is_drop then m.Metrics.drops <- m.Metrics.drops + 1;
-          Gf_util.Stats.Acc.add m.Metrics.latency pm.p_lat;
-          Histogram.record_at m.Metrics.latency_hist pm.p_gidx pm.p_lat;
+          Gf_util.Stats.Acc.add m.Metrics.latency t.top_lat;
+          Histogram.record_at m.Metrics.latency_hist t.top_gidx t.top_lat;
           pm.p_result
         end
         else begin

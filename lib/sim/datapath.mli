@@ -39,95 +39,38 @@ type config = {
 (** {1 Preset hierarchies}
 
     Names read host-hierarchy-style (EMC, then wildcard levels); the walk
-    order always puts the NIC-resident level first. *)
+    order always puts the NIC-resident level first.  Each preset idles
+    entries out after 10 s on a 1 s sweep, and takes only its hardware
+    geometry as an argument; every other knob is a combinator ({!with_policy},
+    {!with_max_idle}, {!with_admission}, ...) or a record update. *)
 
-val emc_mf_sw :
-  ?emc_capacity:int ->
-  ?mf_capacity:int ->
-  ?sw_search:Gf_classifier.Searcher.algo ->
-  ?sw_capacity:int ->
-  ?max_idle:float ->
-  ?expire_every:float ->
-  ?admission:Gf_offload.Heavy_hitter.policy ->
-  unit ->
-  config
+val emc_mf_sw : ?mf_capacity:int -> unit -> config
 (** The paper's baseline: SmartNIC Megaflow offload (32K entries) in front
     of OVS's EMC + software wildcard cache. *)
 
-val emc_gf_sw :
-  ?gf:Gf_core.Config.t ->
-  ?emc_capacity:int ->
-  ?sw_search:Gf_classifier.Searcher.algo ->
-  ?sw_capacity:int ->
-  ?max_idle:float ->
-  ?expire_every:float ->
-  ?admission:Gf_offload.Heavy_hitter.policy ->
-  unit ->
-  config
+val emc_gf_sw : ?gf:Gf_core.Config.t -> unit -> config
 (** The paper's headline configuration: Gigaflow LTM (4 tables x 8K) in
     front of the EMC + software wildcard cache. *)
 
-val mf_sw :
-  ?mf_capacity:int ->
-  ?sw_search:Gf_classifier.Searcher.algo ->
-  ?sw_capacity:int ->
-  ?max_idle:float ->
-  ?expire_every:float ->
-  ?admission:Gf_offload.Heavy_hitter.policy ->
-  unit ->
-  config
+val mf_sw : ?mf_capacity:int -> unit -> config
 (** Megaflow offload without an EMC. *)
 
-val gf_sw :
-  ?gf:Gf_core.Config.t ->
-  ?sw_search:Gf_classifier.Searcher.algo ->
-  ?sw_capacity:int ->
-  ?max_idle:float ->
-  ?expire_every:float ->
-  ?admission:Gf_offload.Heavy_hitter.policy ->
-  unit ->
-  config
+val gf_sw : ?gf:Gf_core.Config.t -> unit -> config
 (** Gigaflow + software wildcard cache, no EMC (the paper's Fig. 2b
     hybrid). *)
 
-val mf_sw_hh :
-  ?mf_capacity:int ->
-  ?sw_capacity:int ->
-  ?max_idle:float ->
-  ?expire_every:float ->
-  ?admission:Gf_offload.Heavy_hitter.policy ->
-  unit ->
-  config
+val mf_sw_hh : ?mf_capacity:int -> unit -> config
 (** Skew-aware Megaflow hybrid: hardware Megaflow under heavy-hitter
     admission, cuckoo exact-match software table for the long tail. *)
 
-val gf_sw_hh :
-  ?gf:Gf_core.Config.t ->
-  ?sw_capacity:int ->
-  ?max_idle:float ->
-  ?expire_every:float ->
-  ?admission:Gf_offload.Heavy_hitter.policy ->
-  unit ->
-  config
+val gf_sw_hh : ?gf:Gf_core.Config.t -> unit -> config
 (** Skew-aware Gigaflow hybrid: Gigaflow LTM under heavy-hitter admission,
     cuckoo exact-match software table for the long tail. *)
 
-val gf_only :
-  ?gf:Gf_core.Config.t ->
-  ?max_idle:float ->
-  ?expire_every:float ->
-  ?admission:Gf_offload.Heavy_hitter.policy ->
-  unit ->
-  config
+val gf_only : ?gf:Gf_core.Config.t -> unit -> config
 (** Gigaflow with no software levels: every LTM miss is a slowpath. *)
 
-val mf_only :
-  ?mf_capacity:int ->
-  ?max_idle:float ->
-  ?expire_every:float ->
-  ?admission:Gf_offload.Heavy_hitter.policy ->
-  unit ->
-  config
+val mf_only : ?mf_capacity:int -> unit -> config
 (** SmartNIC Megaflow alone. *)
 
 val preset_names : string list
@@ -269,20 +212,21 @@ val process_memo :
     the same hierarchy walk with the per-flow memo on: level lookups go
     through each level's per-flow memo ({!Cache_level.lookup_memo}),
     which replays the stored result and its touch side effects while the
-    backend's validity rule holds; repeat
-    slowpaths replay the memoised pipeline traversal (install offers and
-    adaptive-profile updates stay live); and a repeat hardware hit at the
-    top level replays a compiled constant effect.  Requires that a given
+    backend's validity rule holds, and a repeat hardware hit at the top
+    level replays a compiled constant effect.  Slowpaths and promotions
+    run the pipeline afresh, as {!process}'s do.  Requires that a given
     [flow_id] is always presented with the same flow value (true of every
     {!Gf_workload.Trace} generator).  Every memo is keyed by [flow_id], so
     a negative (unknown) [flow_id] disengages them all: the packet takes
     exactly {!process}'s memo-off walk and fills no memo table. *)
 
-val revalidate : t -> int * int
-(** Sweep every level against the (possibly updated) pipeline; returns
-    total [(evicted, work)].  Per-level evictions are recorded in
-    metrics.  Also drops the memoised slowpath traversals
-    ({!process_memo}) — the pipeline may have changed. *)
+val revalidate : t -> now:float -> int * int
+(** Sweep every level against the (possibly updated) pipeline at trace
+    time [now]; returns total [(evicted, work)].  Per-level evictions are
+    recorded in metrics, and each level's [Revalidate] event carries
+    [now].  Also drops the compiled top-level replays ({!process_memo}),
+    and from here on a flow installed before the sweep misses with cause
+    [Revalidation] until it is installed again. *)
 
 val maybe_sample : t -> time:float -> unit
 (** The sampler tick: if a time-series sample is due at the current

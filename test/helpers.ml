@@ -9,6 +9,8 @@ module Ofrule = Gf_pipeline.Ofrule
 module Oftable = Gf_pipeline.Oftable
 module Pipeline = Gf_pipeline.Pipeline
 module Executor = Gf_pipeline.Executor
+module Metrics = Gf_sim.Metrics
+module Histogram = Gf_telemetry.Histogram
 
 let gen_field = QCheck2.Gen.oneofl (Array.to_list Field.all)
 
@@ -187,3 +189,61 @@ let minor_words f =
   let before = Gc.minor_words () in
   f ();
   Gc.minor_words () -. before -. (r1 -. r0)
+
+(* [cfg] with its EMC level's capacity set to [capacity]. *)
+let with_emc_capacity capacity (cfg : Gf_sim.Datapath.config) =
+  {
+    cfg with
+    Gf_sim.Datapath.levels =
+      List.map
+        (function
+          | Gf_sim.Cache_level.Emc e -> Gf_sim.Cache_level.Emc { e with capacity }
+          | s -> s)
+        cfg.Gf_sim.Datapath.levels;
+  }
+
+(* Strong fingerprint: every merged counter that must agree between the
+   engine and sequential sharded replay — aggregates, the full per-level
+   breakdown, occupancy peaks, and the exact latency sum (compared as
+   bits: the merge order is fixed, so even float addition order must
+   coincide). *)
+let strong_fingerprint (m : Metrics.t) =
+  let f x = Int64.to_string (Int64.bits_of_float x) in
+  String.concat ","
+    ([
+       string_of_int m.Metrics.packets; string_of_int m.Metrics.hw_hits;
+       string_of_int m.Metrics.sw_hits; string_of_int m.Metrics.slowpaths;
+       string_of_int m.Metrics.drops; string_of_int m.Metrics.hw_installs;
+       string_of_int m.Metrics.hw_shared; string_of_int m.Metrics.hw_rejected;
+       string_of_int m.Metrics.hw_evictions;
+       string_of_int m.Metrics.hw_pressure_evictions;
+       string_of_int m.Metrics.cycles_userspace;
+       string_of_int m.Metrics.cycles_partition;
+       string_of_int m.Metrics.cycles_rulegen;
+       string_of_int m.Metrics.cycles_sw_search;
+       string_of_int m.Metrics.hw_entries_peak;
+       string_of_int m.Metrics.hw_entries_final;
+       string_of_int (Gf_util.Stats.Acc.count m.Metrics.latency);
+       f (Gf_util.Stats.Acc.total m.Metrics.latency);
+       string_of_int (Histogram.count m.Metrics.latency_hist);
+       f (Histogram.sum m.Metrics.latency_hist);
+     ]
+    @ List.concat_map
+        (fun (l : Metrics.level) ->
+          [
+            l.Metrics.level_name; string_of_int l.Metrics.hits;
+            string_of_int l.Metrics.misses;
+            String.concat "/"
+              (Array.to_list (Array.map string_of_int l.Metrics.miss_causes));
+            string_of_int l.Metrics.installs;
+            string_of_int l.Metrics.shared; string_of_int l.Metrics.rejected;
+            string_of_int l.Metrics.evictions;
+            string_of_int l.Metrics.pressure_evictions;
+            string_of_int l.Metrics.deferred;
+            string_of_int l.Metrics.demotions;
+            string_of_int l.Metrics.work; f (Histogram.sum l.Metrics.latency_hist);
+            string_of_int l.Metrics.occupancy_peak;
+            string_of_int l.Metrics.occupancy_final;
+            string_of_int (Histogram.count l.Metrics.latency_hist);
+          ])
+        (Metrics.levels m))

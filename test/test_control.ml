@@ -21,10 +21,8 @@ let workload ?(flows = 4000) ?(combos = 2048) ?(seed = 7) () =
     ~info:(Option.get (Catalog.find "PSC"))
     ~locality:Ruleset.High ~seed ()
 
-let hh_cfg ?admission () =
-  Datapath.gf_sw_hh
-    ~gf:(Gf_core.Config.v ~tables:2 ~table_capacity:128 ())
-    ?admission ()
+let hh_cfg () =
+  Datapath.gf_sw_hh ~gf:(Gf_core.Config.v ~tables:2 ~table_capacity:128 ()) ()
 
 (* ------------------------------ spec -------------------------------- *)
 
@@ -56,7 +54,9 @@ let test_knobs_admission_retarget () =
   let w = workload () in
   let dp =
     Datapath.create
-      (hh_cfg ~admission:(Heavy_hitter.Heavy_hitter { k = 64; threshold = 4 }) ())
+      (Datapath.with_admission
+         (Heavy_hitter.Heavy_hitter { k = 64; threshold = 4 })
+         (hh_cfg ()))
       (Pipebench.pipeline w)
   in
   (* Warm the sketch with a skewed stream — flow j seen (32 - j) times —

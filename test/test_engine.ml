@@ -72,52 +72,6 @@ let small_profile =
     services = 32;
   }
 
-(* Strong fingerprint: every merged counter that must agree between the
-   engine and sequential sharded replay — aggregates, the full per-level
-   breakdown, occupancy peaks, and the exact latency sum (compared as
-   bits: the merge order is fixed, so even float addition order must
-   coincide). *)
-let strong_fingerprint (m : Metrics.t) =
-  let f x = Int64.to_string (Int64.bits_of_float x) in
-  String.concat ","
-    ([
-       string_of_int m.Metrics.packets; string_of_int m.Metrics.hw_hits;
-       string_of_int m.Metrics.sw_hits; string_of_int m.Metrics.slowpaths;
-       string_of_int m.Metrics.drops; string_of_int m.Metrics.hw_installs;
-       string_of_int m.Metrics.hw_shared; string_of_int m.Metrics.hw_rejected;
-       string_of_int m.Metrics.hw_evictions;
-       string_of_int m.Metrics.hw_pressure_evictions;
-       string_of_int m.Metrics.cycles_userspace;
-       string_of_int m.Metrics.cycles_partition;
-       string_of_int m.Metrics.cycles_rulegen;
-       string_of_int m.Metrics.cycles_sw_search;
-       string_of_int m.Metrics.hw_entries_peak;
-       string_of_int m.Metrics.hw_entries_final;
-       string_of_int (Gf_util.Stats.Acc.count m.Metrics.latency);
-       f (Gf_util.Stats.Acc.total m.Metrics.latency);
-       string_of_int (Histogram.count m.Metrics.latency_hist);
-       f (Histogram.sum m.Metrics.latency_hist);
-     ]
-    @ List.concat_map
-        (fun (l : Metrics.level) ->
-          [
-            l.Metrics.level_name; string_of_int l.Metrics.hits;
-            string_of_int l.Metrics.misses;
-            String.concat "/"
-              (Array.to_list (Array.map string_of_int l.Metrics.miss_causes));
-            string_of_int l.Metrics.installs;
-            string_of_int l.Metrics.shared; string_of_int l.Metrics.rejected;
-            string_of_int l.Metrics.evictions;
-            string_of_int l.Metrics.pressure_evictions;
-            string_of_int l.Metrics.deferred;
-            string_of_int l.Metrics.demotions;
-            string_of_int l.Metrics.work; f (Histogram.sum l.Metrics.latency_hist);
-            string_of_int l.Metrics.occupancy_peak;
-            string_of_int l.Metrics.occupancy_final;
-            string_of_int (Histogram.count l.Metrics.latency_hist);
-          ])
-        (Metrics.levels m))
-
 let steady_trace () =
   let w =
     Pipebench.make ~profile:small_profile ~combos:512 ~unique_flows:1000
@@ -160,8 +114,8 @@ let test_engine_matches_sequential () =
             in
             Alcotest.(check string)
               (Printf.sprintf "%s %s d=%d merged metrics" trace_name name domains)
-              (strong_fingerprint seq.Parallel.merged)
-              (strong_fingerprint eng.Parallel.merged))
+              (Helpers.strong_fingerprint seq.Parallel.merged)
+              (Helpers.strong_fingerprint eng.Parallel.merged))
           [ 1; 2; 4 ])
       presets
   in
@@ -199,7 +153,7 @@ let test_engine_batch_size_invariant () =
   let pipeline, strace = steady_trace () in
   let cfg = Datapath.emc_mf_sw () in
   let run bs =
-    strong_fingerprint
+    Helpers.strong_fingerprint
       (Engine.replay ~batch_size:bs ~domains:2 ~cfg pipeline
          (Trace.stream_of_trace strace))
         .Parallel.merged
@@ -249,7 +203,7 @@ let prop_engine_sampler_cadence_transparent =
               Engine.replay ~batch_size:256 ~domains ~cfg pipeline
                 (Trace.stream_of_trace strace)
             in
-            let fp = strong_fingerprint r.Parallel.merged in
+            let fp = Helpers.strong_fingerprint r.Parallel.merged in
             Hashtbl.add plain (name, domains) fp;
             fp
       in
@@ -265,7 +219,7 @@ let prop_engine_sampler_cadence_transparent =
         Engine.replay ~telemetry ~batch_size:256 ~domains ~cfg pipeline
           (Trace.stream_of_trace strace)
       in
-      strong_fingerprint r.Parallel.merged = fp_plain)
+      Helpers.strong_fingerprint r.Parallel.merged = fp_plain)
 
 (* Beyond the metrics: the retained flight-recorder events and the final
    registry export are cadence-invariant too (the time-series length is
@@ -341,12 +295,12 @@ let prop_tracer_cadence_transparent =
             ~batch_size:256 ~domains ~cfg pipeline
             (Trace.stream_of_trace strace)
         in
-        strong_fingerprint r.Parallel.merged
+        Helpers.strong_fingerprint r.Parallel.merged
       in
       let walk_fp trace_every =
         let tel = Telemetry.create ~config:(telemetry trace_every) () in
         let dp = Datapath.create ~telemetry:tel cfg pipeline in
-        strong_fingerprint (Datapath.run dp strace)
+        Helpers.strong_fingerprint (Datapath.run dp strace)
       in
       let memo tbl key f =
         match Hashtbl.find_opt tbl key with

@@ -205,9 +205,8 @@ let test_emc_absorbs_repeats () =
   let rng = Gf_util.Rng.create 72 in
   let p = Helpers.random_pipeline rng ~tables:3 ~rules_per_table:6 in
   let cfg =
-    Gf_sim.Datapath.emc_mf_sw
-      ~mf_capacity:1 (* force HW misses *)
-      ~emc_capacity:1024 ()
+    Helpers.with_emc_capacity 1024
+      (Gf_sim.Datapath.emc_mf_sw ~mf_capacity:1 (* force HW misses *) ())
   in
   let dp = Gf_sim.Datapath.create cfg p in
   (* Occupy the single SmartNIC slot with a different flow so the test flow

@@ -33,6 +33,13 @@ let churn_workload ?(locality = Ruleset.Low) ?(seed = 77) () =
     ~info:(Option.get (Catalog.find "PSC"))
     ~locality ~seed ()
 
+(* [emc_mf_sw] with a 0.5 s idle budget swept every 0.25 s. *)
+let short_idle () =
+  {
+    (Datapath.with_max_idle 0.5 (Datapath.emc_mf_sw ())) with
+    Datapath.expire_every = 0.25;
+  }
+
 let run cfg w =
   let dp = Datapath.create cfg (Pipebench.pipeline w) in
   let m = Datapath.run dp w.Pipebench.trace in
@@ -123,11 +130,11 @@ let test_lru_beats_reject_on_churn () =
       true
       (Metrics.hw_hit_rate ml > Metrics.hw_hit_rate mr)
   in
-  compare_policies "megaflow" (Datapath.mf_sw ~mf_capacity:256 ~max_idle:1e6 ());
+  compare_policies "megaflow"
+    (Datapath.with_max_idle 1e6 (Datapath.mf_sw ~mf_capacity:256 ()));
   compare_policies "gigaflow"
-    (Datapath.gf_sw
-       ~gf:(Gf_core.Config.v ~tables:4 ~table_capacity:64 ())
-       ~max_idle:1e6 ())
+    (Datapath.with_max_idle 1e6
+       (Datapath.gf_sw ~gf:(Gf_core.Config.v ~tables:4 ~table_capacity:64 ()) ()))
 
 (* The LTM half of the engine's per-flow memo on a small churn trace, in
    the shape of [gf_sw]: each flow holds its last
@@ -188,9 +195,8 @@ let test_ltm_replays_survive_churn () =
 let test_pressure_eviction_accounting () =
   let w = churn_workload () in
   let base =
-    Datapath.gf_sw
-      ~gf:(Gf_core.Config.v ~tables:4 ~table_capacity:64 ())
-      ~max_idle:1e6 ()
+    Datapath.with_max_idle 1e6
+      (Datapath.gf_sw ~gf:(Gf_core.Config.v ~tables:4 ~table_capacity:64 ()) ())
   in
   let lvl m name =
     match Metrics.find_level m name with
@@ -228,7 +234,7 @@ let test_sw_cache_absorbs_misses () =
 
 let test_expiry_keeps_occupancy_bounded () =
   let w = small_workload () in
-  let cfg = Datapath.emc_mf_sw ~max_idle:0.5 ~expire_every:0.25 () in
+  let cfg = short_idle () in
   let dp, m = run cfg w in
   Alcotest.(check bool) "evictions happened" true (m.Metrics.hw_evictions > 0);
   Alcotest.(check bool) "final occupancy below peak" true
@@ -520,7 +526,7 @@ let test_hierarchy_regression () =
     ]
     100581.611538461;
   check_cfg "emc_mf_sw short idle"
-    (Datapath.emc_mf_sw ~max_idle:0.5 ~expire_every:0.25 ())
+    (short_idle ())
     [
       10615; 3864; 5047; 1704; 0; 1704; 0; 0; 1703; 19336650; 0; 0; 74490750;
       139; 1;
@@ -533,7 +539,7 @@ let test_hierarchy_regression () =
    hardware-tier levels. *)
 let test_per_level_eviction_accounting () =
   let w = small_workload () in
-  let cfg = Datapath.emc_mf_sw ~max_idle:0.5 ~expire_every:0.25 () in
+  let cfg = short_idle () in
   let _, m = run cfg w in
   let lvl name =
     match Metrics.find_level m name with
@@ -571,7 +577,7 @@ let test_per_level_max_idle () =
     | Some l -> (Cache_level.descriptor l).Cache_level.max_idle
     | None -> Alcotest.failf "missing level %s" name
   in
-  let cfg = Datapath.emc_gf_sw ~max_idle:2.0 () in
+  let cfg = Datapath.with_max_idle 2.0 (Datapath.emc_gf_sw ()) in
   Alcotest.(check (float 1e-9)) "gf takes the hierarchy default" 2.0
     (budget cfg "gf");
   Alcotest.(check (float 1e-9)) "emc takes the hierarchy default" 2.0
@@ -762,7 +768,8 @@ let test_refused_emc_promotion () =
       ~locality:Ruleset.High ~seed:7 ()
   in
   let cfg =
-    Datapath.with_policy Gf_cache.Evict.Reject (Datapath.emc_mf_sw ~emc_capacity:4 ())
+    Datapath.with_policy Gf_cache.Evict.Reject
+      (Helpers.with_emc_capacity 4 (Datapath.emc_mf_sw ()))
   in
   let _, m = run cfg w in
   let lvl name = Option.get (Metrics.find_level m name) in
@@ -941,6 +948,105 @@ let test_replay_allocation_free () =
       Alcotest.(check (float 0.)) (name ^ ": promoted words") 0. promoted)
     [ ("emc_gf_sw", Datapath.emc_gf_sw ()); ("mf_sw", Datapath.mf_sw ()) ]
 
+(* A rule update mid-stream, through both walks, for every preset: the
+   first half of the small workload runs through [process ~flow_id] on
+   one datapath and through [process_memo] on another; then a
+   top-priority drop for the flows with an even source address (half the
+   flow space: a catch-all drop would collapse every later flow onto one
+   entry) goes into table 0, both datapaths revalidate, and the rest
+   runs.  The strong fingerprints, miss causes included, must agree, and
+   on [gf_sw] and [mf_sw] the flows whose entries the sweep took must
+   miss with cause [Revalidation]. *)
+let test_memo_across_rule_update () =
+  List.iter
+    (fun name ->
+      let w = small_workload () in
+      let pipeline = Pipebench.pipeline w in
+      let cfg = Option.get (Datapath.preset name) in
+      let walker = Datapath.create cfg pipeline in
+      let memo = Datapath.create cfg pipeline in
+      let packets = w.Pipebench.trace.Trace.packets in
+      let half = Array.length packets / 2 in
+      let replay lo hi =
+        for i = lo to hi - 1 do
+          let { Trace.flow_id; time = now; flow; _ } = packets.(i) in
+          ignore (Datapath.process walker ~flow_id ~now flow);
+          ignore (Datapath.process_memo memo ~now ~flow_id flow)
+        done
+      in
+      replay 0 half;
+      Gf_pipeline.Pipeline.add_rule pipeline ~table:0
+        (Gf_pipeline.Ofrule.v
+           ~id:(Gf_pipeline.Pipeline.fresh_rule_id pipeline)
+           ~priority:1_000_000
+           ~fmatch:
+             (Gf_flow.Fmatch.v
+                ~pattern:(Gf_flow.Flow.make [ (Gf_flow.Field.Ip_src, 0) ])
+                ~mask:(Gf_flow.Mask.make [ (Gf_flow.Field.Ip_src, 1) ]))
+           ~action:(Action.drop ()));
+      let now = packets.(half - 1).Trace.time in
+      Alcotest.(check (pair int int))
+        (name ^ ": same sweep")
+        (Datapath.revalidate walker ~now)
+        (Datapath.revalidate memo ~now);
+      replay half (Array.length packets);
+      let time = packets.(Array.length packets - 1).Trace.time in
+      let mw = Datapath.finalize walker ~time and mm = Datapath.finalize memo ~time in
+      Alcotest.(check string)
+        (name ^ ": walker = memo")
+        (Helpers.strong_fingerprint mw) (Helpers.strong_fingerprint mm);
+      let revalidation_misses =
+        List.fold_left
+          (fun acc l -> acc + Metrics.cause_misses l Metrics.Revalidation)
+          0 (Metrics.levels mm)
+      in
+      if name = "gf_sw" || name = "mf_sw" then
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: %d revalidation misses" name revalidation_misses)
+          true (revalidation_misses > 0))
+    Datapath.preset_names
+
+(* Pin: the heap [process_memo] keeps per slowpath beyond what [process]
+   keeps.  [gf_sw] under LRU replays the churn workload (8,000 flows,
+   2,155 slowpaths) once through each, on a fresh workload each time
+   (with one pipeline shared by both runs, the second run read about 96k
+   words fewer live after than before); live words are read after
+   [Gc.compact] before and after each run, with the datapath still
+   reachable.  The difference, per slowpath, is the per-flow state only
+   the memoised walk holds: the per-level lookup memos and the compiled
+   top-level replays.  It measured 406 words per slowpath while the walk
+   also kept each flow's pipeline traversal, and 300 without it; the
+   bound sits between, so per-flow slowpath state that comes back fails
+   here (the soak test's 1,000 flows are too few to see it). *)
+let test_memo_retained_heap () =
+  let retained process =
+    let w = churn_workload () in
+    let dp =
+      Datapath.create
+        (Datapath.with_policy Gf_cache.Evict.Lru (Datapath.gf_sw ()))
+        (Pipebench.pipeline w)
+    in
+    Gc.compact ();
+    let before = (Gc.stat ()).Gc.live_words in
+    Array.iter
+      (fun { Trace.flow_id; time = now; flow; _ } ->
+        ignore (process dp ~now ~flow_id flow))
+      w.Pipebench.trace.Trace.packets;
+    Gc.compact ();
+    let after = (Gc.stat ()).Gc.live_words in
+    ignore (Sys.opaque_identity w);
+    ((Sys.opaque_identity dp |> Datapath.metrics).Metrics.slowpaths, after - before)
+  in
+  let slowpaths, memo_words = retained Datapath.process_memo in
+  let walk_slowpaths, walk_words =
+    retained (fun dp ~now ~flow_id flow -> Datapath.process dp ~flow_id ~now flow)
+  in
+  Alcotest.(check int) "same slowpaths" walk_slowpaths slowpaths;
+  let per_slowpath = float_of_int (memo_words - walk_words) /. float_of_int slowpaths in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f extra words per slowpath (bound 350)" per_slowpath)
+    true (per_slowpath < 350.)
+
 let suite =
   [
     ("metrics accounting", `Quick, test_metrics_accounting);
@@ -972,6 +1078,8 @@ let suite =
     ("parallel custom hierarchy", `Slow, test_parallel_custom_hierarchy);
     ("pcie model", `Quick, test_pcie_model);
     ("compiled replay allocation-free", `Quick, test_replay_allocation_free);
+    ("memo path across a rule update", `Quick, test_memo_across_rule_update);
+    ("memo retained heap per slowpath", `Quick, test_memo_retained_heap);
   ]
 
 let props = [ prop_hierarchy_transparent ]

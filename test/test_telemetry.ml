@@ -433,11 +433,11 @@ let test_datapath_telemetry_is_transparent () =
 let test_event_census_matches_stream () =
   let w = small_workload () in
   let cfg =
-    Datapath.emc_mf_sw ~mf_capacity:16 ~emc_capacity:8 ~max_idle:4.0
-      ~admission:
-        (Gf_offload.Heavy_hitter.Heavy_hitter
-           { k = Gf_offload.Heavy_hitter.default_k; threshold = 4 })
-      ()
+    Datapath.emc_mf_sw ~mf_capacity:16 ()
+    |> Helpers.with_emc_capacity 8 |> Datapath.with_max_idle 4.0
+    |> Datapath.with_admission
+         (Gf_offload.Heavy_hitter.Heavy_hitter
+            { k = Gf_offload.Heavy_hitter.default_k; threshold = 4 })
   in
   let tel =
     Telemetry.create
@@ -458,12 +458,13 @@ let test_event_census_matches_stream () =
     { w.Pipebench.trace with Gf_workload.Trace.packets = Array.sub packets off len }
   in
   ignore (Datapath.run dp (part 0 half) : Metrics.t);
+  let revalidated_at = packets.(half - 1).Gf_workload.Trace.time in
   Gf_pipeline.Pipeline.add_rule pipeline ~table:0
     (Gf_pipeline.Ofrule.v
        ~id:(Gf_pipeline.Pipeline.fresh_rule_id pipeline)
        ~priority:1_000_000 ~fmatch:Gf_flow.Fmatch.any
        ~action:(Gf_pipeline.Action.drop ()));
-  ignore (Datapath.revalidate dp : int * int);
+  ignore (Datapath.revalidate dp ~now:revalidated_at : int * int);
   ignore (Datapath.run dp (part half (n - half)) : Metrics.t);
   let r = Option.get (Telemetry.recorder tel) in
   Alcotest.(check int) "every candidate retained" (Recorder.seen r)
@@ -476,6 +477,13 @@ let test_event_census_matches_stream () =
   in
   let reg = Telemetry.registry tel in
   let events = Telemetry.events tel in
+  List.iter
+    (fun (e : Recorder.event) ->
+      if e.Recorder.kind = Recorder.Revalidate then
+        Alcotest.(check (float 0.))
+          "revalidate events carry the sweep's trace time" revalidated_at
+          e.Recorder.time)
+    events;
   List.iter
     (fun kind ->
       let name = Recorder.kind_name kind in
