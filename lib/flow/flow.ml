@@ -57,9 +57,16 @@ let[@inline] slot (t : t) i = t.(i)
 
 let to_array t = Array.copy t
 
+(* Slot i's all-ones width mask, so [of_array] truncates with one read. *)
+let widths = Array.map Field.full_mask Field.all
+
 let of_array a =
   if Array.length a <> Field.count then invalid_arg "Flow.of_array";
-  Array.mapi (fun i v -> truncate (Field.of_index i) v) a
+  let t = Array.make Field.count 0 in
+  for i = 0 to Field.count - 1 do
+    t.(i) <- a.(i) land widths.(i)
+  done;
+  t
 
 (* Single-pass masked copy: AND can only clear bits, so the result needs no
    re-truncation (unlike [of_array]).  This is [Mask.apply]'s engine. *)

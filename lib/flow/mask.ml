@@ -7,6 +7,14 @@ let empty = Array.make Field.count 0
 
 let full = Array.map Field.full_mask Field.all
 
+let of_array a =
+  if Array.length a <> Field.count then invalid_arg "Mask.of_array";
+  let t = Array.make Field.count 0 in
+  for i = 0 to Field.count - 1 do
+    t.(i) <- a.(i) land full.(i)
+  done;
+  t
+
 let make bindings =
   let a = Array.make Field.count 0 in
   List.iter (fun (f, v) -> a.(Field.index f) <- truncate f v) bindings;

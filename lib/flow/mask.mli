@@ -17,6 +17,10 @@ val full : t
 val make : (Field.t * int) list -> t
 (** Masks for the listed fields (truncated to field width); others empty. *)
 
+val of_array : int array -> t
+(** Masks by field index, as {!Flow.of_array}: requires length
+    [Field.count]; values are truncated to field width. *)
+
 val exact_fields : Field.t list -> t
 (** Full-width masks on the listed fields only. *)
 

@@ -1,24 +1,34 @@
-type t = { mutable state : int64 }
+(* The SplitMix64 state lives unboxed in 8 bytes: a mutable [int64]
+   record field would hold a pointer to a boxed integer, so every draw
+   would allocate a fresh box and run the write barrier. *)
+type t = Bytes.t
+
+external get_state : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set_state : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create seed = { state = Int64.of_int seed }
+let of_state s =
+  let t = Bytes.create 8 in
+  set_state t 0 s;
+  t
 
-let copy t = { state = t.state }
+let create seed = of_state (Int64.of_int seed)
+
+let copy t = Bytes.copy t
 
 (* SplitMix64 finaliser (variant 13 of Stafford's mix). *)
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
   let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
   Int64.(logxor z (shift_right_logical z 31))
 
-let bits64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix64 t.state
+let[@inline] bits64 t =
+  let s = Int64.add (get_state t 0) golden_gamma in
+  set_state t 0 s;
+  mix64 s
 
-let split t =
-  let seed = bits64 t in
-  { state = seed }
+let split t = of_state (bits64 t)
 
 (* Smallest all-ones mask covering [v] (v > 0). *)
 let mask_above v =
@@ -39,11 +49,11 @@ let int t bound =
      power-of-two bounds the mask equals [bound - 1] and nothing is ever
      rejected, so those streams are identical to the modulo era. *)
   let mask = mask_above (bound - 1) in
-  let rec draw () =
-    let x = Int64.to_int (Int64.shift_right_logical (bits64 t) 2) land mask in
-    if x < bound then x else draw ()
-  in
-  draw ()
+  let x = ref bound in
+  while !x >= bound do
+    x := Int64.to_int (Int64.shift_right_logical (bits64 t) 2) land mask
+  done;
+  !x
 
 let int_in t lo hi =
   if hi < lo then invalid_arg "Rng.int_in: empty range (hi < lo)";
@@ -51,7 +61,7 @@ let int_in t lo hi =
 
 let bool t = Int64.logand (bits64 t) 1L = 1L
 
-let float t bound =
+let[@inline] float t bound =
   (* 53 random bits -> uniform float in [0,1). *)
   let x = Int64.to_int (Int64.shift_right_logical (bits64 t) 11) in
   float_of_int x /. 9007199254740992.0 *. bound
@@ -98,13 +108,13 @@ let geometric t p =
     else if x <= 0.0 then 0
     else int_of_float x
 
-let pareto t ~alpha ~xmin =
+let[@inline] pareto t ~alpha ~xmin =
   if not (alpha > 0.0 && xmin > 0.0) then
     invalid_arg "Rng.pareto: alpha and xmin must be positive";
   let u = 1.0 -. float t 1.0 in
   xmin /. (u ** (1.0 /. alpha))
 
-let exponential t ~mean =
+let[@inline] exponential t ~mean =
   if not (mean > 0.0) then invalid_arg "Rng.exponential: mean must be positive";
   let u = 1.0 -. float t 1.0 in
   -.mean *. log u

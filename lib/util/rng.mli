@@ -4,7 +4,13 @@
     that experiments are reproducible bit-for-bit from a seed.  The generator
     is SplitMix64 (Steele, Lea & Flood, OOPSLA'14): tiny state, excellent
     statistical quality for simulation workloads, and a cheap [split]
-    operation for deriving independent sub-streams. *)
+    operation for deriving independent sub-streams.
+
+    A draw allocates nothing: the state is kept unboxed.  Only a result
+    that reaches the caller boxed allocates: the [int64] of {!bits64} and
+    the [float] of {!float}, {!exponential} or {!pareto} when the call is
+    not inlined (in a build that compiles modules [-opaque], such as
+    dune's default dev profile). *)
 
 type t
 (** Mutable generator state. *)

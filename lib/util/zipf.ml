@@ -1,6 +1,6 @@
 type t = {
   n : int;
-  s : float;
+  nf : float;  (* [n] as a float, boxed once: a sample passes it as is *)
   cdf : float array;  (* for pmf / rank queries *)
   prob : float array;  (* alias-method acceptance thresholds *)
   alias : int array;
@@ -56,13 +56,13 @@ let create ~n ~s =
     end
   done;
   (* Leftovers (either list) are 1.0 up to rounding. *)
-  { n; s; cdf; prob; alias }
+  { n; nf = float_of_int n; cdf; prob; alias }
 
 (* One uniform draw serves both the column pick and the acceptance test
    (the standard trick), so the RNG stream advances exactly as the old
    CDF binary search did — one draw per sample. *)
 let sample t rng =
-  let u = Rng.float rng (float_of_int t.n) in
+  let u = Rng.float rng t.nf in
   let i = int_of_float u in
   let i = if i >= t.n then t.n - 1 else i in
   if u -. float_of_int i < t.prob.(i) then i else t.alias.(i)

@@ -2,6 +2,7 @@ module Rng = Gf_util.Rng
 module Field = Gf_flow.Field
 module Flow = Gf_flow.Flow
 module Fmatch = Gf_flow.Fmatch
+module Mask = Gf_flow.Mask
 module Headers = Gf_flow.Headers
 module Action = Gf_pipeline.Action
 module Builder = Gf_pipeline.Builder
@@ -18,17 +19,6 @@ type combo = { template : int; cb : Classbench.rule; weight : float }
 (* What we know about a field while building a rule chain: the constraint a
    flow must satisfy to take this combo's path. *)
 type constr = Exact of int | Prefix of int * int | Any
-
-type t = {
-  info : Catalog.info;
-  pipeline : Pipeline.t;
-  combos : combo array;
-  entry_views : constr array array; (* per combo: per-field entry constraint *)
-}
-
-let pipeline t = t.pipeline
-let combo_count t = Array.length t.combos
-let rule_count t = Pipeline.rule_count t.pipeline
 
 (* Deterministic derived values: rewrites must depend only on the matched
    components so identical components produce identical rules. *)
@@ -63,32 +53,54 @@ let name_has table_name subs =
       at 0)
     subs
 
-let is_router name = name_has name [ "rout"; "l3_forward"; "l3_fwd" ]
-let is_lb name = name_has name [ "lb"; "dnat" ]
-let is_snat name = name_has name [ "snat" ]
-let is_deny name = name_has name [ "acl"; "default" ]
-let is_arp name = name_has name [ "arp" ]
+(* A table's role, read from its name once per build.  Routing rewrites
+   the MACs to (router, destination endpoint); load balancing DNATs to the
+   service backend; SNAT rewrites the source. *)
+type role = Router | Lb | Snat | Plain
 
-(* Build the ternary match of one hop from the current view, restricted to
-   the hop's declared fields.  [Any]-constrained fields are skipped. *)
-let hop_match view hop_fields =
-  List.fold_left
-    (fun fm field ->
-      match view.(Field.index field) with
-      | Any -> fm
-      | Exact v ->
-          Fmatch.with_prefix fm field ~value:v ~len:(Field.width field)
-      | Prefix (v, len) -> Fmatch.with_prefix fm field ~value:v ~len)
-    Fmatch.any hop_fields
+type hop = {
+  table : int;
+  fields : Field.t list;  (* the fields this hop matches *)
+  role : role;
+  deny : bool;  (* a final hop here drops instead of forwarding *)
+}
 
-let prefix_bits_of view hop_fields =
-  List.fold_left
-    (fun acc field ->
-      match view.(Field.index field) with
-      | Any -> acc
-      | Exact _ -> acc + Field.width field
-      | Prefix (_, len) -> acc + len)
-    0 hop_fields
+(* One traversal template with its tables classified. *)
+type template = { hops : hop array; arp : bool; routed : bool }
+
+type t = {
+  pipeline : Pipeline.t;
+  combos : combo array;
+  templates : template array;
+  gateways : int array; (* per combo: its first-hop gateway MAC *)
+}
+
+let pipeline t = t.pipeline
+let combo_count t = Array.length t.combos
+let rule_count t = Pipeline.rule_count t.pipeline
+
+let templates pipeline spec =
+  let name (h : Builder.hop) = Gf_pipeline.Oftable.name (Pipeline.table pipeline h.Builder.table) in
+  let hop (h : Builder.hop) =
+    let name = name h in
+    let role =
+      if name_has name [ "rout"; "l3_forward"; "l3_fwd" ] then Router
+      else if name_has name [ "lb"; "dnat" ] then Lb
+      else if name_has name [ "snat" ] then Snat
+      else Plain
+    in
+    { table = h.Builder.table; fields = h.Builder.hop_fields; role; deny = name_has name [ "acl"; "default" ] }
+  in
+  Array.of_list
+    (List.map
+       (fun (tr : Builder.traversal_spec) ->
+         let hops = Array.of_list (List.map hop tr.Builder.hops) in
+         {
+           hops;
+           arp = List.exists (fun h -> name_has (name h) [ "arp" ]) tr.Builder.hops;
+           routed = Array.exists (fun h -> h.role = Router) hops;
+         })
+       spec.Builder.traversals)
 
 let view_of_cb ~arp (cb : Classbench.rule) =
   let v = Array.make Field.count Any in
@@ -106,116 +118,148 @@ let view_of_cb ~arp (cb : Classbench.rule) =
   v
 
 (* Header rewrites a hop performs, as (field, value) pairs, derived from the
-   table's role.  Routing rewrites the MACs to (router, destination
-   endpoint); load balancing DNATs to the service backend; SNAT rewrites
-   the source. *)
-let hop_rewrites table_name cb =
-  if is_router table_name then
-    [ (Field.Eth_src, router_mac); (Field.Eth_dst, cb.Classbench.eth_dst) ]
-  else if is_lb table_name then
-    [ (Field.Ip_dst, backend_ip cb); (Field.Tp_dst, backend_port cb) ]
-  else if is_snat table_name then [ (Field.Ip_src, gateway_ip) ]
-  else []
+   table's role. *)
+let hop_rewrites role cb =
+  match role with
+  | Router -> [ (Field.Eth_src, router_mac); (Field.Eth_dst, cb.Classbench.eth_dst) ]
+  | Lb -> [ (Field.Ip_dst, backend_ip cb); (Field.Tp_dst, backend_port cb) ]
+  | Snat -> [ (Field.Ip_src, gateway_ip) ]
+  | Plain -> []
 
-let install_chain pipeline spec ~band ~dedup ~gateway (template_idx : int) cb =
-  let traversal = List.nth spec.Builder.traversals template_idx in
-  let hops = traversal.Builder.hops in
-  let table_name_of h = Gf_pipeline.Oftable.name (Pipeline.table pipeline h.Builder.table) in
-  let arp = List.exists (fun h -> is_arp (table_name_of h)) hops in
-  let routed = List.exists (fun h -> is_router (table_name_of h)) hops in
-  let view = view_of_cb ~arp cb in
+(* Chain rules already installed, keyed by (table, priority, match) with
+   the key's hash computed once and carried in the key: a probe compares
+   hashes before it reads a stored match. *)
+module Dedup = Hashtbl.Make (struct
+  type t = int * int * Fmatch.t * int
+
+  let equal (t, p, m, h) (t', p', m', h') =
+    Int.equal h h' && Int.equal t t' && Int.equal p p' && Fmatch.equal m m'
+
+  let hash (_, _, _, h) = h
+end)
+
+(* The ternary match of one hop from the current view, restricted to the
+   hop's fields ([Any]-constrained fields are skipped), built in one pass
+   into the [pattern] and [mask] scratch vectors, and the number of bits it
+   constrains. *)
+let hop_match view fields ~pattern ~mask =
+  Array.fill pattern 0 Field.count 0;
+  Array.fill mask 0 Field.count 0;
+  let bits = ref 0 in
+  List.iter
+    (fun field ->
+      let i = Field.index field in
+      let constrain value len =
+        let pm = Gf_util.Bitops.prefix_mask ~width:(Field.width field) len in
+        mask.(i) <- mask.(i) lor pm;
+        pattern.(i) <- pattern.(i) lor (value land pm);
+        bits := !bits + len
+      in
+      match view.(i) with
+      | Any -> ()
+      | Exact v -> constrain v (Field.width field)
+      | Prefix (v, len) -> constrain v len)
+    fields;
+  (Fmatch.v ~pattern:(Flow.of_array pattern) ~mask:(Mask.of_array mask), !bits)
+
+(* What a flow must carry to enter a combo's chain. *)
+let entry_view template ~gateway cb =
+  let view = view_of_cb ~arp:template.arp cb in
   (* Off-subnet traffic is L2-addressed to the first-hop gateway, not to the
      destination endpoint; routing rewrites it back (see [hop_rewrites]). *)
-  if routed then view.(Field.index Field.Eth_dst) <- Exact gateway;
-  let entry_view = Array.copy view in
-  let rec go = function
-    | [] -> ()
-    | hop :: rest ->
-        let table = Pipeline.table pipeline hop.Builder.table in
-        let table_name = Gf_pipeline.Oftable.name table in
-        let fmatch = hop_match view hop.Builder.hop_fields in
-        let rewrites = hop_rewrites table_name cb in
-        let control =
-          match rest with
-          | next :: _ -> Action.Goto next.Builder.table
-          | [] ->
-              if is_deny table_name then Action.Terminal Action.Drop
-              else Action.Terminal (Action.Output (out_port_of cb))
-        in
-        let priority = band + prefix_bits_of view hop.Builder.hop_fields in
-        let key = (hop.Builder.table, priority, fmatch) in
-        if not (Hashtbl.mem dedup key) then begin
-          Hashtbl.replace dedup key ();
-          let action = { Action.set_fields = rewrites; control } in
-          Pipeline.add_rule pipeline ~table:hop.Builder.table
-            (Ofrule.v ~id:(Pipeline.fresh_rule_id pipeline) ~priority ~fmatch ~action)
-        end;
-        (* Apply rewrites to the view so later hops match post-rewrite
-           values. *)
-        List.iter (fun (f, v) -> view.(Field.index f) <- Exact v) rewrites;
-        go rest
-  in
-  go hops;
-  entry_view
+  if template.routed then view.(Field.index Field.Eth_dst) <- Exact gateway;
+  view
 
-(* Component-recurrence weights: how many combos share each component. *)
+let install_chain pipeline template ~band ~dedup ~gateway ~pattern ~mask cb =
+  let view = entry_view template ~gateway cb in
+  let last = Array.length template.hops - 1 in
+  Array.iteri
+    (fun k hop ->
+      let fmatch, bits = hop_match view hop.fields ~pattern ~mask in
+      let rewrites = hop_rewrites hop.role cb in
+      let priority = band + bits in
+      let hash = (((Fmatch.hash fmatch * 31) + hop.table) * 31) + priority in
+      let key = (hop.table, priority, fmatch, hash) in
+      (* A new rule is added, never replaced: rewriting a stored key would
+         promote every duplicate's match into the major heap. *)
+      if not (Dedup.mem dedup key) then begin
+        Dedup.add dedup key ();
+        let control =
+          if k < last then Action.Goto template.hops.(k + 1).table
+          else if hop.deny then Action.Terminal Action.Drop
+          else Action.Terminal (Action.Output (out_port_of cb))
+        in
+        let action = { Action.set_fields = rewrites; control } in
+        Pipeline.add_rule pipeline ~table:hop.table
+          (Ofrule.v ~id:(Pipeline.fresh_rule_id pipeline) ~priority ~fmatch ~action)
+      end;
+      (* Apply rewrites to the view so later hops match post-rewrite
+         values. *)
+      List.iter (fun (f, v) -> view.(Field.index f) <- Exact v) rewrites)
+    template.hops
+
+(* Component-recurrence weights: how many combos share each component.
+   The components are counted one at a time, each in its own int-keyed
+   table. *)
+let components = 7
+
+let component (cb : Classbench.rule) = function
+  | 0 -> cb.eth_dst
+  | 1 -> cb.eth_src
+  | 2 -> cb.vlan
+  | 3 -> mix (fst cb.ip_dst) (snd cb.ip_dst)
+  | 4 -> mix (fst cb.ip_src) (snd cb.ip_src)
+  | 5 -> Option.value ~default:(-1) cb.tp_dst
+  | _ -> Option.value ~default:(-1) cb.tp_src
+
 let compute_weights combos =
-  let counts = Hashtbl.create 1024 in
-  let bump key = Hashtbl.replace counts key (1 + Option.value ~default:0 (Hashtbl.find_opt counts key)) in
-  let keys (cb : Classbench.rule) =
-    [
-      ("ed", cb.eth_dst);
-      ("es", cb.eth_src);
-      ("vl", cb.vlan);
-      ("dp", mix (fst cb.ip_dst) (snd cb.ip_dst));
-      ("sp", mix (fst cb.ip_src) (snd cb.ip_src));
-      ("td", Option.value ~default:(-1) cb.tp_dst);
-      ("ts", Option.value ~default:(-1) cb.tp_src);
-    ]
-  in
-  Array.iter (fun (_, cb) -> List.iter bump (keys cb)) combos;
-  Array.map
-    (fun (template, cb) ->
-      (* Multiplicative weight: a combo is popular only when all of its
-         components recur — this is what concentrates high-locality traffic
-         on shareable sub-traversals (the paper's Fig. 4 selection). *)
-      let w =
-        List.fold_left
-          (fun acc key ->
-            acc
-            *. float_of_int
-                 (Option.value ~default:1 (Hashtbl.find_opt counts key)))
-          1.0 (keys cb)
-      in
-      (* Temper the product so high-locality traffic concentrates on
-         popular components without collapsing onto a handful of combos:
-         combinations stay diverse (megaflow still sees a large rule
-         space), components recur (sub-traversals are shared). *)
-      { template; cb; weight = w ** 0.35 })
-    combos
+  let n = Array.length combos in
+  (* Multiplicative weight: a combo is popular only when all of its
+     components recur — this is what concentrates high-locality traffic
+     on shareable sub-traversals (the paper's Fig. 4 selection). *)
+  let weight = Array.make n 1.0 in
+  for k = 0 to components - 1 do
+    let counts = Gf_util.Int_tbl.create n in
+    Array.iter
+      (fun (_, cb) ->
+        let c = component cb k in
+        Gf_util.Int_tbl.replace counts c
+          (1 + Option.value ~default:0 (Gf_util.Int_tbl.find_opt counts c)))
+      combos;
+    Array.iteri
+      (fun i (_, cb) ->
+        weight.(i) <- weight.(i) *. float_of_int (Gf_util.Int_tbl.find counts (component cb k)))
+      combos
+  done;
+  (* Temper the product so high-locality traffic concentrates on popular
+     components without collapsing onto a handful of combos: combinations
+     stay diverse (megaflow still sees a large rule space), components
+     recur (sub-traversals are shared). *)
+  Array.mapi (fun i (template, cb) -> { template; cb; weight = weight.(i) ** 0.35 }) combos
 
 let build ?profile ?(combos = 4096) ~info ~seed () =
   let spec = info.Catalog.spec in
   let pipeline = Builder.instantiate spec in
+  let templates = templates pipeline spec in
   let rng = Rng.create seed in
   let cb_gen = Classbench.create ?profile ~seed:(seed lxor 0x5EED) () in
   let cb_rules = Classbench.generate cb_gen combos in
-  let n_templates = List.length spec.Builder.traversals in
-  let dedup = Hashtbl.create 4096 in
-  let entry_views = Array.make combos [||] in
+  let n_templates = Array.length templates in
+  let dedup = Dedup.create combos in
+  let pattern = Array.make Field.count 0 and mask = Array.make Field.count 0 in
+  let gateways = Array.map (Classbench.gateway_mac cb_gen) cb_rules in
   let raw =
     Array.init combos (fun i ->
         let template = Rng.int rng n_templates in
         let cb = cb_rules.(i) in
         let band = 100 * (n_templates - template) in
-        let gateway = Classbench.gateway_mac cb_gen cb in
-        entry_views.(i) <- install_chain pipeline spec ~band ~dedup ~gateway template cb;
+        install_chain pipeline templates.(template) ~band ~dedup ~gateway:gateways.(i) ~pattern
+          ~mask cb;
         (template, cb))
   in
-  { info; pipeline; combos = compute_weights raw; entry_views }
+  { pipeline; combos = compute_weights raw; templates; gateways }
 
-let concretize_view t rng view =
-  ignore t;
+let concretize_view rng view =
   let value field = function
     | Exact v -> v
     | Prefix (net, len) ->
@@ -265,7 +309,7 @@ let sample_flows ?combo_filter t ~seed ~locality ~n =
         done;
         eligible.(!lo)
   in
-  let seen = Hashtbl.create n in
+  let seen = Flow.Tbl.create n in
   let out = Array.make n Flow.zero in
   let count = ref 0 in
   let attempts = ref 0 in
@@ -273,9 +317,12 @@ let sample_flows ?combo_filter t ~seed ~locality ~n =
   while !count < n && !attempts < max_attempts do
     incr attempts;
     let i = pick_combo () in
-    let flow = concretize_view t rng t.entry_views.(i) in
-    if not (Hashtbl.mem seen flow) then begin
-      Hashtbl.replace seen flow ();
+    let c = t.combos.(i) in
+    let flow =
+      concretize_view rng (entry_view t.templates.(c.template) ~gateway:t.gateways.(i) c.cb)
+    in
+    if not (Flow.Tbl.mem seen flow) then begin
+      Flow.Tbl.add seen flow ();
       out.(!count) <- flow;
       incr count
     end

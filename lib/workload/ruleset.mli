@@ -51,6 +51,9 @@ val sample_flows :
   locality:locality ->
   n:int ->
   Gf_flow.Flow.t array
-(** [n] distinct concrete flows.  Deterministic in [seed].  [combo_filter]
-    restricts sampling to a subset of combo indices — used to build
-    workloads over disjoint rule-space regions (the paper's Fig. 18). *)
+(** At most [n] distinct concrete flows, in sampling order.  Sampling
+    stops after [50 * n] draws, so it returns fewer than [n] flows when
+    those draws find fewer distinct ones, as on a ruleset of a few combos
+    with exact constraints.  Deterministic in [seed].  [combo_filter] restricts sampling to a subset of combo
+    indices — used to build workloads over disjoint rule-space regions
+    (the paper's Fig. 18). *)

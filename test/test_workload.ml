@@ -365,6 +365,219 @@ let test_pipebench_end_to_end () =
   Alcotest.(check bool) "pipeline populated" true
     (Gf_pipeline.Pipeline.rule_count (Pipebench.pipeline w) > 0)
 
+(* ------------------------- pinned input digests ------------------------- *)
+
+(* Every generator's output, rendered as canonical text and digested.
+   Two runs of the same code always agree, so these pins are what catch a
+   generator whose output changed: a rewrite for speed must reproduce
+   every rule, flow, packet time and RNG draw byte for byte.  Floats are
+   rendered as their IEEE bits. *)
+
+let digest render =
+  let b = Buffer.create 65536 in
+  render b;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let add_float b x = Printf.bprintf b "%Lx\n" (Int64.bits_of_float x)
+
+let add_flow b f =
+  Array.iter (fun v -> Printf.bprintf b "%x " v) (Flow.to_array f);
+  Buffer.add_char b '\n'
+
+let add_trace b (t : Trace.t) =
+  Printf.bprintf b "%d %Lx\n" t.Trace.unique_flows (Int64.bits_of_float t.Trace.duration);
+  Array.iter
+    (fun (p : Trace.packet) ->
+      Printf.bprintf b "%Lx %d " (Int64.bits_of_float p.Trace.time) p.Trace.flow_id;
+      add_flow b p.Trace.flow)
+    t.Trace.packets
+
+let add_ruleset b rs =
+  List.iter
+    (fun table ->
+      Printf.bprintf b "table %d %s\n" (Gf_pipeline.Oftable.id table)
+        (Gf_pipeline.Oftable.name table);
+      Gf_pipeline.Oftable.rules table
+      |> List.sort (fun (x : Gf_pipeline.Ofrule.t) y -> compare x.id y.id)
+      |> List.iter (fun r -> Buffer.add_string b (Format.asprintf "%a\n" Gf_pipeline.Ofrule.pp r)))
+    (Gf_pipeline.Pipeline.tables (Ruleset.pipeline rs));
+  Printf.bprintf b "rules %d\n" (Ruleset.rule_count rs)
+
+let test_rng_streams_pinned () =
+  let module Rng = Gf_util.Rng in
+  let draws b rng =
+    for _ = 1 to 64 do Printf.bprintf b "%Lx\n" (Rng.bits64 rng) done;
+    for _ = 1 to 64 do Printf.bprintf b "%d\n" (Rng.int rng 17) done;
+    for _ = 1 to 64 do add_float b (Rng.float rng 1.0) done;
+    for _ = 1 to 64 do add_float b (Rng.exponential rng ~mean:2.5) done;
+    for _ = 1 to 64 do add_float b (Rng.pareto rng ~alpha:1.25 ~xmin:3.0) done
+  in
+  Alcotest.(check string) "rng streams" "34c13728d63cf2ba5bf24f4f329b2d26"
+    (digest (fun b ->
+         let rng = Rng.create 42 in
+         draws b rng;
+         let child = Rng.split rng in
+         draws b child;
+         draws b rng;
+         let twin = Rng.copy rng in
+         draws b twin;
+         draws b rng))
+
+let test_classbench_pinned () =
+  Alcotest.(check string) "classbench 512 rules" "179bc3a035ff9ed99dd66cab497396c3"
+    (digest (fun b ->
+         let opt = function None -> "*" | Some v -> string_of_int v in
+         Array.iter
+           (fun (r : Classbench.rule) ->
+             Printf.bprintf b "%x/%d %x/%d %s %s %s %x %x %d %d\n" (fst r.ip_src) (snd r.ip_src)
+               (fst r.ip_dst) (snd r.ip_dst) (opt r.proto) (opt r.tp_src) (opt r.tp_dst)
+               r.eth_src r.eth_dst r.vlan r.in_port)
+           (Classbench.generate (Classbench.create ~seed:7 ()) 512)))
+
+let pinned_ruleset code = Ruleset.build ~combos:1024 ~info:(Option.get (Catalog.find code)) ~seed:42 ()
+
+let pinned_psc = lazy (pinned_ruleset "PSC")
+
+let test_ruleset_pinned () =
+  Alcotest.(check string) "PSC ruleset" "9fe10c8a7c4f6930dfdb1ac0a43ed9d6" (digest (fun b -> add_ruleset b (Lazy.force pinned_psc)));
+  Alcotest.(check string) "OLS ruleset" "dfa5ac8d85ae4d3897de5316808edf76" (digest (fun b -> add_ruleset b (pinned_ruleset "OLS")))
+
+let pinned_flows locality = Ruleset.sample_flows (Lazy.force pinned_psc) ~seed:9 ~locality ~n:500
+
+let test_sample_flows_pinned () =
+  Alcotest.(check string) "high-locality flows" "2dea22b86b3c076cb02c3cea7fdbc8f2"
+    (digest (fun b -> Array.iter (add_flow b) (pinned_flows Ruleset.High)));
+  Alcotest.(check string) "low-locality flows" "7f9ed8ab648c37961176802765e1f442"
+    (digest (fun b -> Array.iter (add_flow b) (pinned_flows Ruleset.Low)))
+
+let test_traces_pinned () =
+  let flows = pinned_flows Ruleset.High in
+  let trace name expected t = Alcotest.(check string) name expected (digest (fun b -> add_trace b t)) in
+  trace "generate" "a153c63a1f912bc34700b97dd05d880e" (Trace.generate ~seed:5 ~flows ());
+  trace "churn" "972134df724de5034558e2a8332c81e1"
+    (Trace.churn ~epochs:10 ~active:100 ~packets_per_epoch:400 ~seed:6 ~flows ());
+  trace "drifting_skew" "6ca19fffb931563843abb97d3e95e4e4"
+    (Trace.drifting_skew ~epochs:4 ~packets_per_epoch:1000 ~seed:7 ~flows ());
+  trace "elephant_mice" "ffd41730f6cc68674986d5f4e44ab9d2" (Trace.elephant_mice ~packets:4000 ~seed:8 ~flows ());
+  trace "concat" "30af0ecab7fe09fa1c764ca2904487d8"
+    (Trace.concat
+       (Trace.generate ~duration:30.0 ~seed:10 ~flows ())
+       (Trace.generate ~duration:30.0 ~seed:11 ~flows:(Array.sub flows 0 250) ())
+       ~offset:10.0);
+  (* A trace merged with itself ties every time: the order of equal times
+     is pinned too. *)
+  let a = Trace.generate ~duration:30.0 ~seed:10 ~flows () in
+  trace "concat, every time tied" "14f5099c49b556f69758f548bec5e5a5" (Trace.concat a a ~offset:0.0);
+  let s = Trace.steady ~packets:100_000 ~seed:12 ~flows () in
+  let times = Array.make 4096 0.0 and flow_ids = Array.make 4096 0 in
+  let out = Array.make 4096 Flow.zero in
+  let k = Trace.fill s ~times ~flow_ids ~flows:out ~max:4096 in
+  trace "steady, first 4096 packets" "05ff1b0f15b17aa14a4d60addd6ea9e8"
+    {
+      Trace.packets =
+        Array.init k (fun i -> { Trace.time = times.(i); flow_id = flow_ids.(i); flow = out.(i) });
+      unique_flows = Array.length flows;
+      duration = 0.0;
+    }
+
+(* A ruleset that cannot yield [n] flows returns every distinct flow it
+   found, not [n].  With exact addresses and pinned ports, a combo's entry
+   view is one concrete flow unless it is an ICMP combo (whose ports stay
+   wildcarded), so sampling a single exact combo yields exactly one. *)
+let test_sample_flows_at_most_n () =
+  let exact =
+    {
+      small_profile with
+      Classbench.src_exact = 1.0;
+      dst_exact = 1.0;
+      proto_any = 0.0;
+      tp_src_pinned = 1.0;
+      tp_dst_any = 0.0;
+    }
+  in
+  let rs = Ruleset.build ~profile:exact ~combos:4 ~info:(Option.get (Catalog.find "PSC")) ~seed:3 () in
+  let yields =
+    List.init 4 (fun c ->
+        let flows =
+          Ruleset.sample_flows rs ~combo_filter:(Int.equal c) ~seed:1 ~locality:Ruleset.Low ~n:50
+        in
+        let seen = Flow.Tbl.create 50 in
+        Array.iter (fun f -> Flow.Tbl.replace seen f ()) flows;
+        Alcotest.(check int) "all distinct" (Array.length flows) (Flow.Tbl.length seen);
+        Alcotest.(check bool) "at most n" true (Array.length flows <= 50);
+        Array.length flows)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "an exact combo yields one flow (yields %s)"
+       (String.concat ", " (List.map string_of_int yields)))
+    true (List.mem 1 yields)
+
+(* [concat] orders equal times exactly as [Array.sort] orders the
+   appended packets, whatever the sizes: times drawn from three values tie
+   almost everywhere. *)
+let test_concat_ties_match_array_sort () =
+  let rng = Gf_util.Rng.create 5 in
+  let trace n base =
+    {
+      Trace.packets =
+        Array.init n (fun i ->
+            { Trace.time = float_of_int (Gf_util.Rng.int rng 3); flow_id = base + i; flow = Flow.zero });
+      unique_flows = 1000;
+      duration = 3.0;
+    }
+  in
+  List.iter
+    (fun (na, nb) ->
+      let a = trace na 0 and b = trace nb 0 in
+      let expected =
+        Array.append a.Trace.packets
+          (Array.map
+             (fun p -> { p with Trace.time = p.Trace.time +. 1.0; flow_id = p.Trace.flow_id + 1000 })
+             b.Trace.packets)
+      in
+      Array.sort (fun p q -> compare p.Trace.time q.Trace.time) expected;
+      let got = (Trace.concat a b ~offset:1.0).Trace.packets in
+      Alcotest.(check (list (pair int (float 0.))))
+        (Printf.sprintf "%d + %d packets" na nb)
+        (Array.to_list (Array.map (fun p -> (p.Trace.flow_id, p.Trace.time)) expected))
+        (Array.to_list (Array.map (fun p -> (p.Trace.flow_id, p.Trace.time)) got)))
+    [ (0, 0); (1, 0); (0, 2); (2, 1); (3, 3); (10, 7); (100, 100); (1000, 337) ]
+
+(* The steady source fills the caller's buffers drawing through [Rng] and
+   [Zipf] alone.  In a build without cross-module inlining (dune's dev
+   profile) each packet's two float draws box their results, 2 words each,
+   and each [Trace.fill] call builds its partial applications (17 words;
+   the pin allows 32); a release build allocates 0.  With the RNG state
+   boxed on every draw, a dev build measured 20 words per packet. *)
+let test_steady_fill_allocation_free () =
+  let flows = Array.init 2000 (fun i -> Flow.make [ (Gf_flow.Field.Vlan, i) ]) in
+  let s = Trace.steady ~packets:1_000_000 ~seed:3 ~flows () in
+  let times = Array.make 256 0.0 and flow_ids = Array.make 256 0 in
+  let out = Array.make 256 Flow.zero in
+  let packets = ref 0 and calls = ref 0 in
+  let words =
+    Helpers.minor_words (fun () ->
+        while !packets < 20_000 do
+          incr calls;
+          packets := !packets + Trace.fill s ~times ~flow_ids ~flows:out ~max:256
+        done)
+  in
+  let per_packet = (words -. (32.0 *. float_of_int !calls)) /. float_of_int !packets in
+  Alcotest.(check bool) (Printf.sprintf "%.2f words per packet <= 4" per_packet) true
+    (per_packet <= 4.0)
+
+(* Building PSC's 1,024 combos allocates a bounded number of minor words
+   per combo.  A dev build measured 2,239 with a [Fmatch.with_prefix] copy
+   per hop field, a polymorphic dedup table and [(string * int)] weight
+   keys, and 581 with single-pass hop matches, the hash-once monomorphic
+   dedup and int-keyed weight tables. *)
+let test_ruleset_build_allocation () =
+  let info = Option.get (Catalog.find "PSC") in
+  let words = Helpers.minor_words (fun () -> ignore (Ruleset.build ~combos:1024 ~info ~seed:42 ())) in
+  let per_combo = words /. 1024.0 in
+  Alcotest.(check bool) (Printf.sprintf "%.0f words per combo <= 1000" per_combo) true
+    (per_combo <= 1000.0)
+
 let suite =
   [
     ("classbench deterministic", `Quick, test_classbench_deterministic);
@@ -388,4 +601,13 @@ let suite =
     ("trace drifting skew shape", `Quick, test_trace_drifting_skew_shape);
     ("pipebench churn", `Quick, test_pipebench_churn_shares_population);
     ("pipebench end-to-end", `Quick, test_pipebench_end_to_end);
+    ("rng streams pinned", `Quick, test_rng_streams_pinned);
+    ("classbench pinned", `Quick, test_classbench_pinned);
+    ("ruleset pinned", `Quick, test_ruleset_pinned);
+    ("sample_flows pinned", `Quick, test_sample_flows_pinned);
+    ("traces pinned", `Quick, test_traces_pinned);
+    ("sample_flows yields at most n", `Quick, test_sample_flows_at_most_n);
+    ("concat ties match Array.sort", `Quick, test_concat_ties_match_array_sort);
+    ("steady fill allocation-free", `Quick, test_steady_fill_allocation_free);
+    ("ruleset build allocation", `Quick, test_ruleset_build_allocation);
   ]
