@@ -47,8 +47,9 @@ let run () =
     let hits = Array.make buckets 0 and totals = Array.make buckets 0 in
     let _ =
       Datapath.run
-        ~on_packet:(fun pkt outcome _ ->
-          let b = min (buckets - 1) (int_of_float (pkt.Gf_workload.Trace.time /. bucket)) in
+        ~on_packet:(fun i outcome _ ->
+          let time = trace.Gf_workload.Trace.times.(i) in
+          let b = min (buckets - 1) (int_of_float (time /. bucket)) in
           totals.(b) <- totals.(b) + 1;
           match outcome with
           | Datapath.Hw_hit -> hits.(b) <- hits.(b) + 1

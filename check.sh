@@ -38,6 +38,17 @@ dune exec --no-build -- gigaflow-sim run -p PSC --flows 2000 --combos 512 --seed
 cmp "$TDIR/telemetry.prom" "$TDIR/telemetry_batched.prom" || {
   echo "walker and batched engine Prometheus snapshots differ" >&2; exit 1; }
 
+echo "== trace file format"
+# The on-disk trace of a fixed-seed generated workload, byte for byte:
+# the header, the flow table and one "time flow_id" line per packet
+# (10,615 packets here).  A change to the trace layout in memory must not
+# change the file.
+dune exec --no-build -- gigaflow-sim export-trace -p PSC --flows 2000 --combos 512 --seed 77 \
+  -o "$TDIR/trace.txt" > /dev/null
+sum=$(md5sum "$TDIR/trace.txt" | awk '{ print $1 }')
+test "$sum" = 845ad918c27bfa6211662eb4a2289835 || {
+  echo "exported trace changed: md5 $sum" >&2; exit 1; }
+
 echo "== capacity-stress smoke"
 # Tiny capacities + churn trace + LRU eviction: the run must stay healthy
 # under sustained pressure — non-zero pressure evictions, no NaN anywhere,

@@ -45,8 +45,8 @@ let () =
     let hits = Array.make buckets 0 and totals = Array.make buckets 0 in
     ignore
       (Datapath.run
-         ~on_packet:(fun pkt outcome _ ->
-           let b = min (buckets - 1) (int_of_float (pkt.Trace.time /. bucket)) in
+         ~on_packet:(fun i outcome _ ->
+           let b = min (buckets - 1) (int_of_float (trace.Trace.times.(i) /. bucket)) in
            totals.(b) <- totals.(b) + 1;
            match outcome with
            | Datapath.Hw_hit -> hits.(b) <- hits.(b) + 1

@@ -75,13 +75,25 @@ let intern_lock = Mutex.create ()
 
 let interned : t Tbl.t = Tbl.create 256
 
+(* Locked and probed by hand: [Mutex.protect] would allocate a closure
+   and [Tbl.find_opt] a [Some] on every call, and [Fmatch.v] interns on
+   every install.  A hit allocates nothing. *)
 let intern m =
-  Mutex.protect intern_lock (fun () ->
-      match Tbl.find_opt interned m with
-      | Some canonical -> canonical
-      | None ->
-          Tbl.add interned m m;
-          m)
+  Mutex.lock intern_lock;
+  match
+    match Tbl.find interned m with
+    | canonical -> canonical
+    | exception Not_found ->
+        Tbl.add interned m m;
+        m
+  with
+  | canonical ->
+      Mutex.unlock intern_lock;
+      canonical
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      Mutex.unlock intern_lock;
+      Printexc.raise_with_backtrace e bt
 
 let () = List.iter (fun m -> ignore (intern m)) [ empty; full ]
 

@@ -1095,37 +1095,32 @@ let run ?on_packet ?miss_sink t trace =
          sample_every - (t.metrics.Metrics.packets mod sample_every)
        else max_int)
   in
-  Array.iter
-    (fun (pkt : Gf_workload.Trace.packet) ->
-      let before = Metrics.total_cycles t.metrics in
-      let outcome, _terminal, latency =
-        process t ~flow_id:pkt.Gf_workload.Trace.flow_id
-          ~now:pkt.Gf_workload.Trace.time pkt.Gf_workload.Trace.flow
-      in
-      (match (outcome, miss_sink) with
-      | Slowpath, Some sink ->
-          sink ~flow_id:pkt.Gf_workload.Trace.flow_id
-            ~cycles:(Metrics.total_cycles t.metrics - before)
-      | (Hw_hit | Sw_hit | Slowpath), _ -> ());
-      if sample_every > 0 then begin
-        decr countdown;
-        if !countdown = 0 then begin
-          countdown := sample_every;
-          match t.telemetry with
-          | Some tel ->
-              Telemetry.push_sample tel (snapshot t ~time:pkt.Gf_workload.Trace.time)
-          | None -> ()
-        end
-      end;
-      match on_packet with
-      | Some f -> f pkt outcome latency
-      | None -> ())
-    trace.Gf_workload.Trace.packets;
-  let n = Array.length trace.Gf_workload.Trace.packets in
-  let time =
-    if n = 0 then 0.0
-    else trace.Gf_workload.Trace.packets.(n - 1).Gf_workload.Trace.time
-  in
+  let { Gf_workload.Trace.times; flow_ids; flows; _ } = trace in
+  let n = Array.length times in
+  for i = 0 to n - 1 do
+    let flow_id = flow_ids.(i) in
+    let before = Metrics.total_cycles t.metrics in
+    let outcome, _terminal, latency =
+      walk t ~memo:false ~now:times.(i) ~flow_id flows.(flow_id)
+    in
+    (match (outcome, miss_sink) with
+    | Slowpath, Some sink ->
+        sink ~flow_id ~cycles:(Metrics.total_cycles t.metrics - before)
+    | (Hw_hit | Sw_hit | Slowpath), _ -> ());
+    if sample_every > 0 then begin
+      decr countdown;
+      if !countdown = 0 then begin
+        countdown := sample_every;
+        match t.telemetry with
+        | Some tel -> Telemetry.push_sample tel (snapshot t ~time:times.(i))
+        | None -> ()
+      end
+    end;
+    match on_packet with
+    | Some f -> f i outcome latency
+    | None -> ()
+  done;
+  let time = if n = 0 then 0.0 else times.(n - 1) in
   finalize t ~time
 
 let metrics t = t.metrics

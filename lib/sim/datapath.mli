@@ -245,12 +245,13 @@ val finalize : t -> time:float -> Metrics.t
     and returns the metrics. *)
 
 val run :
-  ?on_packet:(Gf_workload.Trace.packet -> outcome -> float -> unit) ->
+  ?on_packet:(int -> outcome -> float -> unit) ->
   ?miss_sink:(flow_id:int -> cycles:int -> unit) ->
   t ->
   Gf_workload.Trace.t ->
   Metrics.t
-(** Replay a trace.  [on_packet] observes every packet (Fig. 18 timelines);
+(** Replay a trace.  [on_packet i outcome latency] observes every packet,
+    by its index [i] into the trace's arrays (Fig. 18 timelines);
     [miss_sink] observes slowpath CPU work per flow (Fig. 19 RSS scaling).
     With telemetry attached, pushes a sample every [sample_every] packets
     plus a final unconditional sample, then exports the final counters to

@@ -29,27 +29,32 @@ let shard ~domains (trace : Trace.t) =
   if domains <= 0 then invalid_arg "Parallel.shard: domains must be positive";
   if domains = 1 then [| trace |]
   else begin
-    let buckets = Array.make domains [] in
-    let ps = trace.Trace.packets in
-    (* Reverse walk so the per-shard cons lists come out in time order. *)
-    for i = Array.length ps - 1 downto 0 do
-      let p = ps.(i) in
-      let d = Multicore.rss_hash p.Trace.flow_id mod domains in
-      buckets.(d) <- p :: buckets.(d)
+    let { Trace.times; flow_ids; flows; duration } = trace in
+    let n = Array.length times in
+    let shard_of i = Multicore.rss_hash flow_ids.(i) mod domains in
+    (* One counting pass sizes every shard exactly; the fill keeps each
+       shard in trace order.  Shards share the parent's flow table, so
+       their flow ids keep the parent's bound. *)
+    let counts = Array.make domains 0 in
+    for i = 0 to n - 1 do
+      let d = shard_of i in
+      counts.(d) <- counts.(d) + 1
     done;
-    Array.map
-      (fun pkts ->
-        let packets = Array.of_list pkts in
-        let seen = Hashtbl.create 256 in
-        Array.iter
-          (fun (p : Trace.packet) -> Hashtbl.replace seen p.Trace.flow_id ())
-          packets;
-        {
-          Trace.packets;
-          unique_flows = Hashtbl.length seen;
-          duration = trace.Trace.duration;
-        })
-      buckets
+    let shards =
+      Array.map
+        (fun k ->
+          { Trace.times = Array.make k 0.0; flow_ids = Array.make k 0; flows; duration })
+        counts
+    in
+    let next = Array.make domains 0 in
+    for i = 0 to n - 1 do
+      let d = shard_of i in
+      let s = shards.(d) and j = next.(d) in
+      s.Trace.times.(j) <- times.(i);
+      s.Trace.flow_ids.(j) <- flow_ids.(i);
+      next.(d) <- j + 1
+    done;
+    shards
   end
 
 let run_shards ?telemetry ~domains ~cfg pipeline run =

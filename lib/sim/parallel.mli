@@ -33,8 +33,9 @@ type result = {
 val shard : domains:int -> Gf_workload.Trace.t -> Gf_workload.Trace.t array
 (** Partition packets by [Multicore.rss_hash flow_id mod domains],
     preserving per-shard time order.  Shards are disjoint by flow and
-    their packets union back to the input.  [domains = 1] returns the
-    input trace itself. *)
+    their packets union back to the input.  Every shard shares the input's
+    flow table and keeps its flow ids.  [domains = 1] returns the input
+    trace itself. *)
 
 val run_shards :
   ?telemetry:Gf_telemetry.Telemetry.config ->

@@ -54,23 +54,18 @@ let trace_to_string (t : Trace.t) =
   Buffer.add_string buf trace_header;
   Buffer.add_char buf '\n';
   Buffer.add_string buf (Printf.sprintf "duration %.6f\n" t.Trace.duration);
-  (* Flow table: the distinct flows, indexed by flow id. *)
-  let flows = Array.make t.Trace.unique_flows None in
-  Array.iter
-    (fun (p : Trace.packet) ->
-      if flows.(p.Trace.flow_id) = None then flows.(p.Trace.flow_id) <- Some p.Trace.flow)
-    t.Trace.packets;
-  Buffer.add_string buf (Printf.sprintf "flows %d\n" t.Trace.unique_flows);
+  (* Flow table, indexed by flow id. *)
+  Buffer.add_string buf (Printf.sprintf "flows %d\n" (Array.length t.Trace.flows));
   Array.iter
     (fun f ->
-      Buffer.add_string buf (flow_to_line (Option.value ~default:Flow.zero f));
+      Buffer.add_string buf (flow_to_line f);
       Buffer.add_char buf '\n')
-    flows;
+    t.Trace.flows;
   Buffer.add_string buf (Printf.sprintf "packets %d\n" (Trace.packet_count t));
-  Array.iter
-    (fun (p : Trace.packet) ->
-      Buffer.add_string buf (Printf.sprintf "%.6f %d\n" p.Trace.time p.Trace.flow_id))
-    t.Trace.packets;
+  Array.iteri
+    (fun i time ->
+      Buffer.add_string buf (Printf.sprintf "%.6f %d\n" time t.Trace.flow_ids.(i)))
+    t.Trace.times;
   Buffer.contents buf
 
 let trace_of_string text =
@@ -113,25 +108,23 @@ let trace_of_string text =
                     Ok rest
                 | [] -> Error "missing packets section"
               in
-              let* packets =
-                List.fold_left
-                  (fun acc line ->
-                    let* acc = acc in
+              let n = List.length rest in
+              let times = Array.make n 0.0 and flow_ids = Array.make n 0 in
+              let rec packets i = function
+                | [] -> Ok ()
+                | line :: rest -> (
                     match String.split_on_char ' ' line with
                     | [ time_s; id_s ] -> (
                         match (float_of_string_opt time_s, int_of_string_opt id_s) with
                         | Some time, Some flow_id when flow_id >= 0 && flow_id < nflows ->
-                            Ok ({ Trace.time; flow_id; flow = flows.(flow_id) } :: acc)
+                            times.(i) <- time;
+                            flow_ids.(i) <- flow_id;
+                            packets (i + 1) rest
                         | _ -> Error ("bad packet line: " ^ line))
                     | _ -> Error ("bad packet line: " ^ line))
-                  (Ok []) rest
               in
-              Ok
-                {
-                  Trace.packets = Array.of_list (List.rev packets);
-                  unique_flows = nflows;
-                  duration;
-                }
+              let* () = packets 0 rest in
+              Ok { Trace.times; flow_ids; flows; duration }
           | [] -> Error "missing flows section")
       | [] -> Error "missing duration")
   | _ -> Error "missing gigaflow-trace header"

@@ -13,7 +13,8 @@ val flows_to_string : Gf_flow.Flow.t array -> string
 val flows_of_string : string -> (Gf_flow.Flow.t array, string) result
 
 val trace_to_string : Trace.t -> string
-(** Header with flow table, then one [time flow_id] line per packet. *)
+(** Header with the trace's flow table, every flow in it, then one
+    [time flow_id] line per packet. *)
 
 val trace_of_string : string -> (Trace.t, string) result
 

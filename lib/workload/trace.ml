@@ -1,71 +1,76 @@
 module Rng = Gf_util.Rng
 module Zipf = Gf_util.Zipf
 
-type packet = { time : float; flow_id : int; flow : Gf_flow.Flow.t }
+type t = {
+  times : float array;
+  flow_ids : int array;
+  flows : Gf_flow.Flow.t array;
+  duration : float;
+}
 
-type t = { packets : packet array; unique_flows : int; duration : float }
-
-(* Stdlib's [Array.sort] (a ternary heapsort) by time, step for step: it
-   makes the same comparisons in the same order and so leaves the same
-   permutation, ties included, without a closure call and a polymorphic
-   compare per comparison.  Times are never NaN, so [compare a b < 0] is
-   [a < b]. *)
-let sort_by_time (a : packet array) =
-  let time i = a.(i).time in
+(* Stdlib's [Array.sort] (a ternary heapsort) by time, step for step, on
+   the two packet arrays at once: it makes the same comparisons in the
+   same order and so leaves the same permutation, ties included, without
+   a closure call and a polymorphic compare per comparison.  Times are
+   never NaN, so [compare a b < 0] is [a < b]. *)
+let sort_by_time (times : float array) (ids : int array) =
+  let move ~dst ~src =
+    times.(dst) <- times.(src);
+    ids.(dst) <- ids.(src)
+  in
   (* The largest of [i]'s up to three children, or -1 if it has none. *)
   let maxson l i =
     let i31 = i + i + i + 1 in
     if i31 + 2 < l then begin
-      let x = if time i31 < time (i31 + 1) then i31 + 1 else i31 in
-      if time x < time (i31 + 2) then i31 + 2 else x
+      let x = if times.(i31) < times.(i31 + 1) then i31 + 1 else i31 in
+      if times.(x) < times.(i31 + 2) then i31 + 2 else x
     end
-    else if i31 + 1 < l && time i31 < time (i31 + 1) then i31 + 1
+    else if i31 + 1 < l && times.(i31) < times.(i31 + 1) then i31 + 1
     else if i31 < l then i31
     else -1
   in
   let trickle l i =
-    let e = a.(i) in
+    let e = times.(i) and id = ids.(i) in
     let i = ref i and j = ref (maxson l i) in
-    while !j >= 0 && time !j > e.time do
-      a.(!i) <- a.(!j);
+    while !j >= 0 && times.(!j) > e do
+      move ~dst:!i ~src:!j;
       i := !j;
       j := maxson l !j
     done;
-    a.(!i) <- e
+    times.(!i) <- e;
+    ids.(!i) <- id
   in
   let bubble l =
     let i = ref 0 and j = ref (maxson l 0) in
     while !j >= 0 do
-      a.(!i) <- a.(!j);
+      move ~dst:!i ~src:!j;
       i := !j;
       j := maxson l !j
     done;
     !i
   in
-  let trickleup i e =
-    let i = ref i in
-    while !i > 0 && time ((!i - 1) / 3) < e.time do
-      a.(!i) <- a.((!i - 1) / 3);
-      i := (!i - 1) / 3
-    done;
-    a.(!i) <- e
-  in
-  let l = Array.length a in
+  let l = Array.length times in
   for i = ((l + 1) / 3) - 1 downto 0 do
     trickle l i
   done;
   for i = l - 1 downto 2 do
-    let e = a.(i) in
-    a.(i) <- a.(0);
-    trickleup (bubble i) e
+    let e = times.(i) and id = ids.(i) in
+    move ~dst:i ~src:0;
+    (* Trickle [e] up from the leaf [bubble] left empty. *)
+    let i = ref (bubble i) in
+    while !i > 0 && times.((!i - 1) / 3) < e do
+      move ~dst:!i ~src:((!i - 1) / 3);
+      i := (!i - 1) / 3
+    done;
+    times.(!i) <- e;
+    ids.(!i) <- id
   done;
   if l > 1 then begin
-    let e = a.(1) in
-    a.(1) <- a.(0);
-    a.(0) <- e
+    let e = times.(1) and id = ids.(1) in
+    move ~dst:1 ~src:0;
+    times.(0) <- e;
+    ids.(0) <- id
   end
-
-let no_packet = { time = 0.0; flow_id = 0; flow = Gf_flow.Flow.zero }
 
 let generate ?(duration = 60.0) ?(mean_flow_size = 8.0) ?(max_flow_size = 2048)
     ?(start_spread = 0.5) ?(lifetime_frac = 0.3) ~seed ~flows () =
@@ -103,13 +108,14 @@ let generate ?(duration = 60.0) ?(mean_flow_size = 8.0) ?(max_flow_size = 2048)
   (* Packets enter the sort newest first: the order of equal times out of
      the heapsort depends on its input order, which the pinned traces
      fix. *)
-  let packets = Array.make !total no_packet in
+  let times = Array.make !total 0.0 and flow_ids = Array.make !total 0 in
   let next = ref !total in
   draw rng (fun time flow_id ->
       decr next;
-      packets.(!next) <- { time; flow_id; flow = flows.(flow_id) });
-  sort_by_time packets;
-  { packets; unique_flows = n; duration }
+      times.(!next) <- time;
+      flow_ids.(!next) <- flow_id);
+  sort_by_time times flow_ids;
+  { times; flow_ids; flows; duration }
 
 (* Churn: a rotating active window over the flow array.  Each epoch draws
    its packets uniformly from the [active]-wide window, then the window
@@ -127,23 +133,25 @@ let churn ?(duration = 60.0) ?(epochs = 30) ?(active = 512) ?(turnover = 0.25)
     int_of_float (Float.round (Float.max 0.0 turnover *. float_of_int active))
   in
   let epoch_len = duration /. float_of_int epochs in
-  let packets = Array.make (epochs * packets_per_epoch) no_packet in
+  let total = epochs * packets_per_epoch in
+  let times = Array.make total 0.0 and flow_ids = Array.make total 0 in
   (* Packets enter the sort newest first: the order of equal times out of
      the heapsort depends on its input order, which the pinned traces
      fix. *)
-  let next = ref (Array.length packets) in
+  let next = ref total in
   let start = ref 0 in
   for e = 0 to epochs - 1 do
     let t0 = float_of_int e *. epoch_len in
     for _ = 1 to packets_per_epoch do
       let flow_id = (!start + Rng.int rng active) mod n in
       decr next;
-      packets.(!next) <- { time = t0 +. Rng.float rng epoch_len; flow_id; flow = flows.(flow_id) }
+      flow_ids.(!next) <- flow_id;
+      times.(!next) <- t0 +. Rng.float rng epoch_len
     done;
     start := (!start + shift) mod n
   done;
-  sort_by_time packets;
-  { packets; unique_flows = n; duration }
+  sort_by_time times flow_ids;
+  { times; flow_ids; flows; duration }
 
 (* Elephant/mice: a tiny set of elephants carries [elephant_share] of the
    packets; every other packet picks a mouse uniformly from the rest of
@@ -160,19 +168,16 @@ let elephant_mice ?(duration = 60.0) ?(elephants = 16) ?(elephant_share = 0.8)
   let elephants = max 1 (min elephants n) in
   let mice = n - elephants in
   let mean_gap = duration /. float_of_int (Stdlib.max 1 packets) in
+  let times = Array.make packets 0.0 and flow_ids = Array.make packets 0 in
   let time = ref 0.0 in
-  let arr =
-    Array.init packets (fun _ ->
-        let flow_id =
-          if mice = 0 || Rng.float rng 1.0 < elephant_share then
-            Rng.int rng elephants
-          else elephants + Rng.int rng mice
-        in
-        let p = { time = !time; flow_id; flow = flows.(flow_id) } in
-        time := !time +. Rng.exponential rng ~mean:mean_gap;
-        p)
-  in
-  { packets = arr; unique_flows = n; duration }
+  for i = 0 to packets - 1 do
+    flow_ids.(i) <-
+      (if mice = 0 || Rng.float rng 1.0 < elephant_share then Rng.int rng elephants
+       else elephants + Rng.int rng mice);
+    times.(i) <- !time;
+    time := !time +. Rng.exponential rng ~mean:mean_gap
+  done;
+  { times; flow_ids; flows; duration }
 
 (* Drifting skew: Zipf-popular traffic whose rank -> flow mapping rotates
    by [drift] flows every epoch, so the elephant identity set slides over
@@ -189,22 +194,23 @@ let drifting_skew ?(duration = 60.0) ?(epochs = 8) ?(zipf_s = 1.2) ?(drift = 64)
   let zipf = Zipf.create ~n ~s:zipf_s in
   let epoch_len = duration /. float_of_int epochs in
   let mean_gap = epoch_len /. float_of_int (Stdlib.max 1 packets_per_epoch) in
-  let packets = Array.make (epochs * packets_per_epoch) no_packet in
+  let total = epochs * packets_per_epoch in
+  let times = Array.make total 0.0 and flow_ids = Array.make total 0 in
   for e = 0 to epochs - 1 do
     let offset = e * drift in
     let time = ref (float_of_int e *. epoch_len) in
     for i = e * packets_per_epoch to ((e + 1) * packets_per_epoch) - 1 do
-      let flow_id = (Zipf.sample zipf rng + offset) mod n in
-      packets.(i) <- { time = !time; flow_id; flow = flows.(flow_id) };
+      flow_ids.(i) <- (Zipf.sample zipf rng + offset) mod n;
+      times.(i) <- !time;
       time := !time +. Rng.exponential rng ~mean:mean_gap
     done
   done;
   (* Exponential gaps can overshoot an epoch boundary; restore the global
      nondecreasing-times contract the streaming consumers rely on. *)
-  sort_by_time packets;
-  { packets; unique_flows = n; duration }
+  sort_by_time times flow_ids;
+  { times; flow_ids; flows; duration }
 
-let packet_count t = Array.length t.packets
+let packet_count t = Array.length t.times
 
 (* --------------------------- streaming pull --------------------------- *)
 
@@ -215,7 +221,7 @@ type stream = {
     flows:Gf_flow.Flow.t array ->
     max:int ->
     int;
-  stream_unique_flows : int;
+  stream_flows : Gf_flow.Flow.t array;  (* the flow table ids index *)
   stream_duration : float;
 }
 
@@ -224,18 +230,16 @@ let fill s = s.fill
 let stream_of_trace t =
   let pos = ref 0 in
   let fill ~times ~flow_ids ~flows ~max =
-    let n = Array.length t.packets in
-    let k = Stdlib.min max (n - !pos) in
+    let k = Stdlib.min max (packet_count t - !pos) in
+    Array.blit t.times !pos times 0 k;
+    Array.blit t.flow_ids !pos flow_ids 0 k;
     for i = 0 to k - 1 do
-      let p = t.packets.(!pos + i) in
-      times.(i) <- p.time;
-      flow_ids.(i) <- p.flow_id;
-      flows.(i) <- p.flow
+      flows.(i) <- t.flows.(flow_ids.(i))
     done;
     pos := !pos + k;
     k
   in
-  { fill; stream_unique_flows = t.unique_flows; stream_duration = t.duration }
+  { fill; stream_flows = t.flows; stream_duration = t.duration }
 
 (* A running clock in an all-float record, stored flat: advancing it
    boxes no float and runs no write barrier (a captured [float ref]
@@ -268,43 +272,41 @@ let steady ?(duration = 60.0) ?(zipf_s = 1.1) ~packets ~seed ~flows () =
     remaining := !remaining - k;
     k
   in
-  { fill; stream_unique_flows = n; stream_duration = duration }
+  { fill; stream_flows = flows; stream_duration = duration }
 
 (* Materialise a stream (test/debug helper; the steady generator exists
-   precisely so callers can avoid this). *)
+   precisely so callers can avoid this).  The flow table is the
+   stream's own. *)
 let trace_of_stream ?(batch = 4096) s =
-  let times = Array.make batch 0.0 in
-  let flow_ids = Array.make batch 0 in
+  let times = Array.make batch 0.0 and flow_ids = Array.make batch 0 in
   let flows = Array.make batch Gf_flow.Flow.zero in
-  let acc = ref [] in
-  let rec pull () =
+  let rec pull acc =
     let k = s.fill ~times ~flow_ids ~flows ~max:batch in
-    if k > 0 then begin
-      for i = 0 to k - 1 do
-        acc := { time = times.(i); flow_id = flow_ids.(i); flow = flows.(i) } :: !acc
-      done;
-      pull ()
-    end
+    if k = 0 then List.rev acc
+    else pull ((Array.sub times 0 k, Array.sub flow_ids 0 k) :: acc)
   in
-  pull ();
+  let batches = pull [] in
   {
-    packets = Array.of_list (List.rev !acc);
-    unique_flows = s.stream_unique_flows;
+    times = Array.concat (List.map fst batches);
+    flow_ids = Array.concat (List.map snd batches);
+    flows = s.stream_flows;
     duration = s.stream_duration;
   }
 
 let concat a b ~offset =
-  let na = Array.length a.packets in
-  let packets =
-    Array.init (na + Array.length b.packets) (fun i ->
-        if i < na then a.packets.(i)
-        else
-          let p = b.packets.(i - na) in
-          { p with time = p.time +. offset; flow_id = p.flow_id + a.unique_flows })
-  in
-  sort_by_time packets;
+  let na = packet_count a and nb = packet_count b in
+  let base = Array.length a.flows in
+  let times = Array.make (na + nb) 0.0 and flow_ids = Array.make (na + nb) 0 in
+  Array.blit a.times 0 times 0 na;
+  Array.blit a.flow_ids 0 flow_ids 0 na;
+  for i = 0 to nb - 1 do
+    times.(na + i) <- b.times.(i) +. offset;
+    flow_ids.(na + i) <- b.flow_ids.(i) + base
+  done;
+  sort_by_time times flow_ids;
   {
-    packets;
-    unique_flows = a.unique_flows + b.unique_flows;
+    times;
+    flow_ids;
+    flows = Array.append a.flows b.flows;
     duration = Float.max a.duration (offset +. b.duration);
   }

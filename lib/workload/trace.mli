@@ -6,17 +6,24 @@
     are Pareto-distributed, each flow starts at a uniformly random offset
     in the trace and emits packets separated by exponential gaps. *)
 
-type packet = {
-  time : float;  (** seconds from trace start *)
-  flow_id : int;  (** index into the unique-flow array *)
-  flow : Gf_flow.Flow.t;
-}
-
 type t = {
-  packets : packet array;  (** sorted by time *)
-  unique_flows : int;
+  times : float array;
+      (** [times.(i)] is packet [i]'s arrival, seconds from trace start;
+          nondecreasing in [i]. *)
+  flow_ids : int array;
+      (** [flow_ids.(i)] is packet [i]'s flow id, an index into [flows];
+          same length as [times]. *)
+  flows : Gf_flow.Flow.t array;
+      (** The flow table: packet [i]'s headers are
+          [flows.(flow_ids.(i))].  A generator's table is the caller's own
+          [flows] argument, not a copy, and may hold flows no packet
+          sends; its length is the flow-id bound. *)
   duration : float;
 }
+(** A materialised trace, held as two flat arrays and a flow table.  A
+    packet costs 16 bytes (one unboxed float and one int); the flow table
+    costs one word per flow id plus the flows it holds, shared with
+    whoever else holds them. *)
 
 val generate :
   ?duration:float ->
@@ -137,9 +144,12 @@ val steady :
     or [packets < 0]. *)
 
 val trace_of_stream : ?batch:int -> stream -> t
-(** Materialise a stream (test/debug helper — drains it fully). *)
+(** Materialise a stream (test/debug helper — drains it fully).  The
+    trace's flow table is the stream's: its source trace's, or
+    {!steady}'s [flows]. *)
 
 val concat : t -> t -> offset:float -> t
 (** [concat a b ~offset] shifts [b]'s packets by [offset] seconds and merges
-    (for the paper's Fig. 18 dynamic-arrival experiment).  Flow ids of [b]
-    are renumbered after [a]'s. *)
+    (for the paper's Fig. 18 dynamic-arrival experiment).  The flow table
+    is [a]'s followed by [b]'s, so [b]'s flow ids move up by
+    [Array.length a.flows]. *)

@@ -190,6 +190,14 @@ let minor_words f =
   f ();
   Gc.minor_words () -. before -. (r1 -. r0)
 
+(* [f ~now ~flow_id flow] on every packet of [trace], in trace order. *)
+let iter_packets f (trace : Gf_workload.Trace.t) =
+  Array.iteri
+    (fun i now ->
+      let flow_id = trace.flow_ids.(i) in
+      f ~now ~flow_id trace.flows.(flow_id))
+    trace.times
+
 (* [cfg] with its EMC level's capacity set to [capacity]. *)
 let with_emc_capacity capacity (cfg : Gf_sim.Datapath.config) =
   {

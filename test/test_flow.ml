@@ -438,6 +438,22 @@ let test_equal_allocation_free () =
   let words = Gc.minor_words () -. before in
   Alcotest.(check bool) (Printf.sprintf "%.0f minor words" words) true (words <= 4.)
 
+(* [Fmatch.v] interns its mask on every install, so re-interning a mask
+   already in the table must allocate nothing: no closure for the lock,
+   no option for the probe.  [Mutex.protect] and [Tbl.find_opt] cost 6
+   words a call. *)
+let test_mask_intern_allocation_free () =
+  let m = Mask.intern (Mask.prefix Field.Ip_src 20) in
+  let n = rebuild_mask m in
+  let words =
+    Helpers.minor_words (fun () ->
+        for _ = 1 to 10_000 do
+          ignore (Sys.opaque_identity (Mask.intern n))
+        done)
+  in
+  Alcotest.(check bool) "canonical" true (Mask.intern n == m);
+  Alcotest.(check (float 0.)) "minor words" 0. words
+
 (* Every TSS walk is mostly missing probes: a miss, whether the filter or
    the chain answers it, must allocate nothing.  Net of the cost of the
    [Gc.minor_words] reads themselves, measured back to back. *)
@@ -509,6 +525,7 @@ let suite =
     ("masked tbl spreads prefixes", `Quick, test_masked_tbl_spreads_prefixes);
     ("masked tbl rejects unmasked key", `Quick, test_masked_tbl_rejects_unmasked_key);
     ("equal allocation-free", `Quick, test_equal_allocation_free);
+    ("mask intern allocation-free", `Quick, test_mask_intern_allocation_free);
     ("masked tbl shared filter value", `Quick, test_masked_tbl_shared_filter_value);
     ("masked tbl miss allocation-free", `Quick, test_masked_tbl_miss_allocation_free);
     ("headers ipv4", `Quick, test_headers_ipv4);

@@ -181,15 +181,15 @@ let test_serial_trace_roundtrip () =
   let t = Trace.generate ~duration:5.0 ~seed:9 ~flows () in
   let back = ok (Serial.trace_of_string (Serial.trace_to_string t)) in
   Alcotest.(check int) "packets" (Trace.packet_count t) (Trace.packet_count back);
-  Alcotest.(check int) "flows" t.Trace.unique_flows back.Trace.unique_flows;
+  Alcotest.(check int) "flows" (Array.length t.Trace.flows) (Array.length back.Trace.flows);
   Array.iteri
-    (fun i (p : Trace.packet) ->
-      let q = back.Trace.packets.(i) in
-      Alcotest.(check int) "flow id" p.Trace.flow_id q.Trace.flow_id;
-      Alcotest.(check bool) "flow value" true (Flow.equal p.Trace.flow q.Trace.flow);
-      if Float.abs (p.Trace.time -. q.Trace.time) > 1e-5 then
-        Alcotest.fail "timestamp drift")
-    t.Trace.packets
+    (fun i f -> Alcotest.(check bool) "flow table" true (Flow.equal f back.Trace.flows.(i)))
+    t.Trace.flows;
+  Alcotest.(check (array int)) "flow ids" t.Trace.flow_ids back.Trace.flow_ids;
+  Array.iteri
+    (fun i time ->
+      if Float.abs (time -. back.Trace.times.(i)) > 1e-5 then Alcotest.fail "timestamp drift")
+    t.Trace.times
 
 let test_serial_rejects_garbage () =
   (match Serial.flows_of_string "nonsense" with

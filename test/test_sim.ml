@@ -82,21 +82,19 @@ let test_datapath_backends_consistent_decisions () =
       let dp = Datapath.create cfg (Pipebench.pipeline w) in
       let pipeline = Datapath.pipeline dp in
       let checked = ref 0 in
-      Array.iter
-        (fun (pkt : Trace.packet) ->
-          let _, terminal, _ =
-            Datapath.process dp ~now:pkt.Trace.time pkt.Trace.flow
-          in
+      Helpers.iter_packets
+        (fun ~now ~flow_id:_ flow ->
+          let _, terminal, _ = Datapath.process dp ~now flow in
           if !checked < 3000 then begin
             incr checked;
-            match (terminal, Executor.terminal_of pipeline pkt.Trace.flow) with
+            match (terminal, Executor.terminal_of pipeline flow) with
             | Some t, Ok (t', _) ->
                 if not (Action.terminal_equal t t') then
                   Alcotest.failf "decision mismatch"
             | None, _ -> Alcotest.fail "no decision"
             | Some _, Error _ -> Alcotest.fail "slowpath error"
           end)
-        w.Pipebench.trace.Trace.packets)
+        w.Pipebench.trace)
     [ Datapath.emc_mf_sw (); Datapath.emc_gf_sw () ]
 
 let test_gigaflow_beats_megaflow_under_pressure () =
@@ -160,15 +158,14 @@ let test_ltm_replays_survive_churn () =
   let cache = Gf_core.Gigaflow.cache gf and entry_tag = Gf_pipeline.Pipeline.entry pipeline in
   let memo = Hashtbl.create 1024 in
   let replays = ref 0 and rewalks = ref 0 and slowpaths = ref 0 and last_sweep = ref 0.0 in
-  Array.iter
-    (fun (pkt : Trace.packet) ->
-      let now = pkt.Trace.time and flow_id = pkt.Trace.flow_id in
+  Helpers.iter_packets
+    (fun ~now ~flow_id flow ->
       if now -. !last_sweep >= 1.0 then begin
         ignore (Gf_core.Gigaflow.expire gf ~now);
         last_sweep := now
       end;
       let walk () =
-        let hit, _, replay = Gf_core.Ltm_cache.lookup_replay cache ~now ~entry_tag pkt.Trace.flow in
+        let hit, _, replay = Gf_core.Ltm_cache.lookup_replay cache ~now ~entry_tag flow in
         Hashtbl.replace memo flow_id replay;
         hit
       in
@@ -176,7 +173,7 @@ let test_ltm_replays_survive_churn () =
       | None ->
           if walk () = None then begin
             incr slowpaths;
-            ignore (Gf_core.Gigaflow.handle_miss gf ~now ~pipeline pkt.Trace.flow)
+            ignore (Gf_core.Gigaflow.handle_miss gf ~now ~pipeline flow)
           end
       | Some replay ->
           incr replays;
@@ -184,7 +181,7 @@ let test_ltm_replays_survive_churn () =
             incr rewalks;
             ignore (walk ())
           end)
-    w.Pipebench.trace.Trace.packets;
+    w.Pipebench.trace;
   let share = float_of_int !rewalks /. float_of_int !replays in
   Alcotest.(check bool) (Printf.sprintf "some replays (%d)" !replays) true (!replays > 50_000);
   Alcotest.(check bool)
@@ -412,23 +409,55 @@ let test_parallel_shard_partition () =
   Array.iteri
     (fun d s ->
       let last_time = ref neg_infinity in
-      Array.iter
-        (fun (p : Trace.packet) ->
-          (match Hashtbl.find_opt owner p.Trace.flow_id with
-          | Some d' when d' <> d -> Alcotest.failf "flow %d on shards %d and %d" p.Trace.flow_id d' d
-          | _ -> Hashtbl.replace owner p.Trace.flow_id d);
-          if p.Trace.time < !last_time then Alcotest.fail "shard not time-ordered";
-          if Multicore.rss_hash p.Trace.flow_id mod 4 <> d then
-            Alcotest.failf "flow %d on shard %d, not at its RSS hash" p.Trace.flow_id d;
-          last_time := p.Trace.time)
-        s.Trace.packets;
-      Alcotest.(check int) "unique_flows recounted"
-        (let seen = Hashtbl.create 64 in
-         Array.iter (fun (p : Trace.packet) -> Hashtbl.replace seen p.Trace.flow_id ()) s.Trace.packets;
-         Hashtbl.length seen)
-        s.Trace.unique_flows)
+      Helpers.iter_packets
+        (fun ~now ~flow_id _ ->
+          (match Hashtbl.find_opt owner flow_id with
+          | Some d' when d' <> d -> Alcotest.failf "flow %d on shards %d and %d" flow_id d' d
+          | _ -> Hashtbl.replace owner flow_id d);
+          if now < !last_time then Alcotest.fail "shard not time-ordered";
+          if Multicore.rss_hash flow_id mod 4 <> d then
+            Alcotest.failf "flow %d on shard %d, not at its RSS hash" flow_id d;
+          last_time := now)
+        s;
+      Alcotest.(check bool) "flow table shared" true (s.Trace.flows == trace.Trace.flows))
     shards;
-  Alcotest.(check int) "flows conserved" trace.Trace.unique_flows (Hashtbl.length owner)
+  Alcotest.(check int) "flows conserved" (Array.length trace.Trace.flows) (Hashtbl.length owner)
+
+(* A shard keeps the parent's flow ids, so its flow-id bound is the
+   parent's flow table, not the number of flows it happens to carry.  A
+   shard that counted its distinct ids (62 here, with ids up to 99) broke
+   both consumers below. *)
+let shard_of_generated () =
+  let flows = Array.init 100 (fun i -> Gf_flow.Flow.make [ (Gf_flow.Field.Vlan, i) ]) in
+  (Parallel.shard ~domains:2 (Trace.generate ~duration:5.0 ~seed:3 ~flows ())).(0)
+
+let test_shard_serialises () =
+  let s = shard_of_generated () in
+  let back =
+    match Gf_workload.Serial.trace_of_string (Gf_workload.Serial.trace_to_string s) with
+    | Ok t -> t
+    | Error e -> Alcotest.fail e
+  in
+  Alcotest.(check (array int)) "flow ids round-trip" s.Trace.flow_ids back.Trace.flow_ids
+
+(* [fill]'s contract: one flow id always pairs with one flow, here across
+   a shard concatenated with itself. *)
+let test_shard_concat_pairs_ids_with_flows () =
+  let s = shard_of_generated () in
+  let c = Trace.concat s s ~offset:0.0 in
+  let n = Trace.packet_count c in
+  let times = Array.make n 0.0 and flow_ids = Array.make n 0 in
+  let flows = Array.make n Gf_flow.Flow.zero in
+  let k = Trace.fill (Trace.stream_of_trace c) ~times ~flow_ids ~flows ~max:n in
+  Alcotest.(check int) "packets" (2 * Trace.packet_count s) k;
+  let owner = Hashtbl.create 256 in
+  let clashes = ref 0 in
+  for i = 0 to k - 1 do
+    match Hashtbl.find_opt owner flow_ids.(i) with
+    | Some f -> if not (Gf_flow.Flow.equal f flows.(i)) then incr clashes
+    | None -> Hashtbl.replace owner flow_ids.(i) flows.(i)
+  done;
+  Alcotest.(check int) "packets whose id another packet pairs with another flow" 0 !clashes
 
 let test_parallel_single_domain_matches_datapath () =
   let w = small_workload () in
@@ -799,13 +828,15 @@ let prop_hierarchy_transparent =
           List.for_all
             (fun process ->
               let dp = Datapath.create cfg (Gf_pipeline.Pipeline.copy reference) in
-              Array.for_all
-                (fun (pkt : Trace.packet) ->
-                  let _, terminal, _ = process dp ~now:pkt.Trace.time pkt.Trace.flow in
-                  match (terminal, Executor.terminal_of reference pkt.Trace.flow) with
-                  | Some t, Ok (t', _) -> Action.terminal_equal t t'
-                  | _, _ -> false)
-                w.Pipebench.trace.Trace.packets)
+              let transparent = ref true in
+              Helpers.iter_packets
+                (fun ~now ~flow_id:_ flow ->
+                  let _, terminal, _ = process dp ~now flow in
+                  match (terminal, Executor.terminal_of reference flow) with
+                  | Some t, Ok (t', _) -> if not (Action.terminal_equal t t') then transparent := false
+                  | _, _ -> transparent := false)
+                w.Pipebench.trace;
+              !transparent)
             [
               (fun dp ~now flow -> Datapath.process dp ~now flow);
               (fun dp ~now flow -> Datapath.process_memo dp ~now ~flow_id:(-1) flow);
@@ -965,11 +996,12 @@ let test_memo_across_rule_update () =
       let cfg = Option.get (Datapath.preset name) in
       let walker = Datapath.create cfg pipeline in
       let memo = Datapath.create cfg pipeline in
-      let packets = w.Pipebench.trace.Trace.packets in
-      let half = Array.length packets / 2 in
+      let { Trace.times; flow_ids; flows; _ } = w.Pipebench.trace in
+      let half = Array.length times / 2 in
       let replay lo hi =
         for i = lo to hi - 1 do
-          let { Trace.flow_id; time = now; flow; _ } = packets.(i) in
+          let now = times.(i) and flow_id = flow_ids.(i) in
+          let flow = flows.(flow_id) in
           ignore (Datapath.process walker ~flow_id ~now flow);
           ignore (Datapath.process_memo memo ~now ~flow_id flow)
         done
@@ -984,13 +1016,13 @@ let test_memo_across_rule_update () =
                 ~pattern:(Gf_flow.Flow.make [ (Gf_flow.Field.Ip_src, 0) ])
                 ~mask:(Gf_flow.Mask.make [ (Gf_flow.Field.Ip_src, 1) ]))
            ~action:(Action.drop ()));
-      let now = packets.(half - 1).Trace.time in
+      let now = times.(half - 1) in
       Alcotest.(check (pair int int))
         (name ^ ": same sweep")
         (Datapath.revalidate walker ~now)
         (Datapath.revalidate memo ~now);
-      replay half (Array.length packets);
-      let time = packets.(Array.length packets - 1).Trace.time in
+      replay half (Array.length times);
+      let time = times.(Array.length times - 1) in
       let mw = Datapath.finalize walker ~time and mm = Datapath.finalize memo ~time in
       Alcotest.(check string)
         (name ^ ": walker = memo")
@@ -1028,10 +1060,9 @@ let test_memo_retained_heap () =
     in
     Gc.compact ();
     let before = (Gc.stat ()).Gc.live_words in
-    Array.iter
-      (fun { Trace.flow_id; time = now; flow; _ } ->
-        ignore (process dp ~now ~flow_id flow))
-      w.Pipebench.trace.Trace.packets;
+    Helpers.iter_packets
+      (fun ~now ~flow_id flow -> ignore (process dp ~now ~flow_id flow))
+      w.Pipebench.trace;
     Gc.compact ();
     let after = (Gc.stat ()).Gc.live_words in
     ignore (Sys.opaque_identity w);
@@ -1066,6 +1097,8 @@ let suite =
     ("rss hash spreads strided flow ids", `Quick, test_rss_hash_spreads_strided_ids);
     ("metrics merge", `Quick, test_metrics_merge);
     ("parallel shard partition", `Quick, test_parallel_shard_partition);
+    ("shard serialises", `Quick, test_shard_serialises);
+    ("shard concat pairs ids with flows", `Quick, test_shard_concat_pairs_ids_with_flows);
     ("parallel 1-domain = plain datapath", `Slow, test_parallel_single_domain_matches_datapath);
     ("parallel run_shards contract", `Quick, test_parallel_run_shards_contract);
     ("hierarchy walker = pre-refactor datapath", `Quick, test_hierarchy_regression);

@@ -452,13 +452,18 @@ let test_event_census_matches_stream () =
   in
   let pipeline = Pipebench.pipeline w in
   let dp = Datapath.create ~telemetry:tel cfg pipeline in
-  let packets = w.Pipebench.trace.Gf_workload.Trace.packets in
-  let n = Array.length packets and half = Array.length packets / 2 in
+  let trace = w.Pipebench.trace in
+  let n = Gf_workload.Trace.packet_count trace in
+  let half = n / 2 in
   let part off len =
-    { w.Pipebench.trace with Gf_workload.Trace.packets = Array.sub packets off len }
+    {
+      trace with
+      Gf_workload.Trace.times = Array.sub trace.times off len;
+      flow_ids = Array.sub trace.flow_ids off len;
+    }
   in
   ignore (Datapath.run dp (part 0 half) : Metrics.t);
-  let revalidated_at = packets.(half - 1).Gf_workload.Trace.time in
+  let revalidated_at = trace.times.(half - 1) in
   Gf_pipeline.Pipeline.add_rule pipeline ~table:0
     (Gf_pipeline.Ofrule.v
        ~id:(Gf_pipeline.Pipeline.fresh_rule_id pipeline)

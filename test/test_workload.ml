@@ -160,12 +160,12 @@ let test_high_locality_concentrates () =
 let test_trace_sorted_and_counts () =
   let flows = Array.init 50 (fun i -> Flow.make [ (Gf_flow.Field.Vlan, i) ]) in
   let t = Trace.generate ~duration:10.0 ~mean_flow_size:4.0 ~seed:15 ~flows () in
-  Alcotest.(check int) "unique flows" 50 t.Trace.unique_flows;
+  Alcotest.(check bool) "flow table is the caller's" true (t.Trace.flows == flows);
   Alcotest.(check bool) "at least one packet per flow" true
     (Trace.packet_count t >= 50);
   let sorted = ref true in
-  for i = 0 to Array.length t.Trace.packets - 2 do
-    if t.Trace.packets.(i).Trace.time > t.Trace.packets.(i + 1).Trace.time then
+  for i = 0 to Trace.packet_count t - 2 do
+    if t.Trace.times.(i) > t.Trace.times.(i + 1) then
       sorted := false
   done;
   Alcotest.(check bool) "sorted by time" true !sorted
@@ -181,15 +181,14 @@ let test_trace_concat () =
   let a = Trace.generate ~duration:5.0 ~seed:17 ~flows () in
   let b = Trace.generate ~duration:5.0 ~seed:18 ~flows () in
   let c = Trace.concat a b ~offset:300.0 in
-  Alcotest.(check int) "flow ids renumbered" 20 c.Trace.unique_flows;
+  Alcotest.(check int) "flow ids renumbered" 20 (Array.length c.Trace.flows);
   Alcotest.(check int) "packets merged" (Trace.packet_count a + Trace.packet_count b)
     (Trace.packet_count c);
   (* Packets from b all carry ids >= 10 and times >= 300. *)
-  Array.iter
-    (fun pkt ->
-      if pkt.Trace.flow_id >= 10 then
-        Alcotest.(check bool) "offset applied" true (pkt.Trace.time >= 300.0))
-    c.Trace.packets
+  Helpers.iter_packets
+    (fun ~now ~flow_id _ ->
+      if flow_id >= 10 then Alcotest.(check bool) "offset applied" true (now >= 300.0))
+    c
 
 let test_trace_churn_shape () =
   let flows = Array.init 200 (fun i -> Flow.make [ (Gf_flow.Field.Vlan, i) ]) in
@@ -200,24 +199,24 @@ let test_trace_churn_shape () =
   let t = churn () in
   Alcotest.(check int) "epochs x packets_per_epoch" 500 (Trace.packet_count t);
   let sorted = ref true in
-  for i = 0 to Array.length t.Trace.packets - 2 do
-    if t.Trace.packets.(i).Trace.time > t.Trace.packets.(i + 1).Trace.time then
+  for i = 0 to Trace.packet_count t - 2 do
+    if t.Trace.times.(i) > t.Trace.times.(i + 1) then
       sorted := false
   done;
   Alcotest.(check bool) "sorted by time" true !sorted;
   (* The first epoch draws only from the initial window; the rotation must
      eventually reach flows outside it. *)
   let outside = ref 0 in
-  Array.iter
-    (fun pkt ->
-      if pkt.Trace.time < 2.0 && pkt.Trace.flow_id >= 50 then
-        Alcotest.failf "first epoch drew flow %d outside the window" pkt.Trace.flow_id;
-      if pkt.Trace.flow_id >= 50 then incr outside)
-    t.Trace.packets;
+  Helpers.iter_packets
+    (fun ~now ~flow_id _ ->
+      if now < 2.0 && flow_id >= 50 then
+        Alcotest.failf "first epoch drew flow %d outside the window" flow_id;
+      if flow_id >= 50 then incr outside)
+    t;
   Alcotest.(check bool) "window rotated past the initial flows" true (!outside > 0);
   (* Fully deterministic in the seed. *)
   let t' = churn () in
-  Alcotest.(check bool) "deterministic" true (t.Trace.packets = t'.Trace.packets)
+  Alcotest.(check bool) "deterministic" true (t = t')
 
 (* Satellite: streaming edge cases.  A zero-packet stream must terminate
    immediately, and a fill whose batch exceeds the remaining packets must
@@ -285,9 +284,7 @@ let test_trace_elephant_mice_shape () =
   in
   Alcotest.(check int) "packet count" 4000 (Trace.packet_count t);
   let elephant_packets =
-    Array.fold_left
-      (fun acc p -> if p.Trace.flow_id < 8 then acc + 1 else acc)
-      0 t.Trace.packets
+    Array.fold_left (fun acc id -> if id < 8 then acc + 1 else acc) 0 t.Trace.flow_ids
   in
   (* Bernoulli(0.8) over 4000 draws: stay well inside 5 sigma. *)
   Alcotest.(check bool)
@@ -295,8 +292,8 @@ let test_trace_elephant_mice_shape () =
     true
     (elephant_packets > 3000 && elephant_packets < 3400);
   let sorted = ref true in
-  for i = 0 to Array.length t.Trace.packets - 2 do
-    if t.Trace.packets.(i).Trace.time > t.Trace.packets.(i + 1).Trace.time then
+  for i = 0 to Trace.packet_count t - 2 do
+    if t.Trace.times.(i) > t.Trace.times.(i + 1) then
       sorted := false
   done;
   Alcotest.(check bool) "sorted by time" true !sorted;
@@ -305,7 +302,7 @@ let test_trace_elephant_mice_shape () =
     Trace.elephant_mice ~duration:10.0 ~elephants:8 ~elephant_share:0.8
       ~packets:4000 ~seed:21 ~flows ()
   in
-  Alcotest.(check bool) "deterministic" true (t.Trace.packets = t'.Trace.packets)
+  Alcotest.(check bool) "deterministic" true (t = t')
 
 let test_trace_drifting_skew_shape () =
   let flows = Array.init 500 (fun i -> Flow.make [ (Gf_flow.Field.Vlan, i) ]) in
@@ -315,8 +312,8 @@ let test_trace_drifting_skew_shape () =
   in
   Alcotest.(check int) "packet count" 4000 (Trace.packet_count t);
   let sorted = ref true in
-  for i = 0 to Array.length t.Trace.packets - 2 do
-    if t.Trace.packets.(i).Trace.time > t.Trace.packets.(i + 1).Trace.time then
+  for i = 0 to Trace.packet_count t - 2 do
+    if t.Trace.times.(i) > t.Trace.times.(i + 1) then
       sorted := false
   done;
   Alcotest.(check bool) "sorted by time" true !sorted;
@@ -325,7 +322,7 @@ let test_trace_drifting_skew_shape () =
   let mode lo hi =
     let counts = Hashtbl.create 64 in
     for i = lo to hi - 1 do
-      let id = t.Trace.packets.(i).Trace.flow_id in
+      let id = t.Trace.flow_ids.(i) in
       Hashtbl.replace counts id (1 + Option.value ~default:0 (Hashtbl.find_opt counts id))
     done;
     Hashtbl.fold (fun id c (bid, bc) -> if c > bc then (id, c) else (bid, bc)) counts (-1, 0)
@@ -385,12 +382,12 @@ let add_flow b f =
   Buffer.add_char b '\n'
 
 let add_trace b (t : Trace.t) =
-  Printf.bprintf b "%d %Lx\n" t.Trace.unique_flows (Int64.bits_of_float t.Trace.duration);
-  Array.iter
-    (fun (p : Trace.packet) ->
-      Printf.bprintf b "%Lx %d " (Int64.bits_of_float p.Trace.time) p.Trace.flow_id;
-      add_flow b p.Trace.flow)
-    t.Trace.packets
+  Printf.bprintf b "%d %Lx\n" (Array.length t.Trace.flows) (Int64.bits_of_float t.Trace.duration);
+  Helpers.iter_packets
+    (fun ~now ~flow_id flow ->
+      Printf.bprintf b "%Lx %d " (Int64.bits_of_float now) flow_id;
+      add_flow b flow)
+    t
 
 let add_ruleset b rs =
   List.iter
@@ -473,12 +470,7 @@ let test_traces_pinned () =
   let out = Array.make 4096 Flow.zero in
   let k = Trace.fill s ~times ~flow_ids ~flows:out ~max:4096 in
   trace "steady, first 4096 packets" "05ff1b0f15b17aa14a4d60addd6ea9e8"
-    {
-      Trace.packets =
-        Array.init k (fun i -> { Trace.time = times.(i); flow_id = flow_ids.(i); flow = out.(i) });
-      unique_flows = Array.length flows;
-      duration = 0.0;
-    }
+    { Trace.times = Array.sub times 0 k; flow_ids = Array.sub flow_ids 0 k; flows; duration = 0.0 }
 
 (* A ruleset that cannot yield [n] flows returns every distinct flow it
    found, not [n].  With exact addresses and pinned ports, a combo's entry
@@ -517,30 +509,26 @@ let test_sample_flows_at_most_n () =
    almost everywhere. *)
 let test_concat_ties_match_array_sort () =
   let rng = Gf_util.Rng.create 5 in
-  let trace n base =
+  let trace n =
     {
-      Trace.packets =
-        Array.init n (fun i ->
-            { Trace.time = float_of_int (Gf_util.Rng.int rng 3); flow_id = base + i; flow = Flow.zero });
-      unique_flows = 1000;
+      Trace.times = Array.init n (fun _ -> float_of_int (Gf_util.Rng.int rng 3));
+      flow_ids = Array.init n Fun.id;
+      flows = Array.make 1000 Flow.zero;
       duration = 3.0;
     }
   in
+  let packets (t : Trace.t) = Array.map2 (fun id time -> (id, time)) t.flow_ids t.times in
   List.iter
     (fun (na, nb) ->
-      let a = trace na 0 and b = trace nb 0 in
+      let a = trace na and b = trace nb in
       let expected =
-        Array.append a.Trace.packets
-          (Array.map
-             (fun p -> { p with Trace.time = p.Trace.time +. 1.0; flow_id = p.Trace.flow_id + 1000 })
-             b.Trace.packets)
+        Array.append (packets a) (Array.map (fun (id, time) -> (id + 1000, time +. 1.0)) (packets b))
       in
-      Array.sort (fun p q -> compare p.Trace.time q.Trace.time) expected;
-      let got = (Trace.concat a b ~offset:1.0).Trace.packets in
+      Array.sort (fun (_, x) (_, y) -> compare x y) expected;
       Alcotest.(check (list (pair int (float 0.))))
         (Printf.sprintf "%d + %d packets" na nb)
-        (Array.to_list (Array.map (fun p -> (p.Trace.flow_id, p.Trace.time)) expected))
-        (Array.to_list (Array.map (fun p -> (p.Trace.flow_id, p.Trace.time)) got)))
+        (Array.to_list expected)
+        (Array.to_list (packets (Trace.concat a b ~offset:1.0))))
     [ (0, 0); (1, 0); (0, 2); (2, 1); (3, 3); (10, 7); (100, 100); (1000, 337) ]
 
 (* The steady source fills the caller's buffers drawing through [Rng] and
@@ -565,6 +553,22 @@ let test_steady_fill_allocation_free () =
   let per_packet = (words -. (32.0 *. float_of_int !calls)) /. float_of_int !packets in
   Alcotest.(check bool) (Printf.sprintf "%.2f words per packet <= 4" per_packet) true
     (per_packet <= 4.0)
+
+(* A trace holds each packet as one unboxed float and one int, beside the
+   flow table it shares with the caller: 2 words a packet, plus the
+   table, plus the record and two array headers.  A record per packet
+   with a boxed time cost 7.5-8.7 words a packet, flow headers
+   included. *)
+let test_trace_layout_words () =
+  let flows = Array.init 2000 (fun i -> Flow.make [ (Gf_flow.Field.Vlan, i) ]) in
+  let t = Trace.generate ~duration:10.0 ~seed:23 ~flows () in
+  let n = Trace.packet_count t in
+  let words = Obj.reachable_words (Obj.repr t) in
+  let table = Obj.reachable_words (Obj.repr flows) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d words for %d packets and a %d-word flow table" words n table)
+    true
+    (words <= (2 * n) + table + 16)
 
 (* Building PSC's 1,024 combos allocates a bounded number of minor words
    per combo.  A dev build measured 2,239 with a [Fmatch.with_prefix] copy
@@ -610,4 +614,5 @@ let suite =
     ("concat ties match Array.sort", `Quick, test_concat_ties_match_array_sort);
     ("steady fill allocation-free", `Quick, test_steady_fill_allocation_free);
     ("ruleset build allocation", `Quick, test_ruleset_build_allocation);
+    ("trace layout: 2 words a packet", `Quick, test_trace_layout_words);
   ]
